@@ -18,7 +18,7 @@ thin, rejection sampling would starve), and an adversarial coordinate-
 degenerate phase (x == u, then y == v) always runs before the random phase.
 
 Evaluation lanes: built-in linear operators on the real line go through the
-sweep kernels (compiled when available); finite tabulated spaces are
+numpy sweep kernels; finite tabulated spaces are
 enumerated exhaustively in exact rational arithmetic with zero tolerance;
 everything else is sampled through the Python callables with a relative
 floating-point slack of 1e-12 so rounding cannot mint a false witness.

@@ -1,10 +1,10 @@
-"""Pure-Python sweep kernels for linear coupled maps F(x, y) = (a*x - b*y)/c on the real line.
+"""Scalar reference for the sweep kernels in ``coupledfp.kernels``.
 
-This module is the reference implementation. The Cython twin
-(``coupledfp.kernels._compiled``) mirrors it statement for statement; both
-must produce bit-identical tuples for identical arguments (same RNG stream,
-same arithmetic, same evaluation order). Any semantic change here must be
-replicated in the .pyx file.
+The package never imports this module; the tests use it as the oracle that the
+numpy kernels must match bit for bit (same RNG stream, same arithmetic, same
+evaluation order, same returned tuple). It steps the splitmix64 state one draw
+at a time, the plainest statement of the stream the kernels vectorize. Any
+semantic change to a sweep must be made here too.
 
 All sweeps draw comparable quadruples (x >= u, y <= v) and stop at the first
 violation. Floats only; exact (rational) spaces are handled elsewhere.
@@ -34,7 +34,7 @@ def _next_unif(state):
 
 
 def rand_doubles(seed, tag, n):
-    """The raw uniform stream; used to lock the two backends together in tests."""
+    """The raw uniform stream; the tests compare the kernels' stream against it."""
     state = stream_seed(seed, tag)
     out = []
     for _ in range(n):

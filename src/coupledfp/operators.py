@@ -3,7 +3,7 @@
 A coupled fixed point of F is exactly a fixed point of T, so the solver and
 the condition checkers mostly work through product_T. Operators are plain
 callables plus metadata; ``linear_coeffs`` tags the built-in family
-F(x, y) = (a*x - b*y)/c on the real line, which the compiled sweep kernels
+F(x, y) = (a*x - b*y)/c on the real line, which the vectorized sweep kernels
 can evaluate without Python callbacks.
 """
 

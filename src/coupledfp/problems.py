@@ -245,16 +245,31 @@ def sample_admissible_starts(problem: ProblemInstance, count: int, seed: int = 0
                              max_draws: int = 200_000) -> list:
     """Deterministically rejection-sample starting pairs that pass
     check_start. Returns at most count pairs (possibly fewer when the
-    admissible region is thin)."""
+    admissible region is thin).
+
+    The candidates are consecutive pairs of one sampler stream of up to
+    2 * max_draws points. The stream is requested in prefixes of growing
+    length and only the pairs new to each prefix are tested, so the search
+    stops soon after count starts are found. This relies on the sampler being
+    prefix-stable (sampler(m, s) is the first m points of sampler(M, s) for
+    m < M), as the real-line and finite samplers are.
+    """
     if count < 1:
         raise InputError("count must be positive")
     op = problem.operator
-    pool = problem.space.sampler(2 * max_draws, seed ^ 0xADB1)
     found = []
-    for t in range(len(pool) // 2):
-        Z = PairPoint(pool[2 * t], pool[2 * t + 1])
-        if check_start(op, Z).admissible:
-            found.append(Z)
-            if len(found) == count:
-                break
-    return found
+    tested = 0
+    size = 128
+    while True:
+        size = min(size, 2 * max_draws)
+        pool = problem.space.sampler(size, seed ^ 0xADB1)
+        for t in range(tested, len(pool) // 2):
+            Z = PairPoint(pool[2 * t], pool[2 * t + 1])
+            if check_start(op, Z).admissible:
+                found.append(Z)
+                if len(found) == count:
+                    return found
+        tested = len(pool) // 2
+        if size == 2 * max_draws or len(pool) < size:
+            return found
+        size *= 4

@@ -204,20 +204,22 @@ def audit_space(space: SpaceModel, samples: int = 100, seed: int = 0,
     report.axioms.append(AxiomCheck("metric_identity", ident_bad is None, n, ident_bad))
     report.axioms.append(AxiomCheck("order_reflexive", refl_bad is None, n, refl_bad))
 
-    # pairs: nonnegativity, symmetry, antisymmetry
+    # pairs: nonnegativity, symmetry, antisymmetry. Index pairs and triples
+    # are generated lazily, so memory stays flat at the caps.
     max_pairs = 200_000
-    pair_indices = []
     total_pairs = n * (n - 1) // 2
     if total_pairs <= max_pairs:
-        pair_indices = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        pair_indices = ((i, j) for i in range(n) for j in range(i + 1, n))
     else:
         rng = random.Random(seed ^ 0x5EED)
-        pair_indices = [
-            (rng.randrange(n), rng.randrange(n)) for _ in range(max_pairs)
-        ]
-        pair_indices = [(i, j) for i, j in pair_indices if i != j]
+        pair_indices = (
+            (i, j) for i, j in ((rng.randrange(n), rng.randrange(n)) for _ in range(max_pairs))
+            if i != j
+        )
     nonneg_bad = sym_bad = antisym_bad = None
+    n_pairs = 0
     for i, j in pair_indices:
+        n_pairs += 1
         x, y = pts[i], pts[j]
         dxy = d(x, y)
         if nonneg_bad is None and dxy < -tau_metric:
@@ -228,21 +230,25 @@ def audit_space(space: SpaceModel, samples: int = 100, seed: int = 0,
             antisym_bad = {"x": x, "y": y}
         if nonneg_bad and sym_bad and antisym_bad:
             break
-    np = len(pair_indices)
-    report.axioms.append(AxiomCheck("metric_nonnegative", nonneg_bad is None, np, nonneg_bad))
-    report.axioms.append(AxiomCheck("metric_symmetry", sym_bad is None, np, sym_bad))
-    report.axioms.append(AxiomCheck("order_antisymmetric", antisym_bad is None, np, antisym_bad))
+    # the reported count covers every pair the audit drew, checked or not
+    n_pairs += sum(1 for _ in pair_indices)
+    report.axioms.append(AxiomCheck("metric_nonnegative", nonneg_bad is None, n_pairs, nonneg_bad))
+    report.axioms.append(AxiomCheck("metric_symmetry", sym_bad is None, n_pairs, sym_bad))
+    report.axioms.append(AxiomCheck("order_antisymmetric", antisym_bad is None, n_pairs,
+                                    antisym_bad))
 
     # triples: triangle inequality, transitivity
     max_triples = 200_000
     if n ** 3 <= max_triples:
-        triples = [(i, j, k) for i in range(n) for j in range(n) for k in range(n)]
+        n_triples = n ** 3
+        triples = ((i, j, k) for i in range(n) for j in range(n) for k in range(n))
     else:
+        n_triples = max_triples
         rng = random.Random(seed ^ 0x7A1A)
-        triples = [
+        triples = (
             (rng.randrange(n), rng.randrange(n), rng.randrange(n))
             for _ in range(max_triples)
-        ]
+        )
     tri_bad = trans_bad = None
     for i, j, k in triples:
         x, y, z = pts[i], pts[j], pts[k]
@@ -255,9 +261,8 @@ def audit_space(space: SpaceModel, samples: int = 100, seed: int = 0,
             trans_bad = {"x": x, "y": y, "z": z}
         if tri_bad and trans_bad:
             break
-    nt = len(triples)
-    report.axioms.append(AxiomCheck("metric_triangle", tri_bad is None, nt, tri_bad))
-    report.axioms.append(AxiomCheck("order_transitive", trans_bad is None, nt, trans_bad))
+    report.axioms.append(AxiomCheck("metric_triangle", tri_bad is None, n_triples, tri_bad))
+    report.axioms.append(AxiomCheck("order_transitive", trans_bad is None, n_triples, trans_bad))
     return report
 
 

@@ -82,6 +82,29 @@ def test_sample_admissible_starts(samet):
     assert starts == cf.sample_admissible_starts(samet, 10, seed=9)
 
 
+def _starts_from_full_pool(problem, count, seed, max_draws):
+    # one request for the whole stream, then a scan of it
+    pool = problem.space.sampler(2 * max_draws, seed ^ 0xADB1)
+    found = []
+    for t in range(len(pool) // 2):
+        Z = PairPoint(pool[2 * t], pool[2 * t + 1])
+        if cf.check_start(problem.operator, Z).admissible:
+            found.append(Z)
+            if len(found) == count:
+                break
+    return found
+
+
+@pytest.mark.parametrize("name", ["samet_example", "linear(1,1,4)", "diamond5"])
+@pytest.mark.parametrize("count,max_draws", [(10, 20_000), (40, 20_000), (10_000, 300)])
+def test_admissible_starts_match_full_pool(name, count, max_draws):
+    problem = (cf.load_finite(fixture_path("diamond5.json")) if name == "diamond5"
+               else cf.builtin(name))
+    for seed in (0, 9, 42):
+        got = cf.sample_admissible_starts(problem, count, seed=seed, max_draws=max_draws)
+        assert got == _starts_from_full_pool(problem, count, seed, max_draws)
+
+
 @pytest.mark.parametrize("name", FINITE_FIXTURES)
 def test_finite_fixtures_load(name):
     prob = cf.load_finite(fixture_path(name))
