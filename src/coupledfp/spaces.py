@@ -13,9 +13,11 @@ of coordinatewise distances and ``product_leq`` is the mixed order
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import islice
 from typing import Any, Callable, Optional
 
 from .errors import DomainMismatchError, InputError
@@ -166,6 +168,17 @@ class AuditReport:
         }
 
 
+def _randrange_stream(rng, n):
+    """Endless rng.randrange(n) values, drawn with the same getrandbits
+    rejection loop as CPython's randrange, minus its per-call frames."""
+    getrandbits = rng.getrandbits
+    k = n.bit_length()
+    while True:
+        r = getrandbits(k)
+        if r < n:
+            yield r
+
+
 def _audit_points(space, samples, seed):
     if space.finite is not None:
         return list(space.finite.elements), True
@@ -204,23 +217,20 @@ def audit_space(space: SpaceModel, samples: int = 100, seed: int = 0,
     report.axioms.append(AxiomCheck("metric_identity", ident_bad is None, n, ident_bad))
     report.axioms.append(AxiomCheck("order_reflexive", refl_bad is None, n, refl_bad))
 
-    # pairs: nonnegativity, symmetry, antisymmetry. Index pairs and triples
-    # are generated lazily, so memory stays flat at the caps.
+    # pairs: nonnegativity, symmetry, antisymmetry. Point pairs and triples
+    # are generated lazily, so memory stays flat at the caps; a sampled pair
+    # (triple) is two (three) consecutive draws of one index stream.
     max_pairs = 200_000
     total_pairs = n * (n - 1) // 2
     if total_pairs <= max_pairs:
-        pair_indices = ((i, j) for i in range(n) for j in range(i + 1, n))
+        pairs = ((x, y) for i, x in enumerate(pts) for y in pts[i + 1:])
     else:
-        rng = random.Random(seed ^ 0x5EED)
-        pair_indices = (
-            (i, j) for i, j in ((rng.randrange(n), rng.randrange(n)) for _ in range(max_pairs))
-            if i != j
-        )
+        s = _randrange_stream(random.Random(seed ^ 0x5EED), n)
+        pairs = ((pts[i], pts[j]) for i, j in islice(zip(s, s), max_pairs) if i != j)
     nonneg_bad = sym_bad = antisym_bad = None
     n_pairs = 0
-    for i, j in pair_indices:
+    for x, y in pairs:
         n_pairs += 1
-        x, y = pts[i], pts[j]
         dxy = d(x, y)
         if nonneg_bad is None and dxy < -tau_metric:
             nonneg_bad = {"x": x, "y": y, "d_xy": dxy}
@@ -231,7 +241,7 @@ def audit_space(space: SpaceModel, samples: int = 100, seed: int = 0,
         if nonneg_bad and sym_bad and antisym_bad:
             break
     # the reported count covers every pair the audit drew, checked or not
-    n_pairs += sum(1 for _ in pair_indices)
+    n_pairs += sum(1 for _ in pairs)
     report.axioms.append(AxiomCheck("metric_nonnegative", nonneg_bad is None, n_pairs, nonneg_bad))
     report.axioms.append(AxiomCheck("metric_symmetry", sym_bad is None, n_pairs, sym_bad))
     report.axioms.append(AxiomCheck("order_antisymmetric", antisym_bad is None, n_pairs,
@@ -241,22 +251,21 @@ def audit_space(space: SpaceModel, samples: int = 100, seed: int = 0,
     max_triples = 200_000
     if n ** 3 <= max_triples:
         n_triples = n ** 3
-        triples = ((i, j, k) for i in range(n) for j in range(n) for k in range(n))
+        triples = ((x, y, z) for x in pts for y in pts for z in pts)
     else:
         n_triples = max_triples
-        rng = random.Random(seed ^ 0x7A1A)
-        triples = (
-            (rng.randrange(n), rng.randrange(n), rng.randrange(n))
-            for _ in range(max_triples)
-        )
+        p = map(pts.__getitem__, _randrange_stream(random.Random(seed ^ 0x7A1A), n))
+        triples = islice(zip(p, p, p), max_triples)
     tri_bad = trans_bad = None
-    for i, j, k in triples:
-        x, y, z = pts[i], pts[j], pts[k]
-        if tri_bad is None and d(x, z) > d(x, y) + d(y, z) + tau_metric:
-            tri_bad = {
-                "x": x, "y": y, "z": z,
-                "d_xz": d(x, z), "d_xy": d(x, y), "d_yz": d(y, z),
-            }
+    for x, y, z in triples:
+        if tri_bad is None:
+            d_xz, via_y = d(x, z), d(x, y) + d(y, z)
+            # the relative slack only matters once the plain comparison fails
+            if d_xz > via_y and d_xz > via_y + tau_metric * max(1, via_y):
+                tri_bad = {
+                    "x": x, "y": y, "z": z,
+                    "d_xz": d_xz, "d_xy": d(x, y), "d_yz": d(y, z),
+                }
         if trans_bad is None and leq(x, y) is True and leq(y, z) is True and leq(x, z) is not True:
             trans_bad = {"x": x, "y": y, "z": z}
         if tri_bad and trans_bad:
@@ -273,8 +282,8 @@ def real_line(radius: float = 10.0) -> SpaceModel:
     all of R. interpolate is the affine map x + t*(y - x) (metrically linear,
     order preserving for t >= 0), which the targeted band construction relies on.
     """
-    if radius <= 0:
-        raise InputError("radius must be positive")
+    if not (math.isfinite(radius) and radius > 0):
+        raise InputError("radius must be positive and finite")
 
     def distance(x, y):
         return abs(x - y)

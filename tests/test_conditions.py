@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import pytest
@@ -8,7 +9,7 @@ import coupledfp as cf
 from coupledfp.conditions import _banded_conclusion
 from coupledfp.spaces import PairPoint
 
-from conftest import antichain_reals
+from conftest import antichain_reals, fixture_path
 
 EIGHTH = lambda e: e / 8
 
@@ -201,17 +202,55 @@ def test_symmetric_constant_operator_holds():
     assert rep.verdict == "holds_on_samples"
 
 
-def test_banded_conclusion_routes_agree_generic():
-    space = cf.real_line()
-    op = cf.CoupledOperator(apply=lambda x, y: (x - 3 * y) / 5, space=space,
-                            description="flagship formula, generic lane")
-    pts = space.sampler(40, 3)
-    for t in range(10):
-        x, y, u, v = pts[4 * t: 4 * t + 4]
-        coord = _banded_conclusion(op, x, y, u, v, True)
-        via_pairs = cf.d2(cf.product_T(op, PairPoint(x, y)),
-                          cf.product_T(op, PairPoint(u, v)), space)
-        assert coord == via_pairs
+def _conclusion_via_pairs(op, x, y, u, v):
+    return cf.d2(cf.product_T(op, PairPoint(x, y)), cf.product_T(op, PairPoint(u, v)), op.space)
+
+
+REAL_MAPS = {
+    "linear": lambda a, b, c: lambda x, y: (a * x - b * y) / c,
+    "tanh": lambda a, b, c: lambda x, y: (a * x - b * math.tanh(y)) / c,
+    "atan": lambda a, b, c: lambda x, y: (a * math.atan(x) - b * y) / c,
+}
+coeff = st.floats(min_value=0.0, max_value=3.0)
+real_point = st.floats(min_value=-10.0, max_value=10.0)
+
+
+@given(family=st.sampled_from(sorted(REAL_MAPS)), a=coeff, b=coeff,
+       c=st.floats(min_value=0.5, max_value=6.0),
+       x=real_point, y=real_point, u=real_point, v=real_point)
+@settings(max_examples=300)
+def test_banded_conclusion_routes_agree_generic(family, a, b, c, x, y, u, v):
+    # the symmetric conclusion is d2 of the pair-map images, bit for bit
+    op = cf.CoupledOperator(apply=REAL_MAPS[family](a, b, c), space=cf.real_line())
+    assert _banded_conclusion(op, x, y, u, v, True) == _conclusion_via_pairs(op, x, y, u, v)
+
+
+@pytest.mark.parametrize("name", ["diamond5.json", "chain3_monotone.json"])
+def test_banded_conclusion_routes_agree_finite(name):
+    op = cf.load_finite(fixture_path(name)).operator
+    els = op.space.finite.elements
+    for x, y, u, v in itertools.product(els, repeat=4):
+        assert _banded_conclusion(op, x, y, u, v, True) == _conclusion_via_pairs(op, x, y, u, v)
+
+
+def _nan_beyond_five():
+    # (x - y)/4 contracts, but the map is NaN for x > 5
+    return cf.CoupledOperator(apply=lambda x, y: math.nan if x > 5 else (x - y) / 4,
+                              space=cf.real_line(10.0))
+
+
+@pytest.mark.parametrize("check", [cf.check_samet, cf.check_symmetric_mk])
+def test_nan_conclusion_is_a_reverifying_failure(check):
+    op = _nan_beyond_five()
+    rep = check(op, [1.0], EIGHTH, samples=500, seed=0)
+    assert rep.verdict == "fails"
+    assert math.isnan(rep.witness.measured["lhs"])
+    assert cf.reverify_witness(op, rep)["violated"] is True
+
+
+def test_nan_conclusion_rejects_every_delta():
+    op = _nan_beyond_five()
+    assert cf.estimate_delta_curve(op, [1.0], samples=200, seed=0) == [(1.0, 0.0)]
 
 
 def test_symmetric_generic_lane_agrees_with_kernel_verdicts(samet):

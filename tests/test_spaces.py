@@ -1,11 +1,13 @@
+import math
 import random
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import coupledfp as cf
-from coupledfp.spaces import INCOMPARABLE, PairPoint, SpaceModel
+from coupledfp.spaces import INCOMPARABLE, PairPoint, SpaceModel, _randrange_stream
 
 from conftest import load_doc
 
@@ -115,6 +117,53 @@ def test_audit_triangle_violation_three_points():
     assert not tri.passed
     w = tri.counterexample
     assert w["d_xz"] > w["d_xy"] + w["d_yz"]
+
+
+@pytest.mark.parametrize("radius", [1e4, 1e9])
+def test_audit_large_real_line_passes_triangle(radius):
+    # the triangle slack scales with d(x, y) + d(y, z), so rounding far from
+    # the origin is not reported as a failure
+    report = cf.audit_space(cf.real_line(radius), samples=500, seed=0)
+    assert report.passed, report.failed_axioms()
+
+
+def test_audit_squared_distance_fails_triangle():
+    base = cf.real_line(1e4)
+    squared = SpaceModel(distance=lambda x, y: (x - y) ** 2, leq=base.leq,
+                         sampler=base.sampler, description="squared difference")
+    report = cf.audit_space(squared, samples=100, seed=0)
+    assert report.failed_axioms() == ["metric_triangle"]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 500, 512, 513, 700])
+@pytest.mark.parametrize("seed", [0, 1, 42, 2**40 + 7])
+def test_randrange_stream_matches_randrange(n, seed):
+    rng = random.Random(seed)
+    expected = [rng.randrange(n) for _ in range(2000)]
+    got = list(islice(_randrange_stream(random.Random(seed), n), 2000))
+    assert got == expected
+
+
+@pytest.mark.parametrize("samples, pair_checks", [(500, 124_750), (700, 199_714)])
+def test_audit_real_line_check_counts(samples, pair_checks):
+    # 500 points: all 124,750 pairs; 700 points: 200,000 sampled index pairs
+    # minus the 286 with i == j at seed 0. Triples are sampled at both sizes.
+    report = cf.audit_space(cf.real_line(), samples=samples, seed=0)
+    assert {a.name: a.checks for a in report.axioms} == {
+        "metric_identity": samples,
+        "order_reflexive": samples,
+        "metric_nonnegative": pair_checks,
+        "metric_symmetry": pair_checks,
+        "order_antisymmetric": pair_checks,
+        "metric_triangle": 200_000,
+        "order_transitive": 200_000,
+    }
+
+
+@pytest.mark.parametrize("radius", [math.inf, -math.inf, math.nan, 0.0, -1.0])
+def test_real_line_rejects_bad_radius(radius):
+    with pytest.raises(cf.InputError):
+        cf.real_line(radius)
 
 
 @pytest.mark.parametrize("name", ["chain3_monotone.json", "diamond5.json", "twocomp4.json"])
