@@ -8,17 +8,12 @@ error).
 
 Identical invocations (including --seed) produce byte-identical JSON. Floats
 serialize as shortest round-trip decimals; exact rationals as "p/q" strings.
-
-COUPLED_FP_THREADS (optional, integer >= 1) caps internal parallelism. All
-evaluation in this implementation is sequential with a deterministic
-reduction order, which trivially respects any cap.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import dataclass
 
@@ -44,7 +39,6 @@ class RunConfig:
     eps_grid: tuple = DEFAULT_EPS_GRID
     output: str = ""
     format: str = "json"
-    threads: int = 1
 
     def echo(self):
         return {
@@ -57,19 +51,6 @@ class RunConfig:
             "eps_grid": list(self.eps_grid),
             "format": self.format,
         }
-
-
-def _read_threads() -> int:
-    raw = os.environ.get("COUPLED_FP_THREADS", "").strip()
-    if not raw:
-        return 1
-    try:
-        val = int(raw)
-    except ValueError:
-        raise InputError(f"COUPLED_FP_THREADS must be an integer, got {raw!r}")
-    if val < 1:
-        raise InputError("COUPLED_FP_THREADS must be >= 1")
-    return val
 
 
 def _parse_eps_grid(text: str):
@@ -133,7 +114,6 @@ def _config_from_args(args) -> RunConfig:
         eps_grid=_parse_eps_grid(args.eps_grid),
         output=args.output,
         format=args.format,
-        threads=_read_threads(),
     )
 
 

@@ -18,33 +18,40 @@ thin, rejection sampling would starve), and an adversarial coordinate-
 degenerate phase (x == u, then y == v) always runs before the random phase.
 
 Evaluation lanes: built-in linear operators on the real line go through the
-numpy sweep kernels; finite tabulated spaces are
-enumerated exhaustively in exact rational arithmetic with zero tolerance;
-everything else is sampled through the Python callables with a relative
-floating-point slack of 1e-12 so rounding cannot mint a false witness.
+numpy sweep kernels. Every other lane is a source of comparable quadruples:
+finite tabulated spaces enumerate all of them in exact rational arithmetic
+with zero tolerance, other spaces draw them by rejection sampling or, for
+bands, construct them through the space's interpolate hook. Each condition
+has one scalar predicate (_banach_violation, _banded_conclusion against the
+slackened eps, _strict_violation) that every lane and reverify_witness apply
+to those quadruples. The floating-point slack of 1e-12 relative to
+max(1, bound) (_with_slack, the same rule as the kernels') keeps rounding from
+minting a false witness, and the comparisons are written so that a NaN never
+passes.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from fractions import Fraction
 
 from . import kernels
 from .errors import InputError
-from .operators import CoupledOperator, evaluation_lane, product_T, _oriented
-from .reports import (
-    VERDICT_FAILS,
-    VERDICT_HOLDS,
-    VERDICT_INCONCLUSIVE,
-    HOLDS_NOTE,
-    ConditionReport,
-    Witness,
+from .operators import (
+    CoupledOperator,
+    evaluation_lane,
+    product_T,
+    _monotone_violation,
+    _oriented,
+    _sampled_quadruples,
+    _too_few,
 )
-from .spaces import PairPoint, d2
+from .reports import ConditionReport, Witness, _report
+from .spaces import PairPoint, _require_members, d2
 
 FLOAT_SLACK = 1e-12
-MIN_COMPARABLE = 10
 DEFAULT_SCALE = 10.0
 
 _BASE_BANACH = 1
@@ -95,6 +102,63 @@ def _phase_plan(samples):
 
 
 # ---------------------------------------------------------------------------
+# quadruple sources and per-condition predicates
+# ---------------------------------------------------------------------------
+
+def _finite_quadruples(space):
+    """Every comparable quadruple of a finite space, in (x, u, y, v) index
+    order, as (count, iterator of (t, x, y, u, v, d(x,u), d(y,v))) with the
+    distances taken from the exact matrix."""
+    fd = space.finite
+    els, dist, leq = fd.elements, fd.dist, fd.leq
+    idx = range(len(els))
+    down = [(els[i], els[j], dist[i][j]) for i in idx for j in idx if leq[j][i]]  # u <= x
+    up = [(els[i], els[j], dist[i][j]) for i in idx for j in idx if leq[i][j]]  # y <= v
+    pairs = enumerate(itertools.product(down, up))
+    return len(down) * len(up), ((t, x, y, u, v, dxu, dyv)
+                                 for t, ((x, u, dxu), (y, v, dyv)) in pairs)
+
+
+def _with_slack(space, bound, direction=1):
+    """bound moved by the rounding slack, FLOAT_SLACK * max(1, bound), in the
+    direction (+1 or -1) that excuses rounding; exact spaces get it unchanged."""
+    if space.exact:
+        return bound
+    return bound + direction * FLOAT_SLACK * (bound if bound > 1.0 else 1.0)
+
+
+def _half_k(space, k):
+    """k/2 in the space's arithmetic, computed once per check, not per quadruple."""
+    return Fraction(k) / 2 if space.exact else 0.5 * k
+
+
+def _banach_violation(op, half_k, x, y, u, v, dxu, dyv):
+    """banach_k on one quadruple, half_k = _half_k(space, k): (lhs, rhs, violated)."""
+    space = op.space
+    lhs = space.distance(op.apply(x, y), op.apply(u, v))
+    rhs = half_k * (dxu + dyv)
+    return lhs, rhs, not lhs <= _with_slack(space, rhs)
+
+
+def _banded_conclusion(op, x, y, u, v, symmetric):
+    """Conclusion quantity through the coordinate formula. In the symmetric
+    case it equals d2 of the pair-map images, T(x, y) and T(u, v), bit for bit
+    (same operations in the same order); the tests pin that identity."""
+    space = op.space
+    d1 = space.distance(op.apply(x, y), op.apply(u, v))
+    if not symmetric:
+        return d1
+    return (d1 + space.distance(op.apply(y, x), op.apply(v, u))) / 2
+
+
+def _strict_violation(op, x, y, u, v, before):
+    """Strict contraction on one quadruple with d2 before = half-sum: (after, violated)."""
+    space = op.space
+    after = d2(product_T(op, PairPoint(x, y)), product_T(op, PairPoint(u, v)), space)
+    return after, not after < _with_slack(space, before, -1)
+
+
+# ---------------------------------------------------------------------------
 # banach_k
 # ---------------------------------------------------------------------------
 
@@ -110,125 +174,35 @@ def check_banach_k(op: CoupledOperator, k, samples: int = 10000, seed: int = 0) 
         found, checked, x, y, u, v, lhs, rhs = kernels.banach_sweep(
             a, b, c, float(k), samples, seed, _tag(_BASE_BANACH), _scale(op), FLOAT_SLACK
         )
-        if found:
-            return ConditionReport(
-                condition_id="banach_k",
-                verdict=VERDICT_FAILS,
-                witness=Witness(x=x, y=y, u=u, v=v, kind="random",
-                                measured={"lhs": lhs, "rhs": rhs, "k": float(k)}),
-                samples_used=checked,
-                comparable_pairs_used=checked,
-                params={"k": float(k)},
-                method="targeted-sampling",
-            )
-        return ConditionReport(
-            condition_id="banach_k",
-            verdict=VERDICT_HOLDS,
-            samples_used=samples,
-            comparable_pairs_used=checked,
-            params={"k": float(k)},
-            method="targeted-sampling",
-            note=HOLDS_NOTE,
-        )
-    if lane == "finite":
-        return _banach_finite(op, k)
-    return _banach_generic(op, k, samples, seed)
+        witness = Witness(x=x, y=y, u=u, v=v, kind="random",
+                          measured={"lhs": lhs, "rhs": rhs, "k": float(k)}) if found else None
+        return _report("banach_k", "targeted-sampling", witness,
+                       checked if found else samples, checked, params={"k": float(k)})
 
-
-def _banach_finite(op, k) -> ConditionReport:
-    fd = op.space.finite
-    els, dist, leq = fd.elements, fd.dist, fd.leq
-    n = len(els)
-    kf = Fraction(k)
-    checked = 0
-    for ix in range(n):
-        for iu in range(n):
-            if not leq[iu][ix]:  # need u <= x
-                continue
-            for iy in range(n):
-                for iv in range(n):
-                    if not leq[iy][iv]:  # need y <= v
-                        continue
-                    checked += 1
-                    x, y, u, v = els[ix], els[iy], els[iu], els[iv]
-                    lhs = op.space.distance(op.apply(x, y), op.apply(u, v))
-                    rhs = kf * (dist[ix][iu] + dist[iy][iv]) / 2
-                    if lhs > rhs:
-                        return ConditionReport(
-                            condition_id="banach_k",
-                            verdict=VERDICT_FAILS,
-                            witness=Witness(x=x, y=y, u=u, v=v, kind="exhaustive",
-                                            measured={"lhs": lhs, "rhs": rhs, "k": kf}),
-                            samples_used=checked,
-                            comparable_pairs_used=checked,
-                            params={"k": k},
-                            method="exhaustive",
-                        )
-    return ConditionReport(
-        condition_id="banach_k",
-        verdict=VERDICT_HOLDS,
-        samples_used=checked,
-        comparable_pairs_used=checked,
-        params={"k": k},
-        method="exhaustive",
-        note="exhaustive over all ordered quadruples",
-    )
-
-
-def _banach_generic(op, k, samples, seed) -> ConditionReport:
     space = op.space
-    slack = 0.0 if space.exact else FLOAT_SLACK
-    pool = space.sampler(4 * samples, seed ^ 0xB44A)
+    exhaustive = lane == "finite"
+    if exhaustive:
+        draws, quadruples = _finite_quadruples(space)
+    else:
+        draws, quadruples = _sampled_quadruples(space, samples, seed ^ 0xB44A)
+    half_k = _half_k(space, k)
+    used = draws
     checked = 0
-    trials = len(pool) // 4
-    for t in range(trials):
-        px = _oriented(space, pool[4 * t], pool[4 * t + 1])
-        py = _oriented(space, pool[4 * t + 2], pool[4 * t + 3])
-        if px is None or py is None:
-            continue
-        u, x = px
-        y, v = py
+    witness = None
+    for t, x, y, u, v, dxu, dyv in quadruples:
         checked += 1
-        lhs = space.distance(op.apply(x, y), op.apply(u, v))
-        dxu = space.distance(x, u)
-        dyv = space.distance(y, v)
-        if space.exact:
-            rhs = Fraction(k) * (dxu + dyv) / 2
-            violated = lhs > rhs
-        else:
-            rhs = 0.5 * k * (dxu + dyv)
-            m = rhs if rhs > 1.0 else 1.0
-            violated = lhs > rhs + slack * m
+        lhs, rhs, violated = _banach_violation(op, half_k, x, y, u, v, dxu, dyv)
         if violated:
-            return ConditionReport(
-                condition_id="banach_k",
-                verdict=VERDICT_FAILS,
-                witness=Witness(x=x, y=y, u=u, v=v, kind="random",
-                                measured={"lhs": lhs, "rhs": rhs, "k": k}),
-                samples_used=t + 1,
-                comparable_pairs_used=checked,
-                params={"k": k},
-                method="rejection-sampling",
-            )
-    if checked < MIN_COMPARABLE:
-        return ConditionReport(
-            condition_id="banach_k",
-            verdict=VERDICT_INCONCLUSIVE,
-            samples_used=trials,
-            comparable_pairs_used=checked,
-            params={"k": k},
-            method="rejection-sampling",
-            note=f"only {checked} comparable quadruples among {trials} draws",
-        )
-    return ConditionReport(
-        condition_id="banach_k",
-        verdict=VERDICT_HOLDS,
-        samples_used=trials,
-        comparable_pairs_used=checked,
-        params={"k": k},
-        method="rejection-sampling",
-        note=HOLDS_NOTE,
-    )
+            witness = Witness(x=x, y=y, u=u, v=v, kind="exhaustive" if exhaustive else "random",
+                              measured={"lhs": lhs, "rhs": rhs,
+                                        "k": Fraction(k) if exhaustive else k})
+            used = t + 1
+            break
+    if exhaustive:
+        return _report("banach_k", "exhaustive", witness, used, checked, params={"k": k},
+                       holds_note="exhaustive over all ordered quadruples")
+    return _report("banach_k", "rejection-sampling", witness, used, checked, params={"k": k},
+                   inconclusive=_too_few(checked, draws, "comparable quadruples"))
 
 
 # ---------------------------------------------------------------------------
@@ -252,17 +226,6 @@ def check_symmetric_mk(op: CoupledOperator, eps_grid, delta_candidates,
                          symmetric=True)
 
 
-def _banded_conclusion(op, x, y, u, v, symmetric):
-    """Conclusion quantity through the coordinate formula. In the symmetric
-    case it equals d2 of the pair-map images, T(x, y) and T(u, v), bit for bit
-    (same operations in the same order); the tests pin that identity."""
-    space = op.space
-    d1 = space.distance(op.apply(x, y), op.apply(u, v))
-    if not symmetric:
-        return d1
-    return (d1 + space.distance(op.apply(y, x), op.apply(v, u))) / 2
-
-
 def _check_banded(op, eps_grid, delta_candidates, samples, seed, symmetric) -> ConditionReport:
     grid = _validate_eps_grid(eps_grid)
     if samples < 1:
@@ -274,6 +237,7 @@ def _check_banded(op, eps_grid, delta_candidates, samples, seed, symmetric) -> C
     band_hits = []
     samples_used = 0
     hits_total = 0
+    witness = None
 
     for e_idx, eps in enumerate(grid):
         delta = delta_candidates(eps)
@@ -281,7 +245,9 @@ def _check_banded(op, eps_grid, delta_candidates, samples, seed, symmetric) -> C
             raise InputError(f"delta candidate for eps={eps} must be positive, got {delta!r}")
         eps_delta.append((eps, delta))
         if lane == "finite":
-            hits, witness = _finite_band_check(op, eps, delta, symmetric)
+            _, quadruples = _finite_quadruples(op.space)
+            hits, witness = _scan_band(op, quadruples, Fraction(eps), Fraction(delta),
+                                       symmetric, "exhaustive")
             samples_used += hits
         elif lane == "linear":
             hits, witness, used = _linear_band_check(op, eps, delta, samples, seed,
@@ -294,37 +260,10 @@ def _check_banded(op, eps_grid, delta_candidates, samples, seed, symmetric) -> C
         band_hits.append((eps, hits))
         hits_total += hits
         if witness is not None:
-            return ConditionReport(
-                condition_id=cid,
-                verdict=VERDICT_FAILS,
-                witness=witness,
-                epsilon_grid=eps_delta,
-                samples_used=samples_used,
-                comparable_pairs_used=hits_total,
-                band_hits=band_hits,
-                method="exhaustive" if lane == "finite" else "targeted-sampling",
-            )
-    if hits_total == 0:
-        return ConditionReport(
-            condition_id=cid,
-            verdict=VERDICT_INCONCLUSIVE,
-            epsilon_grid=eps_delta,
-            samples_used=samples_used,
-            comparable_pairs_used=0,
-            band_hits=band_hits,
-            method="exhaustive" if lane == "finite" else "targeted-sampling",
-            note="no sampled quadruple landed in any band",
-        )
-    return ConditionReport(
-        condition_id=cid,
-        verdict=VERDICT_HOLDS,
-        epsilon_grid=eps_delta,
-        samples_used=samples_used,
-        comparable_pairs_used=hits_total,
-        band_hits=band_hits,
-        method="exhaustive" if lane == "finite" else "targeted-sampling",
-        note=HOLDS_NOTE,
-    )
+            break
+    return _report(cid, "exhaustive" if lane == "finite" else "targeted-sampling", witness,
+                   samples_used, hits_total, epsilon_grid=eps_delta, band_hits=band_hits,
+                   inconclusive="" if hits_total else "no sampled quadruple landed in any band")
 
 
 def _linear_band_check(op, eps, delta, samples, seed, base, e_idx, symmetric, probe):
@@ -350,34 +289,22 @@ def _linear_band_check(op, eps, delta, samples, seed, base, e_idx, symmetric, pr
     return hits, None, used
 
 
-def _finite_band_check(op, eps, delta, symmetric):
-    fd = op.space.finite
-    els, dist, leq = fd.elements, fd.dist, fd.leq
-    n = len(els)
-    eps_f = eps if isinstance(eps, Fraction) else Fraction(eps)
-    delta_f = delta if isinstance(delta, Fraction) else Fraction(delta)
-    hi = eps_f + delta_f
+def _scan_band(op, quadruples, eps, delta, symmetric, kind):
+    """Test the banded condition on the quadruples whose half-sum lies in
+    [eps, eps + delta): (in-band count, first witness or None)."""
+    hi = eps + delta
+    thresh = _with_slack(op.space, eps)  # the conclusion must stay below it
     hits = 0
-    for ix in range(n):
-        for iu in range(n):
-            if not leq[iu][ix]:
-                continue
-            dxu = dist[ix][iu]
-            for iy in range(n):
-                for iv in range(n):
-                    if not leq[iy][iv]:
-                        continue
-                    half = (dxu + dist[iy][iv]) / 2
-                    if not (eps_f <= half < hi):
-                        continue
-                    hits += 1
-                    x, y, u, v = els[ix], els[iy], els[iu], els[iv]
-                    lhs = _banded_conclusion(op, x, y, u, v, symmetric)
-                    if lhs >= eps_f:
-                        w = Witness(x=x, y=y, u=u, v=v, kind="exhaustive",
-                                    measured={"eps": eps_f, "delta": delta_f,
-                                              "half_sum": half, "lhs": lhs})
-                        return hits, w
+    for _, x, y, u, v, dxu, dyv in quadruples:
+        half = (dxu + dyv) / 2
+        if not (eps <= half < hi):
+            continue
+        hits += 1
+        lhs = _banded_conclusion(op, x, y, u, v, symmetric)
+        if not lhs < thresh:
+            return hits, Witness(x=x, y=y, u=u, v=v, kind=kind,
+                                 measured={"eps": eps, "delta": delta,
+                                           "half_sum": half, "lhs": lhs})
     return hits, None
 
 
@@ -385,45 +312,37 @@ def _generic_band_check(op, eps, delta, samples, seed, base, e_idx, symmetric, p
     """Targeted band construction through the space's interpolate hook, or
     plain rejection when the space has none."""
     space = op.space
-    slack = 0.0 if space.exact else FLOAT_SLACK
-    thresh = eps if space.exact else eps + FLOAT_SLACK * (eps if eps > 1.0 else 1.0)
-    hi = eps + delta
-    hits = 0
-    used = 0
-
     if space.interpolate is None:
         rng_seed = kernels.stream_seed(seed, _tag(base, e_idx, 0, probe))
-        pool = space.sampler(4 * samples, rng_seed & 0x7FFFFFFF)
-        used = len(pool) // 4
-        for t in range(used):
-            px = _oriented(space, pool[4 * t], pool[4 * t + 1])
-            py = _oriented(space, pool[4 * t + 2], pool[4 * t + 3])
-            if px is None or py is None:
-                continue
-            u, x = px
-            y, v = py
-            half = (space.distance(x, u) + space.distance(y, v)) / 2
-            if not (eps <= half < hi):
-                continue
-            hits += 1
-            lhs = _banded_conclusion(op, x, y, u, v, symmetric)
-            if not lhs < thresh:
-                w = Witness(x=x, y=y, u=u, v=v, kind="rejection",
-                            measured={"eps": eps, "delta": delta,
-                                      "half_sum": half, "lhs": lhs})
-                return hits, w, used
-        return hits, None, used
+        used, quadruples = _sampled_quadruples(space, samples, rng_seed & 0x7FFFFFFF)
+        hits, witness = _scan_band(op, quadruples, eps, delta, symmetric, "rejection")
+        return hits, witness, used
 
-    interp = space.interpolate
+    hits = 0
+    used = 0
     for mode, count, kind in _phase_plan(samples):
         if count == 0:
             continue
         rng = random.Random(kernels.stream_seed(seed, _tag(base, e_idx, mode, probe)))
-        pool = space.sampler(4 * count, rng.getrandbits(31))
-        trials = len(pool) // 4
+        trials, quadruples = _band_quadruples(space, eps, delta, count, mode, rng)
         used += trials
+        phase_hits, witness = _scan_band(op, quadruples, eps, delta, symmetric, kind)
+        hits += phase_hits
+        if witness is not None:
+            return hits, witness, used
+    return hits, None, used
+
+
+def _band_quadruples(space, eps, delta, count, mode, rng):
+    """Comparable quadruples aimed at the band [eps, eps + delta) through the
+    interpolate hook: (draws, iterator shaped like _sampled_quadruples')."""
+    pool = space.sampler(4 * count, rng.getrandbits(31))
+    trials = len(pool) // 4
+
+    def quadruples():
+        distance, leq, interp, rand = space.distance, space.leq, space.interpolate, rng.random
         for t in range(trials):
-            h = eps + rng.random() * delta
+            h = eps + rand() * delta
             px = _oriented(space, pool[4 * t], pool[4 * t + 1])
             py = _oriented(space, pool[4 * t + 2], pool[4 * t + 3])
             if px is None or py is None:
@@ -435,7 +354,7 @@ def _generic_band_check(op, eps, delta, samples, seed, base, e_idx, symmetric, p
             elif mode == 2:
                 tp, tq = 2.0 * h, 0.0
             else:
-                s = rng.random()
+                s = rand()
                 tp = 2.0 * h * s
                 tq = 2.0 * h - tp
             # rescale each comparable leg so the half-sum hits the band;
@@ -444,34 +363,25 @@ def _generic_band_check(op, eps, delta, samples, seed, base, e_idx, symmetric, p
             if tp == 0.0:
                 u = x
             else:
-                d0 = space.distance(x, u0)
+                d0 = distance(x, u0)
                 if d0 == 0:
                     continue
                 u = interp(x, u0, tp / d0)
-                if space.leq(u, x) is not True:
+                if leq(u, x) is not True:
                     continue
+            y = y0
             if tq == 0.0:
                 v = y0
-                y = y0
             else:
-                y = y0
-                d0 = space.distance(y0, v0)
+                d0 = distance(y0, v0)
                 if d0 == 0:
                     continue
                 v = interp(y0, v0, tq / d0)
-                if space.leq(y, v) is not True:
+                if leq(y, v) is not True:
                     continue
-            half = (space.distance(x, u) + space.distance(y, v)) / 2
-            if not (eps <= half < hi):
-                continue
-            hits += 1
-            lhs = _banded_conclusion(op, x, y, u, v, symmetric)
-            if not lhs < thresh:
-                w = Witness(x=x, y=y, u=u, v=v, kind=kind,
-                            measured={"eps": eps, "delta": delta,
-                                      "half_sum": half, "lhs": lhs})
-                return hits, w, used
-    return hits, None, used
+            yield t, x, y, u, v, distance(x, u), distance(y, v)
+
+    return trials, quadruples()
 
 
 # ---------------------------------------------------------------------------
@@ -488,134 +398,37 @@ def check_strict_contraction(op: CoupledOperator, samples: int = 10000, seed: in
         found, checked, x, y, u, v, before, after = kernels.strict_sweep(
             a, b, c, samples, seed, _tag(_BASE_STRICT), _scale(op), FLOAT_SLACK
         )
-        if found:
-            return ConditionReport(
-                condition_id="strict_contraction",
-                verdict=VERDICT_FAILS,
-                witness=Witness(x=x, y=y, u=u, v=v, kind="random",
-                                measured={"d2_before": before, "d2_after": after}),
-                samples_used=checked,
-                comparable_pairs_used=checked,
-                method="targeted-sampling",
-            )
-        return ConditionReport(
-            condition_id="strict_contraction",
-            verdict=VERDICT_HOLDS,
-            samples_used=samples,
-            comparable_pairs_used=checked,
-            method="targeted-sampling",
-            note=HOLDS_NOTE,
-        )
-    if lane == "finite":
-        return _strict_finite(op)
-    return _strict_generic(op, samples, seed)
+        witness = Witness(x=x, y=y, u=u, v=v, kind="random",
+                          measured={"d2_before": before, "d2_after": after}) if found else None
+        return _report("strict_contraction", "targeted-sampling", witness,
+                       checked if found else samples, checked)
 
-
-def _strict_pair_violation(op, Y, V, before, slack):
-    after = d2(product_T(op, Y), product_T(op, V), op.space)
-    if op.space.exact:
-        return after, after >= before
-    m = before if before > 1.0 else 1.0
-    return after, after >= before - slack * m
-
-
-def _strict_finite(op) -> ConditionReport:
-    fd = op.space.finite
-    els, dist, leq = fd.elements, fd.dist, fd.leq
-    n = len(els)
-    checked = 0
-    for ix in range(n):
-        for iu in range(n):
-            if not leq[iu][ix]:
-                continue
-            for iy in range(n):
-                for iv in range(n):
-                    if not leq[iy][iv]:
-                        continue
-                    before = (dist[ix][iu] + dist[iy][iv]) / 2
-                    if before == 0:
-                        continue
-                    checked += 1
-                    Y = PairPoint(els[ix], els[iy])
-                    V = PairPoint(els[iu], els[iv])
-                    after, violated = _strict_pair_violation(op, Y, V, before, 0.0)
-                    if violated:
-                        return ConditionReport(
-                            condition_id="strict_contraction",
-                            verdict=VERDICT_FAILS,
-                            witness=Witness(x=els[ix], y=els[iy], u=els[iu], v=els[iv],
-                                            kind="exhaustive",
-                                            measured={"d2_before": before, "d2_after": after}),
-                            samples_used=checked,
-                            comparable_pairs_used=checked,
-                            method="exhaustive",
-                        )
-    if checked == 0:
-        return ConditionReport(
-            condition_id="strict_contraction",
-            verdict=VERDICT_INCONCLUSIVE,
-            samples_used=0,
-            comparable_pairs_used=0,
-            method="exhaustive",
-            note="no strictly comparable distinct pairs exist",
-        )
-    return ConditionReport(
-        condition_id="strict_contraction",
-        verdict=VERDICT_HOLDS,
-        samples_used=checked,
-        comparable_pairs_used=checked,
-        method="exhaustive",
-        note="exhaustive over all strictly comparable pairs",
-    )
-
-
-def _strict_generic(op, samples, seed) -> ConditionReport:
     space = op.space
-    slack = 0.0 if space.exact else FLOAT_SLACK
-    pool = space.sampler(4 * samples, seed ^ 0x57C1)
+    exhaustive = lane == "finite"
+    if exhaustive:
+        draws, quadruples = _finite_quadruples(space)
+    else:
+        draws, quadruples = _sampled_quadruples(space, samples, seed ^ 0x57C1)
+    used = draws
     checked = 0
-    trials = len(pool) // 4
-    for t in range(trials):
-        px = _oriented(space, pool[4 * t], pool[4 * t + 1])
-        py = _oriented(space, pool[4 * t + 2], pool[4 * t + 3])
-        if px is None or py is None:
-            continue
-        u, x = px
-        y, v = py
-        Y = PairPoint(x, y)
-        V = PairPoint(u, v)
-        before = d2(Y, V, space)
+    witness = None
+    for t, x, y, u, v, dxu, dyv in quadruples:
+        before = (dxu + dyv) / 2
         if not before > 0:
             continue
         checked += 1
-        after, violated = _strict_pair_violation(op, Y, V, before, slack)
+        after, violated = _strict_violation(op, x, y, u, v, before)
         if violated:
-            return ConditionReport(
-                condition_id="strict_contraction",
-                verdict=VERDICT_FAILS,
-                witness=Witness(x=x, y=y, u=u, v=v, kind="random",
-                                measured={"d2_before": before, "d2_after": after}),
-                samples_used=t + 1,
-                comparable_pairs_used=checked,
-                method="rejection-sampling",
-            )
-    if checked < MIN_COMPARABLE:
-        return ConditionReport(
-            condition_id="strict_contraction",
-            verdict=VERDICT_INCONCLUSIVE,
-            samples_used=trials,
-            comparable_pairs_used=checked,
-            method="rejection-sampling",
-            note=f"only {checked} strictly comparable pairs among {trials} draws",
-        )
-    return ConditionReport(
-        condition_id="strict_contraction",
-        verdict=VERDICT_HOLDS,
-        samples_used=trials,
-        comparable_pairs_used=checked,
-        method="rejection-sampling",
-        note=HOLDS_NOTE,
-    )
+            witness = Witness(x=x, y=y, u=u, v=v, kind="exhaustive" if exhaustive else "random",
+                              measured={"d2_before": before, "d2_after": after})
+            used = t + 1
+            break
+    if exhaustive:
+        return _report("strict_contraction", "exhaustive", witness, checked, checked,
+                       inconclusive="" if checked else "no strictly comparable distinct pairs exist",
+                       holds_note="exhaustive over all strictly comparable pairs")
+    return _report("strict_contraction", "rejection-sampling", witness, used, checked,
+                   inconclusive=_too_few(checked, draws, "strictly comparable pairs"))
 
 
 # ---------------------------------------------------------------------------
@@ -673,27 +486,19 @@ def estimate_delta_curve(op: CoupledOperator, eps_grid, samples: int = 2000,
 
 
 def _finite_curve_point(op, eps, cap):
-    fd = op.space.finite
-    els, dist, leq = fd.elements, fd.dist, fd.leq
-    n = len(els)
+    """Exact curve entry: the smallest violating half-sum >= eps, less eps.
+    Quadruples whose half-sum cannot lower the current minimum are skipped
+    before their conclusion is evaluated."""
     eps_f = Fraction(eps)
+    thresh = _with_slack(op.space, eps_f)
     min_violating_half = None
-    for ix in range(n):
-        for iu in range(n):
-            if not leq[iu][ix]:
-                continue
-            dxu = dist[ix][iu]
-            for iy in range(n):
-                for iv in range(n):
-                    if not leq[iy][iv]:
-                        continue
-                    half = (dxu + dist[iy][iv]) / 2
-                    if half < eps_f:
-                        continue
-                    lhs = _banded_conclusion(op, els[ix], els[iy], els[iu], els[iv], True)
-                    if lhs >= eps_f:
-                        if min_violating_half is None or half < min_violating_half:
-                            min_violating_half = half
+    _, quadruples = _finite_quadruples(op.space)
+    for _, x, y, u, v, dxu, dyv in quadruples:
+        half = (dxu + dyv) / 2
+        if half < eps_f or (min_violating_half is not None and not half < min_violating_half):
+            continue
+        if not _banded_conclusion(op, x, y, u, v, True) < thresh:
+            min_violating_half = half
     if min_violating_half is None:
         return cap
     return float(min(min_violating_half - eps_f, Fraction(cap)))
@@ -707,60 +512,37 @@ def reverify_witness(op: CoupledOperator, report: ConditionReport) -> dict:
     """Recompute a failing report's witness from its stored coordinates.
 
     Returns the recomputed quantities plus "violated"; a genuine witness
-    must re-violate its condition exactly (the arithmetic matches the
-    checkers', including the rounding slack).
+    must re-violate its condition exactly (it is tested by the checkers'
+    own predicate, including the rounding slack).
     """
     if report.witness is None:
         raise InputError("report carries no witness")
     w = report.witness
     space = op.space
-    exact = space.exact
-    slack = 0.0 if exact else FLOAT_SLACK
     cid = report.condition_id
+    _require_members(space, w.x, w.y, w.u, w.v)
 
+    if cid == "mixed_monotone":
+        f_lo, f_hi, violation = _monotone_violation(op, w.kind, w.x, w.y, w.u, w.v)
+        return {"image_low": f_lo, "image_high": f_hi, "violated": violation is not None}
+
+    dxu, dyv = space.distance(w.x, w.u), space.distance(w.y, w.v)
     if cid == "banach_k":
-        k = report.params["k"]
-        lhs = space.distance(op.apply(w.x, w.y), op.apply(w.u, w.v))
-        dxu = space.distance(w.x, w.u)
-        dyv = space.distance(w.y, w.v)
-        if exact:
-            rhs = Fraction(k) * (dxu + dyv) / 2
-            violated = lhs > rhs
-        else:
-            rhs = 0.5 * k * (dxu + dyv)
-            m = rhs if rhs > 1.0 else 1.0
-            violated = lhs > rhs + slack * m
+        lhs, rhs, violated = _banach_violation(op, _half_k(space, report.params["k"]),
+                                               w.x, w.y, w.u, w.v, dxu, dyv)
         return {"lhs": lhs, "rhs": rhs, "violated": violated}
 
     if cid in ("samet_mk", "symmetric_mk"):
         eps = w.measured["eps"]
-        delta = w.measured["delta"]
-        half = (space.distance(w.x, w.u) + space.distance(w.y, w.v)) / 2
-        in_band = eps <= half < eps + delta
+        half = (dxu + dyv) / 2
+        in_band = eps <= half < eps + w.measured["delta"]
         lhs = _banded_conclusion(op, w.x, w.y, w.u, w.v, cid == "symmetric_mk")
-        if exact:
-            thresh = eps
-        else:
-            thresh = eps + slack * (eps if eps > 1.0 else 1.0)
         return {"half_sum": half, "in_band": in_band, "lhs": lhs,
-                "violated": bool(in_band and not lhs < thresh)}
+                "violated": bool(in_band and not lhs < _with_slack(space, eps))}
 
     if cid == "strict_contraction":
-        Y = PairPoint(w.x, w.y)
-        V = PairPoint(w.u, w.v)
-        before = d2(Y, V, space)
-        after, violated = _strict_pair_violation(op, Y, V, before, slack)
+        before = (dxu + dyv) / 2
+        after, violated = _strict_violation(op, w.x, w.y, w.u, w.v, before)
         return {"d2_before": before, "d2_after": after, "violated": violated}
-
-    if cid == "mixed_monotone":
-        if w.kind == "first_argument":
-            f_lo = op.apply(w.u, w.y)
-            f_hi = op.apply(w.x, w.y)
-            violated = space.leq(f_lo, f_hi) is not True
-        else:
-            f_lo = op.apply(w.x, w.y)
-            f_hi = op.apply(w.x, w.v)
-            violated = space.leq(f_hi, f_lo) is not True
-        return {"image_low": f_lo, "image_high": f_hi, "violated": violated}
 
     raise InputError(f"unknown condition id {cid!r}")

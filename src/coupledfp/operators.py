@@ -9,18 +9,12 @@ can evaluate without Python callbacks.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
 from .errors import InputError
-from .reports import (
-    VERDICT_FAILS,
-    VERDICT_HOLDS,
-    VERDICT_INCONCLUSIVE,
-    HOLDS_NOTE,
-    ConditionReport,
-    Witness,
-)
+from .reports import ConditionReport, Witness, _report
 from .spaces import PairPoint, SpaceModel
 
 MIN_COMPARABLE = 10
@@ -74,6 +68,59 @@ def _oriented(space, a, b):
     return None
 
 
+def _sampled_quadruples(space, samples, seed):
+    """Rejection draws of comparable quadruples (x >= u, y <= v).
+
+    Returns (draws, iterator): the number of draws made, and for every draw t
+    whose two point pairs are both comparable, (t, x, y, u, v, d(x,u), d(y,v)).
+    """
+    pool = space.sampler(4 * samples, seed)
+    draws = len(pool) // 4
+
+    def quadruples():
+        distance = space.distance
+        for t in range(draws):
+            px = _oriented(space, pool[4 * t], pool[4 * t + 1])
+            py = _oriented(space, pool[4 * t + 2], pool[4 * t + 3])
+            if px is not None and py is not None:
+                (u, x), (y, v) = px, py
+                yield t, x, y, u, v, distance(x, u), distance(y, v)
+
+    return draws, quadruples()
+
+
+def _too_few(count, draws, what):
+    """Inconclusive note of a sampled check with fewer than MIN_COMPARABLE
+    usable draws; empty when there are enough."""
+    return f"only {count} {what} among {draws} draws" if count < MIN_COMPARABLE else ""
+
+
+# measured keys of the image below and above, per mixed-monotone clause
+_MONOTONE_KEYS = {"first_argument": ("f_of_u_y", "f_of_x_y"),
+                  "second_argument": ("f_of_x_y", "f_of_x_v")}
+
+
+def _monotone_violation(op, clause, x, y, u, v):
+    """One mixed-monotone clause on a witness-shaped quadruple.
+
+    "first_argument" (y == v):  u <= x  =>  F(u, y) <= F(x, y);
+    "second_argument" (x == u): y <= v  =>  F(x, y) >= F(x, v).
+    Returns (image at the lower argument, image at the upper one, the
+    witness if the clause is violated, else None).
+    """
+    if clause == "first_argument":
+        f_lo, f_hi = op.apply(u, y), op.apply(x, y)
+        holds = op.space.leq(f_lo, f_hi) is True
+    else:
+        f_lo, f_hi = op.apply(x, y), op.apply(x, v)
+        holds = op.space.leq(f_hi, f_lo) is True
+    if holds:
+        return f_lo, f_hi, None
+    lo_key, hi_key = _MONOTONE_KEYS[clause]
+    return f_lo, f_hi, Witness(x=x, y=y, u=u, v=v, kind=clause,
+                               measured={lo_key: f_lo, hi_key: f_hi})
+
+
 def check_mixed_monotone(op: CoupledOperator, samples: int = 10000, seed: int = 0) -> ConditionReport:
     """Sample the two monotonicity clauses: F nondecreasing in its first
     argument and nonincreasing in its second, over comparable argument pairs.
@@ -88,156 +135,70 @@ def check_mixed_monotone(op: CoupledOperator, samples: int = 10000, seed: int = 
     if space.finite is not None:
         return _mixed_monotone_finite(op)
 
-    rng_seed = seed ^ 0x3A5C
-    pool = space.sampler(3 * samples, rng_seed)
+    pool = space.sampler(3 * samples, seed ^ 0x3A5C)
     if len(pool) < 3:
         raise InputError("sampler returned too few points")
     used = 0
-    trials = len(pool) // 3
-    for t in range(trials):
-        a, b, w = pool[3 * t], pool[3 * t + 1], pool[3 * t + 2]
+    trials = samples_used = len(pool) // 3
+    witness = None
+    points = iter(pool)
+    for t, (a, b, w) in enumerate(zip(points, points, points)):
         pair = _oriented(space, a, b)
         if pair is None:
             continue
         lo, hi = pair
+        used += 1
         if t % 2 == 0:
-            # first-argument clause: x1 <= x2  =>  F(x1, y) <= F(x2, y)
-            used += 1
-            f_lo = op.apply(lo, w)
-            f_hi = op.apply(hi, w)
-            if space.leq(f_lo, f_hi) is not True:
-                return ConditionReport(
-                    condition_id="mixed_monotone",
-                    verdict=VERDICT_FAILS,
-                    witness=Witness(
-                        x=hi, y=w, u=lo, v=w,
-                        kind="first_argument",
-                        measured={"f_of_u_y": f_lo, "f_of_x_y": f_hi},
-                    ),
-                    samples_used=t + 1,
-                    comparable_pairs_used=used,
-                    method="sampled",
-                )
+            _, _, witness = _monotone_violation(op, "first_argument", hi, w, lo, w)
         else:
-            # second-argument clause: y1 <= y2  =>  F(x, y1) >= F(x, y2)
-            used += 1
-            f_lo = op.apply(w, lo)
-            f_hi = op.apply(w, hi)
-            if space.leq(f_hi, f_lo) is not True:
-                return ConditionReport(
-                    condition_id="mixed_monotone",
-                    verdict=VERDICT_FAILS,
-                    witness=Witness(
-                        x=w, y=lo, u=w, v=hi,
-                        kind="second_argument",
-                        measured={"f_of_x_y": f_lo, "f_of_x_v": f_hi},
-                    ),
-                    samples_used=t + 1,
-                    comparable_pairs_used=used,
-                    method="sampled",
-                )
-    if used < MIN_COMPARABLE:
-        return ConditionReport(
-            condition_id="mixed_monotone",
-            verdict=VERDICT_INCONCLUSIVE,
-            samples_used=trials,
-            comparable_pairs_used=used,
-            method="sampled",
-            note=f"only {used} comparable argument pairs among {trials} draws",
-        )
-    return ConditionReport(
-        condition_id="mixed_monotone",
-        verdict=VERDICT_HOLDS,
-        samples_used=trials,
-        comparable_pairs_used=used,
-        method="sampled",
-        note=HOLDS_NOTE,
-    )
+            _, _, witness = _monotone_violation(op, "second_argument", w, lo, w, hi)
+        if witness is not None:
+            samples_used = t + 1
+            break
+    return _report("mixed_monotone", "sampled", witness, samples_used, used,
+                   inconclusive=_too_few(used, trials, "comparable argument pairs"))
 
 
 def _mixed_monotone_finite(op: CoupledOperator) -> ConditionReport:
     fd = op.space.finite
-    els = fd.elements
-    n = len(els)
-    leq = fd.leq
-    space = op.space
-    used = 0
+    els, leq = fd.elements, fd.leq
+    idx = range(len(els))
     checked = 0
-    for i in range(n):
-        for j in range(n):
-            if not leq[i][j]:
-                continue
-            lo, hi = els[i], els[j]
-            for w in els:
-                checked += 1
-                used += 1
-                f_lo = op.apply(lo, w)
-                f_hi = op.apply(hi, w)
-                if space.leq(f_lo, f_hi) is not True:
-                    return ConditionReport(
-                        condition_id="mixed_monotone",
-                        verdict=VERDICT_FAILS,
-                        witness=Witness(
-                            x=hi, y=w, u=lo, v=w,
-                            kind="first_argument",
-                            measured={"f_of_u_y": f_lo, "f_of_x_y": f_hi},
-                        ),
-                        samples_used=checked,
-                        comparable_pairs_used=used,
-                        method="exhaustive",
-                    )
-                g_lo = op.apply(w, lo)
-                g_hi = op.apply(w, hi)
-                if space.leq(g_hi, g_lo) is not True:
-                    return ConditionReport(
-                        condition_id="mixed_monotone",
-                        verdict=VERDICT_FAILS,
-                        witness=Witness(
-                            x=w, y=lo, u=w, v=hi,
-                            kind="second_argument",
-                            measured={"f_of_x_y": g_lo, "f_of_x_v": g_hi},
-                        ),
-                        samples_used=checked,
-                        comparable_pairs_used=used,
-                        method="exhaustive",
-                    )
+    witness = None
+    for lo, hi, w in ((els[i], els[j], w) for i in idx for j in idx if leq[i][j] for w in els):
+        checked += 1
+        _, _, witness = _monotone_violation(op, "first_argument", hi, w, lo, w)
+        if witness is None:
+            _, _, witness = _monotone_violation(op, "second_argument", w, lo, w, hi)
+        if witness is not None:
+            break
     # reflexive pairs alone still decide the clauses on a finite space, so an
     # exhaustive scan is conclusive even on an antichain
-    return ConditionReport(
-        condition_id="mixed_monotone",
-        verdict=VERDICT_HOLDS,
-        samples_used=checked,
-        comparable_pairs_used=used,
-        method="exhaustive",
-        note="exhaustive over all comparable argument pairs",
-    )
+    return _report("mixed_monotone", "exhaustive", witness, checked, checked,
+                   holds_note="exhaustive over all comparable argument pairs")
 
 
 def audit_lipschitz(op: CoupledOperator, samples: int = 2000, seed: int = 0,
                     slack: float = 1e-12):
     """Empirically check the declared lipschitz_data bound on comparable
-    quadruples. Returns (ok, worst_excess, witness_or_None).
+    quadruples. Returns (ok, worst_excess, witness_or_None); a NaN excess is
+    the worst there is, so it stops the search and fails the audit.
     """
     if op.lipschitz_data is None:
         raise InputError("operator declares no lipschitz_data")
     la, lb = op.lipschitz_data
     space = op.space
-    pool = space.sampler(4 * samples, seed ^ 0x11B5)
+    _, quadruples = _sampled_quadruples(space, samples, seed ^ 0x11B5)
     worst = 0.0
     witness = None
-    for t in range(len(pool) // 4):
-        px = _oriented(space, pool[4 * t], pool[4 * t + 1])
-        py = _oriented(space, pool[4 * t + 2], pool[4 * t + 3])
-        if px is None or py is None:
-            continue
-        u, x = px
-        y, v = py
+    for _, x, y, u, v, dxu, dyv in quadruples:
         lhs = space.distance(op.apply(x, y), op.apply(u, v))
-        rhs = la * space.distance(x, u) + lb * space.distance(y, v)
+        rhs = la * dxu + lb * dyv
         gap = lhs - rhs
-        if gap > worst:
+        if not gap <= worst:
             worst = gap
             witness = Witness(x=x, y=y, u=u, v=v, measured={"lhs": lhs, "rhs": rhs})
-    m = 1.0
-    ok = worst <= slack * m
+            if math.isnan(gap):
+                break
+    ok = worst <= slack
     return ok, worst, (None if ok else witness)

@@ -98,3 +98,19 @@ class ConditionReport:
             "method": self.method,
             "note": self.note,
         }
+
+
+def _report(condition_id, method, witness, samples_used, comparable, *,
+            inconclusive="", holds_note=HOLDS_NOTE, **fields) -> ConditionReport:
+    """The report of one check: fails when it carries a witness, else
+    inconclusive when the caller names why its evidence is too thin, else
+    holds."""
+    if witness is not None:
+        verdict, note = VERDICT_FAILS, ""
+    elif inconclusive:
+        verdict, note = VERDICT_INCONCLUSIVE, inconclusive
+    else:
+        verdict, note = VERDICT_HOLDS, holds_note
+    return ConditionReport(condition_id=condition_id, verdict=verdict, witness=witness,
+                           samples_used=samples_used, comparable_pairs_used=comparable,
+                           method=method, note=note, **fields)

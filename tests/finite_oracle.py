@@ -100,3 +100,17 @@ def oracle_strict(doc):
         if after >= before:
             return FAILS
     return HOLDS if pairs else INCONCLUSIVE
+
+
+def oracle_delta_curve(doc, eps, cap):
+    """Exact delta(eps) of the symmetric condition: the smallest violating
+    half-sum >= eps, less eps, capped at cap (cap when nothing violates)."""
+    n, dist, leq, F = _load(doc)
+    eps = Fraction(eps)
+    gaps = [Fraction(cap)]
+    for ix, iy, iu, iv in _comparable_quadruples(n, leq):
+        half = (dist[ix][iu] + dist[iy][iv]) / 2
+        lhs = (dist[F[ix][iy]][F[iu][iv]] + dist[F[iy][ix]][F[iv][iu]]) / 2
+        if half >= eps and lhs >= eps:
+            gaps.append(half - eps)
+    return float(min(gaps))

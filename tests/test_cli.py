@@ -114,19 +114,6 @@ def test_bad_eps_grid_exits_two(capsys):
     assert code == 2
 
 
-def test_threads_env_validation(capsys, monkeypatch):
-    monkeypatch.setenv("COUPLED_FP_THREADS", "junk")
-    code, out, err = run_cli(capsys, "solve", "--problem", "samet_example")
-    assert code == 2
-    assert "COUPLED_FP_THREADS" in err
-    monkeypatch.setenv("COUPLED_FP_THREADS", "0")
-    code, out, err = run_cli(capsys, "solve", "--problem", "samet_example")
-    assert code == 2
-    monkeypatch.setenv("COUPLED_FP_THREADS", "4")
-    code, out, err = run_cli(capsys, "solve", "--problem", "samet_example")
-    assert code == 0
-
-
 def test_delta_curve_csv(tmp_path, capsys):
     base = str(tmp_path / "curve")
     code, out, err = run_cli(

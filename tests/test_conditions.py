@@ -9,6 +9,7 @@ import coupledfp as cf
 from coupledfp.conditions import _banded_conclusion
 from coupledfp.spaces import PairPoint
 
+import finite_oracle as oracle
 from conftest import antichain_reals, fixture_path
 
 EIGHTH = lambda e: e / 8
@@ -239,12 +240,23 @@ def _nan_beyond_five():
                               space=cf.real_line(10.0))
 
 
-@pytest.mark.parametrize("check", [cf.check_samet, cf.check_symmetric_mk])
+NAN_CHECKS = {
+    "check_samet": lambda op: cf.check_samet(op, [1.0], EIGHTH, samples=500, seed=0),
+    "check_symmetric_mk": lambda op: cf.check_symmetric_mk(op, [1.0], EIGHTH, samples=500, seed=0),
+    "check_banach_k": lambda op: cf.check_banach_k(op, 0.5, samples=500, seed=0),
+    "check_strict_contraction": lambda op: cf.check_strict_contraction(op, samples=500, seed=0),
+}
+
+
+@pytest.mark.parametrize("check", sorted(NAN_CHECKS))
 def test_nan_conclusion_is_a_reverifying_failure(check):
+    # every condition, not only the banded ones, must treat a NaN image
+    # distance as a violation, or verify contradicts the implication chain
     op = _nan_beyond_five()
-    rep = check(op, [1.0], EIGHTH, samples=500, seed=0)
+    rep = NAN_CHECKS[check](op)
     assert rep.verdict == "fails"
-    assert math.isnan(rep.witness.measured["lhs"])
+    measured = rep.witness.measured
+    assert math.isnan(measured["d2_after"] if "d2_after" in measured else measured["lhs"])
     assert cf.reverify_witness(op, rep)["violated"] is True
 
 
@@ -351,6 +363,39 @@ def test_chain_never_inverts(idx):
         assert cf.check_symmetric_mk(op, [1.0], delta, samples=600, seed=idx).verdict != "fails"
 
 
+linear_coeff = st.floats(min_value=0.0, max_value=3.0)
+
+
+@given(a=linear_coeff, b=linear_coeff, c=st.floats(min_value=0.5, max_value=6.0),
+       k=st.floats(min_value=0.05, max_value=0.95),
+       seed=st.integers(min_value=0, max_value=2**31 - 1))
+@settings(max_examples=40, deadline=None)
+def test_every_failure_reverifies_in_kernel_and_generic_lanes(a, b, c, k, seed):
+    # the same map with linear_coeffs (kernel lane) and as a plain callable
+    # (generic lane); each "fails" must re-violate its condition
+    tagged = cf.make_linear(a, b, c).operator
+    plain = cf.CoupledOperator(apply=tagged.apply, space=tagged.space)
+    for op in (tagged, plain):
+        reports = [
+            cf.check_banach_k(op, k, samples=300, seed=seed),
+            cf.check_samet(op, [0.5, 2.0], EIGHTH, samples=300, seed=seed),
+            cf.check_symmetric_mk(op, [0.5, 2.0], EIGHTH, samples=300, seed=seed),
+            cf.check_strict_contraction(op, samples=300, seed=seed),
+        ]
+        for rep in reports:
+            if rep.verdict == "fails":
+                assert cf.reverify_witness(op, rep)["violated"] is True, rep.condition_id
+
+
+def test_reverify_rejects_witness_outside_the_space():
+    op = cf.load_finite(fixture_path("diamond5.json")).operator
+    rep = cf.check_banach_k(op, 0.5)
+    assert rep.verdict == "fails"
+    rep.witness.x = "not-an-element"
+    with pytest.raises(cf.InputError):
+        cf.reverify_witness(op, rep)
+
+
 # --- delta curve -----------------------------------------------------------
 
 def test_delta_curve_flagship(samet):
@@ -387,3 +432,28 @@ def test_delta_curve_caps_for_constant_map():
     prob = cf.builtin("linear(0,0,1)")
     curve = cf.estimate_delta_curve(prob.operator, [1.0], samples=400, seed=0)
     assert curve == [(1.0, 10.0)]
+
+
+@given(data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_finite_curve_matches_oracle(data):
+    # random weighted chains with arbitrary tables: several violating
+    # half-sums per eps, in no particular order along the enumeration
+    n = data.draw(st.integers(min_value=1, max_value=5), label="n")
+    steps = data.draw(st.lists(st.integers(min_value=1, max_value=4),
+                               min_size=n - 1, max_size=n - 1), label="steps")
+    table = data.draw(st.lists(st.lists(st.integers(min_value=0, max_value=n - 1),
+                                        min_size=n, max_size=n),
+                               min_size=n, max_size=n), label="F")
+    pos = list(itertools.accumulate([0] + steps))
+    doc = {
+        "elements": list(range(n)),
+        "distance": [[abs(p - q) for q in pos] for p in pos],
+        "leq": [[int(i <= j) for j in range(n)] for i in range(n)],
+        "F": table,
+    }
+    space = cf.finite_space(doc["elements"], doc["distance"], doc["leq"])
+    op = cf.CoupledOperator(apply=lambda x, y: table[x][y], space=space)
+    grid = [0.5, 1.0, 2.0, 3.0]
+    expected = [(eps, oracle.oracle_delta_curve(doc, eps, 10 * eps)) for eps in grid]
+    assert cf.estimate_delta_curve(op, grid) == expected

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -87,6 +88,16 @@ def test_audit_lipschitz_understated_bound_fails():
     assert not ok
     assert worst > 0
     assert witness is not None
+
+
+def test_audit_lipschitz_fails_on_nan_gap():
+    # (x - y)/4 meets its declared bound, but the map is NaN for x > 5
+    op = cf.CoupledOperator(apply=lambda x, y: math.nan if x > 5 else (x - y) / 4,
+                            space=cf.real_line(10.0), lipschitz_data=(0.25, 0.25))
+    ok, worst, witness = cf.audit_lipschitz(op, samples=500, seed=0)
+    assert not ok
+    assert math.isnan(worst)
+    assert math.isnan(witness.measured["lhs"])
 
 
 def test_audit_lipschitz_requires_data():
