@@ -17,17 +17,17 @@ quadruples whose half-sum lands inside [eps, eps + delta) directly (bands are
 thin, rejection sampling would starve), and an adversarial coordinate-
 degenerate phase (x == u, then y == v) always runs before the random phase.
 
-Evaluation lanes: built-in linear operators on the real line go through the
-numpy sweep kernels. Every other lane is a source of comparable quadruples:
-finite tabulated spaces enumerate all of them in exact rational arithmetic
-with zero tolerance, other spaces draw them by rejection sampling or, for
-bands, construct them through the space's interpolate hook. Each condition
-has one scalar predicate (_banach_violation, _banded_conclusion against the
-slackened eps, _strict_violation) that every lane and reverify_witness apply
-to those quadruples. The floating-point slack of 1e-12 relative to
-max(1, bound) (_with_slack, the same rule as the kernels') keeps rounding from
-minting a false witness, and the comparisons are written so that a NaN never
-passes.
+Evaluation lanes are sources of comparable quadruples: vectorized operators
+on the real line go through the numpy sweep kernels, a chunk of draws at a
+time; finite tabulated spaces enumerate every quadruple in exact rational
+arithmetic with zero tolerance; other spaces draw them by rejection sampling
+or, for bands, construct them through the space's interpolate hook. Each
+condition has one predicate, defined in ``operators`` (_banach_holds,
+_banded_conclusion against the slackened eps, _strict_holds), that every lane
+and reverify_witness apply to those quadruples, as scalars or as arrays. The
+floating-point slack of 1e-12 relative to max(1, bound) (_with_slack) keeps
+rounding from minting a false witness, and the comparisons are written so
+that a NaN never passes.
 """
 
 from __future__ import annotations
@@ -42,17 +42,18 @@ from .errors import InputError
 from .operators import (
     CoupledOperator,
     evaluation_lane,
-    product_T,
+    _banach_holds,
+    _banded_conclusion,
+    _half_k,
     _monotone_violation,
     _oriented,
     _sampled_quadruples,
+    _strict_holds,
     _too_few,
+    _with_slack,
 )
 from .reports import ConditionReport, Witness, _report
-from .spaces import PairPoint, _require_members, d2
-
-FLOAT_SLACK = 1e-12
-DEFAULT_SCALE = 10.0
+from .spaces import _require_members
 
 _BASE_BANACH = 1
 _BASE_STRICT = 2
@@ -63,11 +64,6 @@ _BASE_CURVE = 5
 
 def _tag(base, eps_idx=0, mode=0, probe=0):
     return ((base & 0xFF) << 56) ^ ((probe & 0xFFFFFF) << 32) ^ ((eps_idx & 0xFFFF) << 8) ^ (mode & 0xFF)
-
-
-def _scale(op):
-    r = op.space.sample_radius
-    return float(r) if r else DEFAULT_SCALE
 
 
 def _validate_eps_grid(eps_grid):
@@ -97,12 +93,13 @@ def delta_from_k(k, eps):
 def _phase_plan(samples):
     # adversarial degenerate slices first, bulk random directions afterwards
     n_adv = max(1, samples // 10)
-    n_rand = max(0, samples - 2 * n_adv)
-    return [(1, n_adv, "x_equals_u"), (2, n_adv, "y_equals_v"), (0, n_rand, "random")]
+    phases = [(1, n_adv, "x_equals_u"), (2, n_adv, "y_equals_v"),
+              (0, samples - 2 * n_adv, "random")]
+    return [phase for phase in phases if phase[1] > 0]
 
 
 # ---------------------------------------------------------------------------
-# quadruple sources and per-condition predicates
+# quadruple sources
 # ---------------------------------------------------------------------------
 
 def _finite_quadruples(space):
@@ -119,45 +116,6 @@ def _finite_quadruples(space):
                                  for t, ((x, u, dxu), (y, v, dyv)) in pairs)
 
 
-def _with_slack(space, bound, direction=1):
-    """bound moved by the rounding slack, FLOAT_SLACK * max(1, bound), in the
-    direction (+1 or -1) that excuses rounding; exact spaces get it unchanged."""
-    if space.exact:
-        return bound
-    return bound + direction * FLOAT_SLACK * (bound if bound > 1.0 else 1.0)
-
-
-def _half_k(space, k):
-    """k/2 in the space's arithmetic, computed once per check, not per quadruple."""
-    return Fraction(k) / 2 if space.exact else 0.5 * k
-
-
-def _banach_violation(op, half_k, x, y, u, v, dxu, dyv):
-    """banach_k on one quadruple, half_k = _half_k(space, k): (lhs, rhs, violated)."""
-    space = op.space
-    lhs = space.distance(op.apply(x, y), op.apply(u, v))
-    rhs = half_k * (dxu + dyv)
-    return lhs, rhs, not lhs <= _with_slack(space, rhs)
-
-
-def _banded_conclusion(op, x, y, u, v, symmetric):
-    """Conclusion quantity through the coordinate formula. In the symmetric
-    case it equals d2 of the pair-map images, T(x, y) and T(u, v), bit for bit
-    (same operations in the same order); the tests pin that identity."""
-    space = op.space
-    d1 = space.distance(op.apply(x, y), op.apply(u, v))
-    if not symmetric:
-        return d1
-    return (d1 + space.distance(op.apply(y, x), op.apply(v, u))) / 2
-
-
-def _strict_violation(op, x, y, u, v, before):
-    """Strict contraction on one quadruple with d2 before = half-sum: (after, violated)."""
-    space = op.space
-    after = d2(product_T(op, PairPoint(x, y)), product_T(op, PairPoint(u, v)), space)
-    return after, not after < _with_slack(space, before, -1)
-
-
 # ---------------------------------------------------------------------------
 # banach_k
 # ---------------------------------------------------------------------------
@@ -169,11 +127,9 @@ def check_banach_k(op: CoupledOperator, k, samples: int = 10000, seed: int = 0) 
     if samples < 1:
         raise InputError("samples must be positive")
     lane = evaluation_lane(op)
-    if lane == "linear":
-        a, b, c = op.linear_coeffs
+    if lane == "kernel":
         found, checked, x, y, u, v, lhs, rhs = kernels.banach_sweep(
-            a, b, c, float(k), samples, seed, _tag(_BASE_BANACH), _scale(op), FLOAT_SLACK
-        )
+            op, float(k), seed, _tag(_BASE_BANACH), samples)
         witness = Witness(x=x, y=y, u=u, v=v, kind="random",
                           measured={"lhs": lhs, "rhs": rhs, "k": float(k)}) if found else None
         return _report("banach_k", "targeted-sampling", witness,
@@ -191,8 +147,8 @@ def check_banach_k(op: CoupledOperator, k, samples: int = 10000, seed: int = 0) 
     witness = None
     for t, x, y, u, v, dxu, dyv in quadruples:
         checked += 1
-        lhs, rhs, violated = _banach_violation(op, half_k, x, y, u, v, dxu, dyv)
-        if violated:
+        lhs, rhs, holds = _banach_holds(op, half_k, x, y, u, v, dxu, dyv)
+        if not holds:
             witness = Witness(x=x, y=y, u=u, v=v, kind="exhaustive" if exhaustive else "random",
                               measured={"lhs": lhs, "rhs": rhs,
                                         "k": Fraction(k) if exhaustive else k})
@@ -244,19 +200,9 @@ def _check_banded(op, eps_grid, delta_candidates, samples, seed, symmetric) -> C
         if not delta > 0:
             raise InputError(f"delta candidate for eps={eps} must be positive, got {delta!r}")
         eps_delta.append((eps, delta))
-        if lane == "finite":
-            _, quadruples = _finite_quadruples(op.space)
-            hits, witness = _scan_band(op, quadruples, Fraction(eps), Fraction(delta),
-                                       symmetric, "exhaustive")
-            samples_used += hits
-        elif lane == "linear":
-            hits, witness, used = _linear_band_check(op, eps, delta, samples, seed,
-                                                     base, e_idx, symmetric, probe=0)
-            samples_used += used
-        else:
-            hits, witness, used = _generic_band_check(op, eps, delta, samples, seed,
-                                                      base, e_idx, symmetric)
-            samples_used += used
+        hits, witness, used = _band_check(op, lane, eps, delta, samples, seed,
+                                          base, e_idx, symmetric)
+        samples_used += used
         band_hits.append((eps, hits))
         hits_total += hits
         if witness is not None:
@@ -264,29 +210,6 @@ def _check_banded(op, eps_grid, delta_candidates, samples, seed, symmetric) -> C
     return _report(cid, "exhaustive" if lane == "finite" else "targeted-sampling", witness,
                    samples_used, hits_total, epsilon_grid=eps_delta, band_hits=band_hits,
                    inconclusive="" if hits_total else "no sampled quadruple landed in any band")
-
-
-def _linear_band_check(op, eps, delta, samples, seed, base, e_idx, symmetric, probe):
-    a, b, c = op.linear_coeffs
-    scale = _scale(op)
-    hits = 0
-    used = 0
-    for mode, count, kind in _phase_plan(samples):
-        if count == 0:
-            continue
-        used += count
-        found, phase_hits, x, y, u, v, half, lhs = kernels.band_sweep(
-            a, b, c, float(eps), float(delta), count, seed,
-            _tag(base, e_idx, mode, probe), scale, mode, 1 if symmetric else 0,
-            FLOAT_SLACK,
-        )
-        hits += phase_hits
-        if found:
-            w = Witness(x=x, y=y, u=u, v=v, kind=kind,
-                        measured={"eps": float(eps), "delta": float(delta),
-                                  "half_sum": half, "lhs": lhs})
-            return hits, w, used
-    return hits, None, used
 
 
 def _scan_band(op, quadruples, eps, delta, symmetric, kind):
@@ -308,11 +231,17 @@ def _scan_band(op, quadruples, eps, delta, symmetric, kind):
     return hits, None
 
 
-def _generic_band_check(op, eps, delta, samples, seed, base, e_idx, symmetric, probe=0):
-    """Targeted band construction through the space's interpolate hook, or
-    plain rejection when the space has none."""
+def _band_check(op, lane, eps, delta, samples, seed, base, e_idx, symmetric, probe=0):
+    """One banded check at (eps, delta): (in-band hits, witness or None, draws).
+    Exhaustive on a finite space; otherwise per phase the kernel sweep or the
+    construction through the interpolate hook, or plain rejection without it."""
     space = op.space
-    if space.interpolate is None:
+    if lane == "finite":
+        _, quadruples = _finite_quadruples(space)
+        hits, witness = _scan_band(op, quadruples, Fraction(eps), Fraction(delta),
+                                   symmetric, "exhaustive")
+        return hits, witness, hits
+    if lane == "generic" and space.interpolate is None:
         rng_seed = kernels.stream_seed(seed, _tag(base, e_idx, 0, probe))
         used, quadruples = _sampled_quadruples(space, samples, rng_seed & 0x7FFFFFFF)
         hits, witness = _scan_band(op, quadruples, eps, delta, symmetric, "rejection")
@@ -321,12 +250,19 @@ def _generic_band_check(op, eps, delta, samples, seed, base, e_idx, symmetric, p
     hits = 0
     used = 0
     for mode, count, kind in _phase_plan(samples):
-        if count == 0:
-            continue
-        rng = random.Random(kernels.stream_seed(seed, _tag(base, e_idx, mode, probe)))
-        trials, quadruples = _band_quadruples(space, eps, delta, count, mode, rng)
-        used += trials
-        phase_hits, witness = _scan_band(op, quadruples, eps, delta, symmetric, kind)
+        tag = _tag(base, e_idx, mode, probe)
+        if lane == "kernel":
+            found, phase_hits, x, y, u, v, half, lhs = kernels.band_sweep(
+                op, float(eps), float(delta), seed, tag, count, mode, symmetric)
+            witness = Witness(x=x, y=y, u=u, v=v, kind=kind,
+                              measured={"eps": float(eps), "delta": float(delta),
+                                        "half_sum": half, "lhs": lhs}) if found else None
+            used += count
+        else:
+            rng = random.Random(kernels.stream_seed(seed, tag))
+            trials, quadruples = _band_quadruples(space, eps, delta, count, mode, rng)
+            used += trials
+            phase_hits, witness = _scan_band(op, quadruples, eps, delta, symmetric, kind)
         hits += phase_hits
         if witness is not None:
             return hits, witness, used
@@ -393,11 +329,9 @@ def check_strict_contraction(op: CoupledOperator, samples: int = 10000, seed: in
     if samples < 2:
         raise InputError("check_strict_contraction requires samples >= 2")
     lane = evaluation_lane(op)
-    if lane == "linear":
-        a, b, c = op.linear_coeffs
+    if lane == "kernel":
         found, checked, x, y, u, v, before, after = kernels.strict_sweep(
-            a, b, c, samples, seed, _tag(_BASE_STRICT), _scale(op), FLOAT_SLACK
-        )
+            op, seed, _tag(_BASE_STRICT), samples)
         witness = Witness(x=x, y=y, u=u, v=v, kind="random",
                           measured={"d2_before": before, "d2_after": after}) if found else None
         return _report("strict_contraction", "targeted-sampling", witness,
@@ -417,8 +351,8 @@ def check_strict_contraction(op: CoupledOperator, samples: int = 10000, seed: in
         if not before > 0:
             continue
         checked += 1
-        after, violated = _strict_violation(op, x, y, u, v, before)
-        if violated:
+        after, holds = _strict_holds(op, x, y, u, v, before)
+        if not holds:
             witness = Witness(x=x, y=y, u=u, v=v, kind="exhaustive" if exhaustive else "random",
                               measured={"d2_before": before, "d2_after": after})
             used = t + 1
@@ -459,12 +393,8 @@ def estimate_delta_curve(op: CoupledOperator, eps_grid, samples: int = 2000,
             continue
 
         def probe(delta, probe_idx):
-            if lane == "linear":
-                _, w, _ = _linear_band_check(op, eps, delta, samples, seed,
-                                             _BASE_CURVE, e_idx, True, probe_idx)
-            else:
-                _, w, _ = _generic_band_check(op, eps, delta, samples, seed,
-                                              _BASE_CURVE, e_idx, True, probe_idx)
+            _, w, _ = _band_check(op, lane, eps, delta, samples, seed,
+                                  _BASE_CURVE, e_idx, True, probe_idx)
             return w is not None
 
         tiny = eps * 1e-9
@@ -528,9 +458,9 @@ def reverify_witness(op: CoupledOperator, report: ConditionReport) -> dict:
 
     dxu, dyv = space.distance(w.x, w.u), space.distance(w.y, w.v)
     if cid == "banach_k":
-        lhs, rhs, violated = _banach_violation(op, _half_k(space, report.params["k"]),
-                                               w.x, w.y, w.u, w.v, dxu, dyv)
-        return {"lhs": lhs, "rhs": rhs, "violated": violated}
+        lhs, rhs, holds = _banach_holds(op, _half_k(space, report.params["k"]),
+                                        w.x, w.y, w.u, w.v, dxu, dyv)
+        return {"lhs": lhs, "rhs": rhs, "violated": not holds}
 
     if cid in ("samet_mk", "symmetric_mk"):
         eps = w.measured["eps"]
@@ -542,7 +472,7 @@ def reverify_witness(op: CoupledOperator, report: ConditionReport) -> dict:
 
     if cid == "strict_contraction":
         before = (dxu + dyv) / 2
-        after, violated = _strict_violation(op, w.x, w.y, w.u, w.v, before)
-        return {"d2_before": before, "d2_after": after, "violated": violated}
+        after, holds = _strict_holds(op, w.x, w.y, w.u, w.v, before)
+        return {"d2_before": before, "d2_after": after, "violated": not holds}
 
     raise InputError(f"unknown condition id {cid!r}")

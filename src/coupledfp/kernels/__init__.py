@@ -1,24 +1,29 @@
-"""Sweep kernels for the linear coupled maps F(x, y) = (a*x - b*y)/c on the real line.
+"""Sweep kernels: the banach, band and strict checks of a vectorized operator
+on the real line (sampling box: the space's sample_radius).
 
 Every sweep draws comparable quadruples (x >= u, y <= v) from a splitmix64
 stream and stops at the first violation. The stream is counter based: draw j
 (from 0) of the (seed, tag) stream is mix64(s0 + (j + 1) * GOLDEN) with
-s0 = stream_seed(seed, tag), so the sweeps evaluate it as numpy arrays, one
-chunk of draws at a time, and the first violation of a chunk is found with
-argmax over its violation mask. Floats only; exact (rational) spaces are
-handled elsewhere.
+s0 = stream_seed(seed, tag), so a sweep builds a chunk of quadruples as numpy
+arrays, evaluates the condition's shared predicate from ``operators`` on them
+(op.apply and space.distance take whole arrays) and finds the chunk's first
+violation with argmax over the violation mask.
 
-The results are bit-identical to the scalar reference in ``pure``, which the
-tests use as the oracle: the same stream, the same IEEE operations in the
-same order (numpy elementwise arithmetic does not fuse multiply-adds) and the
-same returned tuple.
+On F(x, y) = (a*x - b*y)/c the results are bit-identical to the scalar
+reference in ``pure``, the tests' oracle: the same stream, the same IEEE
+operations in the same order (numpy elementwise arithmetic does not fuse
+multiply-adds), the same returned tuple. Only NaN differs on purpose: it
+violates the shared predicates, while the reference lets it through.
 
 numpy is imported on the first sweep call, never at package import, so
 commands that make no sweep do not pay its import time or memory.
 """
 
+from ..operators import _banach_holds, _banded_conclusion, _half_k, _strict_holds, _with_slack
+
 KERNEL_BACKEND = "numpy"
 CHUNK = 8192  # draws evaluated per array pass; bounds memory and early-exit waste
+DEFAULT_SCALE = 10.0  # sampling radius of a real-line space that declares none
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -39,7 +44,7 @@ def stream_seed(seed, tag):
 
 
 def _chunks(seed, tag, n, width):
-    """Yield (first draw index, uniforms) per chunk of at most CHUNK draws.
+    """Yield the uniforms of each chunk of at most CHUNK draws.
 
     uniforms has shape (width, m): row r holds the r-th of the width
     consecutive stream values each draw consumes, for the chunk's m draws.
@@ -57,37 +62,55 @@ def _chunks(seed, tag, n, width):
         z ^= z >> np.uint64(27)
         z *= np.uint64(_MIX2)
         z ^= z >> np.uint64(31)
-        yield i0, (z >> np.uint64(11)).astype(np.float64) * _INV_2_53
+        yield (z >> np.uint64(11)).astype(np.float64) * _INV_2_53
 
 
-def _at(i, *arrays):
-    return tuple(float(arr[i]) for arr in arrays)
+def _box_quadruples(space, seed, tag, n):
+    """Per chunk, (x, y, u, v) arrays: x and v uniform in the sampling box,
+    u and y up to one box radius below them."""
+    scale = float(space.sample_radius or DEFAULT_SCALE)
+    for r1, r2, r3, r4 in _chunks(seed, tag, n, 4):
+        x = (2.0 * r1 - 1.0) * scale
+        v = (2.0 * r2 - 1.0) * scale
+        yield x, v - r4 * scale, x - r3 * scale, v
 
 
-def banach_sweep(a, b, c, k, n, seed, tag, scale, slack):
+def _first_violation(chunks):
+    """Run a sweep's chunks of (counted mask or None for all, violation mask,
+    the six measured arrays): (1, count up to and including the first
+    violation, its measured values), or (0, total count, six zeros)."""
+    import numpy as np
+
+    count = 0
+    with np.errstate(all="ignore"):
+        for counted, bad, measured in chunks:
+            i = int(bad.argmax())
+            if bad[i]:
+                count += i + 1 if counted is None else int(np.count_nonzero(counted[:i + 1]))
+                return (1, count) + tuple(float(arr[i]) for arr in measured)
+            count += bad.size if counted is None else int(np.count_nonzero(counted))
+    return (0, count, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+
+
+def banach_sweep(op, k, seed, tag, n):
     """Search for a violation of  d(F(x,y), F(u,v)) <= (k/2) * [d(x,u) + d(y,v)]
     over n random comparable quadruples.
 
     Returns (found, checked, x, y, u, v, lhs, rhs).
     """
-    import numpy as np
+    space = op.space
+    half_k = _half_k(space, k)
 
-    with np.errstate(all="ignore"):
-        for i0, (r1, r2, r3, r4) in _chunks(seed, tag, n, 4):
-            x = (2.0 * r1 - 1.0) * scale
-            v = (2.0 * r2 - 1.0) * scale
-            u = x - r3 * scale
-            y = v - r4 * scale
-            lhs = np.abs((a * x - b * y) / c - (a * u - b * v) / c)
-            rhs = 0.5 * k * (np.abs(x - u) + np.abs(y - v))
-            bad = lhs > rhs + slack * np.where(rhs > 1.0, rhs, 1.0)
-            i = int(bad.argmax())
-            if bad[i]:
-                return (1, i0 + i + 1) + _at(i, x, y, u, v, lhs, rhs)
-    return (0, n, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+    def chunks():
+        for x, y, u, v in _box_quadruples(space, seed, tag, n):
+            lhs, rhs, holds = _banach_holds(op, half_k, x, y, u, v,
+                                            space.distance(x, u), space.distance(y, v))
+            yield None, ~holds, (x, y, u, v, lhs, rhs)
+
+    return _first_violation(chunks())
 
 
-def band_sweep(a, b, c, eps, delta, n, seed, tag, scale, mode, symmetric, slack):
+def band_sweep(op, eps, delta, seed, tag, n, mode, symmetric):
     """Meir-Keeler band search: quadruples with half-sum in [eps, eps + delta).
 
     mode 0 draws a random split of the half-sum across the two coordinates,
@@ -96,48 +119,39 @@ def band_sweep(a, b, c, eps, delta, n, seed, tag, scale, mode, symmetric, slack)
     against the band, so edge rounding can only drop a draw, never let an
     out-of-band quadruple through.
 
-    A draw violates the condition when the conclusion quantity (coordinate
-    image distance, or the averaged pair of image distances when symmetric)
-    reaches eps + slack * max(1, eps).
+    A draw violates the condition unless its conclusion (coordinate image
+    distance, averaged with the swapped one when symmetric) stays below the
+    slackened eps.
 
     Returns (found, hits, x, y, u, v, half, lhs).
     """
-    import numpy as np
-
-    hits = 0
+    space = op.space
+    distance = space.distance
+    scale = float(space.sample_radius or DEFAULT_SCALE)
     hi = eps + delta
-    thresh = eps + slack * (eps if eps > 1.0 else 1.0)
-    with np.errstate(all="ignore"):
-        for _, r in _chunks(seed, tag, n, 4 if mode == 0 else 3):
+    thresh = _with_slack(space, eps)
+
+    def chunks():
+        for r in _chunks(seed, tag, n, 4 if mode == 0 else 3):
             h = eps + r[0] * delta
             if mode == 0:
                 p = 2.0 * h * r[3]
                 q = 2.0 * h - p
-            elif mode == 1:
-                p = 0.0
-                q = 2.0 * h
             else:
-                p = 2.0 * h
-                q = 0.0
+                p, q = (0.0, 2.0 * h) if mode == 1 else (2.0 * h, 0.0)
             x = (2.0 * r[1] - 1.0) * scale
             v = (2.0 * r[2] - 1.0) * scale
             u = x - p
             y = v - q
-            half = 0.5 * (np.abs(x - u) + np.abs(y - v))
+            half = (distance(x, u) + distance(y, v)) / 2
             in_band = (half >= eps) & (half < hi)
-            lhs = np.abs((a * x - b * y) / c - (a * u - b * v) / c)
-            if symmetric:
-                lhs = 0.5 * (lhs + np.abs((a * y - b * x) / c - (a * v - b * u) / c))
-            bad = in_band & (lhs >= thresh)
-            i = int(bad.argmax())
-            if bad[i]:
-                hits += int(np.count_nonzero(in_band[:i + 1]))
-                return (1, hits) + _at(i, x, y, u, v, half, lhs)
-            hits += int(np.count_nonzero(in_band))
-    return (0, hits, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+            lhs = _banded_conclusion(op, x, y, u, v, symmetric)
+            yield in_band, in_band & ~(lhs < thresh), (x, y, u, v, half, lhs)
+
+    return _first_violation(chunks())
 
 
-def strict_sweep(a, b, c, n, seed, tag, scale, slack):
+def strict_sweep(op, seed, tag, n):
     """Strict contraction of the pair map under the product metric:
     d2(T(Y), T(V)) < d2(Y, V) over strictly comparable distinct pairs.
 
@@ -146,23 +160,13 @@ def strict_sweep(a, b, c, n, seed, tag, scale, slack):
 
     Returns (found, checked, x, y, u, v, d2_before, d2_after).
     """
-    import numpy as np
+    space = op.space
 
-    checked = 0
-    with np.errstate(all="ignore"):
-        for _, (r1, r2, r3, r4) in _chunks(seed, tag, n, 4):
-            x = (2.0 * r1 - 1.0) * scale
-            v = (2.0 * r2 - 1.0) * scale
-            u = x - r3 * scale
-            y = v - r4 * scale
-            d2yv = 0.5 * (np.abs(x - u) + np.abs(y - v))
-            distinct = ~(d2yv <= 0.0)
-            d2t = 0.5 * (np.abs((a * x - b * y) / c - (a * u - b * v) / c)
-                         + np.abs((a * y - b * x) / c - (a * v - b * u) / c))
-            bad = distinct & (d2t >= d2yv - slack * np.where(d2yv > 1.0, d2yv, 1.0))
-            i = int(bad.argmax())
-            if bad[i]:
-                checked += int(np.count_nonzero(distinct[:i + 1]))
-                return (1, checked) + _at(i, x, y, u, v, d2yv, d2t)
-            checked += int(np.count_nonzero(distinct))
-    return (0, checked, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+    def chunks():
+        for x, y, u, v in _box_quadruples(space, seed, tag, n):
+            before = (space.distance(x, u) + space.distance(y, v)) / 2
+            distinct = before > 0.0
+            after, holds = _strict_holds(op, x, y, u, v, before)
+            yield distinct, distinct & ~holds, (x, y, u, v, before, after)
+
+    return _first_violation(chunks())

@@ -2,22 +2,29 @@
 
 A coupled fixed point of F is exactly a fixed point of T, so the solver and
 the condition checkers mostly work through product_T. Operators are plain
-callables plus metadata; ``linear_coeffs`` tags the built-in family
-F(x, y) = (a*x - b*y)/c on the real line, which the vectorized sweep kernels
-can evaluate without Python callbacks.
+callables plus metadata.
+
+Each condition's predicate is written once, here, for the checkers in
+``conditions`` and the sweeps in ``kernels`` alike: _banach_holds,
+_banded_conclusion and _strict_holds, with the rounding slack _with_slack,
+work on floats, exact Fractions and numpy arrays without importing numpy.
+They return the *holds* comparison (False on NaN), which scalar callers negate
+with ``not`` and the sweeps with ``~``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Any, Callable, Optional
 
 from .errors import InputError
 from .reports import ConditionReport, Witness, _report
-from .spaces import PairPoint, SpaceModel
+from .spaces import PairPoint, SpaceModel, d2
 
 MIN_COMPARABLE = 10
+FLOAT_SLACK = 1e-12
 
 
 @dataclass
@@ -27,24 +34,28 @@ class CoupledOperator:
     lipschitz_data = (la, lb) declares the coordinatewise bound
     d(F(x,y), F(u,v)) <= la*d(x,u) + lb*d(y,v) for comparable arguments;
     it is metadata, checked empirically by audit_lipschitz.
+
+    vectorized = True declares that apply maps float64 arrays elementwise to
+    the values it gives on floats (numpy ufuncs such as np.tanh, not math
+    functions), so the sweep kernels can run it on the real line.
     """
 
     apply: Callable[[Any, Any], Any]
     space: SpaceModel
     lipschitz_data: Optional[tuple] = None
     description: str = ""
-    linear_coeffs: Optional[tuple] = None  # (a, b, c) for (a*x - b*y)/c on the real line
+    vectorized: bool = False
 
 
 def evaluation_lane(op: CoupledOperator) -> str:
     """How the checkers should evaluate this operator.
 
-    "linear"  -> fused sweep kernels (built-in linear family on the real line)
+    "kernel"  -> numpy sweep kernels (a vectorized operator on the real line)
     "finite"  -> exhaustive enumeration with exact rationals
     "generic" -> sampled evaluation through the Python callables
     """
-    if op.linear_coeffs is not None and op.space.kind == "real_line":
-        return "linear"
+    if op.vectorized and op.space.kind == "real_line":
+        return "kernel"
     if op.space.finite is not None:
         return "finite"
     return "generic"
@@ -93,6 +104,47 @@ def _too_few(count, draws, what):
     """Inconclusive note of a sampled check with fewer than MIN_COMPARABLE
     usable draws; empty when there are enough."""
     return f"only {count} {what} among {draws} draws" if count < MIN_COMPARABLE else ""
+
+
+def _with_slack(space, bound, direction=1):
+    """bound moved by the rounding slack, FLOAT_SLACK * max(1, bound), in the
+    direction (+1 or -1) that excuses rounding; exact spaces get it unchanged.
+    max(1, bound) is spelled as a bool product so that arrays take it too."""
+    if space.exact:
+        return bound
+    return bound + direction * FLOAT_SLACK * ((bound > 1.0) * bound + (bound <= 1.0))
+
+
+def _half_k(space, k):
+    """k/2 in the space's arithmetic, computed once per check, not per quadruple."""
+    return Fraction(k) / 2 if space.exact else 0.5 * k
+
+
+def _banach_holds(op, half_k, x, y, u, v, dxu, dyv):
+    """banach_k on quadruples, half_k = _half_k(space, k): (lhs, rhs, holds)."""
+    space = op.space
+    lhs = space.distance(op.apply(x, y), op.apply(u, v))
+    rhs = half_k * (dxu + dyv)
+    return lhs, rhs, lhs <= _with_slack(space, rhs)
+
+
+def _banded_conclusion(op, x, y, u, v, symmetric):
+    """Conclusion quantity of the banded conditions, which holds below
+    _with_slack(space, eps). In the symmetric case it equals d2 of the
+    pair-map images, T(x, y) and T(u, v), bit for bit (same operations in the
+    same order); the tests pin that identity."""
+    space = op.space
+    d1 = space.distance(op.apply(x, y), op.apply(u, v))
+    if not symmetric:
+        return d1
+    return (d1 + space.distance(op.apply(y, x), op.apply(v, u))) / 2
+
+
+def _strict_holds(op, x, y, u, v, before):
+    """Strict contraction on quadruples with d2 before = half-sum: (after, holds)."""
+    space = op.space
+    after = d2(product_T(op, PairPoint(x, y)), product_T(op, PairPoint(u, v)), space)
+    return after, after < _with_slack(space, before, -1)
 
 
 # measured keys of the image below and above, per mixed-monotone clause
@@ -178,11 +230,12 @@ def _mixed_monotone_finite(op: CoupledOperator) -> ConditionReport:
                    holds_note="exhaustive over all comparable argument pairs")
 
 
-def audit_lipschitz(op: CoupledOperator, samples: int = 2000, seed: int = 0,
-                    slack: float = 1e-12):
+def audit_lipschitz(op: CoupledOperator, samples: int = 2000, seed: int = 0):
     """Empirically check the declared lipschitz_data bound on comparable
-    quadruples. Returns (ok, worst_excess, witness_or_None); a NaN excess is
-    the worst there is, so it stops the search and fails the audit.
+    quadruples, each against its bound moved by _with_slack. Returns
+    (ok, worst_excess, witness_or_None): the witness is the violating
+    quadruple with the largest excess; a NaN excess is the worst there is, so
+    it stops the search and fails the audit.
     """
     if op.lipschitz_data is None:
         raise InputError("operator declares no lipschitz_data")
@@ -190,6 +243,7 @@ def audit_lipschitz(op: CoupledOperator, samples: int = 2000, seed: int = 0,
     space = op.space
     _, quadruples = _sampled_quadruples(space, samples, seed ^ 0x11B5)
     worst = 0.0
+    worst_violation = -math.inf
     witness = None
     for _, x, y, u, v, dxu, dyv in quadruples:
         lhs = space.distance(op.apply(x, y), op.apply(u, v))
@@ -197,8 +251,9 @@ def audit_lipschitz(op: CoupledOperator, samples: int = 2000, seed: int = 0,
         gap = lhs - rhs
         if not gap <= worst:
             worst = gap
+        if not gap <= worst_violation and not lhs <= _with_slack(space, rhs):
+            worst_violation = gap
             witness = Witness(x=x, y=y, u=u, v=v, measured={"lhs": lhs, "rhs": rhs})
             if math.isnan(gap):
                 break
-    ok = worst <= slack
-    return ok, worst, (None if ok else witness)
+    return witness is None, worst, witness

@@ -73,7 +73,7 @@ def make_linear(a: float, b: float, c: float, radius: float = DEFAULT_RADIUS,
         space=space,
         lipschitz_data=(a / c, b / c),
         description=f"F(x,y) = ({a}*x - {b}*y)/{c}",
-        linear_coeffs=(a, b, c),
+        vectorized=True,
     )
     contractive = a + b < c
     start = PairPoint(-1.0, 1.0) if contractive else PairPoint(0.0, 0.0)

@@ -19,6 +19,7 @@ leave the endpoint several multiples of tol away from the limit.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -31,6 +32,7 @@ TERM_CONVERGED = "converged"
 TERM_MAX_ITERATIONS = "max_iterations"
 TERM_STALLED = "stalled"
 TERM_MONOTONICITY_VIOLATION = "monotonicity_violation"
+TERM_NON_FINITE = "non_finite"
 
 ETA_SLACK = 1e-12
 RATIO_WINDOW = 8
@@ -162,6 +164,9 @@ def solve(op: CoupledOperator, Z0: PairPoint, tol: float = 1e-10,
       monotonicity_violation  eta increased between steps (only monitored when
                               require_admissible is set; signals the monotone
                               hypotheses fail numerically)
+      non_finite              the residual is NaN or infinite: the iterates
+                              left the space's finite values, so no later
+                              step can converge
 
     Raises InadmissibleStartError when require_admissible is set and the start
     fails check_start.
@@ -183,8 +188,9 @@ def solve(op: CoupledOperator, Z0: PairPoint, tol: float = 1e-10,
     Z = Z0
     W = product_T(op, Z)
     r = d2(W, Z, space)
-    if r <= tol:
-        return IterationTrace(iterates, eta, TERM_CONVERGED, r, 0, keep_every, verdict)
+    if r <= tol or not r < math.inf:
+        return IterationTrace(iterates, eta, TERM_CONVERGED if r <= tol else TERM_NON_FINITE,
+                              r, 0, keep_every, verdict)
 
     n = 0
     termination = TERM_MAX_ITERATIONS
@@ -212,6 +218,9 @@ def solve(op: CoupledOperator, Z0: PairPoint, tol: float = 1e-10,
 
         if r == 0:
             termination = TERM_CONVERGED
+            break
+        if not r < math.inf:
+            termination = TERM_NON_FINITE
             break
         if r <= tol and step <= tol:
             window = ratios[-(RATIO_WINDOW - 1):] if ratios else []

@@ -289,7 +289,8 @@ def real_line(radius: float = 10.0) -> SpaceModel:
         return abs(x - y)
 
     def leq(x, y):
-        return x <= y
+        # a Python bool even when F returns numpy floats (np.bool_ is not True)
+        return True if x <= y else False
 
     def sampler(count, seed):
         rng = random.Random(seed)

@@ -26,6 +26,16 @@ def fixture_path(name):
     return str(DATA / name)
 
 
+def np_tanh_operator(a=1.0, b=3.0, c=5.0, vectorized=False):
+    """F(x, y) = (a*x - b*tanh y)/c on the real line through numpy's tanh:
+    mixed monotone, array-safe, and numpy floats come back even for float
+    arguments."""
+    import numpy as np
+
+    return cf.CoupledOperator(apply=lambda x, y: (a * x - b * np.tanh(y)) / c,
+                              space=cf.real_line(), vectorized=vectorized)
+
+
 @pytest.fixture
 def samet():
     return cf.builtin("samet_example")

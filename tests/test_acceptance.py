@@ -80,16 +80,17 @@ def test_criterion_2_condition_separation(samet):
                "band samples per eps", problems)
 
 
-ETA_INSTANCES = ("samet_example", "linear(1,1,4)", "linear(2,1,4)",
-                 "linear(0.5,1,2)", "linear(0,1,2)", "linear(2,2,5)")
+# problem name -> (a, b, c) of its map F(x, y) = (a*x - b*y)/c
+ETA_INSTANCES = {"samet_example": (1, 3, 5), "linear(1,1,4)": (1, 1, 4),
+                 "linear(2,1,4)": (2, 1, 4), "linear(0.5,1,2)": (0.5, 1, 2),
+                 "linear(0,1,2)": (0, 1, 2), "linear(2,2,5)": (2, 2, 5)}
 
 
 def test_criterion_3_eta_monotonicity():
     problems = []
-    for name in ETA_INSTANCES:
+    for name, (a, b, c) in ETA_INSTANCES.items():
         prob = cf.builtin(name)
         op = prob.operator
-        a, b, c = op.linear_coeffs
         k_sym = (a + b) / c
         gate = cf.check_symmetric_mk(op, list(EPS_GRID),
                                      lambda e: cf.delta_from_k(k_sym, e),

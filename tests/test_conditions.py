@@ -7,10 +7,11 @@ from hypothesis import strategies as st
 
 import coupledfp as cf
 from coupledfp.conditions import _banded_conclusion
+from coupledfp.operators import evaluation_lane
 from coupledfp.spaces import PairPoint
 
 import finite_oracle as oracle
-from conftest import antichain_reals, fixture_path
+from conftest import antichain_reals, fixture_path, np_tanh_operator
 
 EIGHTH = lambda e: e / 8
 
@@ -234,8 +235,13 @@ def test_banded_conclusion_routes_agree_finite(name):
         assert _banded_conclusion(op, x, y, u, v, True) == _conclusion_via_pairs(op, x, y, u, v)
 
 
-def _nan_beyond_five():
+def _nan_beyond_five(vectorized=False):
     # (x - y)/4 contracts, but the map is NaN for x > 5
+    if vectorized:  # the same map on arrays, for the kernel lane
+        import numpy as np
+
+        return cf.CoupledOperator(apply=lambda x, y: np.where(x > 5, np.nan, (x - y) / 4),
+                                  space=cf.real_line(10.0), vectorized=True)
     return cf.CoupledOperator(apply=lambda x, y: math.nan if x > 5 else (x - y) / 4,
                               space=cf.real_line(10.0))
 
@@ -251,18 +257,19 @@ NAN_CHECKS = {
 @pytest.mark.parametrize("check", sorted(NAN_CHECKS))
 def test_nan_conclusion_is_a_reverifying_failure(check):
     # every condition, not only the banded ones, must treat a NaN image
-    # distance as a violation, or verify contradicts the implication chain
-    op = _nan_beyond_five()
-    rep = NAN_CHECKS[check](op)
-    assert rep.verdict == "fails"
-    measured = rep.witness.measured
-    assert math.isnan(measured["d2_after"] if "d2_after" in measured else measured["lhs"])
-    assert cf.reverify_witness(op, rep)["violated"] is True
+    # distance as a violation, or verify contradicts the implication chain;
+    # in the generic and in the kernel lane
+    for op in (_nan_beyond_five(), _nan_beyond_five(vectorized=True)):
+        rep = NAN_CHECKS[check](op)
+        assert rep.verdict == "fails"
+        measured = rep.witness.measured
+        assert math.isnan(measured["d2_after"] if "d2_after" in measured else measured["lhs"])
+        assert cf.reverify_witness(op, rep)["violated"] is True
 
 
 def test_nan_conclusion_rejects_every_delta():
-    op = _nan_beyond_five()
-    assert cf.estimate_delta_curve(op, [1.0], samples=200, seed=0) == [(1.0, 0.0)]
+    for op in (_nan_beyond_five(), _nan_beyond_five(vectorized=True)):
+        assert cf.estimate_delta_curve(op, [1.0], samples=200, seed=0) == [(1.0, 0.0)]
 
 
 def test_symmetric_generic_lane_agrees_with_kernel_verdicts(samet):
@@ -366,16 +373,24 @@ def test_chain_never_inverts(idx):
 linear_coeff = st.floats(min_value=0.0, max_value=3.0)
 
 
+def test_vectorized_real_line_map_takes_the_kernel_lane():
+    assert evaluation_lane(np_tanh_operator(vectorized=True)) == "kernel"
+    assert evaluation_lane(np_tanh_operator()) == "generic"
+    assert evaluation_lane(cf.builtin("samet_example").operator) == "kernel"
+
+
 @given(a=linear_coeff, b=linear_coeff, c=st.floats(min_value=0.5, max_value=6.0),
        k=st.floats(min_value=0.05, max_value=0.95),
        seed=st.integers(min_value=0, max_value=2**31 - 1))
 @settings(max_examples=40, deadline=None)
 def test_every_failure_reverifies_in_kernel_and_generic_lanes(a, b, c, k, seed):
-    # the same map with linear_coeffs (kernel lane) and as a plain callable
-    # (generic lane); each "fails" must re-violate its condition
-    tagged = cf.make_linear(a, b, c).operator
-    plain = cf.CoupledOperator(apply=tagged.apply, space=tagged.space)
-    for op in (tagged, plain):
+    # the linear map and the np.tanh map, each vectorized (kernel lane) and
+    # as a plain callable (generic lane); each "fails" must re-violate its
+    # condition
+    linear = cf.make_linear(a, b, c).operator
+    maps = (linear, np_tanh_operator(a, b, c, vectorized=True))
+    ops = [op for m in maps for op in (m, cf.CoupledOperator(apply=m.apply, space=m.space))]
+    for op in ops:
         reports = [
             cf.check_banach_k(op, k, samples=300, seed=seed),
             cf.check_samet(op, [0.5, 2.0], EIGHTH, samples=300, seed=seed),

@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import math
 import subprocess
 import sys
 
@@ -10,10 +12,12 @@ import coupledfp as cf
 from coupledfp import kernels
 from coupledfp.kernels import pure
 
+from conftest import fixture_path
+
 
 def _stream(seed, tag, n):
     """The raw uniform stream as the numpy kernels generate it."""
-    return [u for _, (row,) in kernels._chunks(seed, tag, n, 1) for u in row.tolist()]
+    return [u for (row,) in kernels._chunks(seed, tag, n, 1) for u in row.tolist()]
 
 
 def test_cli_import_leaves_numpy_unloaded():
@@ -22,6 +26,32 @@ def test_cli_import_leaves_numpy_unloaded():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True).stdout.split()
     assert out == ["numpy", "False"]
+
+
+GENERIC_AND_FINITE_CHECKS = """
+import sys
+import coupledfp as cf
+plain = cf.CoupledOperator(apply=lambda x, y: (x - 3 * y) / 5, space=cf.real_line(),
+                           lipschitz_data=(0.2, 0.6))
+finite = cf.load_finite(sys.argv[1]).operator
+for op in (plain, finite):
+    cf.check_mixed_monotone(op, samples=200)
+    cf.check_banach_k(op, 0.5, samples=200)
+    cf.check_samet(op, [1.0], lambda e: e / 8, samples=200)
+    cf.check_symmetric_mk(op, [1.0], lambda e: e / 8, samples=200)
+    cf.check_strict_contraction(op, samples=200)
+    cf.estimate_delta_curve(op, [1.0], samples=100)
+cf.audit_lipschitz(plain, samples=200)
+print("numpy" in sys.modules)
+"""
+
+
+def test_generic_and_finite_checks_leave_numpy_unloaded():
+    # the shared predicates serve the sweeps without importing numpy
+    out = subprocess.run([sys.executable, "-c", GENERIC_AND_FINITE_CHECKS,
+                          fixture_path("diamond5.json")],
+                         capture_output=True, text=True, check=True).stdout.split()
+    assert out == ["False"]
 
 
 def test_rng_streams_bit_identical():
@@ -40,6 +70,32 @@ def test_rng_range_and_determinism():
     assert vals != pure.rand_doubles(6, 9, 256)
 
 
+SLACK = 1e-12  # the rounding slack the kernels take from operators.FLOAT_SLACK
+
+
+def _linear_op(a, b, c, scale=10.0):
+    op = cf.make_linear(a, b, c).operator
+    # a replaced space also reaches radii that real_line rejects (inf)
+    op.space = dataclasses.replace(op.space, sample_radius=scale)
+    return op
+
+
+def _run(name, a, b, c, *, n, seed, tag, scale=10.0, k=None, eps=None, delta=None,
+         mode=0, symmetric=0):
+    """(oracle result, kernel result) of one sweep on F(x, y) = (a*x - b*y)/c:
+    the oracle takes the coefficients, the kernel the operator."""
+    op = _linear_op(a, b, c, scale)
+    if name == "banach_sweep":
+        return (pure.banach_sweep(a, b, c, k, n, seed, tag, scale, SLACK),
+                kernels.banach_sweep(op, k, seed, tag, n))
+    if name == "band_sweep":
+        return (pure.band_sweep(a, b, c, eps, delta, n, seed, tag, scale, mode, symmetric, SLACK),
+                kernels.band_sweep(op, eps, delta, seed, tag, n, mode, symmetric))
+    assert name == "strict_sweep"
+    return (pure.strict_sweep(a, b, c, n, seed, tag, scale, SLACK),
+            kernels.strict_sweep(op, seed, tag, n))
+
+
 BANACH_CASES = [
     (1.0, 3.0, 5.0, 0.8, 500, 0, 1),
     (1.0, 1.0, 4.0, 0.5, 500, 7, 2),
@@ -50,8 +106,7 @@ BANACH_CASES = [
 
 @pytest.mark.parametrize("a,b,c,k,n,seed,tag", BANACH_CASES)
 def test_banach_sweep_bit_identical(a, b, c, k, n, seed, tag):
-    got_p = pure.banach_sweep(a, b, c, k, n, seed, tag, 10.0, 1e-12)
-    got_n = kernels.banach_sweep(a, b, c, k, n, seed, tag, 10.0, 1e-12)
+    got_p, got_n = _run("banach_sweep", a, b, c, k=k, n=n, seed=seed, tag=tag)
     assert got_p == got_n
 
 
@@ -67,46 +122,66 @@ BAND_CASES = [
 
 @pytest.mark.parametrize("a,b,c,eps,delta,n,seed,tag,mode,sym", BAND_CASES)
 def test_band_sweep_bit_identical(a, b, c, eps, delta, n, seed, tag, mode, sym):
-    got_p = pure.band_sweep(a, b, c, eps, delta, n, seed, tag, 10.0, mode, sym, 1e-12)
-    got_n = kernels.band_sweep(a, b, c, eps, delta, n, seed, tag, 10.0, mode, sym, 1e-12)
+    got_p, got_n = _run("band_sweep", a, b, c, eps=eps, delta=delta, n=n, seed=seed,
+                        tag=tag, mode=mode, symmetric=sym)
     assert got_p == got_n
 
 
 @pytest.mark.parametrize("a,b,c,seed", [(1.0, 3.0, 5.0, 0), (1.0, 0.0, 1.0, 4),
                                         (0.0, 0.0, 1.0, 2)])
 def test_strict_sweep_bit_identical(a, b, c, seed):
-    got_p = pure.strict_sweep(a, b, c, 400, seed, 12, 10.0, 1e-12)
-    got_n = kernels.strict_sweep(a, b, c, 400, seed, 12, 10.0, 1e-12)
+    got_p, got_n = _run("strict_sweep", a, b, c, n=400, seed=seed, tag=12)
     assert got_p == got_n
+
+
+NON_FINITE_SWEEPS = {
+    "banach_sweep": dict(k=0.8),
+    "band_sweep": dict(eps=1.0, delta=0.125, mode=0, symmetric=1),
+    "strict_sweep": dict(),
+}
+# (found, count) per scale: banach and strict stop at the first draw, whose
+# image distance is NaN, except that at scale inf every half-sum is NaN and
+# strict finds no distinct pair
+NON_FINITE_COUNTS = {1e308: {"banach_sweep": (1, 1), "strict_sweep": (1, 1)},
+                     float("inf"): {"banach_sweep": (1, 1), "strict_sweep": (0, 0)}}
 
 
 @pytest.mark.parametrize("scale", [1e308, float("inf")])
 def test_sweeps_non_finite_bit_identical(scale):
-    # overflowing draws give inf and nan quantities, which every comparison
-    # must treat as the oracle does (repr, because nan != nan)
-    for name, args in (
-        ("banach_sweep", (1.0, 3.0, 5.0, 0.8, 300, 1, 2, scale, 1e-12)),
-        ("band_sweep", (1.0, 3.0, 5.0, 1.0, 0.125, 300, 1, 2, scale, 0, 1, 1e-12)),
-        ("strict_sweep", (1.0, 3.0, 5.0, 300, 1, 2, scale, 1e-12)),
-    ):
-        assert repr(getattr(kernels, name)(*args)) == repr(getattr(pure, name)(*args)), name
+    # Overflowing draws give inf and nan quantities, where the sweeps depart
+    # from the oracle on purpose: a NaN conclusion violates the shared
+    # predicates (the oracle lets it through) and a NaN half-sum is no
+    # distinct pair (the oracle counts it as checked).
+    for name, kw in NON_FINITE_SWEEPS.items():
+        got_p, got_n = _run(name, 1.0, 3.0, 5.0, n=300, seed=1, tag=2, scale=scale, **kw)
+        if name == "band_sweep":  # no draw lands in the band at this scale
+            assert repr(got_n) == repr(got_p)
+            continue
+        assert got_n[:2] == NON_FINITE_COUNTS[scale][name], name
+        if got_n[0]:  # the oracle passes the NaN and stops later
+            assert any(map(math.isnan, got_n[6:])) and got_p[1] > 1, name
+        else:  # the oracle counts the 300 NaN half-sums as checked
+            assert got_p[:2] == (0, 300)
 
 
 # Sweeps over the real chunk size: a run that straddles the chunk boundary
 # without a violation, and violations that first occur in the second chunk
 # (rare ones: the map sits just past the tested bound).
 FULL_CHUNK_CASES = [
-    ("strict_sweep", (1.0, 3.0, 5.0, kernels.CHUNK + 1, 0, 12, 10.0, 1e-12)),
-    ("band_sweep", (1.0, 3.0, 5.0, 1.0, 0.125, kernels.CHUNK + 1, 0, 5, 10.0, 0, 1, 1e-12)),
-    ("banach_sweep", (0.0, 1.0, 1.0, 1.9998, 2 * kernels.CHUNK + 1, 5, 21, 10.0, 1e-12)),
-    ("band_sweep", (0.0, 1.0, 1.9999, 1.0, 1e-6, 2 * kernels.CHUNK + 1, 4, 22, 10.0, 0, 0, 1e-12)),
+    ("strict_sweep", dict(a=1.0, b=3.0, c=5.0, n=kernels.CHUNK + 1, seed=0, tag=12)),
+    ("band_sweep", dict(a=1.0, b=3.0, c=5.0, eps=1.0, delta=0.125, n=kernels.CHUNK + 1,
+                        seed=0, tag=5, mode=0, symmetric=1)),
+    ("banach_sweep", dict(a=0.0, b=1.0, c=1.0, k=1.9998, n=2 * kernels.CHUNK + 1,
+                          seed=5, tag=21)),
+    ("band_sweep", dict(a=0.0, b=1.0, c=1.9999, eps=1.0, delta=1e-6, n=2 * kernels.CHUNK + 1,
+                        seed=4, tag=22, mode=0, symmetric=0)),
 ]
 
 
 @pytest.mark.parametrize("name,args", FULL_CHUNK_CASES)
 def test_sweeps_across_chunks_bit_identical(name, args):
-    got_p = getattr(pure, name)(*args)
-    assert got_p == getattr(kernels, name)(*args)
+    got_p, got_n = _run(name, **args)
+    assert got_p == got_n
     if got_p[0]:
         assert got_p[1] > kernels.CHUNK
 
@@ -134,12 +209,13 @@ def test_sweeps_match_oracle(a, b, c, k, eps, delta, n, seed, tag, mode, symmetr
     # a small chunk makes multi-chunk runs and later-chunk violations cheap
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(kernels, "CHUNK", 64)
-        for name, args in (
-            ("banach_sweep", (a, b, c, k, n, seed, tag, 10.0, 1e-12)),
-            ("band_sweep", (a, b, c, eps, delta, n, seed, tag, 10.0, mode, symmetric, 1e-12)),
-            ("strict_sweep", (a, b, c, n, seed, tag, 10.0, 1e-12)),
+        for name, kw in (
+            ("banach_sweep", dict(k=k)),
+            ("band_sweep", dict(eps=eps, delta=delta, mode=mode, symmetric=symmetric)),
+            ("strict_sweep", dict()),
         ):
-            assert getattr(kernels, name)(*args) == getattr(pure, name)(*args), name
+            got_p, got_n = _run(name, a, b, c, n=n, seed=seed, tag=tag, **kw)
+            assert got_n == got_p, name
 
 
 def _report_blob(problem):
@@ -156,10 +232,21 @@ def _report_blob(problem):
     return json.dumps(blobs, sort_keys=True)
 
 
-@pytest.mark.parametrize("name", ["samet_example", "linear(1,1,4)", "linear(2,1,4)"])
+# (a, b, c) of each problem's map F(x, y) = (a*x - b*y)/c
+ORACLE_COEFFS = {"samet_example": (1.0, 3.0, 5.0), "linear(1,1,4)": (1.0, 1.0, 4.0),
+                 "linear(2,1,4)": (2.0, 1.0, 4.0)}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_COEFFS))
 def test_reports_identical_across_backends(name, monkeypatch):
     problem = cf.builtin(name)
     blob_numpy = _report_blob(problem)
-    for sweep in ("banach_sweep", "band_sweep", "strict_sweep"):
-        monkeypatch.setattr(kernels, sweep, getattr(pure, sweep))
+    a, b, c = ORACLE_COEFFS[name]
+    scale = problem.space.sample_radius
+    monkeypatch.setattr(kernels, "banach_sweep", lambda op, k, seed, tag, n: pure.banach_sweep(
+        a, b, c, k, n, seed, tag, scale, SLACK))
+    monkeypatch.setattr(kernels, "band_sweep", lambda op, eps, delta, seed, tag, n, mode, sym:
+                        pure.band_sweep(a, b, c, eps, delta, n, seed, tag, scale, mode, sym, SLACK))
+    monkeypatch.setattr(kernels, "strict_sweep", lambda op, seed, tag, n: pure.strict_sweep(
+        a, b, c, n, seed, tag, scale, SLACK))
     assert _report_blob(problem) == blob_numpy

@@ -6,7 +6,7 @@ import pytest
 import coupledfp as cf
 from coupledfp.spaces import PairPoint
 
-from conftest import antichain_reals
+from conftest import antichain_reals, np_tanh_operator
 
 
 def test_product_T_flagship_step(samet):
@@ -40,6 +40,13 @@ def test_mixed_monotone_flagship_holds(samet):
     rep = cf.check_mixed_monotone(samet.operator, samples=2000, seed=0)
     assert rep.verdict == "holds_on_samples"
     assert rep.comparable_pairs_used >= 10
+
+
+def test_mixed_monotone_holds_on_numpy_floats():
+    # the map returns numpy floats; the real line's order must still answer
+    # with the True the clauses test for, not numpy's bool
+    rep = cf.check_mixed_monotone(np_tanh_operator(), samples=2000, seed=0)
+    assert rep.verdict == "holds_on_samples"
 
 
 def test_mixed_monotone_product_fails():
@@ -98,6 +105,16 @@ def test_audit_lipschitz_fails_on_nan_gap():
     assert not ok
     assert math.isnan(worst)
     assert math.isnan(witness.measured["lhs"])
+
+
+@pytest.mark.parametrize("radius", [1e4, 1e6])
+def test_audit_lipschitz_exact_bound_on_a_wide_box(radius):
+    # the declared (1/5, 3/5) is exact; rounding grows with the box and must
+    # be excused relative to the bound, as in every condition check
+    op = cf.make_linear(1, 3, 5, radius=radius).operator
+    ok, worst, witness = cf.audit_lipschitz(op, samples=2000, seed=0)
+    assert ok and witness is None
+    assert worst < 1e-15 * radius
 
 
 def test_audit_lipschitz_requires_data():

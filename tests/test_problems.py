@@ -49,7 +49,8 @@ def test_linear_rejects_bad_coefficients(name):
 
 def test_linear_name_parsing_with_floats():
     prob = cf.builtin("linear(0.5, 1.5, 4)")
-    assert prob.operator.linear_coeffs == (0.5, 1.5, 4.0)
+    assert prob.operator.apply(2.0, 1.0) == (0.5 * 2.0 - 1.5 * 1.0) / 4.0
+    assert prob.operator.vectorized
     assert prob.operator.lipschitz_data == (0.5 / 4, 1.5 / 4)
 
 

@@ -1,12 +1,13 @@
 import csv
 import json
+import math
 
 import pytest
 
 import coupledfp as cf
 from coupledfp.spaces import PairPoint
 
-from conftest import fixture_path
+from conftest import fixture_path, np_tanh_operator
 
 
 # --- check_start -----------------------------------------------------------
@@ -131,6 +132,26 @@ def test_solve_max_iterations(samet):
     tr = cf.solve(samet.operator, PairPoint(-3.0, 3.0), tol=1e-300, max_iter=50)
     assert tr.termination == "max_iterations"
     assert tr.iterations == 50
+
+
+def test_solve_converges_on_numpy_floats():
+    # (x - 3 tanh y)/5 returns numpy floats; the start is still admissible
+    tr = cf.solve(np_tanh_operator(), PairPoint(-3.0, 3.0), tol=1e-10)
+    assert tr.start_verdict.direction == "up"
+    assert tr.termination == "converged"
+    assert abs(tr.final.first) <= 1e-9 and abs(tr.final.second) <= 1e-9
+
+
+@pytest.mark.parametrize("apply,start,iterations", [
+    (lambda x, y: math.nan if x > 5 else (x - y) / 4, (6.0, 7.0), 0),  # NaN image
+    (lambda x, y: 1e200 * (x - y), (1.0, 0.0), 1),  # second image overflows
+])
+def test_solve_stops_on_non_finite_residual(apply, start, iterations):
+    op = cf.CoupledOperator(apply=apply, space=cf.real_line())
+    tr = cf.solve(op, PairPoint(*start), require_admissible=False)
+    assert tr.termination == "non_finite"
+    assert tr.iterations == iterations
+    assert not tr.residual < math.inf
 
 
 def test_solve_validates_inputs(samet):
