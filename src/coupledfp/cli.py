@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 
@@ -58,8 +59,8 @@ def _parse_eps_grid(text: str):
         grid = tuple(float(part) for part in text.split(",") if part.strip())
     except ValueError as exc:
         raise InputError(f"bad --eps-grid {text!r}: {exc}")
-    if not grid or any(not e > 0 for e in grid):
-        raise InputError("--eps-grid must list positive numbers")
+    if not grid or any(not 0 < e < math.inf for e in grid):
+        raise InputError("--eps-grid must list positive finite numbers")
     return grid
 
 

@@ -61,6 +61,8 @@ _BASE_SAMET = 3
 _BASE_SYMMETRIC = 4
 _BASE_CURVE = 5
 
+DELTA_CAP_FACTOR = 10.0
+
 
 def _tag(base, eps_idx=0, mode=0, probe=0):
     return ((base & 0xFF) << 56) ^ ((probe & 0xFFFFFF) << 32) ^ ((eps_idx & 0xFFFF) << 8) ^ (mode & 0xFF)
@@ -71,8 +73,8 @@ def _validate_eps_grid(eps_grid):
     if not grid:
         raise InputError("eps grid must not be empty")
     for e in grid:
-        if not e > 0:
-            raise InputError(f"eps values must be positive, got {e!r}")
+        if not 0 < e < math.inf:
+            raise InputError(f"eps values must be positive and finite, got {e!r}")
     return grid
 
 
@@ -81,10 +83,10 @@ def delta_from_k(k, eps):
 
     k == 0 means every delta works; by convention the result is +inf then.
     """
-    if k < 0 or k >= 1:
+    if not 0 <= k < 1:
         raise InputError("k must lie in [0, 1)")
-    if not eps > 0:
-        raise InputError("eps must be positive")
+    if not 0 < eps < math.inf:
+        raise InputError("eps must be positive and finite")
     if k == 0:
         return math.inf
     return (1.0 / k - 1.0) * eps
@@ -122,7 +124,7 @@ def _finite_quadruples(space):
 
 def check_banach_k(op: CoupledOperator, k, samples: int = 10000, seed: int = 0) -> ConditionReport:
     """Test the constant-k contraction on sampled comparable quadruples."""
-    if k < 0 or k >= 1:
+    if not 0 <= k < 1:
         raise InputError("k must lie in [0, 1)")
     if samples < 1:
         raise InputError("samples must be positive")
@@ -133,7 +135,8 @@ def check_banach_k(op: CoupledOperator, k, samples: int = 10000, seed: int = 0) 
         witness = Witness(x=x, y=y, u=u, v=v, kind="random",
                           measured={"lhs": lhs, "rhs": rhs, "k": float(k)}) if found else None
         return _report("banach_k", "targeted-sampling", witness,
-                       checked if found else samples, checked, params={"k": float(k)})
+                       checked if found else samples, checked, params={"k": float(k)},
+                       inconclusive=_too_few(checked, samples, "comparable quadruples"))
 
     space = op.space
     exhaustive = lane == "finite"
@@ -238,7 +241,9 @@ def _band_check(op, lane, eps, delta, samples, seed, base, e_idx, symmetric, pro
     space = op.space
     if lane == "finite":
         _, quadruples = _finite_quadruples(space)
-        hits, witness = _scan_band(op, quadruples, Fraction(eps), Fraction(delta),
+        # an infinite delta stays a float, so the band is [eps, inf)
+        hits, witness = _scan_band(op, quadruples, Fraction(eps),
+                                   Fraction(delta) if delta < math.inf else delta,
                                    symmetric, "exhaustive")
         return hits, witness, hits
     if lane == "generic" and space.interpolate is None:
@@ -335,7 +340,8 @@ def check_strict_contraction(op: CoupledOperator, samples: int = 10000, seed: in
         witness = Witness(x=x, y=y, u=u, v=v, kind="random",
                           measured={"d2_before": before, "d2_after": after}) if found else None
         return _report("strict_contraction", "targeted-sampling", witness,
-                       checked if found else samples, checked)
+                       checked if found else samples, checked,
+                       inconclusive=_too_few(checked, samples, "strictly comparable pairs"))
 
     space = op.space
     exhaustive = lane == "finite"
@@ -369,17 +375,16 @@ def check_strict_contraction(op: CoupledOperator, samples: int = 10000, seed: in
 # delta(eps) curve
 # ---------------------------------------------------------------------------
 
-def estimate_delta_curve(op: CoupledOperator, eps_grid, samples: int = 2000,
-                         seed: int = 0, delta_cap_factor: float = 10.0,
-                         refine_iters: int = 48):
-    """Estimate, per eps, the largest delta <= 10*eps for which no sampled
-    violation of the symmetric condition occurs in [eps, eps + delta).
+def estimate_delta_curve(op: CoupledOperator, eps_grid, samples: int = 2000, seed: int = 0):
+    """Estimate, per eps, delta(eps) for the symmetric condition: the smallest
+    violating half-sum >= eps found, less eps, at most DELTA_CAP_FACTOR * eps.
 
-    Bisection over delta with a fresh deterministic sample stream per probe.
-    The estimate is upper-biased near the true supremum (sampling can miss
-    violations in a sliver); a 0.0 entry means the condition is already
-    violated with an arbitrarily thin band. On finite spaces the answer is
-    computed exactly from the violating half-sums instead.
+    A violation in a band of width 1e-9 * eps gives 0.0 (the condition fails
+    with arbitrarily thin bands). Otherwise each round checks [eps, eps + delta)
+    with a fresh sample stream, from delta = the cap, and shrinks delta to its
+    witness's half-sum less eps; the first round without a witness ends the
+    search. Sampling can miss violations just above the true value, so the
+    estimate is upper-biased; finite spaces apply the rule exhaustively.
     """
     grid = _validate_eps_grid(eps_grid)
     if samples < 1:
@@ -387,31 +392,24 @@ def estimate_delta_curve(op: CoupledOperator, eps_grid, samples: int = 2000,
     lane = evaluation_lane(op)
     out = []
     for e_idx, eps in enumerate(grid):
-        cap = delta_cap_factor * eps
+        cap = DELTA_CAP_FACTOR * eps
         if lane == "finite":
             out.append((float(eps), _finite_curve_point(op, eps, cap)))
             continue
 
-        def probe(delta, probe_idx):
-            _, w, _ = _band_check(op, lane, eps, delta, samples, seed,
-                                  _BASE_CURVE, e_idx, True, probe_idx)
-            return w is not None
+        def violation(delta, probe):
+            return _band_check(op, lane, eps, delta, samples, seed,
+                               _BASE_CURVE, e_idx, True, probe)[1]
 
-        tiny = eps * 1e-9
-        if probe(tiny, 0):
+        if violation(eps * 1e-9, 0) is not None:
             out.append((float(eps), 0.0))
             continue
-        if not probe(cap, 1):
-            out.append((float(eps), cap))
-            continue
-        lo, hi = tiny, cap
-        for it in range(refine_iters):
-            mid = 0.5 * (lo + hi)
-            if probe(mid, 2 + it):
-                hi = mid
-            else:
-                lo = mid
-        out.append((float(eps), lo))
+        # a witness lies inside its band, so each round narrows the band
+        delta, probe = cap, 1
+        while (witness := violation(delta, probe)) is not None:
+            delta = witness.measured["half_sum"] - eps
+            probe += 1
+        out.append((float(eps), delta))
     return out
 
 

@@ -10,9 +10,9 @@ arrays, evaluates the condition's shared predicate from ``operators`` on them
 violation with argmax over the violation mask.
 
 On F(x, y) = (a*x - b*y)/c the results are bit-identical to the scalar
-reference in ``pure``, the tests' oracle: the same stream, the same IEEE
-operations in the same order (numpy elementwise arithmetic does not fuse
-multiply-adds), the same returned tuple. Only NaN differs on purpose: it
+reference in tests/kernel_oracle.py, the tests' oracle: the same stream, the
+same IEEE operations in the same order (numpy elementwise arithmetic does not
+fuse multiply-adds), the same returned tuple. Only NaN differs on purpose: it
 violates the shared predicates, while the reference lets it through.
 
 numpy is imported on the first sweep call, never at package import, so

@@ -1,7 +1,7 @@
 """Scalar reference for the sweep kernels in ``coupledfp.kernels``.
 
-The package never imports this module; the tests use it as the oracle that the
-numpy kernels must match bit for bit (same RNG stream, same arithmetic, same
+It lives with the tests, outside the package, as the oracle that the numpy
+kernels must match bit for bit (same RNG stream, same arithmetic, same
 evaluation order, same returned tuple). It steps the splitmix64 state one draw
 at a time, the plainest statement of the stream the kernels vectorize. Any
 semantic change to a sweep must be made here too.

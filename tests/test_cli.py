@@ -1,6 +1,8 @@
 import csv
 import json
 
+import pytest
+
 from coupledfp.cli import main
 
 from conftest import fixture_path
@@ -112,6 +114,18 @@ def test_bad_eps_grid_exits_two(capsys):
     code, out, err = run_cli(capsys, "verify", "--problem", "samet_example",
                              "--eps-grid", "1,-2")
     assert code == 2
+
+
+@pytest.mark.parametrize("command,problem,grid", [
+    ("verify", fixture_path("diamond5.json"), "1,inf"),
+    ("delta-curve", fixture_path("diamond5.json"), "1,inf"),
+    ("delta-curve", "samet_example", "inf"),
+    ("verify", "samet_example", "nan"),
+], ids=["verify-diamond5", "curve-diamond5", "curve-samet", "verify-nan"])
+def test_non_finite_eps_grid_exits_two(capsys, command, problem, grid):
+    code, out, err = run_cli(capsys, command, "--problem", problem, "--eps-grid", grid)
+    assert code == 2
+    assert out == "" and "finite" in err
 
 
 def test_delta_curve_csv(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -27,10 +28,16 @@ def test_delta_from_k_zero_is_unbounded():
     assert cf.delta_from_k(0.0, 1.0) == math.inf
 
 
-@pytest.mark.parametrize("k", [-0.1, 1.0, 1.5])
+@pytest.mark.parametrize("k", [-0.1, 1.0, 1.5, math.nan])
 def test_delta_from_k_domain(k):
     with pytest.raises(cf.InputError):
         cf.delta_from_k(k, 1.0)
+
+
+@pytest.mark.parametrize("eps", [0.0, math.inf, math.nan])
+def test_delta_from_k_rejects_non_finite_eps(eps):
+    with pytest.raises(cf.InputError):
+        cf.delta_from_k(0.5, eps)
 
 
 @given(k=st.floats(min_value=0.05, max_value=0.95),
@@ -97,6 +104,38 @@ def test_banach_k_domain(samet):
         cf.check_banach_k(samet.operator, 1.0)
 
 
+@pytest.mark.parametrize("problem", ["samet_example", fixture_path("diamond5.json")],
+                         ids=["samet_example", "diamond5"])
+def test_banach_rejects_nan_k(problem):
+    op = cf.resolve_problem(problem).operator
+    with pytest.raises(cf.InputError):
+        cf.check_banach_k(op, math.nan, samples=100)
+
+
+@pytest.mark.parametrize("check", ["banach", "strict"])
+def test_kernel_lane_inconclusive_on_too_few_draws(check):
+    # five draws are too few to call the condition held, in the kernel lane
+    # as in the generic one
+    linear = cf.builtin("linear(1,1,4)").operator
+    for op in (linear, cf.CoupledOperator(apply=linear.apply, space=linear.space)):
+        if check == "banach":
+            rep = cf.check_banach_k(op, 0.5, samples=5, seed=0)
+        else:
+            rep = cf.check_strict_contraction(op, samples=5, seed=0)
+        assert rep.verdict == "inconclusive", (evaluation_lane(op), rep.note)
+
+
+def test_kernel_lane_inconclusive_without_finite_draws():
+    # an infinite sampling box makes every draw NaN: no pair is distinct
+    base = cf.builtin("linear(1,3,5)").operator
+    op = dataclasses.replace(base, space=dataclasses.replace(base.space,
+                                                              sample_radius=math.inf))
+    assert evaluation_lane(op) == "kernel"
+    rep = cf.check_strict_contraction(op, samples=300, seed=0)
+    assert rep.verdict == "inconclusive"
+    assert rep.comparable_pairs_used == 0
+
+
 # --- samet_mk (asymmetric banded) -----------------------------------------
 
 def brute_max_ratio_samet(a, b, c, grid=30):
@@ -158,6 +197,29 @@ def test_samet_rejects_bad_grid(samet):
         cf.check_samet(samet.operator, [0.0], EIGHTH)
     with pytest.raises(cf.InputError):
         cf.check_samet(samet.operator, [1.0], lambda e: 0.0)
+
+
+@pytest.mark.parametrize("problem", ["samet_example", fixture_path("diamond5.json")],
+                         ids=["samet_example", "diamond5"])
+@pytest.mark.parametrize("eps", [math.inf, math.nan])
+def test_non_finite_eps_is_an_input_error(problem, eps):
+    op = cf.resolve_problem(problem).operator
+    for call in (lambda: cf.check_samet(op, [1.0, eps], EIGHTH, samples=100),
+                 lambda: cf.check_symmetric_mk(op, [1.0, eps], EIGHTH, samples=100),
+                 lambda: cf.estimate_delta_curve(op, [eps], samples=100)):
+        with pytest.raises(cf.InputError):
+            call()
+
+
+@pytest.mark.parametrize("symmetric", [False, True])
+def test_finite_lane_takes_an_infinite_delta(symmetric):
+    # delta_from_k(0, eps) is inf: the exhaustive band is [eps, inf)
+    op = cf.load_finite(fixture_path("diamond5.json")).operator
+    check = cf.check_symmetric_mk if symmetric else cf.check_samet
+    rep = check(op, [0.5, 1.0], lambda e: cf.delta_from_k(0.0, e))
+    assert rep.verdict == "fails"
+    assert rep.witness.measured["delta"] == math.inf
+    assert cf.reverify_witness(op, rep)["violated"] is True
 
 
 # --- symmetric_mk ----------------------------------------------------------
@@ -447,6 +509,26 @@ def test_delta_curve_caps_for_constant_map():
     prob = cf.builtin("linear(0,0,1)")
     curve = cf.estimate_delta_curve(prob.operator, [1.0], samples=400, seed=0)
     assert curve == [(1.0, 10.0)]
+
+
+@given(a=st.integers(min_value=0, max_value=8), b=st.integers(min_value=0, max_value=8),
+       c=st.integers(min_value=1, max_value=16),
+       seed=st.integers(min_value=0, max_value=2**31 - 1))
+@settings(max_examples=120, deadline=None)
+def test_delta_curve_is_the_smallest_violating_half_sum(a, b, c, seed):
+    # the symmetric conclusion of linear(a,b,c) is exactly s * half-sum, so
+    # the violating half-sums are those >= eps/s: the curve is
+    # delta* = eps (1/s - 1), capped at 10 eps, in the kernel and generic lanes
+    s = (a + b) / c
+    linear = cf.make_linear(a, b, c).operator
+    for op in (linear, cf.CoupledOperator(apply=linear.apply, space=linear.space)):
+        for eps, dmax in cf.estimate_delta_curve(op, [0.5, 2.0], samples=300, seed=seed):
+            if s >= 1:
+                assert dmax == 0.0
+                continue
+            star = min(eps * (1 / s - 1), 10 * eps) if s else 10 * eps
+            assert star * (1 - 1e-9) <= dmax <= min(10 * eps, 1.05 * star + 1e-9 * eps), \
+                (evaluation_lane(op), eps, dmax, star)
 
 
 @given(data=st.data())

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 import coupledfp as cf
 from coupledfp import kernels
-from coupledfp.kernels import pure
 
+import kernel_oracle as pure
 from conftest import fixture_path
 
 
