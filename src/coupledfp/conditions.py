@@ -21,7 +21,12 @@ Evaluation lanes are sources of comparable quadruples: vectorized operators
 on the real line go through the numpy sweep kernels, a chunk of draws at a
 time; finite tabulated spaces enumerate every quadruple in exact rational
 arithmetic with zero tolerance; other spaces draw them by rejection sampling
-or, for bands, construct them through the space's interpolate hook. Each
+or, for bands, construct them through the space's interpolate hook. On a
+finite space the bands read the space's pair index (spaces.PairIndex), whose
+distances are integers scaled by the matrix's common denominator: the
+in-band quadruples of each comparable (x, u) pair are one bisected slice of
+the distance-sorted (y, v) pairs, visited in enumeration order, so witnesses
+and hit counts equal a full enumeration's. Each
 condition has one predicate, defined in ``operators`` (_banach_holds,
 _banded_conclusion against the slackened eps, _strict_holds), that every lane
 and reverify_witness apply to those quadruples, as scalars or as arrays. The
@@ -35,6 +40,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from bisect import bisect_left
 from fractions import Fraction
 
 from . import kernels
@@ -109,13 +115,31 @@ def _finite_quadruples(space):
     order, as (count, iterator of (t, x, y, u, v, d(x,u), d(y,v))) with the
     distances taken from the exact matrix."""
     fd = space.finite
-    els, dist, leq = fd.elements, fd.dist, fd.leq
-    idx = range(len(els))
-    down = [(els[i], els[j], dist[i][j]) for i in idx for j in idx if leq[j][i]]  # u <= x
-    up = [(els[i], els[j], dist[i][j]) for i in idx for j in idx if leq[i][j]]  # y <= v
-    pairs = enumerate(itertools.product(down, up))
+    els, dist, pairs = fd.elements, fd.dist, fd.pairs()
+    down = [(els[i], els[j], dist[i][j]) for i, j, _ in pairs.down]  # u <= x
+    up = [(els[i], els[j], dist[i][j]) for i, j, _ in pairs.up]  # y <= v
+    quadruples = enumerate(itertools.product(down, up))
     return len(down) * len(up), ((t, x, y, u, v, dxu, dyv)
-                                 for t, ((x, u, dxu), (y, v, dyv)) in pairs)
+                                 for t, ((x, u, dxu), (y, v, dyv)) in quadruples)
+
+
+def _finite_band_quadruples(space, eps, delta):
+    """The quadruples of _finite_quadruples whose half-sum lies in
+    [eps, eps + delta), in the same order and shape. In integers the band is
+    lo <= d(x,u) + d(y,v) < hi, so each down pair's in-band up pairs are one
+    bisected slice of the distance-sorted up pairs, read back in up order."""
+    fd = space.finite
+    els, dist, pairs = fd.elements, fd.dist, fd.pairs()
+    lo = math.ceil(2 * eps * pairs.scale)
+    hi = math.inf if delta == math.inf else math.ceil(2 * (eps + delta) * pairs.scale)
+    up, dists, n_up = pairs.up, pairs.up_dists, len(pairs.up)
+    for k, (i, j, d) in enumerate(pairs.down):
+        start = bisect_left(dists, lo - d)
+        band = sorted(pairs.up_by_dist[start:bisect_left(dists, hi - d, start)])
+        x, u, dxu = els[i], els[j], dist[i][j]
+        for p in band:
+            iy, iv, _ = up[p]
+            yield k * n_up + p, x, els[iy], u, els[iv], dxu, dist[iy][iv]
 
 
 # ---------------------------------------------------------------------------
@@ -240,11 +264,10 @@ def _band_check(op, lane, eps, delta, samples, seed, base, e_idx, symmetric, pro
     construction through the interpolate hook, or plain rejection without it."""
     space = op.space
     if lane == "finite":
-        _, quadruples = _finite_quadruples(space)
         # an infinite delta stays a float, so the band is [eps, inf)
-        hits, witness = _scan_band(op, quadruples, Fraction(eps),
-                                   Fraction(delta) if delta < math.inf else delta,
-                                   symmetric, "exhaustive")
+        eps, delta = Fraction(eps), Fraction(delta) if delta < math.inf else delta
+        hits, witness = _scan_band(op, _finite_band_quadruples(space, eps, delta),
+                                   eps, delta, symmetric, "exhaustive")
         return hits, witness, hits
     if lane == "generic" and space.interpolate is None:
         rng_seed = kernels.stream_seed(seed, _tag(base, e_idx, 0, probe))
@@ -414,22 +437,25 @@ def estimate_delta_curve(op: CoupledOperator, eps_grid, samples: int = 2000, see
 
 
 def _finite_curve_point(op, eps, cap):
-    """Exact curve entry: the smallest violating half-sum >= eps, less eps.
-    Quadruples whose half-sum cannot lower the current minimum are skipped
-    before their conclusion is evaluated."""
-    eps_f = Fraction(eps)
+    """Exact curve entry: the smallest violating half-sum >= eps, less eps,
+    at most cap. Keys are half-sums in integers, d(x,u) + d(y,v) scaled; each
+    down pair walks its up pairs upward from the key of eps and stops below
+    the smallest violating key found so far, which starts at the cap's key."""
+    fd = op.space.finite
+    els, pairs = fd.elements, fd.pairs()
+    eps_f, cap_f = Fraction(eps), Fraction(cap)
     thresh = _with_slack(op.space, eps_f)
-    min_violating_half = None
-    _, quadruples = _finite_quadruples(op.space)
-    for _, x, y, u, v, dxu, dyv in quadruples:
-        half = (dxu + dyv) / 2
-        if half < eps_f or (min_violating_half is not None and not half < min_violating_half):
-            continue
-        if not _banded_conclusion(op, x, y, u, v, True) < thresh:
-            min_violating_half = half
-    if min_violating_half is None:
-        return cap
-    return float(min(min_violating_half - eps_f, Fraction(cap)))
+    lo = math.ceil(2 * eps_f * pairs.scale)
+    best = math.ceil(2 * (eps_f + cap_f) * pairs.scale)
+    up, dists = pairs.up, pairs.up_dists
+    for i, j, d in pairs.down:
+        x, u = els[i], els[j]
+        for p in range(bisect_left(dists, lo - d), bisect_left(dists, best - d)):
+            iy, iv, _ = up[pairs.up_by_dist[p]]
+            if not _banded_conclusion(op, x, els[iy], u, els[iv], True) < thresh:
+                best = d + dists[p]
+                break
+    return float(min(Fraction(best, 2 * pairs.scale) - eps_f, cap_f))
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Optional
@@ -26,10 +27,14 @@ HOLDS_NOTE = (
 def jsonable(value):
     """Recursively convert report values to plain JSON types.
 
-    Fractions become exact "p/q" strings; floats pass through untouched so the
-    json encoder emits shortest round-trip decimals.
+    Fractions become exact "p/q" strings; finite floats pass through untouched
+    so the json encoder emits shortest round-trip decimals, and non-finite ones
+    become "inf", "-inf" or "nan" (standard JSON has no such numbers; float()
+    parses the strings back).
     """
     if isinstance(value, Fraction):
+        return str(value)
+    if isinstance(value, float) and not math.isfinite(value):
         return str(value)
     if isinstance(value, dict):
         return {k: jsonable(v) for k, v in value.items()}

@@ -31,6 +31,7 @@ from .spaces import INCOMPARABLE, PairPoint, d2
 TERM_CONVERGED = "converged"
 TERM_MAX_ITERATIONS = "max_iterations"
 TERM_STALLED = "stalled"
+TERM_DIVERGED = "diverged"
 TERM_MONOTONICITY_VIOLATION = "monotonicity_violation"
 TERM_NON_FINITE = "non_finite"
 
@@ -148,6 +149,12 @@ def residual(op: CoupledOperator, Z: PairPoint):
     return d2(product_T(op, Z), Z, op.space)
 
 
+def _grew(space, step, prev):
+    """step > prev beyond the float rounding slack (none on exact spaces)."""
+    slack = 0 if space.exact else ETA_SLACK * max(1.0, float(prev))
+    return step > prev + slack
+
+
 def solve(op: CoupledOperator, Z0: PairPoint, tol: float = 1e-10,
           max_iter: int = 10000, require_admissible: bool = True,
           keep_every: int = 1) -> IterationTrace:
@@ -161,6 +168,9 @@ def solve(op: CoupledOperator, Z0: PairPoint, tol: float = 1e-10,
       max_iterations          budget exhausted
       stalled                 eta stopped decreasing over a 50-step window
                               while still above tol
+      diverged                as stalled, but the last step exceeds every
+                              step of that window: eta is growing, not
+                              settling on a cycle or plateau
       monotonicity_violation  eta increased between steps (only monitored when
                               require_admissible is set; signals the monotone
                               hypotheses fail numerically)
@@ -204,13 +214,11 @@ def solve(op: CoupledOperator, Z0: PairPoint, tol: float = 1e-10,
             iterates.append(Z)
         if n >= 2:
             prev = eta[-2]
-            if require_admissible:
-                slack = 0 if space.exact else ETA_SLACK * max(1.0, float(prev))
-                if step > prev + slack:
-                    termination = TERM_MONOTONICITY_VIOLATION
-                    W = product_T(op, Z)
-                    r = d2(W, Z, space)
-                    break
+            if require_admissible and _grew(space, step, prev):
+                termination = TERM_MONOTONICITY_VIOLATION
+                W = product_T(op, Z)
+                r = d2(W, Z, space)
+                break
             if prev > 0:
                 ratios.append(step / prev)
         W = product_T(op, Z)
@@ -234,7 +242,8 @@ def solve(op: CoupledOperator, Z0: PairPoint, tol: float = 1e-10,
                     break
         if n > STALL_WINDOW and float(eta[-1]) > tol:
             if float(eta[-1]) >= STALL_FACTOR * float(eta[-1 - STALL_WINDOW]):
-                termination = TERM_STALLED
+                window = eta[-1 - STALL_WINDOW:-1]
+                termination = TERM_DIVERGED if _grew(space, eta[-1], max(window)) else TERM_STALLED
                 break
 
     if n % keep_every != 0:

@@ -62,13 +62,50 @@ class PairPoint:
 
 
 @dataclass
+class PairIndex:
+    """The comparable pairs of a finite space, with distances scaled to
+    integers: scale is the least common denominator of the distance matrix.
+
+    down holds (x, u, d(x,u) * scale) for u <= x and up holds
+    (y, v, d(y,v) * scale) for y <= v, as element indices in row-major order.
+    up_by_dist lists the positions into up sorted by distance (ties keep their
+    order) and up_dists those sorted distances, so the up pairs completing a
+    down pair to a half-sum in a band are one bisected slice. The index is
+    O(comparable pairs); quadruples are never tabulated.
+    """
+
+    scale: int
+    down: list
+    up: list
+    up_by_dist: list
+    up_dists: list
+
+    @classmethod
+    def build(cls, fd):
+        scale = math.lcm(*(d.denominator for row in fd.dist for d in row))
+        idx = range(len(fd.elements))
+        dist, leq = fd.dist, fd.leq
+        down = [(i, j, int(dist[i][j] * scale)) for i in idx for j in idx if leq[j][i]]
+        up = [(i, j, int(dist[i][j] * scale)) for i in idx for j in idx if leq[i][j]]
+        up_by_dist = sorted(range(len(up)), key=lambda p: up[p][2])
+        return cls(scale, down, up, up_by_dist, [up[p][2] for p in up_by_dist])
+
+
+@dataclass
 class FiniteData:
-    """Exact tabulated structure of a finite space (labels, matrices)."""
+    """Exact tabulated structure of a finite space (labels, matrices), and
+    its pair index, built on first use by pairs() and kept with the space."""
 
     elements: tuple
     index: dict
     dist: list  # Fraction matrix
     leq: list  # 0/1 matrix
+    pair_index: Optional[PairIndex] = field(default=None, repr=False, compare=False)
+
+    def pairs(self) -> PairIndex:
+        if self.pair_index is None:
+            self.pair_index = PairIndex.build(self)
+        return self.pair_index
 
 
 @dataclass

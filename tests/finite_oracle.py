@@ -114,3 +114,25 @@ def oracle_delta_curve(doc, eps, cap):
         if half >= eps and lhs >= eps:
             gaps.append(half - eps)
     return float(min(gaps))
+
+
+def oracle_band_first_violation(doc, eps, delta, symmetric):
+    """Enumeration semantics of one exhaustive banded check: walk the
+    comparable quadruples in (x, u, y, v) index order and return (in-band
+    quadruples up to and including the first violation, that quadruple as
+    (x, y, u, v) indices), or (all in-band quadruples, None). delta may be
+    float('inf'), which leaves the band open above."""
+    n, dist, leq, F = _load(doc)
+    eps = Fraction(eps)
+    hits = 0
+    for ix, iy, iu, iv in _comparable_quadruples(n, leq):
+        half = (dist[ix][iu] + dist[iy][iv]) / 2
+        if half < eps or (delta != float("inf") and half >= eps + Fraction(delta)):
+            continue
+        hits += 1
+        lhs = dist[F[ix][iy]][F[iu][iv]]
+        if symmetric:
+            lhs = (lhs + dist[F[iy][ix]][F[iv][iu]]) / 2
+        if lhs >= eps:
+            return hits, (ix, iy, iu, iv)
+    return hits, None

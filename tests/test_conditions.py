@@ -1,6 +1,8 @@
 import dataclasses
 import itertools
+import json
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +11,7 @@ from hypothesis import strategies as st
 import coupledfp as cf
 from coupledfp.conditions import _banded_conclusion
 from coupledfp.operators import evaluation_lane
-from coupledfp.spaces import PairPoint
+from coupledfp.spaces import PairIndex, PairPoint
 
 import finite_oracle as oracle
 from conftest import antichain_reals, fixture_path, np_tanh_operator
@@ -220,6 +222,10 @@ def test_finite_lane_takes_an_infinite_delta(symmetric):
     assert rep.verdict == "fails"
     assert rep.witness.measured["delta"] == math.inf
     assert cf.reverify_witness(op, rep)["violated"] is True
+    # standard JSON: the infinite delta is written as the string "inf"
+    doc = json.loads(json.dumps(rep.to_jsonable(), allow_nan=False))
+    assert doc["epsilon_grid"][0] == [0.5, "inf"]
+    assert float(doc["witness"]["measured"]["delta"]) == math.inf
 
 
 # --- symmetric_mk ----------------------------------------------------------
@@ -554,3 +560,96 @@ def test_finite_curve_matches_oracle(data):
     grid = [0.5, 1.0, 2.0, 3.0]
     expected = [(eps, oracle.oracle_delta_curve(doc, eps, 10 * eps)) for eps in grid]
     assert cf.estimate_delta_curve(op, grid) == expected
+
+
+@st.composite
+def random_posets(draw):
+    """A random finite poset: the transitive closure of random edges i -> j
+    (i < j) relabelled by a random permutation, so incomparable elements are
+    common and the order is not the index order. Off-diagonal distances lie
+    in [1, 2] (any such matrix is a metric) with denominators 1 to 6, and F
+    is an arbitrary table."""
+    n = draw(st.integers(min_value=1, max_value=5), label="n")
+    below = [[i == j or (i < j and draw(st.booleans())) for j in range(n)] for i in range(n)]
+    for k, i, j in itertools.product(range(n), repeat=3):
+        below[i][j] = below[i][j] or (below[i][k] and below[k][j])
+    perm = draw(st.permutations(range(n)), label="perm")
+    frac = st.integers(min_value=1, max_value=6).flatmap(
+        lambda q: st.integers(min_value=q, max_value=2 * q).map(lambda p: Fraction(p, q)))
+    dist = [[Fraction(0)] * n for _ in range(n)]
+    for i, j in itertools.combinations(range(n), 2):
+        dist[i][j] = dist[j][i] = draw(frac)
+    table = draw(st.lists(st.lists(st.integers(min_value=0, max_value=n - 1),
+                                   min_size=n, max_size=n), min_size=n, max_size=n), label="F")
+    doc = {
+        "elements": list(range(n)),
+        "distance": dist,
+        "leq": [[int(below[perm[i]][perm[j]]) for j in range(n)] for i in range(n)],
+        "F": table,
+    }
+    space = cf.finite_space(doc["elements"], doc["distance"], doc["leq"])
+    return doc, cf.CoupledOperator(apply=lambda x, y: table[x][y], space=space)
+
+
+BAND_GRIDS = [[0.5], [0.6, 1.0, 1.25], [1 / 3, 0.75, 1.5, 2.0]]
+BAND_RULES = [EIGHTH, lambda e: e / 2, lambda e: 0.3, lambda e: cf.delta_from_k(0.0, e)]
+
+
+@given(problem=random_posets(), grid=st.sampled_from(BAND_GRIDS),
+       rule=st.sampled_from(BAND_RULES), symmetric=st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_banded_reports_match_oracle(problem, grid, rule, symmetric):
+    # verdict, witness, half-sum and every count, against the brute force
+    doc, op = problem
+    band_hits, witness = [], None
+    for eps in grid:
+        hits, witness = oracle.oracle_band_first_violation(doc, eps, rule(eps), symmetric)
+        band_hits.append((eps, hits))
+        if witness is not None:
+            break
+    total = sum(h for _, h in band_hits)
+    check = cf.check_symmetric_mk if symmetric else cf.check_samet
+    rep = check(op, grid, rule)
+    assert rep.band_hits == band_hits
+    assert rep.samples_used == rep.comparable_pairs_used == total
+    if witness is None:
+        assert rep.verdict == ("holds_on_samples" if total else "inconclusive")
+        assert rep.witness is None
+        return
+    ix, iy, iu, iv = witness
+    dist = doc["distance"]
+    assert rep.verdict == "fails"
+    assert (rep.witness.x, rep.witness.y, rep.witness.u, rep.witness.v) == witness
+    assert rep.witness.measured["half_sum"] == (dist[ix][iu] + dist[iy][iv]) / 2
+    assert rep.witness.measured["eps"] == grid[len(band_hits) - 1]
+
+
+@given(problem=random_posets())
+@settings(max_examples=80, deadline=None)
+def test_finite_curve_matches_oracle_on_posets(problem):
+    doc, op = problem
+    grid = [0.5, 0.75, 1.0, 1.5]
+    expected = [(eps, oracle.oracle_delta_curve(doc, eps, 10 * eps)) for eps in grid]
+    assert cf.estimate_delta_curve(op, grid) == expected
+
+
+def test_pair_index_is_built_once_per_space(monkeypatch):
+    builds = []
+    build = PairIndex.build.__func__
+
+    def counted(cls, fd):
+        builds.append(fd)
+        return build(cls, fd)
+
+    monkeypatch.setattr(PairIndex, "build", classmethod(counted))
+    op = cf.load_finite(fixture_path("diamond5.json")).operator
+    cf.check_samet(op, [0.5, 1.0], EIGHTH)
+    cf.check_symmetric_mk(op, [0.5, 1.0], lambda e: cf.delta_from_k(0.0, e))
+    cf.estimate_delta_curve(op, [0.5, 1.0, 2.0])
+    assert builds == [op.space.finite]
+    # one entry per comparable pair, not per quadruple
+    pairs = op.space.finite.pairs()
+    comparable = sum(map(sum, op.space.finite.leq))
+    assert len(pairs.down) == len(pairs.up) == len(pairs.up_dists) == comparable
+    cf.check_samet(cf.load_finite(fixture_path("diamond5.json")).operator, [0.5], EIGHTH)
+    assert len(builds) == 2

@@ -128,6 +128,25 @@ def test_solve_stalls_on_translation():
     assert tr.iterations == 51
 
 
+def test_solve_reports_divergence():
+    # (2x - y)/1 from (1, -1): each step triples eta
+    tr = cf.solve(cf.builtin("linear(2,1,1)").operator, PairPoint(1.0, -1.0),
+                  require_admissible=False)
+    assert tr.termination == "diverged"
+    assert tr.iterations == 51
+
+
+def test_solve_stalls_on_a_cycle_with_unequal_steps():
+    # x -> x + 1 (mod 3) on points 0, 1, 3 of the line: eta cycles 1, 2, 3,
+    # so it has not grown over the window even where eta[-1] > eta[-51]
+    space = cf.finite_space([0, 1, 2], [[0, 1, 3], [1, 0, 2], [3, 2, 0]],
+                            [[int(i == j) for j in range(3)] for i in range(3)])
+    op = cf.CoupledOperator(apply=lambda x, y: (x + 1) % 3, space=space)
+    tr = cf.solve(op, PairPoint(0, 0), require_admissible=False)
+    assert tr.termination == "stalled"
+    assert tr.eta[-1] > tr.eta[-51]
+
+
 def test_solve_max_iterations(samet):
     tr = cf.solve(samet.operator, PairPoint(-3.0, 3.0), tol=1e-300, max_iter=50)
     assert tr.termination == "max_iterations"
