@@ -13,6 +13,7 @@ serialize as shortest round-trip decimals; exact rationals as "p/q" strings.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -64,6 +65,7 @@ def _parse_eps_grid(text: str):
     return grid
 
 
+@functools.cache  # one parser per process; main() may run many jobs
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="coupled-fp",

@@ -140,6 +140,11 @@ def _schema_require(cond, message, location):
         raise SchemaError(message, location)
 
 
+def _is_index(v, n):
+    # JSON true/false load as bool, a subclass of int; they are not indices
+    return isinstance(v, int) and not isinstance(v, bool) and 0 <= v < n
+
+
 def _parse_distance_entry(v, location):
     if isinstance(v, bool):
         raise SchemaError("distance entries must be numbers or 'p/q' strings", location)
@@ -199,13 +204,14 @@ def load_finite(path: str) -> ProblemInstance:
     dist = matrix("distance", _parse_distance_entry)
 
     def check_leq(v, location):
-        _schema_require(v in (0, 1), f"leq entries must be 0 or 1, got {v!r}", location)
+        _schema_require(not isinstance(v, bool) and v in (0, 1),
+                        f"leq entries must be 0 or 1, got {v!r}", location)
         return int(v)
 
     leq = matrix("leq", check_leq)
 
     def check_f(v, location):
-        _schema_require(isinstance(v, int) and not isinstance(v, bool) and 0 <= v < n,
+        _schema_require(_is_index(v, n),
                         f"F entries must be element indices in [0, {n}), got {v!r}", location)
         return v
 
@@ -226,7 +232,7 @@ def load_finite(path: str) -> ProblemInstance:
             return None
         val = doc[key]
         _schema_require(isinstance(val, list) and len(val) == 2
-                        and all(isinstance(i, int) and 0 <= i < n for i in val),
+                        and all(_is_index(i, n) for i in val),
                         f"'{key}' must be a pair of element indices", f"{path}:{key}")
         return PairPoint(elements[val[0]], elements[val[1]])
 

@@ -13,6 +13,7 @@ comparable.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import Callable, Optional
 
 from .errors import InputError
@@ -81,22 +82,31 @@ def probe_comparability(space: SpaceModel, samples: int = 1000, seed: int = 0,
     counts.
 
     Y == V trials are vacuous and excluded from the denominator. Small finite
-    spaces are enumerated exhaustively; otherwise the rate is estimated from
-    seeded samples. A space with no distinct pairs reports 0.0.
+    spaces (n**4 <= 500,000) are counted exactly; otherwise the rate is
+    estimated from seeded samples. A space with no distinct pairs reports 0.0.
+
+    Without bound_search the exact count is closed-form in the 0/1 matrix L:
+    (a, b), (c, d) are comparable iff L[a][c] L[d][b] or L[c][a] L[b][d], so
+    2P^2 - E^2 ordered pairs of pair points are (P = sum L[i][j], E = sum
+    L[i][j] L[j][i]); dropping the r^2 with Y == V (r = trace L) and halving
+    gives the O(n^4) enumeration's rate in O(n^2), for any 0/1 matrix.
     """
     if samples < 1:
         raise InputError("samples must be positive")
     fd = space.finite
     if fd is not None and len(fd.elements) ** 4 <= 500_000:
-        els = fd.elements
-        all_pairs = [PairPoint(a, b) for a in els for b in els]
-        good = 0
-        trials = 0
-        for i in range(len(all_pairs)):
-            for j in range(i + 1, len(all_pairs)):
-                trials += 1
-                if _pair_of_pairs_ok(all_pairs[i], all_pairs[j], space, bound_search):
-                    good += 1
+        n = len(fd.elements)
+        trials = n * n * (n * n - 1) // 2
+        if bound_search is None:
+            L = fd.leq
+            P = sum(1 for row in L for v in row if v)
+            E = sum(1 for i in range(n) for j in range(n) if L[i][j] and L[j][i])
+            r = sum(1 for i in range(n) if L[i][i])
+            good = (2 * P * P - E * E - r * r) // 2
+        else:
+            all_pairs = [PairPoint(a, b) for a in fd.elements for b in fd.elements]
+            good = sum(_pair_of_pairs_ok(Y, V, space, bound_search)
+                       for Y, V in combinations(all_pairs, 2))
         return good / trials if trials else 0.0
     pool = space.sampler(4 * samples, seed ^ 0xC0BA)
     trials = 0

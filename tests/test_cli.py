@@ -1,8 +1,11 @@
 import csv
 import json
+import subprocess
+import sys
 
 import pytest
 
+from coupledfp import cli
 from coupledfp.cli import main
 
 from conftest import fixture_path
@@ -96,6 +99,22 @@ def test_verify_deterministic_bytes(capsys):
     code2, out2, _ = run_cli(capsys, *args)
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+def test_main_builds_the_parser_once(capsys):
+    # one process, two jobs with different subcommands: the second reuses the
+    # first job's parser and prints what a fresh process prints
+    cli._build_parser.cache_clear()
+    jobs = [("uniqueness", "--problem", fixture_path("diamond5.json"), "--seed", "0"),
+            ("solve", "--problem", "samet_example", "--seed", "7")]
+    results = [run_cli(capsys, *argv) for argv in jobs]
+    info = cli._build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    for argv, (code, out, _) in zip(jobs, results):
+        fresh = subprocess.run([sys.executable, "-m", "coupledfp.cli", *argv],
+                               capture_output=True, text=True)
+        assert (code, out) == (fresh.returncode, fresh.stdout)
+        assert code == 0 and out
 
 
 def test_unknown_problem_exits_two(capsys):

@@ -4,6 +4,7 @@ import random
 import pytest
 
 import coupledfp as cf
+from coupledfp.cli import main
 from coupledfp.spaces import PairPoint
 
 from conftest import FINITE_FIXTURES, fixture_path
@@ -223,3 +224,18 @@ def test_load_finite_bad_start_pair(tmp_path):
     with pytest.raises(cf.SchemaError) as exc:
         cf.load_finite(_write(tmp_path, doc))
     assert "start" in str(exc.value)
+
+
+@pytest.mark.parametrize("field, value, location", [
+    ("leq", [[True, 1], [0, 1]], "leq[0][0]"),
+    ("start", [True, False], "start"),
+    ("expected", [0, True], "expected"),
+])
+def test_load_finite_rejects_json_booleans(tmp_path, capsys, field, value, location):
+    # true/false are not the integers 1/0 of the schema, as in F
+    path = _write(tmp_path, dict(BASE_DOC, **{field: value}))
+    with pytest.raises(cf.SchemaError) as exc:
+        cf.load_finite(path)
+    assert location in str(exc.value)
+    assert main(["solve", "--problem", path]) == 2
+    assert location in capsys.readouterr().err

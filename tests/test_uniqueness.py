@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import coupledfp as cf
 from coupledfp.spaces import PairPoint
@@ -20,37 +22,56 @@ def test_probe_antichain_rate_zero():
     assert cf.probe_comparability(space, samples=100, seed=0) == 0.0
 
 
-def test_probe_finite_lattice_matches_enumeration():
-    doc = load_doc("diamond5.json")
-    space = cf.finite_space(doc["elements"], doc["distance"], doc["leq"])
-    els = doc["elements"]
-    leq = doc["leq"]
-    idx = {e: i for i, e in enumerate(els)}
-
-    def comparable(a, b):
-        return bool(leq[idx[a]][idx[b]] or leq[idx[b]][idx[a]])
+def enumerated_rate(leq):
+    """Share of distinct pair-of-pairs ((a, b), (c, d)) that are comparable
+    in the product order of the 0/1 matrix leq, by plain enumeration."""
+    n = len(leq)
 
     def pair_comp(Y, V):
-        lower = leq[idx[Y[0]]][idx[V[0]]] and leq[idx[V[1]]][idx[Y[1]]]
-        upper = leq[idx[V[0]]][idx[Y[0]]] and leq[idx[Y[1]]][idx[V[1]]]
+        lower = leq[Y[0]][V[0]] and leq[V[1]][Y[1]]
+        upper = leq[V[0]][Y[0]] and leq[Y[1]][V[1]]
         return bool(lower or upper)
 
-    # independent enumeration over all distinct pair-of-pairs
-    pairs = [(a, b) for a in els for b in els]
+    pairs = [(a, b) for a in range(n) for b in range(n)]
     good = total = 0
     for i in range(len(pairs)):
         for j in range(i + 1, len(pairs)):
             total += 1
             if pair_comp(pairs[i], pairs[j]):
                 good += 1
-    expected = good / total
-    assert cf.probe_comparability(space, samples=10, seed=0) == expected
+    return good / total if total else 0.0
+
+
+def test_probe_finite_lattice_matches_enumeration():
+    doc = load_doc("diamond5.json")
+    space = cf.finite_space(doc["elements"], doc["distance"], doc["leq"])
+    assert cf.probe_comparability(space, samples=10, seed=0) == enumerated_rate(doc["leq"])
 
     # with the join/meet bound every pair-of-pairs is covered
     def bound(Y, V):
         return PairPoint("top", "bot")
 
     assert cf.probe_comparability(space, samples=10, seed=0, bound_search=bound) == 1.0
+
+
+def _zero_one_matrices(max_n=5):
+    return st.integers(min_value=1, max_value=max_n).flatmap(
+        lambda n: st.lists(st.lists(st.integers(0, 1), min_size=n, max_size=n),
+                           min_size=n, max_size=n))
+
+
+@given(leq=_zero_one_matrices())
+@example(leq=[[0]])  # not reflexive
+@example(leq=[[0, 1], [1, 0]])  # neither reflexive nor antisymmetric
+@example(leq=[[1] * 3] * 3)  # every element below every other
+@example(leq=[[1, 0, 1], [0, 1, 0], [1, 0, 0]])
+@settings(max_examples=200, deadline=None)
+def test_probe_matches_enumeration_on_any_zero_one_matrix(leq):
+    # the closed-form count must give the enumeration's rate exactly, whether
+    # or not leq is a partial order
+    n = len(leq)
+    space = cf.finite_space([f"e{i}" for i in range(n)], [[0] * n] * n, leq)
+    assert cf.probe_comparability(space, samples=10, seed=0) == enumerated_rate(leq)
 
 
 def test_multi_start_flagship_endpoints_coincide(samet):
