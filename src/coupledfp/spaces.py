@@ -17,7 +17,9 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import islice
+from functools import cached_property
+from itertools import combinations, compress, islice
+from operator import gt, sub
 from typing import Any, Callable, Optional
 
 from .errors import DomainMismatchError, InputError
@@ -63,8 +65,8 @@ class PairPoint:
 
 @dataclass
 class PairIndex:
-    """The comparable pairs of a finite space, with distances scaled to
-    integers: scale is the least common denominator of the distance matrix.
+    """The comparable pairs of a finite space, with their distances from the
+    space's integer-scaled matrix (FiniteData.scaled).
 
     down holds (x, u, d(x,u) * scale) for u <= x and up holds
     (y, v, d(y,v) * scale) for y <= v, as element indices in row-major order.
@@ -82,25 +84,38 @@ class PairIndex:
 
     @classmethod
     def build(cls, fd):
-        scale = math.lcm(*(d.denominator for row in fd.dist for d in row))
+        scale, dist = fd.scaled
         idx = range(len(fd.elements))
-        dist, leq = fd.dist, fd.leq
-        down = [(i, j, int(dist[i][j] * scale)) for i in idx for j in idx if leq[j][i]]
-        up = [(i, j, int(dist[i][j] * scale)) for i in idx for j in idx if leq[i][j]]
+        leq = fd.leq
+        down = [(i, j, dist[i][j]) for i in idx for j in idx if leq[j][i]]
+        up = [(i, j, dist[i][j]) for i in idx for j in idx if leq[i][j]]
         up_by_dist = sorted(range(len(up)), key=lambda p: up[p][2])
         return cls(scale, down, up, up_by_dist, [up[p][2] for p in up_by_dist])
 
 
 @dataclass
 class FiniteData:
-    """Exact tabulated structure of a finite space (labels, matrices), and
-    its pair index, built on first use by pairs() and kept with the space."""
+    """Exact tabulated structure of a finite space: labels, the n x n
+    Fraction distance matrix and the n x n 0/1 order matrix.
+
+    Two derived views are built on first use and kept with the space:
+    ``scaled``, the pair (scale, distance matrix times scale) with scale the
+    least common denominator of the distances, whose integer entries keep
+    every sum and comparison of distances exact; and the pair index of
+    pairs().
+    """
 
     elements: tuple
     index: dict
     dist: list  # Fraction matrix
     leq: list  # 0/1 matrix
     pair_index: Optional[PairIndex] = field(default=None, repr=False, compare=False)
+
+    @cached_property
+    def scaled(self):
+        scale = math.lcm(*(d.denominator for row in self.dist for d in row))
+        return scale, [[d.numerator * (scale // d.denominator) for d in row]
+                       for row in self.dist]
 
     def pairs(self) -> PairIndex:
         if self.pair_index is None:
@@ -216,6 +231,23 @@ def _randrange_stream(rng, n):
             yield r
 
 
+MAX_AUDIT_PAIRS = 200_000
+MAX_AUDIT_TRIPLES = 200_000
+
+# counterexample of each axiom from its witness points, read through the
+# space's own callables; the key order is the report's axiom order
+_COUNTEREXAMPLES = {
+    "metric_identity": lambda d, leq, x: {"x": x, "d_xx": d(x, x)},
+    "order_reflexive": lambda d, leq, x: {"x": x, "leq_xx": repr(leq(x, x))},
+    "metric_nonnegative": lambda d, leq, x, y: {"x": x, "y": y, "d_xy": d(x, y)},
+    "metric_symmetry": lambda d, leq, x, y: {"x": x, "y": y, "d_xy": d(x, y), "d_yx": d(y, x)},
+    "order_antisymmetric": lambda d, leq, x, y: {"x": x, "y": y},
+    "metric_triangle": lambda d, leq, x, y, z: {
+        "x": x, "y": y, "z": z, "d_xz": d(x, z), "d_xy": d(x, y), "d_yz": d(y, z)},
+    "order_transitive": lambda d, leq, x, y, z: {"x": x, "y": y, "z": z},
+}
+
+
 def _audit_points(space, samples, seed):
     if space.finite is not None:
         return list(space.finite.elements), True
@@ -225,90 +257,154 @@ def _audit_points(space, samples, seed):
     return list(pts), False
 
 
-def audit_space(space: SpaceModel, samples: int = 100, seed: int = 0,
-                tau_metric: float = DEFAULT_TAU_METRIC) -> AuditReport:
-    """Check the metric and order axioms on sampled (or, for finite spaces,
-    all) points. Each axiom gets a pass/fail entry with the first
-    counterexample found.
-
-    Pair axioms run over all index pairs up to a deterministic cap; triangle
-    and transitivity triples are drawn from a seeded stream when exhaustive
-    enumeration would be too large.
-    """
-    if samples < 3:
-        raise InputError("audit requires samples >= 3")
-    pts, exhaustive = _audit_points(space, samples, seed)
+def _sampled_witnesses(space, pts, seed, tau):
+    """The callable lane: the first failing point, pair and triple per axiom
+    through the space's distance and leq, with the number of pairs and
+    triples checked. Pairs run over all index pairs up to MAX_AUDIT_PAIRS,
+    triples over all index triples up to MAX_AUDIT_TRIPLES; past a cap a
+    pair (triple) is two (three) consecutive draws of one seeded index
+    stream. Both are generated lazily, so memory stays flat at the caps."""
+    d, leq = space.distance, space.leq
     n = len(pts)
-    d = space.distance
-    leq = space.leq
-    report = AuditReport(space_description=space.description, exhaustive=exhaustive)
+    found = {
+        "metric_identity": next(((x,) for x in pts if abs(d(x, x)) > tau), None),
+        "order_reflexive": next(((x,) for x in pts if leq(x, x) is not True), None),
+    }
 
-    # identity and reflexivity: every point
-    ident_bad = None
-    refl_bad = None
-    for x in pts:
-        if ident_bad is None and abs(d(x, x)) > tau_metric:
-            ident_bad = {"x": x, "d_xx": d(x, x)}
-        if refl_bad is None and leq(x, x) is not True:
-            refl_bad = {"x": x, "leq_xx": repr(leq(x, x))}
-    report.axioms.append(AxiomCheck("metric_identity", ident_bad is None, n, ident_bad))
-    report.axioms.append(AxiomCheck("order_reflexive", refl_bad is None, n, refl_bad))
-
-    # pairs: nonnegativity, symmetry, antisymmetry. Point pairs and triples
-    # are generated lazily, so memory stays flat at the caps; a sampled pair
-    # (triple) is two (three) consecutive draws of one index stream.
-    max_pairs = 200_000
-    total_pairs = n * (n - 1) // 2
-    if total_pairs <= max_pairs:
+    if n * (n - 1) // 2 <= MAX_AUDIT_PAIRS:
         pairs = ((x, y) for i, x in enumerate(pts) for y in pts[i + 1:])
     else:
         s = _randrange_stream(random.Random(seed ^ 0x5EED), n)
-        pairs = ((pts[i], pts[j]) for i, j in islice(zip(s, s), max_pairs) if i != j)
-    nonneg_bad = sym_bad = antisym_bad = None
+        pairs = ((pts[i], pts[j]) for i, j in islice(zip(s, s), MAX_AUDIT_PAIRS) if i != j)
+    nonneg = sym = antisym = None
     n_pairs = 0
     for x, y in pairs:
         n_pairs += 1
         dxy = d(x, y)
-        if nonneg_bad is None and dxy < -tau_metric:
-            nonneg_bad = {"x": x, "y": y, "d_xy": dxy}
-        if sym_bad is None and abs(dxy - d(y, x)) > tau_metric:
-            sym_bad = {"x": x, "y": y, "d_xy": dxy, "d_yx": d(y, x)}
-        if antisym_bad is None and leq(x, y) is True and leq(y, x) is True and x != y:
-            antisym_bad = {"x": x, "y": y}
-        if nonneg_bad and sym_bad and antisym_bad:
+        if nonneg is None and dxy < -tau:
+            nonneg = (x, y)
+        if sym is None and abs(dxy - d(y, x)) > tau:
+            sym = (x, y)
+        if antisym is None and leq(x, y) is True and leq(y, x) is True and x != y:
+            antisym = (x, y)
+        if nonneg and sym and antisym:
             break
     # the reported count covers every pair the audit drew, checked or not
     n_pairs += sum(1 for _ in pairs)
-    report.axioms.append(AxiomCheck("metric_nonnegative", nonneg_bad is None, n_pairs, nonneg_bad))
-    report.axioms.append(AxiomCheck("metric_symmetry", sym_bad is None, n_pairs, sym_bad))
-    report.axioms.append(AxiomCheck("order_antisymmetric", antisym_bad is None, n_pairs,
-                                    antisym_bad))
 
-    # triples: triangle inequality, transitivity
-    max_triples = 200_000
-    if n ** 3 <= max_triples:
+    if n ** 3 <= MAX_AUDIT_TRIPLES:
         n_triples = n ** 3
         triples = ((x, y, z) for x in pts for y in pts for z in pts)
     else:
-        n_triples = max_triples
+        n_triples = MAX_AUDIT_TRIPLES
         p = map(pts.__getitem__, _randrange_stream(random.Random(seed ^ 0x7A1A), n))
-        triples = islice(zip(p, p, p), max_triples)
-    tri_bad = trans_bad = None
+        triples = islice(zip(p, p, p), MAX_AUDIT_TRIPLES)
+    tri = trans = None
     for x, y, z in triples:
-        if tri_bad is None:
+        if tri is None:
             d_xz, via_y = d(x, z), d(x, y) + d(y, z)
             # the relative slack only matters once the plain comparison fails
-            if d_xz > via_y and d_xz > via_y + tau_metric * max(1, via_y):
-                tri_bad = {
-                    "x": x, "y": y, "z": z,
-                    "d_xz": d_xz, "d_xy": d(x, y), "d_yz": d(y, z),
-                }
-        if trans_bad is None and leq(x, y) is True and leq(y, z) is True and leq(x, z) is not True:
-            trans_bad = {"x": x, "y": y, "z": z}
-        if tri_bad and trans_bad:
+            if d_xz > via_y and d_xz > via_y + tau * max(1, via_y):
+                tri = (x, y, z)
+        if trans is None and leq(x, y) is True and leq(y, z) is True and leq(x, z) is not True:
+            trans = (x, y, z)
+        if tri and trans:
             break
-    report.axioms.append(AxiomCheck("metric_triangle", tri_bad is None, n_triples, tri_bad))
-    report.axioms.append(AxiomCheck("order_transitive", trans_bad is None, n_triples, trans_bad))
+    found.update(metric_nonnegative=nonneg, metric_symmetry=sym, order_antisymmetric=antisym,
+                 metric_triangle=tri, order_transitive=trans)
+    return found, n_pairs, n_triples
+
+
+def _finite_witnesses(fd, tau):
+    """The matrix lane: the first failing index, index pair i < j and index
+    triple per axiom, in lexicographic order, read from the integer-scaled
+    distance matrix and the 0/1 order matrix. For an integer d * scale,
+    |d| > tau iff |d * scale| > floor(tau * scale), so the slack checks on
+    points and pairs are exact integer comparisons."""
+    scale, S = fd.scaled
+    t = math.floor(Fraction(tau) * scale)
+    L, els = fd.leq, fd.elements
+    idx = range(len(S))
+    return {
+        "metric_identity": next(((i,) for i in idx if abs(S[i][i]) > t), None),
+        "order_reflexive": next(((i,) for i in idx if not L[i][i]), None),
+        "metric_nonnegative": next(((i, j) for i, j in combinations(idx, 2) if S[i][j] < -t),
+                                   None),
+        "metric_symmetry": next(((i, j) for i, j in combinations(idx, 2)
+                                 if abs(S[i][j] - S[j][i]) > t), None),
+        "order_antisymmetric": next(((i, j) for i, j in combinations(idx, 2)
+                                     if L[i][j] and L[j][i] and els[i] != els[j]), None),
+        "metric_triangle": _first_triangle_break(fd.dist, S, tau),
+        "order_transitive": _first_transitivity_break(L),
+    }
+
+
+def _first_triangle_break(D, S, tau):
+    """First (i, j, k) with d_ik > d_ij + d_jk beyond the relative slack. The
+    plain comparison runs on the integer matrix S, one (i, j) row at a time;
+    the slack is evaluated on the Fractions D only at the k that fail it."""
+    idx = range(len(S))
+    for i in idx:
+        Si, Di = S[i], D[i]
+        for j in idx:
+            sij, Sj = Si[j], S[j]
+            if max(map(sub, Si, Sj)) <= sij:
+                continue
+            for k in compress(idx, map(sij.__lt__, map(sub, Si, Sj))):
+                via_y = Di[j] + D[j][k]
+                if Di[k] > via_y + tau * max(1, via_y):
+                    return i, j, k
+    return None
+
+
+def _first_transitivity_break(L):
+    """First (i, j, k) with i <= j <= k but not i <= k."""
+    idx = range(len(L))
+    for i in idx:
+        Li = L[i]
+        for j in compress(idx, Li):
+            k = next(compress(idx, map(gt, L[j], Li)), None)
+            if k is not None:
+                return i, j, k
+    return None
+
+
+def audit_space(space: SpaceModel, samples: int = 100, seed: int = 0,
+                tau_metric: float = DEFAULT_TAU_METRIC) -> AuditReport:
+    """Check the metric and order axioms on sampled (or, for finite spaces,
+    all) points. Each axiom gets a pass/fail entry with its first
+    counterexample, in lexicographic order of the enumeration or draw order
+    of the stream.
+
+    A finite space with at most MAX_AUDIT_TRIPLES triples is checked on its
+    matrices (the matrix lane), with the verdicts, counts and first
+    counterexamples its callables would give. Every other space goes through
+    its distance and leq (the callable lane), where pairs and triples past
+    their caps are drawn from a seeded stream. Either way the counterexample
+    is read back through the space's distance and leq.
+    """
+    if samples < 3:
+        raise InputError("audit requires samples >= 3")
+    if not (math.isfinite(tau_metric) and tau_metric >= 0):
+        raise InputError("tau_metric must be finite and nonnegative")
+    pts, exhaustive = _audit_points(space, samples, seed)
+    n = len(pts)
+    if space.finite is not None and n ** 3 <= MAX_AUDIT_TRIPLES:
+        found = {name: None if w is None else tuple(map(pts.__getitem__, w))
+                 for name, w in _finite_witnesses(space.finite, tau_metric).items()}
+        n_pairs, n_triples = n * (n - 1) // 2, n ** 3
+    else:
+        found, n_pairs, n_triples = _sampled_witnesses(space, pts, seed, tau_metric)
+
+    checks = {"metric_identity": n, "order_reflexive": n, "metric_nonnegative": n_pairs,
+              "metric_symmetry": n_pairs, "order_antisymmetric": n_pairs,
+              "metric_triangle": n_triples, "order_transitive": n_triples}
+    report = AuditReport(space_description=space.description, exhaustive=exhaustive)
+    for name, counterexample in _COUNTEREXAMPLES.items():
+        w = found[name]
+        report.axioms.append(AxiomCheck(
+            name, w is None, checks[name],
+            None if w is None else counterexample(space.distance, space.leq, *w)))
     return report
 
 
@@ -347,11 +443,33 @@ def real_line(radius: float = 10.0) -> SpaceModel:
     )
 
 
+def _zero_one(v):
+    if v not in (0, 1):
+        raise ValueError(f"expected 0 or 1, got {v!r}")
+    return int(v)
+
+
+def _square_matrix(rows, n, entry, name):
+    """rows as an n x n list of entry(v) values; a ragged or non-square
+    matrix, or an entry that entry() rejects (NaN and infinite distances
+    included), raises InputError."""
+    try:
+        out = [[entry(v) for v in row] for row in rows]
+    except (TypeError, ValueError, OverflowError, ZeroDivisionError) as exc:
+        raise InputError(f"bad {name} matrix entry: {exc}") from None
+    if len(out) != n or any(len(row) != n for row in out):
+        raise InputError(f"{name} matrix must be {n}x{n} for {n} elements")
+    return out
+
+
 def finite_space(elements, dist_matrix, leq_matrix, description="finite space") -> SpaceModel:
     """A finite space given by explicit matrices.
 
     Distances are stored as exact Fractions so checks on finite spaces run
     with zero tolerance; leq_matrix[i][j] == 1 encodes elements[i] <= elements[j].
+    Both matrices must be n x n, with finite numeric distances (numbers or
+    "p/q" strings) and 0/1 order entries; anything else is an InputError.
+    The metric and order axioms themselves are audit_space's job.
     """
     elements = tuple(elements)
     n = len(elements)
@@ -360,8 +478,8 @@ def finite_space(elements, dist_matrix, leq_matrix, description="finite space") 
     if len(set(elements)) != n:
         raise InputError("finite space elements must be distinct")
     index = {e: i for i, e in enumerate(elements)}
-    dist = [[Fraction(v) for v in row] for row in dist_matrix]
-    leq_m = [[int(v) for v in row] for row in leq_matrix]
+    dist = _square_matrix(dist_matrix, n, Fraction, "distance")
+    leq_m = _square_matrix(leq_matrix, n, _zero_one, "leq")
 
     def distance(x, y):
         return dist[index[x]][index[y]]

@@ -136,3 +136,57 @@ def oracle_band_first_violation(doc, eps, delta, symmetric):
         if lhs >= eps:
             return hits, (ix, iy, iu, iv)
     return hits, None
+
+
+def oracle_audit(doc, tau=1e-12):
+    """The audit_space report of a finite space, as JSON: every point, every
+    pair i < j and every triple, in index order, with the first
+    counterexample of each axiom. The metric checks allow the slack tau, the
+    triangle check tau * max(1, d_xy + d_yz) (float arithmetic, as the audit
+    defines it). A point that is not below itself has no order relation with
+    itself, so its leq_xx is "INCOMPARABLE"."""
+    els = doc["elements"]
+    n = len(els)
+    dist = [[Fraction(v) for v in row] for row in doc["distance"]]
+    leq = doc["leq"]
+    points = range(n)
+    pairs = [(i, j) for i in points for j in points if i < j]
+    triples = [(i, j, k) for i in points for j in points for k in points]
+
+    def first(witnesses):
+        w = next(witnesses, None)
+        return None if w is None else {k: str(v) if isinstance(v, Fraction) else v
+                                       for k, v in w.items()}
+
+    def triangle_breaks(i, j, k):
+        via = dist[i][j] + dist[j][k]
+        return dist[i][k] > via and dist[i][k] > via + tau * max(1, via)
+
+    found = [
+        ("metric_identity", n, first(
+            {"x": els[i], "d_xx": dist[i][i]} for i in points if abs(dist[i][i]) > tau)),
+        ("order_reflexive", n, first(
+            {"x": els[i], "leq_xx": "INCOMPARABLE"} for i in points if not leq[i][i])),
+        ("metric_nonnegative", len(pairs), first(
+            {"x": els[i], "y": els[j], "d_xy": dist[i][j]}
+            for i, j in pairs if dist[i][j] < -tau)),
+        ("metric_symmetry", len(pairs), first(
+            {"x": els[i], "y": els[j], "d_xy": dist[i][j], "d_yx": dist[j][i]}
+            for i, j in pairs if abs(dist[i][j] - dist[j][i]) > tau)),
+        ("order_antisymmetric", len(pairs), first(
+            {"x": els[i], "y": els[j]} for i, j in pairs if leq[i][j] and leq[j][i])),
+        ("metric_triangle", len(triples), first(
+            {"x": els[i], "y": els[j], "z": els[k],
+             "d_xz": dist[i][k], "d_xy": dist[i][j], "d_yz": dist[j][k]}
+            for i, j, k in triples if triangle_breaks(i, j, k))),
+        ("order_transitive", len(triples), first(
+            {"x": els[i], "y": els[j], "z": els[k]}
+            for i, j, k in triples if leq[i][j] and leq[j][k] and not leq[i][k])),
+    ]
+    return {
+        "space": doc["description"],
+        "passed": all(w is None for _, _, w in found),
+        "exhaustive": True,
+        "axioms": [{"name": name, "passed": w is None, "checks": checks, "counterexample": w}
+                   for name, checks, w in found],
+    }

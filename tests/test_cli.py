@@ -8,7 +8,7 @@ import pytest
 from coupledfp import cli
 from coupledfp.cli import main
 
-from conftest import fixture_path
+from conftest import DATA, fixture_path
 
 
 def run_cli(capsys, *argv):
@@ -197,6 +197,97 @@ def test_audit_space_finite(capsys):
     payload = json.loads(out)
     assert payload["audit"]["exhaustive"] is True
     assert payload["audit"]["passed"] is True
+
+
+# audit-space output on tests/data/triangle_break4.json, run from tests/data;
+# recorded before finite audits read the space's matrices instead of its
+# distance and leq callables, and pinned byte for byte
+TRIANGLE_BREAK4_AUDIT = """\
+{
+  "audit": {
+    "axioms": [
+      {
+        "checks": 4,
+        "counterexample": null,
+        "name": "metric_identity",
+        "passed": true
+      },
+      {
+        "checks": 4,
+        "counterexample": null,
+        "name": "order_reflexive",
+        "passed": true
+      },
+      {
+        "checks": 6,
+        "counterexample": null,
+        "name": "metric_nonnegative",
+        "passed": true
+      },
+      {
+        "checks": 6,
+        "counterexample": null,
+        "name": "metric_symmetry",
+        "passed": true
+      },
+      {
+        "checks": 6,
+        "counterexample": null,
+        "name": "order_antisymmetric",
+        "passed": true
+      },
+      {
+        "checks": 64,
+        "counterexample": {
+          "d_xy": "1/2",
+          "d_xz": "2",
+          "d_yz": "3/4",
+          "x": "a",
+          "y": "b",
+          "z": "c"
+        },
+        "name": "metric_triangle",
+        "passed": false
+      },
+      {
+        "checks": 64,
+        "counterexample": {
+          "x": "a",
+          "y": "b",
+          "z": "c"
+        },
+        "name": "order_transitive",
+        "passed": false
+      }
+    ],
+    "exhaustive": true,
+    "passed": false,
+    "space": "triangle break: d(a,c) = 2 > d(a,b) + d(b,c); a <= b <= c but not a <= c"
+  },
+  "config": {
+    "command": "audit-space",
+    "eps_grid": [
+      0.1,
+      1.0,
+      10.0
+    ],
+    "format": "json",
+    "max_iter": 10000,
+    "problem": "triangle_break4.json",
+    "samples": 10000,
+    "seed": 42,
+    "tol": 1e-10
+  },
+  "schema_version": 1
+}
+"""
+
+
+def test_audit_space_broken_finite_golden(capsys, monkeypatch):
+    monkeypatch.chdir(DATA)
+    code, out, err = run_cli(capsys, "audit-space", "--problem", "triangle_break4.json")
+    assert code == 0
+    assert out == TRIANGLE_BREAK4_AUDIT
 
 
 def test_solve_finite_problem_serializes_exact_values(tmp_path, capsys):

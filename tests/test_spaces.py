@@ -1,14 +1,16 @@
+import dataclasses
 import math
 import random
 from itertools import islice
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import coupledfp as cf
 from coupledfp.spaces import INCOMPARABLE, PairPoint, SpaceModel, _randrange_stream
 
+import finite_oracle as oracle
 from conftest import load_doc
 
 finite_floats = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
@@ -185,3 +187,125 @@ def test_domain_mismatch_raises():
     space = cf.finite_space(doc["elements"], doc["distance"], doc["leq"])
     with pytest.raises(cf.DomainMismatchError):
         cf.d2(PairPoint("lo", "nope"), PairPoint("lo", "lo"), space)
+
+
+@pytest.mark.parametrize("dist, leq", [
+    ([[0, 1], [1]], [[1, 0], [0, 1]]),
+    ([[0, 1], [1, 0]], [[1, 0], [0]]),
+    ([[0, 1, 2], [1, 0, 3]], [[1, 0], [0, 1]]),
+    ([[0, 1], [1, 0], [2, 2]], [[1, 0], [0, 1]]),
+    ([[0, 1], [1, 0]], [[1, 0, 0], [0, 1, 0]]),
+    ([[0, math.nan], [math.nan, 0]], [[1, 0], [0, 1]]),
+    ([[0, math.inf], [math.inf, 0]], [[1, 0], [0, 1]]),
+    ([[0, "one"], [1, 0]], [[1, 0], [0, 1]]),
+    ([[0, 1], [1, 0]], [[1, 2], [0, 1]]),
+], ids=["ragged_distance", "ragged_leq", "distance_2x3", "distance_3x2", "leq_2x3",
+        "nan_distance", "inf_distance", "non_numeric_distance", "leq_not_zero_one"])
+def test_finite_space_rejects_malformed_matrices(dist, leq):
+    with pytest.raises(cf.InputError):
+        cf.finite_space(["a", "b"], dist, leq)
+
+
+@pytest.mark.parametrize("tau", [math.nan, math.inf, -1e-12])
+def test_audit_rejects_bad_tau(tau):
+    with pytest.raises(cf.InputError):
+        cf.audit_space(cf.real_line(), samples=10, seed=0, tau_metric=tau)
+
+
+def _doc(dist, leq):
+    n = len(dist)
+    return {"description": f"{n}-point space", "elements": [f"e{i}" for i in range(n)],
+            "distance": dist, "leq": leq}
+
+
+_DIST_VALUES = [0, 1, 2, 3, "1/2", "5/3", 0.25, 1e-13, 3e-12, -1, -1e-13,
+                "20000000000001/10000000000000", "2000000000003/1000000000000"]
+_METRIC3 = [[0, 1, 2], [1, 0, 1], [2, 1, 0]]
+_CHAIN3 = [[1, 1, 1], [0, 1, 1], [0, 0, 1]]
+
+
+@st.composite
+def finite_docs(draw):
+    n = draw(st.integers(1, 5))
+    dist = [[draw(st.sampled_from(_DIST_VALUES)) for _ in range(n)] for _ in range(n)]
+    if draw(st.booleans()):
+        # zero diagonal and symmetric, so the triangle and order checks decide
+        for i in range(n):
+            dist[i][i] = 0
+            for j in range(i):
+                dist[i][j] = dist[j][i]
+    leq = [[draw(st.integers(0, 1)) for _ in range(n)] for _ in range(n)]
+    if draw(st.booleans()):
+        for i in range(n):
+            leq[i][i] = 1
+    return _doc(dist, leq)
+
+
+@given(doc=finite_docs())
+@example(doc=_doc([[0, 1], [1, "1/3"]], [[1, 0], [0, 1]]))  # nonzero diagonal
+@example(doc=_doc([[0, 1], [2, 0]], [[1, 0], [0, 1]]))  # asymmetric
+@example(doc=_doc([[0, -1], [-1, 0]], [[1, 0], [0, 1]]))  # negative
+@example(doc=_doc([[0, 1, 3], [1, 0, 1], [3, 1, 0]], _CHAIN3))  # triangle break
+# d_xz = 2 + 1e-13 is within the triangle's relative slack, 2 + 3e-12 is not
+@example(doc=_doc([[0, 1, "20000000000001/10000000000000"], [1, 0, 1],
+                   ["20000000000001/10000000000000", 1, 0]], _CHAIN3))
+@example(doc=_doc([[0, 1, "2000000000003/1000000000000"], [1, 0, 1],
+                   ["2000000000003/1000000000000", 1, 0]], _CHAIN3))
+@example(doc=_doc(_METRIC3, [[1, 1, 0], [1, 1, 0], [0, 0, 1]]))  # not antisymmetric
+@example(doc=_doc(_METRIC3, [[1, 1, 0], [0, 1, 1], [0, 0, 1]]))  # not transitive
+@example(doc=_doc(_METRIC3, [[0, 1, 0], [0, 1, 0], [0, 0, 0]]))  # not reflexive
+@settings(max_examples=300, deadline=None)
+def test_finite_audit_matches_oracle_and_callable_lane(doc):
+    space = cf.finite_space(doc["elements"], doc["distance"], doc["leq"], doc["description"])
+    got = cf.audit_space(space, samples=10, seed=0).to_jsonable()
+    assert got == oracle.oracle_audit(doc)
+    # the same points audited through the callables, as a space without matrices
+    elements = list(doc["elements"])
+    callables = dataclasses.replace(space, finite=None, sampler=lambda count, seed: elements)
+    assert cf.audit_space(callables, samples=10, seed=0).to_jsonable() == dict(
+        got, exhaustive=False)
+
+
+def test_finite_audit_reads_the_matrices_not_the_callables():
+    doc = load_doc("triangle_break4.json")
+    space = cf.finite_space(doc["elements"], doc["distance"], doc["leq"])
+    calls = []
+
+    def counted(f):
+        def wrapped(x, y):
+            calls.append((x, y))
+            return f(x, y)
+        return wrapped
+
+    spied = dataclasses.replace(space, distance=counted(space.distance),
+                                leq=counted(space.leq))
+    report = cf.audit_space(spied, samples=10, seed=0)
+    assert report.failed_axioms() == ["metric_triangle", "order_transitive"]
+    # only the triangle counterexample's three distances go through a callable
+    assert calls == [("a", "c"), ("a", "b"), ("b", "c")]
+
+
+def test_scaled_matrix_is_exact_and_shared_with_the_pair_index():
+    doc = load_doc("triangle_break4.json")
+    fd = cf.finite_space(doc["elements"], doc["distance"], doc["leq"]).finite
+    scale, scaled = fd.scaled
+    assert scale == 4
+    assert all(scaled[i][j] == fd.dist[i][j] * scale for i in range(4) for j in range(4))
+    pairs = fd.pairs()
+    assert pairs.scale == scale
+    assert pairs.up == [(i, j, scaled[i][j]) for i in range(4) for j in range(4) if fd.leq[i][j]]
+
+
+def test_large_finite_space_goes_through_the_callables():
+    # 59 points: 59**3 > 200,000, so the triples come from the seeded stream,
+    # and the whole audit reads the space's distance and leq
+    n = 59
+    dist = [[abs(i - j) for j in range(n)] for i in range(n)]
+    dist[0][n - 1] = dist[n - 1][0] = 1000
+    space = cf.finite_space(range(n), dist, [[int(i <= j) for j in range(n)] for i in range(n)])
+    report = cf.audit_space(space, samples=10, seed=0)
+    checks = {a.name: a.checks for a in report.axioms}
+    assert report.exhaustive
+    assert checks["metric_symmetry"] == n * (n - 1) // 2
+    assert checks["metric_triangle"] == checks["order_transitive"] == 200_000
+    assert report.failed_axioms() == ["metric_triangle"]
