@@ -21,10 +21,9 @@ from typing import Any, Callable, Optional
 
 from .errors import InputError
 from .reports import ConditionReport, Witness, _report
-from .spaces import PairPoint, SpaceModel, d2
+from .spaces import FLOAT_SLACK, PairPoint, SpaceModel, d2
 
 MIN_COMPARABLE = 10
-FLOAT_SLACK = 1e-12
 
 
 @dataclass

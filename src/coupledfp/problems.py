@@ -27,13 +27,13 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import partial
 from typing import Callable, Optional
 
 from .errors import InputError, SchemaError
 from .operators import CoupledOperator
 from .solver import check_start
-from .spaces import PairPoint, SpaceModel, finite_space, real_line
+from .spaces import PairPoint, SpaceModel, finite_space, real_line, square_matrix
 
 DEFAULT_RADIUS = 10.0
 
@@ -145,30 +145,20 @@ def _is_index(v, n):
     return isinstance(v, int) and not isinstance(v, bool) and 0 <= v < n
 
 
-def _parse_distance_entry(v, location):
-    if isinstance(v, bool):
-        raise SchemaError("distance entries must be numbers or 'p/q' strings", location)
-    if isinstance(v, (int, float)):
-        try:
-            f = Fraction(v)
-        except (ValueError, OverflowError) as exc:
-            raise SchemaError(f"bad distance value {v!r}: {exc}", location)
-    elif isinstance(v, str):
-        try:
-            f = Fraction(v)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise SchemaError(f"bad distance string {v!r}: {exc}", location)
-    else:
-        raise SchemaError("distance entries must be numbers or 'p/q' strings", location)
-    if f < 0:
-        raise SchemaError(f"distance must be nonnegative, got {f}", location)
-    return f
+def _element_index(n, v):
+    if not _is_index(v, n):
+        raise ValueError(f"expected an element index in [0, {n})")
+    return v
 
 
 def load_finite(path: str) -> ProblemInstance:
     """Load a fully tabulated finite problem (see the module docstring for the
     schema). Structural validation only; metric and order axioms are the
-    audit's job."""
+    audit's job. The distance and leq matrices go unconverted to
+    finite_space, which validates them; its InputError, like a malformed F
+    table, becomes a SchemaError with the file path. This loader keeps only
+    the schema's own rules: string labels, nonnegative distances, F entries
+    that are element indices, and the start and expected pairs."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -190,35 +180,16 @@ def load_finite(path: str) -> ProblemInstance:
     _schema_require(len(set(elements)) == len(elements), "elements must be distinct", f"{path}:elements")
     n = len(elements)
 
-    def matrix(key, check):
-        mat = doc[key]
-        _schema_require(isinstance(mat, list) and len(mat) == n,
-                        f"'{key}' must be a {n}x{n} matrix", f"{path}:{key}")
-        out = []
-        for i, row in enumerate(mat):
-            _schema_require(isinstance(row, list) and len(row) == n,
-                            f"row {i} must have {n} entries", f"{path}:{key}[{i}]")
-            out.append([check(v, f"{path}:{key}[{i}][{j}]") for j, v in enumerate(row)])
-        return out
-
-    dist = matrix("distance", _parse_distance_entry)
-
-    def check_leq(v, location):
-        _schema_require(not isinstance(v, bool) and v in (0, 1),
-                        f"leq entries must be 0 or 1, got {v!r}", location)
-        return int(v)
-
-    leq = matrix("leq", check_leq)
-
-    def check_f(v, location):
-        _schema_require(_is_index(v, n),
-                        f"F entries must be element indices in [0, {n}), got {v!r}", location)
-        return v
-
-    ftab = matrix("F", check_f)
-
-    space = finite_space(elements, dist, leq,
-                         description=doc.get("description", f"finite space ({path})"))
+    try:
+        space = finite_space(elements, doc["distance"], doc["leq"],
+                             description=doc.get("description", f"finite space ({path})"))
+        ftab = square_matrix(doc["F"], n, partial(_element_index, n), "F")
+    except InputError as exc:
+        raise SchemaError(str(exc), path) from None
+    dist = space.finite.dist
+    if min(map(min, dist)) < 0:
+        i, j = next((i, j) for i, row in enumerate(dist) for j, d in enumerate(row) if d < 0)
+        raise SchemaError(f"distance[{i}][{j}]: must be nonnegative, got {dist[i][j]}", path)
     index = space.finite.index
 
     def apply(x, y):

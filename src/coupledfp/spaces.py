@@ -26,7 +26,7 @@ from .errors import DomainMismatchError, InputError
 
 Element = Any
 
-DEFAULT_TAU_METRIC = 1e-12
+FLOAT_SLACK = 1e-12  # rounding slack of float spaces (audit, operators._with_slack)
 
 
 class _Incomparable:
@@ -248,15 +248,6 @@ _COUNTEREXAMPLES = {
 }
 
 
-def _audit_points(space, samples, seed):
-    if space.finite is not None:
-        return list(space.finite.elements), True
-    pts = space.sampler(samples, seed)
-    if not pts:
-        raise InputError("sampler returned no points to audit")
-    return list(pts), False
-
-
 def _sampled_witnesses(space, pts, seed, tau):
     """The callable lane: the first failing point, pair and triple per axiom
     through the space's distance and leq, with the number of pairs and
@@ -315,45 +306,36 @@ def _sampled_witnesses(space, pts, seed, tau):
     return found, n_pairs, n_triples
 
 
-def _finite_witnesses(fd, tau):
+def _finite_witnesses(fd):
     """The matrix lane: the first failing index, index pair i < j and index
-    triple per axiom, in lexicographic order, read from the integer-scaled
-    distance matrix and the 0/1 order matrix. For an integer d * scale,
-    |d| > tau iff |d * scale| > floor(tau * scale), so the slack checks on
-    points and pairs are exact integer comparisons."""
-    scale, S = fd.scaled
-    t = math.floor(Fraction(tau) * scale)
-    L, els = fd.leq, fd.elements
+    triple per axiom, in lexicographic order, read with zero tolerance from
+    the integer-scaled distance matrix and the 0/1 order matrix."""
+    S, L, els = fd.scaled[1], fd.leq, fd.elements
     idx = range(len(S))
     return {
-        "metric_identity": next(((i,) for i in idx if abs(S[i][i]) > t), None),
+        "metric_identity": next(((i,) for i in idx if S[i][i]), None),
         "order_reflexive": next(((i,) for i in idx if not L[i][i]), None),
-        "metric_nonnegative": next(((i, j) for i, j in combinations(idx, 2) if S[i][j] < -t),
+        "metric_nonnegative": next(((i, j) for i, j in combinations(idx, 2) if S[i][j] < 0),
                                    None),
         "metric_symmetry": next(((i, j) for i, j in combinations(idx, 2)
-                                 if abs(S[i][j] - S[j][i]) > t), None),
+                                 if S[i][j] != S[j][i]), None),
         "order_antisymmetric": next(((i, j) for i, j in combinations(idx, 2)
                                      if L[i][j] and L[j][i] and els[i] != els[j]), None),
-        "metric_triangle": _first_triangle_break(fd.dist, S, tau),
+        "metric_triangle": _first_triangle_break(S),
         "order_transitive": _first_transitivity_break(L),
     }
 
 
-def _first_triangle_break(D, S, tau):
-    """First (i, j, k) with d_ik > d_ij + d_jk beyond the relative slack. The
-    plain comparison runs on the integer matrix S, one (i, j) row at a time;
-    the slack is evaluated on the Fractions D only at the k that fail it."""
+def _first_triangle_break(S):
+    """First (i, j, k) with d_ik > d_ij + d_jk, that is S[i][k] - S[j][k] >
+    S[i][j] on the integer matrix S."""
     idx = range(len(S))
     for i in idx:
-        Si, Di = S[i], D[i]
+        Si = S[i]
         for j in idx:
-            sij, Sj = Si[j], S[j]
-            if max(map(sub, Si, Sj)) <= sij:
-                continue
-            for k in compress(idx, map(sij.__lt__, map(sub, Si, Sj))):
-                via_y = Di[j] + D[j][k]
-                if Di[k] > via_y + tau * max(1, via_y):
-                    return i, j, k
+            k = next(compress(idx, map(Si[j].__lt__, map(sub, Si, S[j]))), None)
+            if k is not None:
+                return i, j, k
     return None
 
 
@@ -369,37 +351,40 @@ def _first_transitivity_break(L):
     return None
 
 
-def audit_space(space: SpaceModel, samples: int = 100, seed: int = 0,
-                tau_metric: float = DEFAULT_TAU_METRIC) -> AuditReport:
-    """Check the metric and order axioms on sampled (or, for finite spaces,
-    all) points. Each axiom gets a pass/fail entry with its first
-    counterexample, in lexicographic order of the enumeration or draw order
-    of the stream.
+def audit_space(space: SpaceModel, samples: int = 100, seed: int = 0) -> AuditReport:
+    """Check the metric and order axioms. Each axiom gets a pass/fail entry
+    with its first counterexample, in lexicographic order of the enumeration
+    or draw order of the stream.
 
-    A finite space with at most MAX_AUDIT_TRIPLES triples is checked on its
-    matrices (the matrix lane), with the verdicts, counts and first
-    counterexamples its callables would give. Every other space goes through
-    its distance and leq (the callable lane), where pairs and triples past
-    their caps are drawn from a seeded stream. Either way the counterexample
-    is read back through the space's distance and leq.
+    A finite space, of any size, is checked exhaustively on its matrices (the
+    matrix lane) with zero tolerance; its report is marked exhaustive. Every
+    other space is checked on `samples` sampled points through its distance
+    and leq (the callable lane), where pairs and triples past their caps are
+    drawn from a seeded stream; its metric checks allow the slack FLOAT_SLACK
+    (relative, on the triangle) unless the space is exact. Either way the
+    counterexample is read back through the space's distance and leq.
     """
     if samples < 3:
         raise InputError("audit requires samples >= 3")
-    if not (math.isfinite(tau_metric) and tau_metric >= 0):
-        raise InputError("tau_metric must be finite and nonnegative")
-    pts, exhaustive = _audit_points(space, samples, seed)
-    n = len(pts)
-    if space.finite is not None and n ** 3 <= MAX_AUDIT_TRIPLES:
+    fd = space.finite
+    if fd is not None:
+        pts = fd.elements
+        n = len(pts)
         found = {name: None if w is None else tuple(map(pts.__getitem__, w))
-                 for name, w in _finite_witnesses(space.finite, tau_metric).items()}
+                 for name, w in _finite_witnesses(fd).items()}
         n_pairs, n_triples = n * (n - 1) // 2, n ** 3
     else:
-        found, n_pairs, n_triples = _sampled_witnesses(space, pts, seed, tau_metric)
+        pts = list(space.sampler(samples, seed))
+        if not pts:
+            raise InputError("sampler returned no points to audit")
+        n = len(pts)
+        found, n_pairs, n_triples = _sampled_witnesses(
+            space, pts, seed, 0 if space.exact else FLOAT_SLACK)
 
     checks = {"metric_identity": n, "order_reflexive": n, "metric_nonnegative": n_pairs,
               "metric_symmetry": n_pairs, "order_antisymmetric": n_pairs,
               "metric_triangle": n_triples, "order_transitive": n_triples}
-    report = AuditReport(space_description=space.description, exhaustive=exhaustive)
+    report = AuditReport(space_description=space.description, exhaustive=fd is not None)
     for name, counterexample in _COUNTEREXAMPLES.items():
         w = found[name]
         report.axioms.append(AxiomCheck(
@@ -443,33 +428,65 @@ def real_line(radius: float = 10.0) -> SpaceModel:
     )
 
 
+_REJECTED = (TypeError, ValueError, OverflowError, ZeroDivisionError)
+
+
+def _distance(v):
+    if isinstance(v, bool):
+        raise TypeError("expected a number or 'p/q' string")
+    return Fraction(v)
+
+
 def _zero_one(v):
-    if v not in (0, 1):
-        raise ValueError(f"expected 0 or 1, got {v!r}")
+    if isinstance(v, bool) or v not in (0, 1):
+        raise ValueError("expected 0 or 1")
     return int(v)
 
 
-def _square_matrix(rows, n, entry, name):
-    """rows as an n x n list of entry(v) values; a ragged or non-square
-    matrix, or an entry that entry() rejects (NaN and infinite distances
-    included), raises InputError."""
+def _is_row(v):
+    return hasattr(v, "__len__") and not isinstance(v, (str, dict))
+
+
+def square_matrix(rows, n, entry, name):
+    """rows as an n x n list of lists of entry(v) values. Anything else raises
+    InputError naming the first bad entry in row-major order as name[i][j]:
+    one that entry() rejects, or one missing from or outside the n x n square.
+    Locations are formatted only on failure."""
     try:
-        out = [[entry(v) for v in row] for row in rows]
-    except (TypeError, ValueError, OverflowError, ZeroDivisionError) as exc:
-        raise InputError(f"bad {name} matrix entry: {exc}") from None
-    if len(out) != n or any(len(row) != n for row in out):
-        raise InputError(f"{name} matrix must be {n}x{n} for {n} elements")
-    return out
+        if _is_row(rows) and len(rows) == n and all(_is_row(r) and len(r) == n for r in rows):
+            return [[entry(v) for v in row] for row in rows]
+    except _REJECTED:
+        pass
+    raise InputError(_first_bad_entry(rows, n, entry, name))
+
+
+def _first_bad_entry(rows, n, entry, name):
+    if _is_row(rows):
+        rows = list(rows)
+        for i in range(max(n, len(rows))):
+            row = rows[i] if i < len(rows) else []
+            if not _is_row(row):
+                return f"{name}[{i}]: expected a row of {n} entries, got {type(row).__name__}"
+            for j in range(max(n, len(row))):
+                if i >= n or j >= n:
+                    return f"{name}[{i}][{j}]: outside the {n}x{n} matrix"
+                if j >= len(row):
+                    return f"{name}[{i}][{j}]: missing from the {n}x{n} matrix"
+                try:
+                    entry(row[j])
+                except _REJECTED as exc:
+                    return f"{name}[{i}][{j}]: bad entry {row[j]!r}: {exc}"
+    return f"{name}: expected a matrix of {n} rows, got {type(rows).__name__}"
 
 
 def finite_space(elements, dist_matrix, leq_matrix, description="finite space") -> SpaceModel:
-    """A finite space given by explicit matrices.
-
-    Distances are stored as exact Fractions so checks on finite spaces run
-    with zero tolerance; leq_matrix[i][j] == 1 encodes elements[i] <= elements[j].
-    Both matrices must be n x n, with finite numeric distances (numbers or
-    "p/q" strings) and 0/1 order entries; anything else is an InputError.
-    The metric and order axioms themselves are audit_space's job.
+    """A finite space given by explicit matrices, validated and converted here
+    once. Both are n x n (rows are sized sequences, not strings). Distances
+    are finite numbers or "p/q" strings, stored as exact Fractions so checks
+    on finite spaces run with zero tolerance; leq_matrix[i][j] is 0 or 1, 1
+    encoding elements[i] <= elements[j]. Booleans are rejected in both.
+    Anything else is an InputError naming the first bad entry as
+    distance[i][j] or leq[i][j]. The axioms themselves are audit_space's job.
     """
     elements = tuple(elements)
     n = len(elements)
@@ -478,8 +495,8 @@ def finite_space(elements, dist_matrix, leq_matrix, description="finite space") 
     if len(set(elements)) != n:
         raise InputError("finite space elements must be distinct")
     index = {e: i for i, e in enumerate(elements)}
-    dist = _square_matrix(dist_matrix, n, Fraction, "distance")
-    leq_m = _square_matrix(leq_matrix, n, _zero_one, "leq")
+    dist = square_matrix(dist_matrix, n, _distance, "distance")
+    leq_m = square_matrix(leq_matrix, n, _zero_one, "leq")
 
     def distance(x, y):
         return dist[index[x]][index[y]]

@@ -81,20 +81,21 @@ def probe_comparability(space: SpaceModel, samples: int = 1000, seed: int = 0,
     extremes on lattices); without it only direct comparability of Y and V
     counts.
 
-    Y == V trials are vacuous and excluded from the denominator. Small finite
-    spaces (n**4 <= 500,000) are counted exactly; otherwise the rate is
-    estimated from seeded samples. A space with no distinct pairs reports 0.0.
+    Y == V trials are vacuous and excluded from the denominator. Finite
+    spaces are counted exactly (with bound_search only if n**4 <= 500,000);
+    otherwise the rate is estimated from seeded samples. A space with no
+    distinct pairs reports 0.0.
 
     Without bound_search the exact count is closed-form in the 0/1 matrix L:
     (a, b), (c, d) are comparable iff L[a][c] L[d][b] or L[c][a] L[b][d], so
     2P^2 - E^2 ordered pairs of pair points are (P = sum L[i][j], E = sum
     L[i][j] L[j][i]); dropping the r^2 with Y == V (r = trace L) and halving
-    gives the O(n^4) enumeration's rate in O(n^2), for any 0/1 matrix.
+    gives the O(n^4) enumeration's rate in O(n^2), at any size.
     """
     if samples < 1:
         raise InputError("samples must be positive")
     fd = space.finite
-    if fd is not None and len(fd.elements) ** 4 <= 500_000:
+    if fd is not None and (bound_search is None or len(fd.elements) ** 4 <= 500_000):
         n = len(fd.elements)
         trials = n * n * (n * n - 1) // 2
         if bound_search is None:
@@ -170,10 +171,11 @@ def multi_start_uniqueness(op: CoupledOperator, starts, tol: float = 1e-10,
 def check_diagonal(op: CoupledOperator, endpoint: PairPoint, tol: float = 1e-10) -> DiagonalCheck:
     """Measure how far an (approximate) coupled fixed point sits from the
     diagonal, and the defect of its first coordinate as a plain fixed point:
-    d(F(x, x), x). Requires the endpoint's residual to be within tol.
+    d(F(x, x), x). Requires the endpoint's residual to be within tol; a NaN
+    residual is not.
     """
-    if residual(op, endpoint) > tol:
-        raise InputError("endpoint residual exceeds tol; not an approximate fixed point")
+    if not residual(op, endpoint) <= tol:
+        raise InputError("endpoint residual is not within tol; not an approximate fixed point")
     space = op.space
     gap = space.distance(endpoint.first, endpoint.second)
     x = endpoint.first

@@ -138,13 +138,12 @@ def oracle_band_first_violation(doc, eps, delta, symmetric):
     return hits, None
 
 
-def oracle_audit(doc, tau=1e-12):
+def oracle_audit(doc):
     """The audit_space report of a finite space, as JSON: every point, every
     pair i < j and every triple, in index order, with the first
-    counterexample of each axiom. The metric checks allow the slack tau, the
-    triangle check tau * max(1, d_xy + d_yz) (float arithmetic, as the audit
-    defines it). A point that is not below itself has no order relation with
-    itself, so its leq_xx is "INCOMPARABLE"."""
+    counterexample of each axiom, checked with zero tolerance. A point that
+    is not below itself has no order relation with itself, so its leq_xx is
+    "INCOMPARABLE"."""
     els = doc["elements"]
     n = len(els)
     dist = [[Fraction(v) for v in row] for row in doc["distance"]]
@@ -158,27 +157,23 @@ def oracle_audit(doc, tau=1e-12):
         return None if w is None else {k: str(v) if isinstance(v, Fraction) else v
                                        for k, v in w.items()}
 
-    def triangle_breaks(i, j, k):
-        via = dist[i][j] + dist[j][k]
-        return dist[i][k] > via and dist[i][k] > via + tau * max(1, via)
-
     found = [
         ("metric_identity", n, first(
-            {"x": els[i], "d_xx": dist[i][i]} for i in points if abs(dist[i][i]) > tau)),
+            {"x": els[i], "d_xx": dist[i][i]} for i in points if dist[i][i] != 0)),
         ("order_reflexive", n, first(
             {"x": els[i], "leq_xx": "INCOMPARABLE"} for i in points if not leq[i][i])),
         ("metric_nonnegative", len(pairs), first(
             {"x": els[i], "y": els[j], "d_xy": dist[i][j]}
-            for i, j in pairs if dist[i][j] < -tau)),
+            for i, j in pairs if dist[i][j] < 0)),
         ("metric_symmetry", len(pairs), first(
             {"x": els[i], "y": els[j], "d_xy": dist[i][j], "d_yx": dist[j][i]}
-            for i, j in pairs if abs(dist[i][j] - dist[j][i]) > tau)),
+            for i, j in pairs if dist[i][j] != dist[j][i])),
         ("order_antisymmetric", len(pairs), first(
             {"x": els[i], "y": els[j]} for i, j in pairs if leq[i][j] and leq[j][i])),
         ("metric_triangle", len(triples), first(
             {"x": els[i], "y": els[j], "z": els[k],
              "d_xz": dist[i][k], "d_xy": dist[i][j], "d_yz": dist[j][k]}
-            for i, j, k in triples if triangle_breaks(i, j, k))),
+            for i, j, k in triples if dist[i][k] > dist[i][j] + dist[j][k])),
         ("order_transitive", len(triples), first(
             {"x": els[i], "y": els[j], "z": els[k]}
             for i, j, k in triples if leq[i][j] and leq[j][k] and not leq[i][k])),

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import random
 from itertools import islice
@@ -189,27 +190,53 @@ def test_domain_mismatch_raises():
         cf.d2(PairPoint("lo", "nope"), PairPoint("lo", "lo"), space)
 
 
-@pytest.mark.parametrize("dist, leq", [
-    ([[0, 1], [1]], [[1, 0], [0, 1]]),
-    ([[0, 1], [1, 0]], [[1, 0], [0]]),
-    ([[0, 1, 2], [1, 0, 3]], [[1, 0], [0, 1]]),
-    ([[0, 1], [1, 0], [2, 2]], [[1, 0], [0, 1]]),
-    ([[0, 1], [1, 0]], [[1, 0, 0], [0, 1, 0]]),
-    ([[0, math.nan], [math.nan, 0]], [[1, 0], [0, 1]]),
-    ([[0, math.inf], [math.inf, 0]], [[1, 0], [0, 1]]),
-    ([[0, "one"], [1, 0]], [[1, 0], [0, 1]]),
-    ([[0, 1], [1, 0]], [[1, 2], [0, 1]]),
-], ids=["ragged_distance", "ragged_leq", "distance_2x3", "distance_3x2", "leq_2x3",
-        "nan_distance", "inf_distance", "non_numeric_distance", "leq_not_zero_one"])
-def test_finite_space_rejects_malformed_matrices(dist, leq):
-    with pytest.raises(cf.InputError):
+# malformed distance/leq matrices, with the first bad entry their error names
+MALFORMED = {
+    "ragged_distance": ([[0, 1], [1]], [[1, 0], [0, 1]], "distance[1][1]"),
+    "ragged_leq": ([[0, 1], [1, 0]], [[1, 0], [0]], "leq[1][1]"),
+    "distance_2x3": ([[0, 1, 2], [1, 0, 3]], [[1, 0], [0, 1]], "distance[0][2]"),
+    "distance_3x2": ([[0, 1], [1, 0], [2, 2]], [[1, 0], [0, 1]], "distance[2][0]"),
+    "leq_2x3": ([[0, 1], [1, 0]], [[1, 0, 0], [0, 1, 0]], "leq[0][2]"),
+    "nan_distance": ([[0, math.nan], [math.nan, 0]], [[1, 0], [0, 1]], "distance[0][1]"),
+    "inf_distance": ([[0, math.inf], [math.inf, 0]], [[1, 0], [0, 1]], "distance[0][1]"),
+    "non_numeric_distance": ([[0, "one"], [1, 0]], [[1, 0], [0, 1]], "distance[0][1]"),
+    "leq_not_zero_one": ([[0, 1], [1, 0]], [[1, 2], [0, 1]], "leq[0][1]"),
+    "bool_distance": ([[0, 1], [True, 0]], [[1, 0], [0, 1]], "distance[1][0]"),
+    "bool_leq": ([[0, 1], [1, 0]], [[1, 0], [0, True]], "leq[1][1]"),
+}
+
+
+@pytest.mark.parametrize("dist, leq, location", MALFORMED.values(), ids=MALFORMED.keys())
+def test_finite_space_rejects_malformed_matrices(dist, leq, location):
+    with pytest.raises(cf.InputError) as exc:
         cf.finite_space(["a", "b"], dist, leq)
+    assert str(exc.value).startswith(location + ":")
 
 
-@pytest.mark.parametrize("tau", [math.nan, math.inf, -1e-12])
-def test_audit_rejects_bad_tau(tau):
-    with pytest.raises(cf.InputError):
-        cf.audit_space(cf.real_line(), samples=10, seed=0, tau_metric=tau)
+@pytest.mark.parametrize("dist, leq, location", MALFORMED.values(), ids=MALFORMED.keys())
+def test_load_finite_rejects_malformed_matrices(tmp_path, dist, leq, location):
+    doc = {"schema_version": 1, "elements": ["a", "b"], "distance": dist, "leq": leq,
+           "F": [[0, 0], [0, 0]]}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(cf.SchemaError) as exc:
+        cf.load_finite(str(path))
+    assert str(exc.value).startswith(f"{path}: {location}:")
+
+
+@pytest.mark.parametrize("ftab, location", [
+    ([[0, 0], [0]], "F[1][1]"),
+    ([[0, True], [0, 0]], "F[0][1]"),
+    ([[0, 0], [0, 1.0]], "F[1][1]"),
+])
+def test_load_finite_rejects_malformed_f_table(tmp_path, ftab, location):
+    doc = {"schema_version": 1, "elements": ["a", "b"], "distance": [[0, 1], [1, 0]],
+           "leq": [[1, 0], [0, 1]], "F": ftab}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(cf.SchemaError) as exc:
+        cf.load_finite(str(path))
+    assert str(exc.value).startswith(f"{path}: {location}:")
 
 
 def _doc(dist, leq):
@@ -246,7 +273,7 @@ def finite_docs(draw):
 @example(doc=_doc([[0, 1], [2, 0]], [[1, 0], [0, 1]]))  # asymmetric
 @example(doc=_doc([[0, -1], [-1, 0]], [[1, 0], [0, 1]]))  # negative
 @example(doc=_doc([[0, 1, 3], [1, 0, 1], [3, 1, 0]], _CHAIN3))  # triangle break
-# d_xz = 2 + 1e-13 is within the triangle's relative slack, 2 + 3e-12 is not
+# d_xz = 2 + 1e-13 and 2 + 3e-12 both break the triangle: exact spaces get no slack
 @example(doc=_doc([[0, 1, "20000000000001/10000000000000"], [1, 0, 1],
                    ["20000000000001/10000000000000", 1, 0]], _CHAIN3))
 @example(doc=_doc([[0, 1, "2000000000003/1000000000000"], [1, 0, 1],
@@ -296,16 +323,32 @@ def test_scaled_matrix_is_exact_and_shared_with_the_pair_index():
     assert pairs.up == [(i, j, scaled[i][j]) for i in range(4) for j in range(4) if fd.leq[i][j]]
 
 
-def test_large_finite_space_goes_through_the_callables():
-    # 59 points: 59**3 > 200,000, so the triples come from the seeded stream,
-    # and the whole audit reads the space's distance and leq
+@pytest.mark.parametrize("space, failed", [
+    (cf.finite_space("ab", [[1e-13, 1], [1, 0]], [[1, 0], [0, 1]]), ["metric_identity"]),
+    (cf.finite_space("abc", [[0, 1, 2 + 1e-13], [1, 0, 1], [2 + 1e-13, 1, 0]],
+                     [[1, 0, 0], [0, 1, 0], [0, 0, 1]]), ["metric_triangle"]),
+], ids=["identity_1e-13", "triangle_2+1e-13"])
+def test_finite_audit_has_zero_tolerance(space, failed):
+    # both lanes: the matrices, and the callables of the same exact space
+    assert cf.audit_space(space).failed_axioms() == failed
+    callables = dataclasses.replace(
+        space, finite=None, sampler=lambda count, seed: list(space.finite.elements))
+    assert cf.audit_space(callables).failed_axioms() == failed
+
+
+@pytest.mark.parametrize("corner", [58, 1000])
+def test_large_finite_space_is_audited_exhaustively(corner):
+    # 59 points: 59**3 > 200,000 triples, all of them checked on the matrices;
+    # a path metric, with the corner distance d(0, 58) set to corner
     n = 59
     dist = [[abs(i - j) for j in range(n)] for i in range(n)]
-    dist[0][n - 1] = dist[n - 1][0] = 1000
-    space = cf.finite_space(range(n), dist, [[int(i <= j) for j in range(n)] for i in range(n)])
+    dist[0][n - 1] = dist[n - 1][0] = corner
+    doc = _doc(dist, [[int(i <= j) for j in range(n)] for i in range(n)])
+    space = cf.finite_space(doc["elements"], doc["distance"], doc["leq"], doc["description"])
     report = cf.audit_space(space, samples=10, seed=0)
     checks = {a.name: a.checks for a in report.axioms}
     assert report.exhaustive
     assert checks["metric_symmetry"] == n * (n - 1) // 2
-    assert checks["metric_triangle"] == checks["order_transitive"] == 200_000
-    assert report.failed_axioms() == ["metric_triangle"]
+    assert checks["metric_triangle"] == checks["order_transitive"] == n ** 3
+    assert report.failed_axioms() == ([] if corner == n - 1 else ["metric_triangle"])
+    assert report.to_jsonable() == oracle.oracle_audit(doc)

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -74,6 +76,16 @@ def test_probe_matches_enumeration_on_any_zero_one_matrix(leq):
     assert cf.probe_comparability(space, samples=10, seed=0) == enumerated_rate(leq)
 
 
+def test_probe_counts_large_finite_spaces_exactly():
+    # 27 elements: 27**4 > 500,000, past the bound_search enumeration's gate,
+    # but the closed form needs no enumeration
+    n = 27
+    leq = [[int(i <= j) for j in range(n)] for i in range(n)]
+    space = cf.finite_space([f"e{i}" for i in range(n)], [[abs(i - j) for j in range(n)]
+                                                           for i in range(n)], leq)
+    assert cf.probe_comparability(space, samples=100, seed=0) == enumerated_rate(leq)
+
+
 def test_multi_start_flagship_endpoints_coincide(samet):
     starts = [PairPoint(-3.0, 3.0), PairPoint(-1.0, 1.0), PairPoint(-5.0, 4.0)]
     for z in starts:
@@ -142,6 +154,14 @@ def test_check_diagonal_comparable_start_instance():
 def test_check_diagonal_rejects_bad_endpoint(samet):
     with pytest.raises(cf.InputError):
         cf.check_diagonal(samet.operator, PairPoint(5.0, 5.0), tol=1e-10)
+
+
+@pytest.mark.parametrize("endpoint", [PairPoint(math.nan, math.nan),
+                                      PairPoint(0.0, math.nan)])
+def test_check_diagonal_rejects_nan_endpoint(samet, endpoint):
+    # a NaN residual is not within tol
+    with pytest.raises(cf.InputError):
+        cf.check_diagonal(samet.operator, endpoint, tol=1e-10)
 
 
 def test_diagonal_gap_zero_for_diagonal_map():
