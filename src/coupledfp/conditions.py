@@ -19,20 +19,23 @@ degenerate phase (x == u, then y == v) always runs before the random phase.
 
 Evaluation lanes are sources of comparable quadruples: vectorized operators
 on the real line go through the numpy sweep kernels, a chunk of draws at a
-time; finite tabulated spaces enumerate every quadruple in exact rational
-arithmetic with zero tolerance; other spaces draw them by rejection sampling
-or, for bands, construct them through the space's interpolate hook. On a
-finite space the bands read the space's pair index (spaces.PairIndex), whose
-distances are integers scaled by the matrix's common denominator: the
-in-band quadruples of each comparable (x, u) pair are one bisected slice of
-the distance-sorted (y, v) pairs, visited in enumeration order, so witnesses
-and hit counts equal a full enumeration's. Each
-condition has one predicate, defined in ``operators`` (_banach_holds,
-_banded_conclusion against the slackened eps, _strict_holds), that every lane
-and reverify_witness apply to those quadruples, as scalars or as arrays. The
-floating-point slack of 1e-12 relative to max(1, bound) (_with_slack) keeps
-rounding from minting a false witness, and the comparisons are written so
-that a NaN never passes.
+time; finite tabulated spaces enumerate every quadruple with zero tolerance;
+other spaces draw them by rejection sampling or, for bands, construct them
+through the space's interpolate hook. Each condition has one predicate,
+defined in ``operators`` (_banach_holds, _banded_conclusion against the
+slackened eps, _strict_holds), that the sampled lanes and reverify_witness
+apply to those quadruples, as scalars or as arrays. The floating-point slack
+of 1e-12 relative to max(1, bound) (_with_slack) keeps rounding from minting
+a false witness, and the comparisons are written so that a NaN never passes.
+
+The finite lane compares integers instead (_FiniteTables): F as an index
+table, the distances scaled by the matrix's common denominator
+(spaces.FiniteData.scaled), so every sum and comparison is exact without a
+Fraction, and the space's pair index (spaces.PairIndex), in which the in-band
+quadruples of each comparable (x, u) pair are one bisected slice of the
+distance-sorted (y, v) pairs, visited in enumeration order, so witnesses and
+hit counts equal a full enumeration's. The first violation alone is measured
+again through the shared predicate, in exact Fractions.
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ import math
 import random
 from bisect import bisect_left
 from fractions import Fraction
+from operator import add, getitem, gt, le
 
 from . import kernels
 from .errors import InputError
@@ -50,6 +54,7 @@ from .operators import (
     evaluation_lane,
     _banach_holds,
     _banded_conclusion,
+    _finite_table,
     _half_k,
     _monotone_violation,
     _oriented,
@@ -107,39 +112,102 @@ def _phase_plan(samples):
 
 
 # ---------------------------------------------------------------------------
-# quadruple sources
+# the exhaustive finite lane
 # ---------------------------------------------------------------------------
 
-def _finite_quadruples(space):
-    """Every comparable quadruple of a finite space, in (x, u, y, v) index
-    order, as (count, iterator of (t, x, y, u, v, d(x,u), d(y,v))) with the
-    distances taken from the exact matrix."""
-    fd = space.finite
-    els, dist, pairs = fd.elements, fd.dist, fd.pairs()
-    down = [(els[i], els[j], dist[i][j]) for i, j, _ in pairs.down]  # u <= x
-    up = [(els[i], els[j], dist[i][j]) for i, j, _ in pairs.up]  # y <= v
-    quadruples = enumerate(itertools.product(down, up))
-    return len(down) * len(up), ((t, x, y, u, v, dxu, dyv)
-                                 for t, ((x, u, dxu), (y, v, dyv)) in quadruples)
+class _FiniteTables:
+    """The integer view of a finite problem, built once per check: F as an
+    index table (operators._finite_table: n**2 op.apply calls) and its
+    transpose FT, the scaled distance matrix S = FiniteData.scaled[1] and the
+    space's pair index.
 
+    A comparable quadruple is a down pair (x, u), u <= x, with an up pair
+    (y, v), y <= v; the enumeration order is down pairs, then up pairs, each
+    row-major. Its scaled distance sum is S[x][u] + S[y][v], and its scaled
+    conclusion S[F[x][y]][F[u][v]], plus S[F[y][x]][F[v][u]] when symmetric.
+    The up pairs are read in distance order, so the ones completing a down
+    pair to a sum in a band are one slice. The checks compare these integers;
+    only a witness is measured again in Fractions, through the shared
+    predicates of ``operators``."""
 
-def _finite_band_quadruples(space, eps, delta):
-    """The quadruples of _finite_quadruples whose half-sum lies in
-    [eps, eps + delta), in the same order and shape. In integers the band is
-    lo <= d(x,u) + d(y,v) < hi, so each down pair's in-band up pairs are one
-    bisected slice of the distance-sorted up pairs, read back in up order."""
-    fd = space.finite
-    els, dist, pairs = fd.elements, fd.dist, fd.pairs()
-    lo = math.ceil(2 * eps * pairs.scale)
-    hi = math.inf if delta == math.inf else math.ceil(2 * (eps + delta) * pairs.scale)
-    up, dists, n_up = pairs.up, pairs.up_dists, len(pairs.up)
-    for k, (i, j, d) in enumerate(pairs.down):
-        start = bisect_left(dists, lo - d)
-        band = sorted(pairs.up_by_dist[start:bisect_left(dists, hi - d, start)])
-        x, u, dxu = els[i], els[j], dist[i][j]
-        for p in band:
-            iy, iv, _ = up[p]
-            yield k * n_up + p, x, els[iy], u, els[iv], dxu, dist[iy][iv]
+    def __init__(self, op):
+        fd = op.space.finite
+        S, F = fd.scaled[1], _finite_table(op)
+        self.elements, self.dist, self.pairs = fd.elements, fd.dist, fd.pairs()
+        self.F, self.FT = F, [list(col) for col in zip(*F)]  # FT[x][y] = F[y][x]
+        # rows of S at the images: SF[x][y] = S[F[x][y]], SFT[x][y] = S[F[y][x]]
+        self.SF = [list(map(S.__getitem__, row)) for row in F]
+        self.SFT = [list(map(S.__getitem__, row)) for row in self.FT]
+        up = self.pairs.up
+        self.ys = [up[q][0] for q in self.pairs.up_by_dist]
+        self.vs = [up[q][1] for q in self.pairs.up_by_dist]
+
+    def conclusions(self, i, j, start, end, symmetric):
+        """The scaled conclusions of the down pair (i, j) with the up pairs
+        start to end in distance order."""
+        ys, vs = self.ys[start:end], self.vs[start:end]
+        c = map(getitem, map(self.SF[i].__getitem__, ys), map(self.F[j].__getitem__, vs))
+        if symmetric:
+            c = map(add, c, map(getitem, map(self.SFT[i].__getitem__, ys),
+                                map(self.FT[j].__getitem__, vs)))
+        return c
+
+    def first_violation(self, lo, hi, symmetric, violations):
+        """Walk the quadruples whose scaled distance sum lies in [lo, hi), in
+        enumeration order, to the first violation; violations(conclusions,
+        sums) turns conclusions and sums into violation flags. Returns
+        (quadruples walked, the violation included; the violation's
+        (x, y, u, v) indices, or None)."""
+        dists, by_dist = self.pairs.up_dists, self.pairs.up_by_dist
+        walked = 0
+        for i, j, d in self.pairs.down:
+            start = bisect_left(dists, lo - d)
+            end = bisect_left(dists, hi - d, start)
+            if start == end:
+                continue
+
+            def flags():
+                sums = map(d.__add__, dists[start:end])
+                return violations(self.conclusions(i, j, start, end, symmetric), sums)
+
+            if not any(flags()):
+                walked += end - start
+                continue
+            # the first violation in enumeration order is the one at the
+            # lowest up position; the walk counts the band's up pairs up to it
+            band = by_dist[start:end]
+            p = min(itertools.compress(band, flags()))
+            iy, iv, _ = self.pairs.up[p]
+            return walked + sum(map(p.__ge__, band)), (i, iy, j, iv)
+        return walked, None
+
+    def quadruple(self, q):
+        """The elements (x, y, u, v) of the indices q, then d(x,u) and d(y,v)
+        as exact Fractions."""
+        ix, iy, iu, iv = q
+        els, dist = self.elements, self.dist
+        return els[ix], els[iy], els[iu], els[iv], dist[ix][iu], dist[iy][iv]
+
+    def curve_point(self, eps, cap):
+        """Exact curve entry: the smallest violating half-sum >= eps, less eps,
+        at most cap. Each down pair walks its up pairs in distance order from
+        the sum of eps and stops below the smallest violating sum found so
+        far, which starts at the cap's."""
+        pairs = self.pairs
+        eps, cap = Fraction(eps), Fraction(cap)
+        lo = math.ceil(2 * eps * pairs.scale)  # also the symmetric conclusion's bound
+        best = math.ceil(2 * (eps + cap) * pairs.scale)
+        dists = pairs.up_dists
+        for i, j, d in pairs.down:
+            start = bisect_left(dists, lo - d)
+            end = bisect_left(dists, best - d, start)
+            if start == end:
+                continue
+            flags = map(lo.__le__, self.conclusions(i, j, start, end, True))
+            m = next(itertools.compress(itertools.count(), flags), None)
+            if m is not None:
+                best = d + dists[start + m]
+        return float(min(Fraction(best, 2 * pairs.scale) - eps, cap))
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +215,8 @@ def _finite_band_quadruples(space, eps, delta):
 # ---------------------------------------------------------------------------
 
 def check_banach_k(op: CoupledOperator, k, samples: int = 10000, seed: int = 0) -> ConditionReport:
-    """Test the constant-k contraction on sampled comparable quadruples."""
+    """Test the constant-k contraction on sampled comparable quadruples, or
+    on every one of a finite space."""
     if not 0 <= k < 1:
         raise InputError("k must lie in [0, 1)")
     if samples < 1:
@@ -162,12 +231,10 @@ def check_banach_k(op: CoupledOperator, k, samples: int = 10000, seed: int = 0) 
                        checked if found else samples, checked, params={"k": float(k)},
                        inconclusive=_too_few(checked, samples, "comparable quadruples"))
 
+    if lane == "finite":
+        return _finite_banach(op, k)
     space = op.space
-    exhaustive = lane == "finite"
-    if exhaustive:
-        draws, quadruples = _finite_quadruples(space)
-    else:
-        draws, quadruples = _sampled_quadruples(space, samples, seed ^ 0xB44A)
+    draws, quadruples = _sampled_quadruples(space, samples, seed ^ 0xB44A)
     half_k = _half_k(space, k)
     used = draws
     checked = 0
@@ -176,16 +243,30 @@ def check_banach_k(op: CoupledOperator, k, samples: int = 10000, seed: int = 0) 
         checked += 1
         lhs, rhs, holds = _banach_holds(op, half_k, x, y, u, v, dxu, dyv)
         if not holds:
-            witness = Witness(x=x, y=y, u=u, v=v, kind="exhaustive" if exhaustive else "random",
-                              measured={"lhs": lhs, "rhs": rhs,
-                                        "k": Fraction(k) if exhaustive else k})
+            witness = Witness(x=x, y=y, u=u, v=v, kind="random",
+                              measured={"lhs": lhs, "rhs": rhs, "k": k})
             used = t + 1
             break
-    if exhaustive:
-        return _report("banach_k", "exhaustive", witness, used, checked, params={"k": k},
-                       holds_note="exhaustive over all ordered quadruples")
     return _report("banach_k", "rejection-sampling", witness, used, checked, params={"k": k},
                    inconclusive=_too_few(checked, draws, "comparable quadruples"))
+
+
+def _finite_banach(op, k):
+    """Every comparable quadruple: the conclusion d(F(x,y), F(u,v)) exceeds
+    (k/2)(d(x,u) + d(y,v)) iff 2 k.den S1 > k.num s on the scaled integers."""
+    k_exact = Fraction(k)
+    a, b = 2 * k_exact.denominator, k_exact.numerator
+    tables = _FiniteTables(op)
+    checked, q = tables.first_violation(
+        -math.inf, math.inf, False, lambda c, s: map(gt, map(a.__mul__, c), map(b.__mul__, s)))
+    witness = None
+    if q is not None:
+        x, y, u, v, dxu, dyv = tables.quadruple(q)
+        lhs, rhs, _ = _banach_holds(op, _half_k(op.space, k), x, y, u, v, dxu, dyv)
+        witness = Witness(x=x, y=y, u=u, v=v, kind="exhaustive",
+                          measured={"lhs": lhs, "rhs": rhs, "k": k_exact})
+    return _report("banach_k", "exhaustive", witness, checked, checked, params={"k": k},
+                   holds_note="exhaustive over all ordered quadruples")
 
 
 # ---------------------------------------------------------------------------
@@ -216,6 +297,7 @@ def _check_banded(op, eps_grid, delta_candidates, samples, seed, symmetric) -> C
     cid = "symmetric_mk" if symmetric else "samet_mk"
     base = _BASE_SYMMETRIC if symmetric else _BASE_SAMET
     lane = evaluation_lane(op)
+    tables = _FiniteTables(op) if lane == "finite" else None
     eps_delta = []
     band_hits = []
     samples_used = 0
@@ -227,8 +309,12 @@ def _check_banded(op, eps_grid, delta_candidates, samples, seed, symmetric) -> C
         if not delta > 0:
             raise InputError(f"delta candidate for eps={eps} must be positive, got {delta!r}")
         eps_delta.append((eps, delta))
-        hits, witness, used = _band_check(op, lane, eps, delta, samples, seed,
-                                          base, e_idx, symmetric)
+        if tables is not None:
+            hits, witness = _finite_band(op, tables, eps, delta, symmetric)
+            used = hits
+        else:
+            hits, witness, used = _band_check(op, lane, eps, delta, samples, seed,
+                                              base, e_idx, symmetric)
         samples_used += used
         band_hits.append((eps, hits))
         hits_total += hits
@@ -258,17 +344,32 @@ def _scan_band(op, quadruples, eps, delta, symmetric, kind):
     return hits, None
 
 
+def _finite_band(op, tables, eps, delta, symmetric):
+    """The exhaustive banded check at (eps, delta): (in-band quadruples up to
+    the first violation, witness or None). In scaled integers the band is
+    ceil(2 eps scale) <= s < ceil(2 (eps + delta) scale), and the conclusion
+    violates from ceil(eps scale) on, or from ceil(2 eps scale) when
+    symmetric."""
+    # an infinite delta stays a float, so the band is [eps, inf)
+    eps, delta = Fraction(eps), Fraction(delta) if delta < math.inf else delta
+    scale = tables.pairs.scale
+    lo = math.ceil(2 * eps * scale)
+    hi = math.inf if delta == math.inf else math.ceil(2 * (eps + delta) * scale)
+    bound = lo if symmetric else math.ceil(eps * scale)
+    hits, q = tables.first_violation(lo, hi, symmetric, lambda c, s: map(bound.__le__, c))
+    if q is None:
+        return hits, None
+    x, y, u, v, dxu, dyv = tables.quadruple(q)
+    return hits, Witness(x=x, y=y, u=u, v=v, kind="exhaustive",
+                         measured={"eps": eps, "delta": delta, "half_sum": (dxu + dyv) / 2,
+                                   "lhs": _banded_conclusion(op, x, y, u, v, symmetric)})
+
+
 def _band_check(op, lane, eps, delta, samples, seed, base, e_idx, symmetric, probe=0):
-    """One banded check at (eps, delta): (in-band hits, witness or None, draws).
-    Exhaustive on a finite space; otherwise per phase the kernel sweep or the
-    construction through the interpolate hook, or plain rejection without it."""
+    """One sampled banded check at (eps, delta): (in-band hits, witness or
+    None, draws). Per phase the kernel sweep or the construction through the
+    interpolate hook, or plain rejection without it."""
     space = op.space
-    if lane == "finite":
-        # an infinite delta stays a float, so the band is [eps, inf)
-        eps, delta = Fraction(eps), Fraction(delta) if delta < math.inf else delta
-        hits, witness = _scan_band(op, _finite_band_quadruples(space, eps, delta),
-                                   eps, delta, symmetric, "exhaustive")
-        return hits, witness, hits
     if lane == "generic" and space.interpolate is None:
         rng_seed = kernels.stream_seed(seed, _tag(base, e_idx, 0, probe))
         used, quadruples = _sampled_quadruples(space, samples, rng_seed & 0x7FFFFFFF)
@@ -366,12 +467,9 @@ def check_strict_contraction(op: CoupledOperator, samples: int = 10000, seed: in
                        checked if found else samples, checked,
                        inconclusive=_too_few(checked, samples, "strictly comparable pairs"))
 
-    space = op.space
-    exhaustive = lane == "finite"
-    if exhaustive:
-        draws, quadruples = _finite_quadruples(space)
-    else:
-        draws, quadruples = _sampled_quadruples(space, samples, seed ^ 0x57C1)
+    if lane == "finite":
+        return _finite_strict(op)
+    draws, quadruples = _sampled_quadruples(op.space, samples, seed ^ 0x57C1)
     used = draws
     checked = 0
     witness = None
@@ -382,16 +480,29 @@ def check_strict_contraction(op: CoupledOperator, samples: int = 10000, seed: in
         checked += 1
         after, holds = _strict_holds(op, x, y, u, v, before)
         if not holds:
-            witness = Witness(x=x, y=y, u=u, v=v, kind="exhaustive" if exhaustive else "random",
+            witness = Witness(x=x, y=y, u=u, v=v, kind="random",
                               measured={"d2_before": before, "d2_after": after})
             used = t + 1
             break
-    if exhaustive:
-        return _report("strict_contraction", "exhaustive", witness, checked, checked,
-                       inconclusive="" if checked else "no strictly comparable distinct pairs exist",
-                       holds_note="exhaustive over all strictly comparable pairs")
     return _report("strict_contraction", "rejection-sampling", witness, used, checked,
                    inconclusive=_too_few(checked, draws, "strictly comparable pairs"))
+
+
+def _finite_strict(op):
+    """Every comparable quadruple with a positive scaled sum s: the symmetric
+    conclusion must stay below s."""
+    tables = _FiniteTables(op)
+    checked, q = tables.first_violation(1, math.inf, True, lambda c, s: map(le, s, c))
+    witness = None
+    if q is not None:
+        x, y, u, v, dxu, dyv = tables.quadruple(q)
+        before = (dxu + dyv) / 2
+        after, _ = _strict_holds(op, x, y, u, v, before)
+        witness = Witness(x=x, y=y, u=u, v=v, kind="exhaustive",
+                          measured={"d2_before": before, "d2_after": after})
+    return _report("strict_contraction", "exhaustive", witness, checked, checked,
+                   inconclusive="" if checked else "no strictly comparable distinct pairs exist",
+                   holds_note="exhaustive over all strictly comparable pairs")
 
 
 # ---------------------------------------------------------------------------
@@ -413,11 +524,12 @@ def estimate_delta_curve(op: CoupledOperator, eps_grid, samples: int = 2000, see
     if samples < 1:
         raise InputError("samples must be positive")
     lane = evaluation_lane(op)
+    tables = _FiniteTables(op) if lane == "finite" else None
     out = []
     for e_idx, eps in enumerate(grid):
         cap = DELTA_CAP_FACTOR * eps
-        if lane == "finite":
-            out.append((float(eps), _finite_curve_point(op, eps, cap)))
+        if tables is not None:
+            out.append((float(eps), tables.curve_point(eps, cap)))
             continue
 
         def violation(delta, probe):
@@ -434,28 +546,6 @@ def estimate_delta_curve(op: CoupledOperator, eps_grid, samples: int = 2000, see
             probe += 1
         out.append((float(eps), delta))
     return out
-
-
-def _finite_curve_point(op, eps, cap):
-    """Exact curve entry: the smallest violating half-sum >= eps, less eps,
-    at most cap. Keys are half-sums in integers, d(x,u) + d(y,v) scaled; each
-    down pair walks its up pairs upward from the key of eps and stops below
-    the smallest violating key found so far, which starts at the cap's key."""
-    fd = op.space.finite
-    els, pairs = fd.elements, fd.pairs()
-    eps_f, cap_f = Fraction(eps), Fraction(cap)
-    thresh = _with_slack(op.space, eps_f)
-    lo = math.ceil(2 * eps_f * pairs.scale)
-    best = math.ceil(2 * (eps_f + cap_f) * pairs.scale)
-    up, dists = pairs.up, pairs.up_dists
-    for i, j, d in pairs.down:
-        x, u = els[i], els[j]
-        for p in range(bisect_left(dists, lo - d), bisect_left(dists, best - d)):
-            iy, iv, _ = up[pairs.up_by_dist[p]]
-            if not _banded_conclusion(op, x, els[iy], u, els[iv], True) < thresh:
-                best = d + dists[p]
-                break
-    return float(min(Fraction(best, 2 * pairs.scale) - eps_f, cap_f))
 
 
 # ---------------------------------------------------------------------------

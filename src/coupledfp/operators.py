@@ -9,7 +9,9 @@ Each condition's predicate is written once, here, for the checkers in
 _banded_conclusion and _strict_holds, with the rounding slack _with_slack,
 work on floats, exact Fractions and numpy arrays without importing numpy.
 They return the *holds* comparison (False on NaN), which scalar callers negate
-with ``not`` and the sweeps with ``~``.
+with ``not`` and the sweeps with ``~``. The exhaustive finite lane compares
+the same quantities as integers on index tables and evaluates only its
+witness through these predicates, in Fractions.
 """
 
 from __future__ import annotations
@@ -17,9 +19,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
+from operator import getitem
 from typing import Any, Callable, Optional
 
-from .errors import InputError
+from .errors import DomainMismatchError, InputError
 from .reports import ConditionReport, Witness, _report
 from .spaces import FLOAT_SLACK, PairPoint, SpaceModel, d2
 
@@ -50,7 +54,7 @@ def evaluation_lane(op: CoupledOperator) -> str:
     """How the checkers should evaluate this operator.
 
     "kernel"  -> numpy sweep kernels (a vectorized operator on the real line)
-    "finite"  -> exhaustive enumeration with exact rationals
+    "finite"  -> exhaustive enumeration on the space's integer tables
     "generic" -> sampled evaluation through the Python callables
     """
     if op.vectorized and op.space.kind == "real_line":
@@ -210,19 +214,52 @@ def check_mixed_monotone(op: CoupledOperator, samples: int = 10000, seed: int = 
                    inconclusive=_too_few(used, trials, "comparable argument pairs"))
 
 
+def _finite_table(op: CoupledOperator) -> list:
+    """F on a finite space as an n x n table of element indices, from n**2
+    op.apply calls: table[i][j] is the index of F(elements[i], elements[j]).
+    An image outside the space raises DomainMismatchError naming its (x, y)."""
+    space = op.space
+    els, index = space.finite.elements, space.finite.index
+    images = [list(map(op.apply, repeat(x), els)) for x in els]
+    try:
+        return [list(map(index.__getitem__, row)) for row in images]
+    except (KeyError, TypeError):  # not an element, or not even hashable
+        pass
+    for x, row in zip(els, images):
+        for y, z in zip(els, row):
+            try:
+                index[z]
+            except (KeyError, TypeError):
+                raise DomainMismatchError(f"F({x!r}, {y!r}) = {z!r} is not an element of "
+                                          f"{space.description or 'the space'}") from None
+
+
 def _mixed_monotone_finite(op: CoupledOperator) -> ConditionReport:
+    """Both clauses for every comparable pair lo <= hi and every w, in (lo, hi)
+    row-major order, on the index table of F and the 0/1 order matrix L:
+    L[F[lo][w]][F[hi][w]] and L[F[w][hi]][F[w][lo]]. Only the first violation
+    goes through _monotone_violation, for its witness."""
     fd = op.space.finite
-    els, leq = fd.elements, fd.leq
+    els, L = fd.elements, fd.leq
+    F = _finite_table(op)
+    FT = [list(col) for col in zip(*F)]  # FT[i][w] = F[w][i]
+    # up-set rows of the images: up_F[i][w] = L[F[i][w]], up_FT[i][w] = L[F[w][i]]
+    up_F = [list(map(L.__getitem__, row)) for row in F]
+    up_FT = [list(map(L.__getitem__, row)) for row in FT]
     idx = range(len(els))
     checked = 0
     witness = None
-    for lo, hi, w in ((els[i], els[j], w) for i in idx for j in idx if leq[i][j] for w in els):
-        checked += 1
+    for i, j in ((i, j) for i in idx for j in idx if L[i][j]):
+        if all(map(getitem, up_F[i], F[j])) and all(map(getitem, up_FT[j], FT[i])):
+            checked += len(idx)
+            continue
+        w = next(w for w in idx if not (up_F[i][w][F[j][w]] and up_FT[j][w][FT[i][w]]))
+        checked += w + 1
+        lo, hi, w = els[i], els[j], els[w]
         _, _, witness = _monotone_violation(op, "first_argument", hi, w, lo, w)
         if witness is None:
             _, _, witness = _monotone_violation(op, "second_argument", w, lo, w, hi)
-        if witness is not None:
-            break
+        break
     # reflexive pairs alone still decide the clauses on a finite space, so an
     # exhaustive scan is conclusive even on an antichain
     return _report("mixed_monotone", "exhaustive", witness, checked, checked,

@@ -102,6 +102,58 @@ def oracle_strict(doc):
     return HOLDS if pairs else INCONCLUSIVE
 
 
+def oracle_monotone_first_violation(doc):
+    """Enumeration semantics of the exhaustive mixed-monotone check: walk the
+    comparable argument pairs lo <= hi in index order, each with every w, and
+    return (triples walked up to and including the first violation, the
+    violated clause's (x, y, u, v) indices: (hi, w, lo, w) for the first
+    argument, (w, lo, w, hi) for the second), or (all triples, None)."""
+    n, dist, leq, F = _load(doc)
+    walked = 0
+    for lo in range(n):
+        for hi in range(n):
+            if not leq[lo][hi]:
+                continue
+            for w in range(n):
+                walked += 1
+                if not leq[F[lo][w]][F[hi][w]]:
+                    return walked, (hi, w, lo, w)
+                if not leq[F[w][hi]][F[w][lo]]:
+                    return walked, (w, lo, w, hi)
+    return walked, None
+
+
+def oracle_banach_first_violation(doc, k):
+    """Enumeration semantics of the exhaustive banach_k check: (comparable
+    quadruples walked in (x, u, y, v) index order up to and including the
+    first violation, that quadruple as (x, y, u, v) indices), or (all of
+    them, None)."""
+    n, dist, leq, F = _load(doc)
+    k = Fraction(k)
+    walked = 0
+    for ix, iy, iu, iv in _comparable_quadruples(n, leq):
+        walked += 1
+        if dist[F[ix][iy]][F[iu][iv]] > k * (dist[ix][iu] + dist[iy][iv]) / 2:
+            return walked, (ix, iy, iu, iv)
+    return walked, None
+
+
+def oracle_strict_first_violation(doc):
+    """Enumeration semantics of the exhaustive strict check: as
+    oracle_banach_first_violation, over the quadruples with a positive
+    half-sum only."""
+    n, dist, leq, F = _load(doc)
+    walked = 0
+    for ix, iy, iu, iv in _comparable_quadruples(n, leq):
+        before = (dist[ix][iu] + dist[iy][iv]) / 2
+        if before <= 0:
+            continue
+        walked += 1
+        if (dist[F[ix][iy]][F[iu][iv]] + dist[F[iy][ix]][F[iv][iu]]) / 2 >= before:
+            return walked, (ix, iy, iu, iv)
+    return walked, None
+
+
 def oracle_delta_curve(doc, eps, cap):
     """Exact delta(eps) of the symmetric condition: the smallest violating
     half-sum >= eps, less eps, capped at cap (cap when nothing violates)."""

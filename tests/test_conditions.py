@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import json
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -631,6 +632,67 @@ def test_finite_curve_matches_oracle_on_posets(problem):
     grid = [0.5, 0.75, 1.0, 1.5]
     expected = [(eps, oracle.oracle_delta_curve(doc, eps, 10 * eps)) for eps in grid]
     assert cf.estimate_delta_curve(op, grid) == expected
+
+
+@given(problem=random_posets(), k=st.sampled_from([0, Fraction(1, 3), 0.5, 0.9]))
+@settings(max_examples=200, deadline=None)
+def test_finite_checks_match_oracle(problem, k):
+    # verdict, witness and count of the exhaustive mixed-monotone, banach_k
+    # and strict checks, against the brute force; every failure re-verifies
+    doc, op = problem
+    cases = [
+        (cf.check_mixed_monotone(op), oracle.oracle_mixed_monotone(doc),
+         oracle.oracle_monotone_first_violation(doc)),
+        (cf.check_banach_k(op, k), oracle.oracle_banach(doc, k),
+         oracle.oracle_banach_first_violation(doc, k)),
+        (cf.check_strict_contraction(op), oracle.oracle_strict(doc),
+         oracle.oracle_strict_first_violation(doc)),
+    ]
+    for rep, verdict, (walked, first) in cases:
+        assert rep.verdict == verdict, rep.condition_id
+        assert rep.samples_used == rep.comparable_pairs_used == walked, rep.condition_id
+        if first is None:
+            assert rep.witness is None
+            continue
+        w = rep.witness
+        assert (w.x, w.y, w.u, w.v) == first, rep.condition_id
+        assert cf.reverify_witness(op, rep)["violated"] is True
+
+
+def _weighted_chain(n, table):
+    # elements 0..n-1 at positions 1, 3, 6, ...: distinct points, unequal gaps
+    pos = list(itertools.accumulate(range(1, n + 1)))
+    space = cf.finite_space(range(n), [[abs(p - q) for q in pos] for p in pos],
+                            [[int(i <= j) for j in range(n)] for i in range(n)])
+    return cf.CoupledOperator(apply=lambda x, y: table[x][y], space=space)
+
+
+def test_strict_enumerates_every_quadruple_of_a_40_chain():
+    # 820 x 820 comparable quadruples, less the 40 x 40 with zero half-sum
+    op = _weighted_chain(40, [[7] * 40 for _ in range(40)])
+    rep = cf.check_strict_contraction(op)
+    assert rep.verdict == "holds_on_samples"
+    assert rep.comparable_pairs_used == rep.samples_used == 670_800
+
+
+FINITE_ENTRY_POINTS = {
+    "check_mixed_monotone": lambda op: cf.check_mixed_monotone(op),
+    "check_banach_k": lambda op: cf.check_banach_k(op, 0.5),
+    "check_samet": lambda op: cf.check_samet(op, [1.0], EIGHTH),
+    "check_symmetric_mk": lambda op: cf.check_symmetric_mk(op, [1.0], EIGHTH),
+    "check_strict_contraction": lambda op: cf.check_strict_contraction(op),
+    "estimate_delta_curve": lambda op: cf.estimate_delta_curve(op, [1.0]),
+}
+
+
+@pytest.mark.parametrize("image", ["zz", ["a"]], ids=["label", "unhashable"])
+@pytest.mark.parametrize("check", sorted(FINITE_ENTRY_POINTS))
+def test_finite_image_outside_the_space_is_a_domain_mismatch(check, image):
+    space = cf.finite_space("ab", [[0, 1], [1, 0]], [[1, 1], [0, 1]])
+    op = cf.CoupledOperator(apply=lambda x, y: image if (x, y) == ("b", "a") else x,
+                            space=space)
+    with pytest.raises(cf.DomainMismatchError, match=re.escape(f"F('b', 'a') = {image!r}")):
+        FINITE_ENTRY_POINTS[check](op)
 
 
 def test_pair_index_is_built_once_per_space(monkeypatch):
