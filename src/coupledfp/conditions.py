@@ -117,9 +117,9 @@ def _phase_plan(samples):
 
 class _FiniteTables:
     """The integer view of a finite problem, built once per check: F as an
-    index table (operators._finite_table: n**2 op.apply calls) and its
-    transpose FT, the scaled distance matrix S = FiniteData.scaled[1] and the
-    space's pair index.
+    index table (operators._finite_table: the loaded table, or n**2 op.apply
+    calls) and its transpose FT, the scaled distance matrix
+    S = FiniteData.scaled[1] and the space's pair index.
 
     A comparable quadruple is a down pair (x, u), u <= x, with an up pair
     (y, v), y <= v; the enumeration order is down pairs, then up pairs, each

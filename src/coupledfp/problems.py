@@ -195,7 +195,7 @@ def load_finite(path: str) -> ProblemInstance:
     def apply(x, y):
         return elements[ftab[index[x]][index[y]]]
 
-    op = CoupledOperator(apply=apply, space=space,
+    op = CoupledOperator(apply=apply, space=space, table=ftab,
                          description=f"tabulated F ({path})")
 
     def pair_from(key):

@@ -18,10 +18,9 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations, compress, islice
-from operator import gt, sub
 from typing import Any, Callable, Optional
 
+from .audit import AuditReport, audit
 from .errors import DomainMismatchError, InputError
 
 Element = Any
@@ -134,6 +133,11 @@ class SpaceModel:
     kind tags the fast paths: "real_line" spaces carry a sampling radius and a
     metrically linear interpolate hook; "finite" spaces carry exact matrices
     that enable exhaustive, zero-tolerance checking.
+
+    leq_mask(xs, ys) -> boolean array of leq(x, y) is True, elementwise on
+    float64 arrays. Setting it also declares that distance maps float64
+    arrays elementwise to the values it gives on floats, so audit_space may
+    check the space on arrays (its array lane).
     """
 
     distance: Callable[[Element, Element], Any]
@@ -146,6 +150,7 @@ class SpaceModel:
     contains: Optional[Callable[[Element], bool]] = None
     interpolate: Optional[Callable[[Element, Element, float], Element]] = None
     finite: Optional[FiniteData] = None
+    leq_mask: Optional[Callable[[Any, Any], Any]] = None
 
     def member(self, x) -> bool:
         return True if self.contains is None else bool(self.contains(x))
@@ -180,177 +185,6 @@ def pairs_comparable(Y: PairPoint, V: PairPoint, space: SpaceModel) -> bool:
     return product_leq(Y, V, space) is not INCOMPARABLE
 
 
-@dataclass
-class AxiomCheck:
-    name: str
-    passed: bool
-    checks: int
-    counterexample: Optional[dict] = None
-
-    def to_jsonable(self):
-        from .reports import jsonable
-
-        return {
-            "name": self.name,
-            "passed": self.passed,
-            "checks": self.checks,
-            "counterexample": jsonable(self.counterexample),
-        }
-
-
-@dataclass
-class AuditReport:
-    space_description: str
-    axioms: list = field(default_factory=list)
-    exhaustive: bool = False
-
-    @property
-    def passed(self) -> bool:
-        return all(a.passed for a in self.axioms)
-
-    def failed_axioms(self):
-        return [a.name for a in self.axioms if not a.passed]
-
-    def to_jsonable(self):
-        return {
-            "space": self.space_description,
-            "passed": self.passed,
-            "exhaustive": self.exhaustive,
-            "axioms": [a.to_jsonable() for a in self.axioms],
-        }
-
-
-def _randrange_stream(rng, n):
-    """Endless rng.randrange(n) values, drawn with the same getrandbits
-    rejection loop as CPython's randrange, minus its per-call frames."""
-    getrandbits = rng.getrandbits
-    k = n.bit_length()
-    while True:
-        r = getrandbits(k)
-        if r < n:
-            yield r
-
-
-MAX_AUDIT_PAIRS = 200_000
-MAX_AUDIT_TRIPLES = 200_000
-
-# counterexample of each axiom from its witness points, read through the
-# space's own callables; the key order is the report's axiom order
-_COUNTEREXAMPLES = {
-    "metric_identity": lambda d, leq, x: {"x": x, "d_xx": d(x, x)},
-    "order_reflexive": lambda d, leq, x: {"x": x, "leq_xx": repr(leq(x, x))},
-    "metric_nonnegative": lambda d, leq, x, y: {"x": x, "y": y, "d_xy": d(x, y)},
-    "metric_symmetry": lambda d, leq, x, y: {"x": x, "y": y, "d_xy": d(x, y), "d_yx": d(y, x)},
-    "order_antisymmetric": lambda d, leq, x, y: {"x": x, "y": y},
-    "metric_triangle": lambda d, leq, x, y, z: {
-        "x": x, "y": y, "z": z, "d_xz": d(x, z), "d_xy": d(x, y), "d_yz": d(y, z)},
-    "order_transitive": lambda d, leq, x, y, z: {"x": x, "y": y, "z": z},
-}
-
-
-def _sampled_witnesses(space, pts, seed, tau):
-    """The callable lane: the first failing point, pair and triple per axiom
-    through the space's distance and leq, with the number of pairs and
-    triples checked. Pairs run over all index pairs up to MAX_AUDIT_PAIRS,
-    triples over all index triples up to MAX_AUDIT_TRIPLES; past a cap a
-    pair (triple) is two (three) consecutive draws of one seeded index
-    stream. Both are generated lazily, so memory stays flat at the caps."""
-    d, leq = space.distance, space.leq
-    n = len(pts)
-    found = {
-        "metric_identity": next(((x,) for x in pts if abs(d(x, x)) > tau), None),
-        "order_reflexive": next(((x,) for x in pts if leq(x, x) is not True), None),
-    }
-
-    if n * (n - 1) // 2 <= MAX_AUDIT_PAIRS:
-        pairs = ((x, y) for i, x in enumerate(pts) for y in pts[i + 1:])
-    else:
-        s = _randrange_stream(random.Random(seed ^ 0x5EED), n)
-        pairs = ((pts[i], pts[j]) for i, j in islice(zip(s, s), MAX_AUDIT_PAIRS) if i != j)
-    nonneg = sym = antisym = None
-    n_pairs = 0
-    for x, y in pairs:
-        n_pairs += 1
-        dxy = d(x, y)
-        if nonneg is None and dxy < -tau:
-            nonneg = (x, y)
-        if sym is None and abs(dxy - d(y, x)) > tau:
-            sym = (x, y)
-        if antisym is None and leq(x, y) is True and leq(y, x) is True and x != y:
-            antisym = (x, y)
-        if nonneg and sym and antisym:
-            break
-    # the reported count covers every pair the audit drew, checked or not
-    n_pairs += sum(1 for _ in pairs)
-
-    if n ** 3 <= MAX_AUDIT_TRIPLES:
-        n_triples = n ** 3
-        triples = ((x, y, z) for x in pts for y in pts for z in pts)
-    else:
-        n_triples = MAX_AUDIT_TRIPLES
-        p = map(pts.__getitem__, _randrange_stream(random.Random(seed ^ 0x7A1A), n))
-        triples = islice(zip(p, p, p), MAX_AUDIT_TRIPLES)
-    tri = trans = None
-    for x, y, z in triples:
-        if tri is None:
-            d_xz, via_y = d(x, z), d(x, y) + d(y, z)
-            # the relative slack only matters once the plain comparison fails
-            if d_xz > via_y and d_xz > via_y + tau * max(1, via_y):
-                tri = (x, y, z)
-        if trans is None and leq(x, y) is True and leq(y, z) is True and leq(x, z) is not True:
-            trans = (x, y, z)
-        if tri and trans:
-            break
-    found.update(metric_nonnegative=nonneg, metric_symmetry=sym, order_antisymmetric=antisym,
-                 metric_triangle=tri, order_transitive=trans)
-    return found, n_pairs, n_triples
-
-
-def _finite_witnesses(fd):
-    """The matrix lane: the first failing index, index pair i < j and index
-    triple per axiom, in lexicographic order, read with zero tolerance from
-    the integer-scaled distance matrix and the 0/1 order matrix."""
-    S, L, els = fd.scaled[1], fd.leq, fd.elements
-    idx = range(len(S))
-    return {
-        "metric_identity": next(((i,) for i in idx if S[i][i]), None),
-        "order_reflexive": next(((i,) for i in idx if not L[i][i]), None),
-        "metric_nonnegative": next(((i, j) for i, j in combinations(idx, 2) if S[i][j] < 0),
-                                   None),
-        "metric_symmetry": next(((i, j) for i, j in combinations(idx, 2)
-                                 if S[i][j] != S[j][i]), None),
-        "order_antisymmetric": next(((i, j) for i, j in combinations(idx, 2)
-                                     if L[i][j] and L[j][i] and els[i] != els[j]), None),
-        "metric_triangle": _first_triangle_break(S),
-        "order_transitive": _first_transitivity_break(L),
-    }
-
-
-def _first_triangle_break(S):
-    """First (i, j, k) with d_ik > d_ij + d_jk, that is S[i][k] - S[j][k] >
-    S[i][j] on the integer matrix S."""
-    idx = range(len(S))
-    for i in idx:
-        Si = S[i]
-        for j in idx:
-            k = next(compress(idx, map(Si[j].__lt__, map(sub, Si, S[j]))), None)
-            if k is not None:
-                return i, j, k
-    return None
-
-
-def _first_transitivity_break(L):
-    """First (i, j, k) with i <= j <= k but not i <= k."""
-    idx = range(len(L))
-    for i in idx:
-        Li = L[i]
-        for j in compress(idx, Li):
-            k = next(compress(idx, map(gt, L[j], Li)), None)
-            if k is not None:
-                return i, j, k
-    return None
-
-
 def audit_space(space: SpaceModel, samples: int = 100, seed: int = 0) -> AuditReport:
     """Check the metric and order axioms. Each axiom gets a pass/fail entry
     with its first counterexample, in lexicographic order of the enumeration
@@ -358,39 +192,20 @@ def audit_space(space: SpaceModel, samples: int = 100, seed: int = 0) -> AuditRe
 
     A finite space, of any size, is checked exhaustively on its matrices (the
     matrix lane) with zero tolerance; its report is marked exhaustive. Every
-    other space is checked on `samples` sampled points through its distance
-    and leq (the callable lane), where pairs and triples past their caps are
-    drawn from a seeded stream; its metric checks allow the slack FLOAT_SLACK
-    (relative, on the triangle) unless the space is exact. Either way the
-    counterexample is read back through the space's distance and leq.
+    other space is checked on `samples` sampled points, where pairs and
+    triples past their caps are drawn from a seeded index stream (see
+    coupledfp.audit); its metric checks allow the slack FLOAT_SLACK
+    (relative, on the triangle) unless the space is exact. A space that
+    declares leq_mask is checked on float64 arrays (the array lane) when
+    numpy is already loaded, for example by a sweep; the audit never imports
+    it. Any other space, or any space before numpy is loaded, is checked
+    through its distance and leq (the callable lane). Both lanes walk the
+    same tuples, so they give the same report. Either way the counterexample
+    is read back through the space's distance and leq.
     """
     if samples < 3:
         raise InputError("audit requires samples >= 3")
-    fd = space.finite
-    if fd is not None:
-        pts = fd.elements
-        n = len(pts)
-        found = {name: None if w is None else tuple(map(pts.__getitem__, w))
-                 for name, w in _finite_witnesses(fd).items()}
-        n_pairs, n_triples = n * (n - 1) // 2, n ** 3
-    else:
-        pts = list(space.sampler(samples, seed))
-        if not pts:
-            raise InputError("sampler returned no points to audit")
-        n = len(pts)
-        found, n_pairs, n_triples = _sampled_witnesses(
-            space, pts, seed, 0 if space.exact else FLOAT_SLACK)
-
-    checks = {"metric_identity": n, "order_reflexive": n, "metric_nonnegative": n_pairs,
-              "metric_symmetry": n_pairs, "order_antisymmetric": n_pairs,
-              "metric_triangle": n_triples, "order_transitive": n_triples}
-    report = AuditReport(space_description=space.description, exhaustive=fd is not None)
-    for name, counterexample in _COUNTEREXAMPLES.items():
-        w = found[name]
-        report.axioms.append(AxiomCheck(
-            name, w is None, checks[name],
-            None if w is None else counterexample(space.distance, space.leq, *w)))
-    return report
+    return audit(space, samples, seed, 0 if space.exact else FLOAT_SLACK)
 
 
 def real_line(radius: float = 10.0) -> SpaceModel:
@@ -399,6 +214,8 @@ def real_line(radius: float = 10.0) -> SpaceModel:
     The sampler draws uniformly from [-radius, radius]; the space itself is
     all of R. interpolate is the affine map x + t*(y - x) (metrically linear,
     order preserving for t >= 0), which the targeted band construction relies on.
+    distance also maps arrays (the sweep kernels call it so) and leq_mask is
+    xs <= ys, so the audit can run on arrays.
     """
     if not (math.isfinite(radius) and radius > 0):
         raise InputError("radius must be positive and finite")
@@ -414,6 +231,9 @@ def real_line(radius: float = 10.0) -> SpaceModel:
         rng = random.Random(seed)
         return [rng.uniform(-radius, radius) for _ in range(count)]
 
+    def leq_mask(xs, ys):
+        return xs <= ys
+
     def interpolate(x, y, t):
         return x + t * (y - x)
 
@@ -425,6 +245,7 @@ def real_line(radius: float = 10.0) -> SpaceModel:
         kind="real_line",
         sample_radius=float(radius),
         interpolate=interpolate,
+        leq_mask=leq_mask,
     )
 
 
@@ -513,6 +334,12 @@ def finite_space(elements, dist_matrix, leq_matrix, description="finite space") 
         rng = random.Random(seed)
         return [elements[rng.randrange(n)] for _ in range(count)]
 
+    def contains(x):
+        try:
+            return x in index
+        except TypeError:  # unhashable, so not an element
+            return False
+
     return SpaceModel(
         distance=distance,
         leq=leq,
@@ -520,6 +347,6 @@ def finite_space(elements, dist_matrix, leq_matrix, description="finite space") 
         description=description,
         kind="finite",
         exact=True,
-        contains=lambda x: x in index,
+        contains=contains,
         finite=FiniteData(elements=elements, index=index, dist=dist, leq=leq_m),
     )

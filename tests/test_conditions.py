@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import coupledfp as cf
 from coupledfp.conditions import _banded_conclusion
-from coupledfp.operators import evaluation_lane
+from coupledfp.operators import _finite_table, evaluation_lane
 from coupledfp.spaces import PairIndex, PairPoint
 
 import finite_oracle as oracle
@@ -693,6 +693,17 @@ def test_finite_image_outside_the_space_is_a_domain_mismatch(check, image):
                             space=space)
     with pytest.raises(cf.DomainMismatchError, match=re.escape(f"F('b', 'a') = {image!r}")):
         FINITE_ENTRY_POINTS[check](op)
+
+
+@pytest.mark.parametrize("check", sorted(FINITE_ENTRY_POINTS))
+def test_loaded_finite_operator_is_not_tabulated_again(check):
+    # chain2_const holds every condition, so F is never measured on a witness
+    op = cf.load_finite(fixture_path("chain2_const.json")).operator
+    assert op.table == _finite_table(dataclasses.replace(op, table=None))
+    calls = []
+    counted = dataclasses.replace(op, apply=lambda x, y: calls.append((x, y)) or op.apply(x, y))
+    FINITE_ENTRY_POINTS[check](counted)
+    assert calls == []
 
 
 def test_pair_index_is_built_once_per_space(monkeypatch):

@@ -42,12 +42,15 @@ for op in (plain, finite):
     cf.check_strict_contraction(op, samples=200)
     cf.estimate_delta_curve(op, [1.0], samples=100)
 cf.audit_lipschitz(plain, samples=200)
+cf.audit_space(cf.real_line(), samples=500)
+cf.audit_space(finite.space)
 print("numpy" in sys.modules)
 """
 
 
 def test_generic_and_finite_checks_leave_numpy_unloaded():
-    # the shared predicates serve the sweeps without importing numpy
+    # the shared predicates serve the sweeps without importing numpy, and the
+    # audit takes its array lane only once something else has loaded it
     out = subprocess.run([sys.executable, "-c", GENERIC_AND_FINITE_CHECKS,
                           fixture_path("diamond5.json")],
                          capture_output=True, text=True, check=True).stdout.split()

@@ -2,14 +2,17 @@ import dataclasses
 import json
 import math
 import random
-from itertools import islice
+from itertools import combinations, islice, product
 
+import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 import coupledfp as cf
-from coupledfp.spaces import INCOMPARABLE, PairPoint, SpaceModel, _randrange_stream
+from coupledfp import audit
+from coupledfp.audit import _randrange_stream
+from coupledfp.spaces import FLOAT_SLACK, INCOMPARABLE, PairPoint, SpaceModel
 
 import finite_oracle as oracle
 from conftest import load_doc
@@ -147,6 +150,77 @@ def test_randrange_stream_matches_randrange(n, seed):
     assert got == expected
 
 
+@pytest.mark.parametrize("n", [3, 5, 100, 500, 511, 512, 513, 1000])
+@pytest.mark.parametrize("seed", [0, 1, 42, 2**40 + 7])
+def test_index_blocks_match_randrange_stream(n, seed):
+    # AUDIT_BLOCK + 5 rows of three: two blocks, each built from several word draws
+    rows = audit.AUDIT_BLOCK + 5
+    blocks = list(audit._index_blocks(random.Random(seed), n, 3, rows))
+    assert [b.shape for b in blocks] == [(3, audit.AUDIT_BLOCK), (3, 5)]
+    got = np.concatenate([b.T.ravel() for b in blocks]).tolist()
+    assert got == list(islice(_randrange_stream(random.Random(seed), n), 3 * rows))
+
+
+@pytest.mark.parametrize("n", [1, 3, 58, 632])
+@pytest.mark.parametrize("lane", [audit._CallableLane, audit._ArrayLane])
+def test_lanes_enumerate_all_tuples_in_order(lane, n):
+    # the sizes the audit enumerates: triples up to 58 points, pairs up to 632;
+    # the points are their own indices
+    lane = lane(cf.real_line(), list(range(n)), 0.0)
+    expected = {1: list(product(range(n))), 2: list(combinations(range(n), 2))}
+    if n <= 58:
+        expected[3] = list(product(range(n), repeat=3))
+    for width, rows in expected.items():
+        blocks = list(lane.all_rows(width))
+        assert all(len(b) == width for b in blocks)
+        assert [r for b in blocks for r in zip(*(list(map(int, c)) for c in b))] == rows
+
+
+def _vectorized(name, **changes):
+    return dataclasses.replace(cf.real_line(), description=name, **changes)
+
+
+# real-line spaces that declare leq_mask: the clean line and broken variants
+VECTORIZED_SPACES = {
+    "real_line": _vectorized("real line"),
+    "signed": _vectorized("signed difference", distance=lambda x, y: x - y),
+    "squared": _vectorized("squared difference", distance=lambda x, y: (x - y) * (x - y)),
+    # x <= y + 0.05: reflexive, but neither antisymmetric nor transitive
+    "loose_order": _vectorized("loose order", leq=lambda x, y: True if x <= y + 0.05 else False,
+                               leq_mask=lambda xs, ys: xs <= ys + 0.05),
+    # d(x, x) > 0 and x < y: neither identity nor reflexivity
+    "offset_strict": _vectorized("offset distance, strict order",
+                                 distance=lambda x, y: abs(x - y) + 1e-9,
+                                 leq=lambda x, y: True if x < y else False,
+                                 leq_mask=lambda xs, ys: xs < ys),
+}
+
+
+@pytest.mark.parametrize("n", [3, 58, 59, 500, 633, 700])
+@pytest.mark.parametrize("name", list(VECTORIZED_SPACES))
+@given(seed=st.integers(0, 2**64))
+# no shrinking: each step would audit up to 700 points in both lanes again
+@settings(max_examples=1, deadline=None, phases=(Phase.explicit, Phase.reuse, Phase.generate))
+def test_audit_lanes_give_identical_reports(name, n, seed):
+    # all triples up to 58 points, sampled triples from 59, sampled pairs from 633
+    space = VECTORIZED_SPACES[name]
+    reports = [json.dumps(audit._sampled_audit(space, n, seed, FLOAT_SLACK, lane).to_jsonable())
+               for lane in (audit._CallableLane, audit._ArrayLane)]
+    assert reports[0] == reports[1]
+
+
+def test_audit_lane_follows_the_declaration(monkeypatch):
+    # numpy is loaded here: a space declaring leq_mask takes the array lane,
+    # any other space the callable lane
+    lanes = []
+    sampled_audit = audit._sampled_audit
+    monkeypatch.setattr(audit, "_sampled_audit", lambda space, samples, seed, tau, lane: (
+        lanes.append(lane) or sampled_audit(space, samples, seed, tau, lane)))
+    cf.audit_space(cf.real_line(), samples=10)
+    cf.audit_space(dataclasses.replace(cf.real_line(), leq_mask=None), samples=10)
+    assert lanes == [audit._ArrayLane, audit._CallableLane]
+
+
 @pytest.mark.parametrize("samples, pair_checks", [(500, 124_750), (700, 199_714)])
 def test_audit_real_line_check_counts(samples, pair_checks):
     # 500 points: all 124,750 pairs; 700 points: 200,000 sampled index pairs
@@ -188,6 +262,16 @@ def test_domain_mismatch_raises():
     space = cf.finite_space(doc["elements"], doc["distance"], doc["leq"])
     with pytest.raises(cf.DomainMismatchError):
         cf.d2(PairPoint("lo", "nope"), PairPoint("lo", "lo"), space)
+
+
+def test_unhashable_value_is_not_a_finite_element():
+    doc = load_doc("chain2_const.json")
+    space = cf.finite_space(doc["elements"], doc["distance"], doc["leq"])
+    assert not space.member(["lo"])
+    with pytest.raises(cf.DomainMismatchError):
+        cf.d2(PairPoint(["lo"], "lo"), PairPoint("lo", "lo"), space)
+    with pytest.raises(cf.DomainMismatchError):
+        cf.product_leq(PairPoint("lo", "lo"), PairPoint("lo", ["lo"]), space)
 
 
 # malformed distance/leq matrices, with the first bad entry their error names
