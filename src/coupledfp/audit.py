@@ -7,8 +7,9 @@ pairs and triples up to their caps and, past a cap, tuples drawn from a
 seeded index stream; the number of tuples checked; and the first failure of
 each axiom. Two lanes evaluate its blocks of tuples: the callable lane
 through the space's scalar distance and leq, the array lane on float64
-arrays for a space that declares leq_mask. Both see the same tuples in the
-same order, so they find the same witnesses.
+arrays for a real_line space, through its distance and the usual order.
+Both see the same tuples in the same order, so they find the same
+witnesses.
 
 The array lane imports numpy only when called, and audit calls it only once
 numpy is loaded. The report types live here; spaces re-exports AuditReport.
@@ -21,7 +22,7 @@ import random
 import sys
 from dataclasses import dataclass, field
 from itertools import combinations, compress, islice
-from operator import gt, ne, sub
+from operator import gt, le, ne, sub
 from typing import Optional
 
 from .errors import InputError
@@ -257,8 +258,8 @@ class _CallableLane:
         return tri, trans
 
 
-# failure mask of each axiom on float64 arrays, for a space that declares
-# leq_mask; each is the callable lane's test, elementwise
+# failure mask of each axiom on float64 arrays, given the order leq as a
+# boolean mask; each is the callable lane's test, elementwise
 _ARRAY_FAILS = {
     "metric_identity": lambda d, leq, tau, x: abs(d(x, x)) > tau,
     "order_reflexive": lambda d, leq, tau, x: ~leq(x, x),
@@ -278,13 +279,14 @@ def _triangle_fails(d_xz, via_y, tau):
 
 class _ArrayLane:
     """Blocks whose columns are index arrays, checked on float64 arrays of
-    the points through the space's distance and leq_mask."""
+    the points through the space's distance and leq(xs, ys), the mask of
+    x <= y: the usual order of a real_line space."""
 
-    def __init__(self, space, pts, tau):
+    def __init__(self, space, pts, tau, leq=le):
         import numpy as np
 
         self.pts, self.xs = pts, np.array(pts, dtype=np.float64)
-        self.d, self.leq, self.tau = space.distance, space.leq_mask, tau
+        self.d, self.leq, self.tau = space.distance, leq, tau
 
     def all_rows(self, width):
         import numpy as np
@@ -372,7 +374,7 @@ def audit(space, samples, seed, tau):
     of the sampled checks (the matrix lane has none)."""
     fd = space.finite
     if fd is None:
-        array = space.leq_mask is not None and "numpy" in sys.modules
+        array = space.kind == "real_line" and "numpy" in sys.modules
         return _sampled_audit(space, samples, seed, tau,
                               _ArrayLane if array else _CallableLane)
     pts = fd.elements

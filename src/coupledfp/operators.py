@@ -41,11 +41,6 @@ class CoupledOperator:
     vectorized = True declares that apply maps float64 arrays elementwise to
     the values it gives on floats (numpy ufuncs such as np.tanh, not math
     functions), so the sweep kernels can run it on the real line.
-
-    table, on a finite space, is F as an n x n table of element indices
-    (table[i][j] is the index of apply(elements[i], elements[j])), as
-    load_finite reads it; it must agree with apply, and the finite checks
-    then read it instead of tabulating apply.
     """
 
     apply: Callable[[Any, Any], Any]
@@ -53,7 +48,6 @@ class CoupledOperator:
     lipschitz_data: Optional[tuple] = None
     description: str = ""
     vectorized: bool = False
-    table: Optional[list] = None
 
 
 def evaluation_lane(op: CoupledOperator) -> str:
@@ -221,12 +215,14 @@ def check_mixed_monotone(op: CoupledOperator, samples: int = 10000, seed: int = 
 
 
 def _finite_table(op: CoupledOperator) -> list:
-    """F on a finite space as an n x n table of element indices: op.table
-    when given, else from n**2 op.apply calls; table[i][j] is the index of
+    """F on a finite space as an n x n table of element indices:
+    op.apply.table when apply carries one (load_finite's tabulated F does),
+    else from n**2 op.apply calls; table[i][j] is the index of
     F(elements[i], elements[j]). An image outside the space raises
     DomainMismatchError naming its (x, y). Callers do not modify the table."""
-    if op.table is not None:
-        return op.table
+    table = getattr(op.apply, "table", None)
+    if table is not None:
+        return table
     space = op.space
     els, index = space.finite.elements, space.finite.index
     images = [list(map(op.apply, repeat(x), els)) for x in els]

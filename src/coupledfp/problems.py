@@ -195,7 +195,8 @@ def load_finite(path: str) -> ProblemInstance:
     def apply(x, y):
         return elements[ftab[index[x]][index[y]]]
 
-    op = CoupledOperator(apply=apply, space=space, table=ftab,
+    apply.table = ftab  # read by the finite checks instead of tabulating apply again
+    op = CoupledOperator(apply=apply, space=space,
                          description=f"tabulated F ({path})")
 
     def pair_from(key):

@@ -131,13 +131,10 @@ class SpaceModel:
     sampler(count, seed) -> deterministic list of elements
 
     kind tags the fast paths: "real_line" spaces carry a sampling radius and a
-    metrically linear interpolate hook; "finite" spaces carry exact matrices
-    that enable exhaustive, zero-tolerance checking.
-
-    leq_mask(xs, ys) -> boolean array of leq(x, y) is True, elementwise on
-    float64 arrays. Setting it also declares that distance maps float64
-    arrays elementwise to the values it gives on floats, so audit_space may
-    check the space on arrays (its array lane).
+    metrically linear interpolate hook, and declare the usual order and a
+    distance that maps float64 arrays elementwise, so the sweep kernels and
+    the audit's array lane work on arrays; "finite" spaces carry exact
+    matrices that enable exhaustive, zero-tolerance checking.
     """
 
     distance: Callable[[Element, Element], Any]
@@ -150,7 +147,6 @@ class SpaceModel:
     contains: Optional[Callable[[Element], bool]] = None
     interpolate: Optional[Callable[[Element, Element, float], Element]] = None
     finite: Optional[FiniteData] = None
-    leq_mask: Optional[Callable[[Any, Any], Any]] = None
 
     def member(self, x) -> bool:
         return True if self.contains is None else bool(self.contains(x))
@@ -195,13 +191,13 @@ def audit_space(space: SpaceModel, samples: int = 100, seed: int = 0) -> AuditRe
     other space is checked on `samples` sampled points, where pairs and
     triples past their caps are drawn from a seeded index stream (see
     coupledfp.audit); its metric checks allow the slack FLOAT_SLACK
-    (relative, on the triangle) unless the space is exact. A space that
-    declares leq_mask is checked on float64 arrays (the array lane) when
-    numpy is already loaded, for example by a sweep; the audit never imports
-    it. Any other space, or any space before numpy is loaded, is checked
-    through its distance and leq (the callable lane). Both lanes walk the
-    same tuples, so they give the same report. Either way the counterexample
-    is read back through the space's distance and leq.
+    (relative, on the triangle) unless the space is exact. A real_line space
+    is checked on float64 arrays (the array lane) when numpy is already
+    loaded, for example by a sweep; the audit never imports it. Any other
+    space, or any space before numpy is loaded, is checked through its
+    distance and leq (the callable lane). Both lanes walk the same tuples,
+    so they give the same report. Either way the counterexample is read back
+    through the space's distance and leq.
     """
     if samples < 3:
         raise InputError("audit requires samples >= 3")
@@ -214,8 +210,7 @@ def real_line(radius: float = 10.0) -> SpaceModel:
     The sampler draws uniformly from [-radius, radius]; the space itself is
     all of R. interpolate is the affine map x + t*(y - x) (metrically linear,
     order preserving for t >= 0), which the targeted band construction relies on.
-    distance also maps arrays (the sweep kernels call it so) and leq_mask is
-    xs <= ys, so the audit can run on arrays.
+    distance also maps arrays (the sweep kernels and the audit call it so).
     """
     if not (math.isfinite(radius) and radius > 0):
         raise InputError("radius must be positive and finite")
@@ -231,9 +226,6 @@ def real_line(radius: float = 10.0) -> SpaceModel:
         rng = random.Random(seed)
         return [rng.uniform(-radius, radius) for _ in range(count)]
 
-    def leq_mask(xs, ys):
-        return xs <= ys
-
     def interpolate(x, y, t):
         return x + t * (y - x)
 
@@ -245,7 +237,6 @@ def real_line(radius: float = 10.0) -> SpaceModel:
         kind="real_line",
         sample_radius=float(radius),
         interpolate=interpolate,
-        leq_mask=leq_mask,
     )
 
 

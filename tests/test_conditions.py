@@ -699,11 +699,26 @@ def test_finite_image_outside_the_space_is_a_domain_mismatch(check, image):
 def test_loaded_finite_operator_is_not_tabulated_again(check):
     # chain2_const holds every condition, so F is never measured on a witness
     op = cf.load_finite(fixture_path("chain2_const.json")).operator
-    assert op.table == _finite_table(dataclasses.replace(op, table=None))
     calls = []
-    counted = dataclasses.replace(op, apply=lambda x, y: calls.append((x, y)) or op.apply(x, y))
-    FINITE_ENTRY_POINTS[check](counted)
+
+    def counted(x, y):
+        calls.append((x, y))
+        return op.apply(x, y)
+
+    assert _finite_table(op) == _finite_table(dataclasses.replace(op, apply=counted))
+    assert len(calls) == 4  # a plain callable is tabulated: n**2 calls
+    calls.clear()
+    counted.table = op.apply.table
+    FINITE_ENTRY_POINTS[check](dataclasses.replace(op, apply=counted))
     assert calls == []
+
+
+def test_replaced_apply_drops_the_loaded_table():
+    # the table rides on the function it tabulates, so a new F is tabulated afresh
+    op = cf.load_finite(fixture_path("chain2_const.json")).operator
+    lo, hi = op.space.finite.elements
+    swapped = dataclasses.replace(op, apply=lambda x, y: hi if op.apply(x, y) == lo else lo)
+    assert _finite_table(swapped) == [[1 - k for k in row] for row in op.apply.table]
 
 
 def test_pair_index_is_built_once_per_space(monkeypatch):

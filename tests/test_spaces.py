@@ -1,6 +1,8 @@
 import dataclasses
+import functools
 import json
 import math
+import operator
 import random
 from itertools import combinations, islice, product
 
@@ -180,19 +182,22 @@ def _vectorized(name, **changes):
     return dataclasses.replace(cf.real_line(), description=name, **changes)
 
 
-# real-line spaces that declare leq_mask: the clean line and broken variants
+# real-line spaces whose distance maps arrays, each with its order as a mask
+# on arrays: the clean line and broken variants
 VECTORIZED_SPACES = {
-    "real_line": _vectorized("real line"),
-    "signed": _vectorized("signed difference", distance=lambda x, y: x - y),
-    "squared": _vectorized("squared difference", distance=lambda x, y: (x - y) * (x - y)),
+    "real_line": (_vectorized("real line"), operator.le),
+    "signed": (_vectorized("signed difference", distance=lambda x, y: x - y), operator.le),
+    "squared": (_vectorized("squared difference", distance=lambda x, y: (x - y) * (x - y)),
+                operator.le),
     # x <= y + 0.05: reflexive, but neither antisymmetric nor transitive
-    "loose_order": _vectorized("loose order", leq=lambda x, y: True if x <= y + 0.05 else False,
-                               leq_mask=lambda xs, ys: xs <= ys + 0.05),
+    "loose_order": (_vectorized("loose order",
+                                leq=lambda x, y: True if x <= y + 0.05 else False),
+                    lambda xs, ys: xs <= ys + 0.05),
     # d(x, x) > 0 and x < y: neither identity nor reflexivity
-    "offset_strict": _vectorized("offset distance, strict order",
-                                 distance=lambda x, y: abs(x - y) + 1e-9,
-                                 leq=lambda x, y: True if x < y else False,
-                                 leq_mask=lambda xs, ys: xs < ys),
+    "offset_strict": (_vectorized("offset distance, strict order",
+                                  distance=lambda x, y: abs(x - y) + 1e-9,
+                                  leq=lambda x, y: True if x < y else False),
+                      operator.lt),
 }
 
 
@@ -203,21 +208,22 @@ VECTORIZED_SPACES = {
 @settings(max_examples=1, deadline=None, phases=(Phase.explicit, Phase.reuse, Phase.generate))
 def test_audit_lanes_give_identical_reports(name, n, seed):
     # all triples up to 58 points, sampled triples from 59, sampled pairs from 633
-    space = VECTORIZED_SPACES[name]
+    space, mask = VECTORIZED_SPACES[name]
+    lanes = (audit._CallableLane, functools.partial(audit._ArrayLane, leq=mask))
     reports = [json.dumps(audit._sampled_audit(space, n, seed, FLOAT_SLACK, lane).to_jsonable())
-               for lane in (audit._CallableLane, audit._ArrayLane)]
+               for lane in lanes]
     assert reports[0] == reports[1]
 
 
-def test_audit_lane_follows_the_declaration(monkeypatch):
-    # numpy is loaded here: a space declaring leq_mask takes the array lane,
-    # any other space the callable lane
+def test_audit_lane_follows_the_space_kind(monkeypatch):
+    # numpy is loaded here: a real_line space takes the array lane, any other
+    # space the callable lane
     lanes = []
     sampled_audit = audit._sampled_audit
     monkeypatch.setattr(audit, "_sampled_audit", lambda space, samples, seed, tau, lane: (
         lanes.append(lane) or sampled_audit(space, samples, seed, tau, lane)))
     cf.audit_space(cf.real_line(), samples=10)
-    cf.audit_space(dataclasses.replace(cf.real_line(), leq_mask=None), samples=10)
+    cf.audit_space(dataclasses.replace(cf.real_line(), kind="custom"), samples=10)
     assert lanes == [audit._ArrayLane, audit._CallableLane]
 
 
