@@ -7,9 +7,8 @@ pairs and triples up to their caps and, past a cap, tuples drawn from a
 seeded index stream; the number of tuples checked; and the first failure of
 each axiom. Two lanes evaluate its blocks of tuples: the callable lane
 through the space's scalar distance and leq, the array lane on float64
-arrays for a real_line space, through its distance and the usual order.
-Both see the same tuples in the same order, so they find the same
-witnesses.
+arrays for a space with the real line's own distance and order. Both see
+the same tuples in the same order, so they find the same witnesses.
 
 The array lane imports numpy only when called, and audit calls it only once
 numpy is loaded. The report types live here; spaces re-exports AuditReport.
@@ -280,7 +279,7 @@ def _triangle_fails(d_xz, via_y, tau):
 class _ArrayLane:
     """Blocks whose columns are index arrays, checked on float64 arrays of
     the points through the space's distance and leq(xs, ys), the mask of
-    x <= y: the usual order of a real_line space."""
+    x <= y: the real line's usual order."""
 
     def __init__(self, space, pts, tau, leq=le):
         import numpy as np
@@ -369,12 +368,14 @@ def _first_transitivity_break(L):
     return None
 
 
-def audit(space, samples, seed, tau):
+def audit(space, samples, seed, tau, on_arrays):
     """spaces.audit_space, past its argument check; tau is the metric slack
-    of the sampled checks (the matrix lane has none)."""
+    of the sampled checks (the matrix lane has none), and on_arrays says that
+    the space's distance and leq are the real line's, so that the array lane
+    may check it."""
     fd = space.finite
     if fd is None:
-        array = space.kind == "real_line" and "numpy" in sys.modules
+        array = on_arrays and "numpy" in sys.modules
         return _sampled_audit(space, samples, seed, tau,
                               _ArrayLane if array else _CallableLane)
     pts = fd.elements

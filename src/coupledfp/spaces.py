@@ -132,9 +132,9 @@ class SpaceModel:
 
     kind tags the fast paths: "real_line" spaces carry a sampling radius and a
     metrically linear interpolate hook, and declare the usual order and a
-    distance that maps float64 arrays elementwise, so the sweep kernels and
-    the audit's array lane work on arrays; "finite" spaces carry exact
-    matrices that enable exhaustive, zero-tolerance checking.
+    distance that maps float64 arrays elementwise, so the sweep kernels work
+    on arrays; "finite" spaces carry exact matrices that enable exhaustive,
+    zero-tolerance checking.
     """
 
     distance: Callable[[Element, Element], Any]
@@ -191,17 +191,28 @@ def audit_space(space: SpaceModel, samples: int = 100, seed: int = 0) -> AuditRe
     other space is checked on `samples` sampled points, where pairs and
     triples past their caps are drawn from a seeded index stream (see
     coupledfp.audit); its metric checks allow the slack FLOAT_SLACK
-    (relative, on the triangle) unless the space is exact. A real_line space
-    is checked on float64 arrays (the array lane) when numpy is already
-    loaded, for example by a sweep; the audit never imports it. Any other
-    space, or any space before numpy is loaded, is checked through its
-    distance and leq (the callable lane). Both lanes walk the same tuples,
-    so they give the same report. Either way the counterexample is read back
-    through the space's distance and leq.
+    (relative, on the triangle) unless the space is exact. A space with
+    real_line()'s own distance and leq is checked on float64 arrays (the
+    array lane) when numpy is already loaded, for example by a sweep; the
+    audit never imports it. Any other space, a space with a replaced distance
+    or leq among them, or any space before numpy is loaded, is checked
+    through its distance and leq (the callable lane). Both lanes walk the
+    same tuples, so they give the same report. Either way the counterexample
+    is read back through the space's distance and leq.
     """
     if samples < 3:
         raise InputError("audit requires samples >= 3")
-    return audit(space, samples, seed, 0 if space.exact else FLOAT_SLACK)
+    on_arrays = space.distance is _line_distance and space.leq is _line_leq
+    return audit(space, samples, seed, 0 if space.exact else FLOAT_SLACK, on_arrays)
+
+
+def _line_distance(x, y):
+    return abs(x - y)
+
+
+def _line_leq(x, y):
+    # a Python bool even when F returns numpy floats (np.bool_ is not True)
+    return True if x <= y else False
 
 
 def real_line(radius: float = 10.0) -> SpaceModel:
@@ -215,13 +226,6 @@ def real_line(radius: float = 10.0) -> SpaceModel:
     if not (math.isfinite(radius) and radius > 0):
         raise InputError("radius must be positive and finite")
 
-    def distance(x, y):
-        return abs(x - y)
-
-    def leq(x, y):
-        # a Python bool even when F returns numpy floats (np.bool_ is not True)
-        return True if x <= y else False
-
     def sampler(count, seed):
         rng = random.Random(seed)
         return [rng.uniform(-radius, radius) for _ in range(count)]
@@ -230,8 +234,8 @@ def real_line(radius: float = 10.0) -> SpaceModel:
         return x + t * (y - x)
 
     return SpaceModel(
-        distance=distance,
-        leq=leq,
+        distance=_line_distance,
+        leq=_line_leq,
         sampler=sampler,
         description=f"real line (|.|, usual order, sampling box [-{radius}, {radius}])",
         kind="real_line",

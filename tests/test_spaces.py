@@ -215,16 +215,20 @@ def test_audit_lanes_give_identical_reports(name, n, seed):
     assert reports[0] == reports[1]
 
 
-def test_audit_lane_follows_the_space_kind(monkeypatch):
-    # numpy is loaded here: a real_line space takes the array lane, any other
-    # space the callable lane
+def test_audit_lane_follows_the_real_line_callables(monkeypatch):
+    # numpy is loaded here: a space with real_line()'s own distance and leq
+    # takes the array lane; a replaced distance or leq, the callable lane,
+    # whatever the space's kind
     lanes = []
     sampled_audit = audit._sampled_audit
     monkeypatch.setattr(audit, "_sampled_audit", lambda space, samples, seed, tau, lane: (
         lanes.append(lane) or sampled_audit(space, samples, seed, tau, lane)))
-    cf.audit_space(cf.real_line(), samples=10)
-    cf.audit_space(dataclasses.replace(cf.real_line(), kind="custom"), samples=10)
-    assert lanes == [audit._ArrayLane, audit._CallableLane]
+    loose = dataclasses.replace(cf.real_line(), leq=VECTORIZED_SPACES["loose_order"][0].leq)
+    scalar = dataclasses.replace(cf.real_line(), distance=lambda x, y: math.fabs(x - y))
+    assert cf.audit_space(cf.real_line(), samples=10).passed
+    assert cf.audit_space(loose, samples=200).failed_axioms() == ["order_antisymmetric"]
+    assert cf.audit_space(scalar, samples=10).passed
+    assert lanes == [audit._ArrayLane, audit._CallableLane, audit._CallableLane]
 
 
 @pytest.mark.parametrize("samples, pair_checks", [(500, 124_750), (700, 199_714)])
