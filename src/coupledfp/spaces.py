@@ -131,10 +131,8 @@ class SpaceModel:
     sampler(count, seed) -> deterministic list of elements
 
     kind tags the fast paths: "real_line" spaces carry a sampling radius and a
-    metrically linear interpolate hook, and declare the usual order and a
-    distance that maps float64 arrays elementwise, so the sweep kernels work
-    on arrays; "finite" spaces carry exact matrices that enable exhaustive,
-    zero-tolerance checking.
+    metrically linear interpolate hook; "finite" spaces carry exact matrices
+    that enable exhaustive, zero-tolerance checking.
     """
 
     distance: Callable[[Element, Element], Any]
