@@ -7,8 +7,8 @@ pairs and triples up to their caps and, past a cap, tuples drawn from a
 seeded index stream; the number of tuples checked; and the first failure of
 each axiom. Two lanes evaluate its blocks of tuples: the callable lane
 through the space's scalar distance and leq, the array lane on float64
-arrays for a space with the real line's own distance and order. Both see
-the same tuples in the same order, so they find the same witnesses.
+arrays for a real_line space with the real line's own order. Both see the
+same tuples in the same order, so they find the same witnesses.
 
 The array lane imports numpy only when called, and audit calls it only once
 numpy is loaded. The report types live here; spaces re-exports AuditReport.
@@ -371,8 +371,8 @@ def _first_transitivity_break(L):
 def audit(space, samples, seed, tau, on_arrays):
     """spaces.audit_space, past its argument check; tau is the metric slack
     of the sampled checks (the matrix lane has none), and on_arrays says that
-    the space's distance and leq are the real line's, so that the array lane
-    may check it."""
+    the space is a real_line space with the real line's own leq, so that the
+    array lane may check it."""
     fd = space.finite
     if fd is None:
         array = on_arrays and "numpy" in sys.modules

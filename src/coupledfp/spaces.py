@@ -189,23 +189,19 @@ def audit_space(space: SpaceModel, samples: int = 100, seed: int = 0) -> AuditRe
     other space is checked on `samples` sampled points, where pairs and
     triples past their caps are drawn from a seeded index stream (see
     coupledfp.audit); its metric checks allow the slack FLOAT_SLACK
-    (relative, on the triangle) unless the space is exact. A space with
-    real_line()'s own distance and leq is checked on float64 arrays (the
-    array lane) when numpy is already loaded, for example by a sweep; the
-    audit never imports it. Any other space, a space with a replaced distance
-    or leq among them, or any space before numpy is loaded, is checked
-    through its distance and leq (the callable lane). Both lanes walk the
+    (relative, on the triangle) unless the space is exact. A real_line space
+    with real_line()'s own order is checked on float64 arrays (the array
+    lane), through its distance and x <= y, when numpy is already loaded,
+    for example by a sweep; the audit never imports it. Any other space, one
+    with a replaced leq among them, or any space before numpy is loaded, is
+    checked through its distance and leq (the callable lane). Both lanes walk the
     same tuples, so they give the same report. Either way the counterexample
     is read back through the space's distance and leq.
     """
     if samples < 3:
         raise InputError("audit requires samples >= 3")
-    on_arrays = space.distance is _line_distance and space.leq is _line_leq
+    on_arrays = space.kind == "real_line" and space.leq is _line_leq
     return audit(space, samples, seed, 0 if space.exact else FLOAT_SLACK, on_arrays)
-
-
-def _line_distance(x, y):
-    return abs(x - y)
 
 
 def _line_leq(x, y):
@@ -224,6 +220,9 @@ def real_line(radius: float = 10.0) -> SpaceModel:
     if not (math.isfinite(radius) and radius > 0):
         raise InputError("radius must be positive and finite")
 
+    def distance(x, y):
+        return abs(x - y)
+
     def sampler(count, seed):
         rng = random.Random(seed)
         return [rng.uniform(-radius, radius) for _ in range(count)]
@@ -232,7 +231,7 @@ def real_line(radius: float = 10.0) -> SpaceModel:
         return x + t * (y - x)
 
     return SpaceModel(
-        distance=_line_distance,
+        distance=distance,
         leq=_line_leq,
         sampler=sampler,
         description=f"real line (|.|, usual order, sampling box [-{radius}, {radius}])",

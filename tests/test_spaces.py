@@ -215,19 +215,17 @@ def test_audit_lanes_give_identical_reports(name, n, seed):
     assert reports[0] == reports[1]
 
 
-def test_audit_lane_follows_the_real_line_callables(monkeypatch):
-    # numpy is loaded here: a space with real_line()'s own distance and leq
-    # takes the array lane; a replaced distance or leq, the callable lane,
-    # whatever the space's kind
+def test_audit_lane_follows_the_real_line_order(monkeypatch):
+    # numpy is loaded here: a real_line space with real_line()'s own leq takes
+    # the array lane; a replaced leq or another kind, the callable lane
     lanes = []
     sampled_audit = audit._sampled_audit
     monkeypatch.setattr(audit, "_sampled_audit", lambda space, samples, seed, tau, lane: (
         lanes.append(lane) or sampled_audit(space, samples, seed, tau, lane)))
     loose = dataclasses.replace(cf.real_line(), leq=VECTORIZED_SPACES["loose_order"][0].leq)
-    scalar = dataclasses.replace(cf.real_line(), distance=lambda x, y: math.fabs(x - y))
     assert cf.audit_space(cf.real_line(), samples=10).passed
     assert cf.audit_space(loose, samples=200).failed_axioms() == ["order_antisymmetric"]
-    assert cf.audit_space(scalar, samples=10).passed
+    assert cf.audit_space(dataclasses.replace(cf.real_line(), kind="custom"), samples=10).passed
     assert lanes == [audit._ArrayLane, audit._CallableLane, audit._CallableLane]
 
 
