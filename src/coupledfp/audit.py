@@ -7,18 +7,19 @@ pairs and triples up to their caps and, past a cap, tuples drawn from a
 seeded index stream; the number of tuples checked; and the first failure of
 each axiom. Two lanes evaluate its blocks of tuples: the callable lane
 through the space's scalar distance and leq, the array lane on float64
-arrays for a real_line space with the real line's own order. Both see the
-same tuples in the same order, so they find the same witnesses.
+arrays for a real_line space with the real line's own order and a distance
+that maps arrays. Both see the same tuples in the same order, so they find
+the same witnesses.
 
-The array lane imports numpy only when called, and audit calls it only once
-numpy is loaded. The report types live here; spaces re-exports AuditReport.
+The array lane imports numpy only when called, and spaces.audit_space asks
+for it only once numpy is loaded. The report types live here; spaces
+re-exports AuditReport.
 """
 
 from __future__ import annotations
 
 import math
 import random
-import sys
 from dataclasses import dataclass, field
 from itertools import combinations, compress, islice
 from operator import gt, le, ne, sub
@@ -371,13 +372,12 @@ def _first_transitivity_break(L):
 def audit(space, samples, seed, tau, on_arrays):
     """spaces.audit_space, past its argument check; tau is the metric slack
     of the sampled checks (the matrix lane has none), and on_arrays says that
-    the space is a real_line space with the real line's own leq, so that the
-    array lane may check it."""
+    numpy is loaded and the space has the real line's own order and a
+    distance that maps arrays, so that the array lane may check it."""
     fd = space.finite
     if fd is None:
-        array = on_arrays and "numpy" in sys.modules
         return _sampled_audit(space, samples, seed, tau,
-                              _ArrayLane if array else _CallableLane)
+                              _ArrayLane if on_arrays else _CallableLane)
     pts = fd.elements
     found = {name: tuple(map(pts.__getitem__, w))
              for name, w in _finite_witnesses(fd).items() if w is not None}

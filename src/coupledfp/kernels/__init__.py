@@ -1,5 +1,7 @@
 """Sweep kernels: the banach, band and strict checks of a vectorized operator
-on the real line (sampling box: the space's sample_radius).
+on the real line (sampling box: the space's sample_radius), and the real
+line's array twins of two sampled checks, the mixed-monotone check and the
+comparability probe with the lattice bound.
 
 Every sweep draws comparable quadruples (x >= u, y <= v) from a splitmix64
 stream and stops at the first violation. The stream is counter based: draw j
@@ -15,8 +17,12 @@ same IEEE operations in the same order (numpy elementwise arithmetic does not
 fuse multiply-adds), the same returned tuple. Only NaN differs on purpose: it
 violates the shared predicates, while the reference lets it through.
 
-numpy is imported on the first sweep call, never at package import, so
-commands that make no sweep do not pay its import time or memory.
+The twins take the space's own sampler points, not the stream: they run the
+scalar check's trials on arrays, in the same order, and report the same
+counts. Their callers read any witness back through the scalar callables.
+
+numpy is imported on the first call, never at package import, so commands
+that make no sweep do not pay its import time or memory.
 """
 
 from ..operators import _banach_holds, _banded_conclusion, _half_k, _strict_holds, _with_slack
@@ -170,3 +176,60 @@ def strict_sweep(op, seed, tag, n):
             yield distinct, distinct & ~holds, (x, y, u, v, before, after)
 
     return _first_violation(chunks())
+
+
+def _columns(pool, width):
+    """The first len(pool) // width trials of width consecutive points each,
+    as width float64 columns: column r holds point r of every trial."""
+    import numpy as np
+
+    trials = len(pool) // width
+    return np.array(pool[:width * trials], dtype=np.float64).reshape(trials, width).T
+
+
+def monotone_sweep(op, pool):
+    """operators.check_mixed_monotone's trials on the real line: trial t
+    takes (a, b, w) = pool[3t:3t + 3], skips a and b unless a <= b or
+    b <= a, orders them as lo <= hi and tests F(lo, w) <= F(hi, w) on even
+    t, F(w, hi) <= F(w, lo) on odd t, with op.apply on arrays; a NaN image
+    violates. Returns (the first violating t, the comparable trials up to and
+    including it), or (None, all comparable trials)."""
+    import numpy as np
+
+    a, b, w = _columns(pool, 3)
+    below = a <= b
+    comparable = below | (b <= a)
+    lo, hi = np.where(below, a, b), np.where(below, b, a)
+    bad = np.empty(a.size, dtype=bool)
+    even, odd = slice(0, None, 2), slice(1, None, 2)
+    with np.errstate(all="ignore"):
+        bad[even] = ~np.less_equal(op.apply(lo[even], w[even]), op.apply(hi[even], w[even]))
+        bad[odd] = ~np.less_equal(op.apply(w[odd], hi[odd]), op.apply(w[odd], lo[odd]))
+    bad &= comparable
+    t = int(bad.argmax())
+    if not bad[t]:
+        return None, int(np.count_nonzero(comparable))
+    return t, int(np.count_nonzero(comparable[:t + 1]))
+
+
+def _pairs_comparable(p1, p2, q1, q2):
+    """Mask of (p1, p2) and (q1, q2) comparable in the product order:
+    p1 <= q1 and q2 <= p2, or the reverse (spaces.product_leq)."""
+    return ((p1 <= q1) & (q2 <= p2)) | ((q1 <= p1) & (p2 <= q2))
+
+
+def lattice_comparability(pool):
+    """uniqueness.probe_comparability's count on the real line with the
+    lattice bound: trial t takes Y = (y1, y2) and V = (v1, v2) from
+    pool[4t:4t + 4], drops Y == V, and counts Z = (max(y1, v1),
+    min(y2, v2)) comparable to both. Returns (good, trials), as integers.
+    Y == V compares values, so a NaN never matches; the scalar probe's
+    PairPoint equality matches a NaN object with itself, and real_line()'s
+    sampler draws none."""
+    import numpy as np
+
+    y1, y2, v1, v2 = _columns(pool, 4)
+    distinct = (y1 != v1) | (y2 != v2)
+    z1, z2 = np.maximum(y1, v1), np.minimum(y2, v2)
+    good = distinct & _pairs_comparable(z1, z2, y1, y2) & _pairs_comparable(z1, z2, v1, v2)
+    return int(np.count_nonzero(good)), int(np.count_nonzero(distinct))

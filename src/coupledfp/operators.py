@@ -25,7 +25,7 @@ from typing import Any, Callable, Optional
 
 from .errors import DomainMismatchError, InputError
 from .reports import ConditionReport, Witness, _report
-from .spaces import FLOAT_SLACK, PairPoint, SpaceModel, d2
+from .spaces import FLOAT_SLACK, PairPoint, SpaceModel, d2, maps_arrays, usual_real_order
 
 MIN_COMPARABLE = 10
 
@@ -53,13 +53,23 @@ class CoupledOperator:
 def evaluation_lane(op: CoupledOperator) -> str:
     """How the checkers should evaluate this operator.
 
-    "kernel"  -> numpy sweep kernels (a vectorized operator on the real line)
+    "kernel"  -> numpy arrays: the sweep kernels and the array mixed-monotone
+                 check (a vectorized operator on a space with the real line's
+                 own order, spaces.usual_real_order)
     "finite"  -> exhaustive enumeration on the space's integer tables
     "generic" -> sampled evaluation through the Python callables
+
+    The kernel lane loads numpy; a distance that does not map arrays there is
+    an InputError.
     """
-    if op.vectorized and op.space.kind == "real_line":
+    space = op.space
+    if op.vectorized and usual_real_order(space):
+        if not maps_arrays(space.distance):
+            raise InputError(f"the distance of {space.description or 'the space'} does not map "
+                             "float64 arrays, which a vectorized operator on the real line "
+                             "needs; give one that does, or set vectorized=False")
         return "kernel"
-    if op.space.finite is not None:
+    if space.finite is not None:
         return "finite"
     return "generic"
 
@@ -176,40 +186,58 @@ def _monotone_violation(op, clause, x, y, u, v):
                                measured={lo_key: f_lo, hi_key: f_hi})
 
 
+def _trial_witness(op, t, lo, hi, w):
+    """Trial t of check_mixed_monotone on the pair lo <= hi and the free
+    argument w: the witness of its clause, or None. Even trials test the
+    first argument, F(lo, w) <= F(hi, w); odd trials the second,
+    F(w, hi) <= F(w, lo)."""
+    if t % 2 == 0:
+        return _monotone_violation(op, "first_argument", hi, w, lo, w)[2]
+    return _monotone_violation(op, "second_argument", w, lo, w, hi)[2]
+
+
 def check_mixed_monotone(op: CoupledOperator, samples: int = 10000, seed: int = 0) -> ConditionReport:
     """Sample the two monotonicity clauses: F nondecreasing in its first
     argument and nonincreasing in its second, over comparable argument pairs.
 
     Incomparable draws are discarded (and counted); fewer than MIN_COMPARABLE
     surviving comparisons yields an inconclusive verdict rather than a
-    vacuous pass. Finite spaces are enumerated exhaustively instead.
+    vacuous pass. Finite spaces are enumerated exhaustively instead. In the
+    kernel lane the same trials run on arrays (kernels.monotone_sweep) and
+    the first violating one is read back here, on the sampled floats.
     """
     if samples < 2:
         raise InputError("check_mixed_monotone requires samples >= 2")
     space = op.space
-    if space.finite is not None:
+    lane = evaluation_lane(op)
+    if lane == "finite":
         return _mixed_monotone_finite(op)
 
     pool = space.sampler(3 * samples, seed ^ 0x3A5C)
     if len(pool) < 3:
         raise InputError("sampler returned too few points")
-    used = 0
     trials = samples_used = len(pool) // 3
     witness = None
-    points = iter(pool)
-    for t, (a, b, w) in enumerate(zip(points, points, points)):
-        pair = _oriented(space, a, b)
-        if pair is None:
-            continue
-        lo, hi = pair
-        used += 1
-        if t % 2 == 0:
-            _, _, witness = _monotone_violation(op, "first_argument", hi, w, lo, w)
-        else:
-            _, _, witness = _monotone_violation(op, "second_argument", w, lo, w, hi)
-        if witness is not None:
+    if lane == "kernel":
+        from .kernels import monotone_sweep
+
+        t, used = monotone_sweep(op, pool)
+        if t is not None:
             samples_used = t + 1
-            break
+            a, b, w = pool[3 * t:3 * t + 3]
+            witness = _trial_witness(op, t, *_oriented(space, a, b), w)
+    else:
+        used = 0
+        points = iter(pool)
+        for t, (a, b, w) in enumerate(zip(points, points, points)):
+            pair = _oriented(space, a, b)
+            if pair is None:
+                continue
+            used += 1
+            witness = _trial_witness(op, t, *pair, w)
+            if witness is not None:
+                samples_used = t + 1
+                break
     return _report("mixed_monotone", "sampled", witness, samples_used, used,
                    inconclusive=_too_few(used, trials, "comparable argument pairs"))
 

@@ -33,7 +33,8 @@ from typing import Callable, Optional
 from .errors import InputError, SchemaError
 from .operators import CoupledOperator
 from .solver import check_start
-from .spaces import PairPoint, SpaceModel, finite_space, real_line, square_matrix
+from .spaces import (PairPoint, SpaceModel, _real_lattice_bound, finite_space, real_line,
+                     square_matrix)
 
 DEFAULT_RADIUS = 10.0
 
@@ -48,11 +49,6 @@ class ProblemInstance:
     default_start: PairPoint
     expected_fixed_point: Optional[PairPoint] = None
     bound_search: Optional[Callable] = None
-
-
-def _real_lattice_bound(Y: PairPoint, V: PairPoint) -> PairPoint:
-    # coordinatewise extremes give an upper bound in the product order
-    return PairPoint(max(Y.first, V.first), min(Y.second, V.second))
 
 
 def make_linear(a: float, b: float, c: float, radius: float = DEFAULT_RADIUS,

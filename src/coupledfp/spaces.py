@@ -15,9 +15,11 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import islice
 from typing import Any, Callable, Optional
 
 from .audit import AuditReport, audit
@@ -26,6 +28,7 @@ from .errors import DomainMismatchError, InputError
 Element = Any
 
 FLOAT_SLACK = 1e-12  # rounding slack of float spaces (audit, operators._with_slack)
+_SMALLEST_SUBNORMAL = math.ulp(0.0)  # 5e-324
 
 
 class _Incomparable:
@@ -157,9 +160,17 @@ def _require_members(space, *elements):
 
 
 def d2(Y: PairPoint, V: PairPoint, space: SpaceModel):
-    """Product metric on pairs: half the sum of coordinatewise distances."""
+    """Product metric on pairs: half the sum of coordinatewise distances.
+
+    On a float space a sum of 5e-324, the smallest subnormal and the one
+    positive float that halves to 0.0, is returned whole, so d2 is positive
+    whenever the sum is; the test is elementwise on the sweeps' float64
+    arrays, and inf and NaN halve as before. Exact spaces halve exactly."""
     _require_members(space, Y.first, Y.second, V.first, V.second)
-    return (space.distance(Y.first, V.first) + space.distance(Y.second, V.second)) / 2
+    total = space.distance(Y.first, V.first) + space.distance(Y.second, V.second)
+    if space.exact:
+        return total / 2
+    return total / (2 - (total == _SMALLEST_SUBNORMAL))
 
 
 def product_leq(Y: PairPoint, V: PairPoint, space: SpaceModel):
@@ -189,24 +200,57 @@ def audit_space(space: SpaceModel, samples: int = 100, seed: int = 0) -> AuditRe
     other space is checked on `samples` sampled points, where pairs and
     triples past their caps are drawn from a seeded index stream (see
     coupledfp.audit); its metric checks allow the slack FLOAT_SLACK
-    (relative, on the triangle) unless the space is exact. A real_line space
-    with real_line()'s own order is checked on float64 arrays (the array
-    lane), through its distance and x <= y, when numpy is already loaded,
-    for example by a sweep; the audit never imports it. Any other space, one
-    with a replaced leq among them, or any space before numpy is loaded, is
+    (relative, on the triangle) unless the space is exact. A space with the
+    real line's own order (usual_real_order) whose distance maps arrays is
+    checked on float64 arrays (the array lane), through its distance and
+    x <= y, when numpy is already loaded, for example by a sweep; the audit
+    never imports it. Any other space, one with a replaced leq or a
+    float-only distance among them, or any space before numpy is loaded, is
     checked through its distance and leq (the callable lane). Both lanes walk the
     same tuples, so they give the same report. Either way the counterexample
     is read back through the space's distance and leq.
     """
     if samples < 3:
         raise InputError("audit requires samples >= 3")
-    on_arrays = space.kind == "real_line" and space.leq is _line_leq
+    on_arrays = (usual_real_order(space) and "numpy" in sys.modules
+                 and maps_arrays(space.distance))
     return audit(space, samples, seed, 0 if space.exact else FLOAT_SLACK, on_arrays)
 
 
 def _line_leq(x, y):
     # a Python bool even when F returns numpy floats (np.bool_ is not True)
     return True if x <= y else False
+
+
+def usual_real_order(space: SpaceModel) -> bool:
+    """True for a space of kind "real_line" that keeps real_line()'s own leq.
+
+    This is the one gate of the real line's array paths (the audit's array
+    lane, the sweep kernels, the array mixed-monotone check and the array
+    comparability probe): they compare floats with <= in place of calling
+    leq, so a space made from real_line() with a replaced leq, which keeps
+    the kind, must not pass.
+    """
+    return space.kind == "real_line" and space.leq is _line_leq
+
+
+def maps_arrays(distance) -> bool:
+    """Whether distance takes two float64 arrays to an array of the same
+    shape, as real_line()'s does; one that only takes floats does not.
+    Imports numpy."""
+    import numpy as np
+
+    xs = np.array([0.0, 1.0])
+    try:
+        out = distance(xs, xs[::-1])
+    except (TypeError, ValueError):
+        return False
+    return isinstance(out, np.ndarray) and out.shape == xs.shape
+
+
+def _real_lattice_bound(Y: PairPoint, V: PairPoint) -> PairPoint:
+    # coordinatewise extremes give an upper bound in the product order
+    return PairPoint(max(Y.first, V.first), min(Y.second, V.second))
 
 
 def real_line(radius: float = 10.0) -> SpaceModel:
@@ -223,9 +267,14 @@ def real_line(radius: float = 10.0) -> SpaceModel:
     def distance(x, y):
         return abs(x - y)
 
+    lo = -radius
+    span = radius - lo
+
     def sampler(count, seed):
+        # rng.uniform(lo, radius) is lo + (radius - lo) * rng.random(): the
+        # same floats, without a method call per point
         rng = random.Random(seed)
-        return [rng.uniform(-radius, radius) for _ in range(count)]
+        return [lo + span * u for u in islice(iter(rng.random, None), count)]
 
     def interpolate(x, y, t):
         return x + t * (y - x)

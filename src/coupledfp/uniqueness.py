@@ -12,6 +12,7 @@ comparable.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Callable, Optional
@@ -20,7 +21,8 @@ from .errors import InputError
 from .operators import CoupledOperator
 from .reports import jsonable
 from .solver import TERM_CONVERGED, solve, residual
-from .spaces import INCOMPARABLE, PairPoint, SpaceModel, d2, product_leq
+from .spaces import (INCOMPARABLE, PairPoint, SpaceModel, _real_lattice_bound, d2, product_leq,
+                     usual_real_order)
 
 
 @dataclass
@@ -84,7 +86,10 @@ def probe_comparability(space: SpaceModel, samples: int = 1000, seed: int = 0,
     Y == V trials are vacuous and excluded from the denominator. Finite
     spaces are counted exactly (with bound_search only if n**4 <= 500,000);
     otherwise the rate is estimated from seeded samples. A space with no
-    distinct pairs reports 0.0.
+    distinct pairs reports 0.0. On a space with the real line's own order
+    (usual_real_order) and the real line's lattice bound as bound_search,
+    the samples are counted on arrays (kernels.lattice_comparability) once
+    numpy is already loaded; the probe never imports it.
 
     Without bound_search the exact count is closed-form in the 0/1 matrix L:
     (a, b), (c, d) are comparable iff L[a][c] L[d][b] or L[c][a] L[b][d], so
@@ -110,16 +115,21 @@ def probe_comparability(space: SpaceModel, samples: int = 1000, seed: int = 0,
                        for Y, V in combinations(all_pairs, 2))
         return good / trials if trials else 0.0
     pool = space.sampler(4 * samples, seed ^ 0xC0BA)
-    trials = 0
-    good = 0
-    for t in range(len(pool) // 4):
-        Y = PairPoint(pool[4 * t], pool[4 * t + 1])
-        V = PairPoint(pool[4 * t + 2], pool[4 * t + 3])
-        if Y == V:
-            continue
-        trials += 1
-        if _pair_of_pairs_ok(Y, V, space, bound_search):
-            good += 1
+    if (bound_search is _real_lattice_bound and usual_real_order(space)
+            and "numpy" in sys.modules):
+        from .kernels import lattice_comparability
+
+        good, trials = lattice_comparability(pool)
+    else:
+        trials = good = 0
+        for t in range(len(pool) // 4):
+            Y = PairPoint(pool[4 * t], pool[4 * t + 1])
+            V = PairPoint(pool[4 * t + 2], pool[4 * t + 3])
+            if Y == V:
+                continue
+            trials += 1
+            if _pair_of_pairs_ok(Y, V, space, bound_search):
+                good += 1
     if trials == 0:
         return 0.0
     return good / trials

@@ -1,4 +1,5 @@
 import json
+import math
 import pathlib
 
 import pytest
@@ -34,6 +35,17 @@ def np_tanh_operator(a=1.0, b=3.0, c=5.0, vectorized=False):
 
     return cf.CoupledOperator(apply=lambda x, y: (a * x - b * np.tanh(y)) / c,
                               space=cf.real_line(), vectorized=vectorized)
+
+
+def nan_beyond_five(vectorized=False):
+    """(x - y)/4, which contracts, but NaN for x > 5 on real_line(10)."""
+    if vectorized:  # the same map on arrays, for the kernel lane
+        import numpy as np
+
+        return cf.CoupledOperator(apply=lambda x, y: np.where(x > 5, np.nan, (x - y) / 4),
+                                  space=cf.real_line(10.0), vectorized=True)
+    return cf.CoupledOperator(apply=lambda x, y: math.nan if x > 5 else (x - y) / 4,
+                              space=cf.real_line(10.0))
 
 
 @pytest.fixture

@@ -15,7 +15,7 @@ from coupledfp.operators import _finite_table, evaluation_lane
 from coupledfp.spaces import PairIndex, PairPoint
 
 import finite_oracle as oracle
-from conftest import antichain_reals, fixture_path, np_tanh_operator
+from conftest import antichain_reals, fixture_path, nan_beyond_five, np_tanh_operator
 
 EIGHTH = lambda e: e / 8
 
@@ -304,17 +304,6 @@ def test_banded_conclusion_routes_agree_finite(name):
         assert _banded_conclusion(op, x, y, u, v, True) == _conclusion_via_pairs(op, x, y, u, v)
 
 
-def _nan_beyond_five(vectorized=False):
-    # (x - y)/4 contracts, but the map is NaN for x > 5
-    if vectorized:  # the same map on arrays, for the kernel lane
-        import numpy as np
-
-        return cf.CoupledOperator(apply=lambda x, y: np.where(x > 5, np.nan, (x - y) / 4),
-                                  space=cf.real_line(10.0), vectorized=True)
-    return cf.CoupledOperator(apply=lambda x, y: math.nan if x > 5 else (x - y) / 4,
-                              space=cf.real_line(10.0))
-
-
 NAN_CHECKS = {
     "check_samet": lambda op: cf.check_samet(op, [1.0], EIGHTH, samples=500, seed=0),
     "check_symmetric_mk": lambda op: cf.check_symmetric_mk(op, [1.0], EIGHTH, samples=500, seed=0),
@@ -328,7 +317,7 @@ def test_nan_conclusion_is_a_reverifying_failure(check):
     # every condition, not only the banded ones, must treat a NaN image
     # distance as a violation, or verify contradicts the implication chain;
     # in the generic and in the kernel lane
-    for op in (_nan_beyond_five(), _nan_beyond_five(vectorized=True)):
+    for op in (nan_beyond_five(), nan_beyond_five(vectorized=True)):
         rep = NAN_CHECKS[check](op)
         assert rep.verdict == "fails"
         measured = rep.witness.measured
@@ -337,7 +326,7 @@ def test_nan_conclusion_is_a_reverifying_failure(check):
 
 
 def test_nan_conclusion_rejects_every_delta():
-    for op in (_nan_beyond_five(), _nan_beyond_five(vectorized=True)):
+    for op in (nan_beyond_five(), nan_beyond_five(vectorized=True)):
         assert cf.estimate_delta_curve(op, [1.0], samples=200, seed=0) == [(1.0, 0.0)]
 
 

@@ -31,6 +31,7 @@ def test_cli_import_leaves_numpy_unloaded():
 GENERIC_AND_FINITE_CHECKS = """
 import sys
 import coupledfp as cf
+from coupledfp.spaces import _real_lattice_bound
 plain = cf.CoupledOperator(apply=lambda x, y: (x - 3 * y) / 5, space=cf.real_line(),
                            lipschitz_data=(0.2, 0.6))
 finite = cf.load_finite(sys.argv[1]).operator
@@ -44,13 +45,15 @@ for op in (plain, finite):
 cf.audit_lipschitz(plain, samples=200)
 cf.audit_space(cf.real_line(), samples=500)
 cf.audit_space(finite.space)
+cf.probe_comparability(cf.real_line(), samples=200, bound_search=_real_lattice_bound)
 print("numpy" in sys.modules)
 """
 
 
 def test_generic_and_finite_checks_leave_numpy_unloaded():
     # the shared predicates serve the sweeps without importing numpy, and the
-    # audit takes its array lane only once something else has loaded it
+    # audit and the comparability probe take their array paths only once
+    # something else has loaded it
     out = subprocess.run([sys.executable, "-c", GENERIC_AND_FINITE_CHECKS,
                           fixture_path("diamond5.json")],
                          capture_output=True, text=True, check=True).stdout.split()

@@ -1,12 +1,18 @@
+import dataclasses
+import json
 import math
 import random
 
+import numpy as np
 import pytest
 
 import coupledfp as cf
+from coupledfp import kernels
+from coupledfp.errors import InputError
+from coupledfp.operators import evaluation_lane
 from coupledfp.spaces import PairPoint
 
-from conftest import antichain_reals, np_tanh_operator
+from conftest import antichain_reals, nan_beyond_five, np_tanh_operator
 
 
 def test_product_T_flagship_step(samet):
@@ -78,6 +84,81 @@ def test_mixed_monotone_inconclusive_without_comparable_pairs():
     rep = cf.check_mixed_monotone(op, samples=500, seed=0)
     assert rep.verdict == "inconclusive"
     assert rep.comparable_pairs_used < 10
+
+
+def _vectorized(apply, space=None):
+    return cf.CoupledOperator(apply=apply, space=space or cf.real_line(), vectorized=True)
+
+
+def _small_grid_sampler(count, seed):
+    # ties, and so equal argument pairs, in most trials; NaN is incomparable
+    rng = random.Random(seed)
+    return [rng.choice((-1.0, 0.0, 0.5, 1.0, math.nan)) for _ in range(count)]
+
+
+VECTORIZED_MAPS = {
+    "increasing_in_y": _vectorized(lambda x, y: (x + y) / 3),
+    "mixed_monotone": _vectorized(lambda x, y: (2 * x - y) / 5),
+    "wavy": _vectorized(lambda x, y: np.tanh(x) - np.sin(3 * y) / 2),
+    "decreasing_in_x": _vectorized(lambda x, y: -x - y),
+    "nan_beyond_five": nan_beyond_five(vectorized=True),
+    "wavy_on_a_grid": _vectorized(lambda x, y: np.tanh(x) - np.sin(3 * y) / 2,
+                                  dataclasses.replace(cf.real_line(),
+                                                      sampler=_small_grid_sampler)),
+}
+
+
+@pytest.mark.parametrize("samples", [2, 3, 10, 2000])
+@pytest.mark.parametrize("name", list(VECTORIZED_MAPS))
+def test_mixed_monotone_arrays_match_the_scalar_lane(name, samples, monkeypatch):
+    # the kernel lane's array trials report what the same map's generic lane
+    # reports, byte for byte, witness included
+    op = VECTORIZED_MAPS[name]
+    twin = dataclasses.replace(op, vectorized=False)
+    assert (evaluation_lane(op), evaluation_lane(twin)) == ("kernel", "generic")
+    sweep, sweeps = kernels.monotone_sweep, []
+    monkeypatch.setattr(kernels, "monotone_sweep", lambda *a: sweeps.append(a) or sweep(*a))
+    for seed in (0, 1, 7, 42, 2**40):
+        got, want = (json.dumps(cf.check_mixed_monotone(o, samples=samples, seed=seed)
+                                .to_jsonable()) for o in (op, twin))
+        assert got == want
+    assert len(sweeps) == 5
+
+
+def test_mixed_monotone_arrays_find_both_clauses():
+    # the cases above include a failure of each clause and a hold
+    kinds = {name: cf.check_mixed_monotone(op, samples=2000, seed=0)
+             for name, op in VECTORIZED_MAPS.items()}
+    assert kinds["increasing_in_y"].witness.kind == "second_argument"
+    assert kinds["decreasing_in_x"].witness.kind == "first_argument"
+    assert kinds["mixed_monotone"].verdict == "holds_on_samples"
+    assert math.isnan(kinds["nan_beyond_five"].witness.measured["f_of_x_y"])
+
+
+def test_vectorized_map_on_a_replaced_order_takes_the_generic_lane():
+    # kind "real_line" survives dataclasses.replace; the order does not
+    line = cf.real_line()
+    replaced = dataclasses.replace(line, leq=lambda x, y: True if x <= y else False)
+    op = _vectorized(lambda x, y: (x - 3 * y) / 5, replaced)
+    assert evaluation_lane(op) == "generic"
+    assert evaluation_lane(dataclasses.replace(op, space=line)) == "kernel"
+
+
+@pytest.mark.parametrize("check", [
+    lambda op: cf.check_mixed_monotone(op, samples=100),
+    lambda op: cf.check_banach_k(op, 0.5, samples=100),
+    lambda op: cf.check_samet(op, [1.0], lambda e: e / 8, samples=100),
+    lambda op: cf.check_strict_contraction(op, samples=100),
+    lambda op: cf.estimate_delta_curve(op, [1.0], samples=100),
+])
+def test_vectorized_map_needs_a_distance_on_arrays(check):
+    # a float-only distance on the real line is an InputError naming it,
+    # not a TypeError from inside the sweeps
+    space = dataclasses.replace(cf.real_line(), distance=lambda x, y: math.fabs(x - y))
+    op = _vectorized(lambda x, y: (x - 3 * y) / 5, space)
+    with pytest.raises(InputError, match="distance"):
+        check(op)
+    assert check(dataclasses.replace(op, vectorized=False)) is not None
 
 
 def test_audit_lipschitz_flagship(samet):

@@ -4,6 +4,7 @@ import json
 import math
 import operator
 import random
+from fractions import Fraction
 from itertools import combinations, islice, product
 
 import numpy as np
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 import coupledfp as cf
 from coupledfp import audit
 from coupledfp.audit import _randrange_stream
-from coupledfp.spaces import FLOAT_SLACK, INCOMPARABLE, PairPoint, SpaceModel
+from coupledfp.spaces import FLOAT_SLACK, INCOMPARABLE, PairPoint, SpaceModel, usual_real_order
 
 import finite_oracle as oracle
 from conftest import load_doc
@@ -40,10 +41,40 @@ def test_d2_symmetry_random_pairs(real_space):
 
 
 @given(x=finite_floats, y=finite_floats, u=finite_floats, v=finite_floats)
+@example(0.0, 0.0, 0.0, 5e-324)  # the one positive sum that halves to 0.0
 def test_d2_zero_iff_coordinates_zero(x, y, u, v):
     space = cf.real_line()
     val = cf.d2(PairPoint(x, y), PairPoint(u, v), space)
     assert (val == 0) == (space.distance(x, u) == 0 and space.distance(y, v) == 0)
+
+
+def test_d2_keeps_the_smallest_subnormal_on_arrays():
+    # the sweeps call d2 on float64 arrays: the test is elementwise there
+    space = cf.real_line()
+    zeros = np.zeros(4)
+    second = np.array([0.0, 5e-324, 1e-323, 3.0])
+    got = cf.d2(PairPoint(zeros, zeros), PairPoint(zeros, second), space)
+    assert got.tolist() == [0.0, 5e-324, 5e-324, 1.5]
+
+
+def test_d2_halves_fractions_inf_and_nan_as_before():
+    exact = cf.finite_space("ab", [[0, "1/3"], ["1/3", 0]], [[1, 1], [0, 1]])
+    got = cf.d2(PairPoint("a", "a"), PairPoint("b", "a"), exact)
+    assert got == Fraction(1, 6) and isinstance(got, Fraction)
+    line = cf.real_line()
+    assert cf.d2(PairPoint(0.0, 0.0), PairPoint(math.inf, 0.0), line) == math.inf
+    assert math.isnan(cf.d2(PairPoint(0.0, 0.0), PairPoint(math.nan, 0.0), line))
+
+
+@pytest.mark.parametrize("radius", [10.0, 3.3, 1e-300, 1e300])
+def test_real_line_sampler_draws_the_uniform_points(radius):
+    # the same floats as rng.uniform(-radius, radius), and prefix-stable
+    sampler = cf.real_line(radius).sampler
+    for seed in (0, 1, 42, 2**40):
+        rng = random.Random(seed)
+        expected = [rng.uniform(-radius, radius) for _ in range(1000)]
+        assert sampler(1000, seed) == expected
+        assert sampler(37, seed) == expected[:37]
 
 
 @given(a=finite_floats, b=finite_floats, c=finite_floats,
@@ -227,6 +258,31 @@ def test_audit_lane_follows_the_real_line_order(monkeypatch):
     assert cf.audit_space(loose, samples=200).failed_axioms() == ["order_antisymmetric"]
     assert cf.audit_space(dataclasses.replace(cf.real_line(), kind="custom"), samples=10).passed
     assert lanes == [audit._ArrayLane, audit._CallableLane, audit._CallableLane]
+
+
+def test_audit_of_a_float_only_distance_takes_the_callable_lane(monkeypatch):
+    # numpy is loaded here; a replaced distance that takes floats only keeps
+    # the real line's order, but its audit goes through the callables and
+    # gives real_line()'s report, not a TypeError from the array lane
+    lanes = []
+    sampled_audit = audit._sampled_audit
+    monkeypatch.setattr(audit, "_sampled_audit", lambda space, samples, seed, tau, lane: (
+        lanes.append(lane) or sampled_audit(space, samples, seed, tau, lane)))
+    scalar = dataclasses.replace(cf.real_line(), distance=lambda x, y: math.fabs(x - y))
+    assert usual_real_order(scalar)
+    for seed in (0, 42):
+        assert (json.dumps(cf.audit_space(scalar, samples=60, seed=seed).to_jsonable())
+                == json.dumps(cf.audit_space(cf.real_line(), samples=60, seed=seed).to_jsonable()))
+    assert lanes == [audit._CallableLane, audit._ArrayLane] * 2
+
+
+def test_usual_real_order_needs_the_kind_and_the_real_line_order():
+    line = cf.real_line()
+    assert usual_real_order(line)
+    assert usual_real_order(dataclasses.replace(line, sample_radius=1.0))
+    assert not usual_real_order(dataclasses.replace(line, leq=lambda x, y: x <= y))
+    assert not usual_real_order(dataclasses.replace(line, kind="custom"))
+    assert not usual_real_order(cf.finite_space("a", [[0]], [[1]]))
 
 
 @pytest.mark.parametrize("samples, pair_checks", [(500, 124_750), (700, 199_714)])

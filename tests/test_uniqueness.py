@@ -1,21 +1,71 @@
+import dataclasses
 import math
+import random
 
+import numpy as np  # noqa: F401  (loaded, so the probe may count on arrays)
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import coupledfp as cf
-from coupledfp.spaces import PairPoint
+from coupledfp import kernels
+from coupledfp.spaces import PairPoint, _real_lattice_bound
 
 from conftest import fixture_path, load_doc
 
 
 def test_probe_real_lattice_rate_one(real_space):
-    from coupledfp.problems import _real_lattice_bound
-
     rate = cf.probe_comparability(real_space, samples=400, seed=0,
                                   bound_search=_real_lattice_bound)
     assert rate == 1.0
+
+
+def _small_grid_sampler(count, seed):
+    # few values: ties, Y == V trials and incomparable lattice bounds
+    rng = random.Random(seed)
+    return [rng.choice((-1.0, 0.0, 0.5, 1.0)) for _ in range(count)]
+
+
+LINE = cf.real_line()
+PROBE_SPACES = {
+    "real_line": LINE,
+    "radius_0.1": cf.real_line(0.1),
+    "small_grid": dataclasses.replace(LINE, sampler=_small_grid_sampler),
+}
+
+
+@pytest.mark.parametrize("samples", [1, 2, 50, 500])
+@pytest.mark.parametrize("name", list(PROBE_SPACES))
+def test_probe_lattice_rate_on_arrays_matches_the_scalar_probe(name, samples, monkeypatch):
+    # numpy is loaded here, so real_line's own order with its lattice bound
+    # counts on arrays; a replaced order or a user bound takes the scalar
+    # probe, and all three give the same float
+    space = PROBE_SPACES[name]
+    counted, calls = kernels.lattice_comparability, []
+    monkeypatch.setattr(kernels, "lattice_comparability",
+                        lambda pool: calls.append(pool) or counted(pool))
+    replaced = dataclasses.replace(space, leq=lambda x, y: True if x <= y else False)
+    user_bound = lambda Y, V: _real_lattice_bound(Y, V)  # noqa: E731
+    for seed in (0, 1, 42):
+        rates = [cf.probe_comparability(s, samples, seed, bound)
+                 for s, bound in ((space, _real_lattice_bound), (replaced, _real_lattice_bound),
+                                  (space, user_bound))]
+        assert rates[0] == rates[1] == rates[2]
+    assert len(calls) == 3
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_lattice_count_on_arrays_matches_the_scalar_probe(seed):
+    # with NaN draws (each a new object, so no two are the same) some lattice
+    # bounds are incomparable: the counts are not all trivially equal
+    rng = random.Random(seed)
+    pool = [rng.choice((-1.0, 0.0, 1.0)) if rng.random() < 0.9 else float("nan")
+            for _ in range(400)]
+    good, trials = kernels.lattice_comparability(pool)
+    assert 0 < good < trials
+    space = dataclasses.replace(cf.real_line(), sampler=lambda count, seed: pool[:count])
+    scalar = cf.probe_comparability(space, 100, 0, lambda Y, V: _real_lattice_bound(Y, V))
+    assert good / trials == scalar
 
 
 def test_probe_antichain_rate_zero():
