@@ -64,7 +64,7 @@ from .operators import (
     _with_slack,
 )
 from .reports import ConditionReport, Witness, _report
-from .spaces import _require_members
+from .spaces import _half_sum, _require_members
 
 _BASE_BANACH = 1
 _BASE_STRICT = 2
@@ -328,11 +328,12 @@ def _check_banded(op, eps_grid, delta_candidates, samples, seed, symmetric) -> C
 def _scan_band(op, quadruples, eps, delta, symmetric, kind):
     """Test the banded condition on the quadruples whose half-sum lies in
     [eps, eps + delta): (in-band count, first witness or None)."""
+    space = op.space
     hi = eps + delta
-    thresh = _with_slack(op.space, eps)  # the conclusion must stay below it
+    thresh = _with_slack(space, eps)  # the conclusion must stay below it
     hits = 0
     for _, x, y, u, v, dxu, dyv in quadruples:
-        half = (dxu + dyv) / 2
+        half = _half_sum(space, dxu + dyv)
         if not (eps <= half < hi):
             continue
         hits += 1
@@ -361,7 +362,8 @@ def _finite_band(op, tables, eps, delta, symmetric):
         return hits, None
     x, y, u, v, dxu, dyv = tables.quadruple(q)
     return hits, Witness(x=x, y=y, u=u, v=v, kind="exhaustive",
-                         measured={"eps": eps, "delta": delta, "half_sum": (dxu + dyv) / 2,
+                         measured={"eps": eps, "delta": delta,
+                                   "half_sum": _half_sum(op.space, dxu + dyv),
                                    "lhs": _banded_conclusion(op, x, y, u, v, symmetric)})
 
 
@@ -469,12 +471,13 @@ def check_strict_contraction(op: CoupledOperator, samples: int = 10000, seed: in
 
     if lane == "finite":
         return _finite_strict(op)
-    draws, quadruples = _sampled_quadruples(op.space, samples, seed ^ 0x57C1)
+    space = op.space
+    draws, quadruples = _sampled_quadruples(space, samples, seed ^ 0x57C1)
     used = draws
     checked = 0
     witness = None
     for t, x, y, u, v, dxu, dyv in quadruples:
-        before = (dxu + dyv) / 2
+        before = _half_sum(space, dxu + dyv)
         if not before > 0:
             continue
         checked += 1
@@ -496,7 +499,7 @@ def _finite_strict(op):
     witness = None
     if q is not None:
         x, y, u, v, dxu, dyv = tables.quadruple(q)
-        before = (dxu + dyv) / 2
+        before = _half_sum(op.space, dxu + dyv)
         after, _ = _strict_holds(op, x, y, u, v, before)
         witness = Witness(x=x, y=y, u=u, v=v, kind="exhaustive",
                           measured={"d2_before": before, "d2_after": after})
@@ -578,14 +581,14 @@ def reverify_witness(op: CoupledOperator, report: ConditionReport) -> dict:
 
     if cid in ("samet_mk", "symmetric_mk"):
         eps = w.measured["eps"]
-        half = (dxu + dyv) / 2
+        half = _half_sum(space, dxu + dyv)
         in_band = eps <= half < eps + w.measured["delta"]
         lhs = _banded_conclusion(op, w.x, w.y, w.u, w.v, cid == "symmetric_mk")
         return {"half_sum": half, "in_band": in_band, "lhs": lhs,
                 "violated": bool(in_band and not lhs < _with_slack(space, eps))}
 
     if cid == "strict_contraction":
-        before = (dxu + dyv) / 2
+        before = _half_sum(space, dxu + dyv)
         after, holds = _strict_holds(op, w.x, w.y, w.u, w.v, before)
         return {"d2_before": before, "d2_after": after, "violated": not holds}
 

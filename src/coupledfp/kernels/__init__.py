@@ -26,6 +26,7 @@ that make no sweep do not pay its import time or memory.
 """
 
 from ..operators import _banach_holds, _banded_conclusion, _half_k, _strict_holds, _with_slack
+from ..spaces import _half_sum
 
 KERNEL_BACKEND = "numpy"
 CHUNK = 8192  # draws evaluated per array pass; bounds memory and early-exit waste
@@ -149,7 +150,7 @@ def band_sweep(op, eps, delta, seed, tag, n, mode, symmetric):
             v = (2.0 * r[2] - 1.0) * scale
             u = x - p
             y = v - q
-            half = (distance(x, u) + distance(y, v)) / 2
+            half = _half_sum(space, distance(x, u) + distance(y, v))
             in_band = (half >= eps) & (half < hi)
             lhs = _banded_conclusion(op, x, y, u, v, symmetric)
             yield in_band, in_band & ~(lhs < thresh), (x, y, u, v, half, lhs)
@@ -170,7 +171,7 @@ def strict_sweep(op, seed, tag, n):
 
     def chunks():
         for x, y, u, v in _box_quadruples(space, seed, tag, n):
-            before = (space.distance(x, u) + space.distance(y, v)) / 2
+            before = _half_sum(space, space.distance(x, u) + space.distance(y, v))
             distinct = before > 0.0
             after, holds = _strict_holds(op, x, y, u, v, before)
             yield distinct, distinct & ~holds, (x, y, u, v, before, after)
@@ -180,11 +181,17 @@ def strict_sweep(op, seed, tag, n):
 
 def _columns(pool, width):
     """The first len(pool) // width trials of width consecutive points each,
-    as width float64 columns: column r holds point r of every trial."""
+    as width float64 columns (column r holds point r of every trial), or
+    None when a point is NaN: the scalar probe's PairPoint equality matches
+    a NaN object with itself, which values on arrays cannot, so the callers
+    of the twins run their scalar loop on such a pool."""
     import numpy as np
 
     trials = len(pool) // width
-    return np.array(pool[:width * trials], dtype=np.float64).reshape(trials, width).T
+    flat = np.array(pool[:width * trials], dtype=np.float64)
+    if np.isnan(flat).any():
+        return None
+    return flat.reshape(trials, width).T
 
 
 def monotone_sweep(op, pool):
@@ -192,11 +199,15 @@ def monotone_sweep(op, pool):
     takes (a, b, w) = pool[3t:3t + 3], skips a and b unless a <= b or
     b <= a, orders them as lo <= hi and tests F(lo, w) <= F(hi, w) on even
     t, F(w, hi) <= F(w, lo) on odd t, with op.apply on arrays; a NaN image
-    violates. Returns (the first violating t, the comparable trials up to and
-    including it), or (None, all comparable trials)."""
+    violates. Returns (the first violating t, or the number of trials when
+    none violates, and the comparable trials before it), or None for a pool
+    with a NaN."""
     import numpy as np
 
-    a, b, w = _columns(pool, 3)
+    columns = _columns(pool, 3)
+    if columns is None:
+        return None
+    a, b, w = columns
     below = a <= b
     comparable = below | (b <= a)
     lo, hi = np.where(below, a, b), np.where(below, b, a)
@@ -208,8 +219,8 @@ def monotone_sweep(op, pool):
     bad &= comparable
     t = int(bad.argmax())
     if not bad[t]:
-        return None, int(np.count_nonzero(comparable))
-    return t, int(np.count_nonzero(comparable[:t + 1]))
+        t = a.size
+    return t, int(np.count_nonzero(comparable[:t]))
 
 
 def _pairs_comparable(p1, p2, q1, q2):
@@ -222,13 +233,14 @@ def lattice_comparability(pool):
     """uniqueness.probe_comparability's count on the real line with the
     lattice bound: trial t takes Y = (y1, y2) and V = (v1, v2) from
     pool[4t:4t + 4], drops Y == V, and counts Z = (max(y1, v1),
-    min(y2, v2)) comparable to both. Returns (good, trials), as integers.
-    Y == V compares values, so a NaN never matches; the scalar probe's
-    PairPoint equality matches a NaN object with itself, and real_line()'s
-    sampler draws none."""
+    min(y2, v2)) comparable to both. Returns (good, trials), as integers,
+    or None for a pool with a NaN."""
     import numpy as np
 
-    y1, y2, v1, v2 = _columns(pool, 4)
+    columns = _columns(pool, 4)
+    if columns is None:
+        return None
+    y1, y2, v1, v2 = columns
     distinct = (y1 != v1) | (y2 != v2)
     z1, z2 = np.maximum(y1, v1), np.minimum(y2, v2)
     good = distinct & _pairs_comparable(z1, z2, y1, y2) & _pairs_comparable(z1, z2, v1, v2)

@@ -19,13 +19,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
+from itertools import islice, repeat
 from operator import getitem
 from typing import Any, Callable, Optional
 
 from .errors import DomainMismatchError, InputError
 from .reports import ConditionReport, Witness, _report
-from .spaces import FLOAT_SLACK, PairPoint, SpaceModel, d2, maps_arrays, usual_real_order
+from .spaces import FLOAT_SLACK, PairPoint, SpaceModel, _half_sum, d2, maps_arrays, usual_real_order
 
 MIN_COMPARABLE = 10
 
@@ -150,7 +150,7 @@ def _banded_conclusion(op, x, y, u, v, symmetric):
     d1 = space.distance(op.apply(x, y), op.apply(u, v))
     if not symmetric:
         return d1
-    return (d1 + space.distance(op.apply(y, x), op.apply(v, u))) / 2
+    return _half_sum(space, d1 + space.distance(op.apply(y, x), op.apply(v, u)))
 
 
 def _strict_holds(op, x, y, u, v, before):
@@ -203,8 +203,10 @@ def check_mixed_monotone(op: CoupledOperator, samples: int = 10000, seed: int = 
     Incomparable draws are discarded (and counted); fewer than MIN_COMPARABLE
     surviving comparisons yields an inconclusive verdict rather than a
     vacuous pass. Finite spaces are enumerated exhaustively instead. In the
-    kernel lane the same trials run on arrays (kernels.monotone_sweep) and
-    the first violating one is read back here, on the sampled floats.
+    kernel lane the same trials run on arrays first (kernels.monotone_sweep),
+    and the scalar loop starts at the first trial they flag, so the witness
+    is read on the sampled floats and a flagged trial that the floats pass
+    does not end the check.
     """
     if samples < 2:
         raise InputError("check_mixed_monotone requires samples >= 2")
@@ -217,27 +219,24 @@ def check_mixed_monotone(op: CoupledOperator, samples: int = 10000, seed: int = 
     if len(pool) < 3:
         raise InputError("sampler returned too few points")
     trials = samples_used = len(pool) // 3
-    witness = None
+    start = used = 0
     if lane == "kernel":
         from .kernels import monotone_sweep
 
-        t, used = monotone_sweep(op, pool)
-        if t is not None:
+        # the arrays skip the trials before the first one they flag; the
+        # loop below reads its witness, and goes on should it find none
+        start, used = monotone_sweep(op, pool) or (0, 0)
+    witness = None
+    points = islice(pool, 3 * start, None)
+    for t, (a, b, w) in enumerate(zip(points, points, points), start):
+        pair = _oriented(space, a, b)
+        if pair is None:
+            continue
+        used += 1
+        witness = _trial_witness(op, t, *pair, w)
+        if witness is not None:
             samples_used = t + 1
-            a, b, w = pool[3 * t:3 * t + 3]
-            witness = _trial_witness(op, t, *_oriented(space, a, b), w)
-    else:
-        used = 0
-        points = iter(pool)
-        for t, (a, b, w) in enumerate(zip(points, points, points)):
-            pair = _oriented(space, a, b)
-            if pair is None:
-                continue
-            used += 1
-            witness = _trial_witness(op, t, *pair, w)
-            if witness is not None:
-                samples_used = t + 1
-                break
+            break
     return _report("mixed_monotone", "sampled", witness, samples_used, used,
                    inconclusive=_too_few(used, trials, "comparable argument pairs"))
 

@@ -159,18 +159,23 @@ def _require_members(space, *elements):
             raise DomainMismatchError(f"element {e!r} is not in {space.description or 'the space'}")
 
 
-def d2(Y: PairPoint, V: PairPoint, space: SpaceModel):
-    """Product metric on pairs: half the sum of coordinatewise distances.
-
-    On a float space a sum of 5e-324, the smallest subnormal and the one
-    positive float that halves to 0.0, is returned whole, so d2 is positive
-    whenever the sum is; the test is elementwise on the sweeps' float64
-    arrays, and inf and NaN halve as before. Exact spaces halve exactly."""
-    _require_members(space, Y.first, Y.second, V.first, V.second)
-    total = space.distance(Y.first, V.first) + space.distance(Y.second, V.second)
+def _half_sum(space: SpaceModel, total):
+    """Half a sum of two distances, as d2 and every check that stands for d2
+    halve it. On a float space a sum of 5e-324, the smallest subnormal and
+    the one positive float that halves to 0.0, is returned whole, so the
+    half is positive whenever the sum is; the test is elementwise on the
+    sweeps' float64 arrays, and inf and NaN halve as before. Exact spaces
+    halve exactly."""
     if space.exact:
         return total / 2
-    return total / (2 - (total == _SMALLEST_SUBNORMAL))
+    # 2.0, not 2: on arrays a float divisor skips an int64 cast of the mask
+    return total / (2.0 - (total == _SMALLEST_SUBNORMAL))
+
+
+def d2(Y: PairPoint, V: PairPoint, space: SpaceModel):
+    """Product metric on pairs: half the sum of coordinatewise distances."""
+    _require_members(space, Y.first, Y.second, V.first, V.second)
+    return _half_sum(space, space.distance(Y.first, V.first) + space.distance(Y.second, V.second))
 
 
 def product_leq(Y: PairPoint, V: PairPoint, space: SpaceModel):

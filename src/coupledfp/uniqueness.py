@@ -89,7 +89,7 @@ def probe_comparability(space: SpaceModel, samples: int = 1000, seed: int = 0,
     distinct pairs reports 0.0. On a space with the real line's own order
     (usual_real_order) and the real line's lattice bound as bound_search,
     the samples are counted on arrays (kernels.lattice_comparability) once
-    numpy is already loaded; the probe never imports it.
+    numpy is already loaded, unless one is NaN; the probe never imports it.
 
     Without bound_search the exact count is closed-form in the 0/1 matrix L:
     (a, b), (c, d) are comparable iff L[a][c] L[d][b] or L[c][a] L[b][d], so
@@ -115,24 +115,31 @@ def probe_comparability(space: SpaceModel, samples: int = 1000, seed: int = 0,
                        for Y, V in combinations(all_pairs, 2))
         return good / trials if trials else 0.0
     pool = space.sampler(4 * samples, seed ^ 0xC0BA)
+    counts = None
     if (bound_search is _real_lattice_bound and usual_real_order(space)
             and "numpy" in sys.modules):
         from .kernels import lattice_comparability
 
-        good, trials = lattice_comparability(pool)
-    else:
-        trials = good = 0
-        for t in range(len(pool) // 4):
-            Y = PairPoint(pool[4 * t], pool[4 * t + 1])
-            V = PairPoint(pool[4 * t + 2], pool[4 * t + 3])
-            if Y == V:
-                continue
-            trials += 1
-            if _pair_of_pairs_ok(Y, V, space, bound_search):
-                good += 1
+        counts = lattice_comparability(pool)
+    good, trials = counts or _sampled_counts(pool, space, bound_search)
     if trials == 0:
         return 0.0
     return good / trials
+
+
+def _sampled_counts(pool, space, bound_search):
+    """(good, trials) of probe_comparability on the sampled points: trial t
+    takes Y and V from pool[4t:4t + 4] and is dropped when Y == V."""
+    trials = good = 0
+    for t in range(len(pool) // 4):
+        Y = PairPoint(pool[4 * t], pool[4 * t + 1])
+        V = PairPoint(pool[4 * t + 2], pool[4 * t + 3])
+        if Y == V:
+            continue
+        trials += 1
+        if _pair_of_pairs_ok(Y, V, space, bound_search):
+            good += 1
+    return good, trials
 
 
 def multi_start_uniqueness(op: CoupledOperator, starts, tol: float = 1e-10,

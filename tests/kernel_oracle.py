@@ -26,6 +26,12 @@ def stream_seed(seed, tag):
     return _mix64((seed & _MASK64) ^ ((tag & _MASK64) * _GOLDEN & _MASK64))
 
 
+def _half(s):
+    # half a sum of two distances; 5e-324, the one positive float that
+    # halves to 0.0, stays whole (spaces._half_sum)
+    return s if s == 5e-324 else 0.5 * s
+
+
 def _next_unif(state):
     # splitmix64 step, then map the top 53 bits to [0, 1)
     state = (state + _GOLDEN) & _MASK64
@@ -112,7 +118,7 @@ def band_sweep(a, b, c, eps, delta, n, seed, tag, scale, mode, symmetric, slack)
         y = v - q
         dxu = abs(x - u)
         dyv = abs(y - v)
-        half = 0.5 * (dxu + dyv)
+        half = _half(dxu + dyv)
         if not (half >= eps and half < hi):
             continue
         hits += 1
@@ -122,7 +128,7 @@ def band_sweep(a, b, c, eps, delta, n, seed, tag, scale, mode, symmetric, slack)
         if symmetric:
             fyx = (a * y - b * x) / c
             fvu = (a * v - b * u) / c
-            lhs = 0.5 * (lhs + abs(fyx - fvu))
+            lhs = _half(lhs + abs(fyx - fvu))
         if lhs >= thresh:
             return (1, hits, x, y, u, v, half, lhs)
     return (0, hits, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
@@ -152,7 +158,7 @@ def strict_sweep(a, b, c, n, seed, tag, scale, slack):
         y = v - q
         dxu = abs(x - u)
         dyv = abs(y - v)
-        d2yv = 0.5 * (dxu + dyv)
+        d2yv = _half(dxu + dyv)
         if d2yv <= 0.0:
             continue
         checked += 1
@@ -160,7 +166,7 @@ def strict_sweep(a, b, c, n, seed, tag, scale, slack):
         fuv = (a * u - b * v) / c
         fyx = (a * y - b * x) / c
         fvu = (a * v - b * u) / c
-        d2t = 0.5 * (abs(fxy - fuv) + abs(fyx - fvu))
+        d2t = _half(abs(fxy - fuv) + abs(fyx - fvu))
         m = d2yv if d2yv > 1.0 else 1.0
         if d2t >= d2yv - slack * m:
             return (1, checked, x, y, u, v, d2yv, d2t)

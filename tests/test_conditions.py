@@ -6,7 +6,7 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import coupledfp as cf
@@ -290,6 +290,7 @@ real_point = st.floats(min_value=-10.0, max_value=10.0)
        c=st.floats(min_value=0.5, max_value=6.0),
        x=real_point, y=real_point, u=real_point, v=real_point)
 @settings(max_examples=300)
+@example(family="linear", a=1.0, b=0.0, c=1.0, x=5e-324, y=0.0, u=0.0, v=0.0)
 def test_banded_conclusion_routes_agree_generic(family, a, b, c, x, y, u, v):
     # the symmetric conclusion is d2 of the pair-map images, bit for bit
     op = cf.CoupledOperator(apply=REAL_MAPS[family](a, b, c), space=cf.real_line())

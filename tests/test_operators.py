@@ -91,7 +91,13 @@ def _vectorized(apply, space=None):
 
 
 def _small_grid_sampler(count, seed):
-    # ties, and so equal argument pairs, in most trials; NaN is incomparable
+    # ties, and so equal argument pairs, in most trials
+    rng = random.Random(seed)
+    return [rng.choice((-1.0, 0.0, 0.5, 1.0)) for _ in range(count)]
+
+
+def _nan_grid_sampler(count, seed):
+    # NaN is incomparable; a pool with one is checked by the scalar loop
     rng = random.Random(seed)
     return [rng.choice((-1.0, 0.0, 0.5, 1.0, math.nan)) for _ in range(count)]
 
@@ -105,6 +111,9 @@ VECTORIZED_MAPS = {
     "wavy_on_a_grid": _vectorized(lambda x, y: np.tanh(x) - np.sin(3 * y) / 2,
                                   dataclasses.replace(cf.real_line(),
                                                       sampler=_small_grid_sampler)),
+    "wavy_on_a_nan_grid": _vectorized(lambda x, y: np.tanh(x) - np.sin(3 * y) / 2,
+                                      dataclasses.replace(cf.real_line(),
+                                                          sampler=_nan_grid_sampler)),
 }
 
 
@@ -123,6 +132,22 @@ def test_mixed_monotone_arrays_match_the_scalar_lane(name, samples, monkeypatch)
                                 .to_jsonable()) for o in (op, twin))
         assert got == want
     assert len(sweeps) == 5
+
+
+def _increasing_on_floats_only(x, y):
+    # breaks the vectorized promise: decreasing in x on arrays
+    return -x if isinstance(x, np.ndarray) else x
+
+
+def test_mixed_monotone_goes_on_past_a_trial_only_the_arrays_flag():
+    # the arrays flag trial 0 or 2, the floats pass it: the check carries on
+    # over every trial, as the generic lane does, instead of stopping there
+    op = _vectorized(_increasing_on_floats_only)
+    assert kernels.monotone_sweep(op, op.space.sampler(3000, 0x3A5C))[0] < 3
+    twin = dataclasses.replace(op, vectorized=False)
+    got, want = (cf.check_mixed_monotone(o, samples=1000, seed=0) for o in (op, twin))
+    assert got.to_jsonable() == want.to_jsonable()
+    assert got.verdict == "holds_on_samples" and got.samples_used == 1000
 
 
 def test_mixed_monotone_arrays_find_both_clauses():
