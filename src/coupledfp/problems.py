@@ -182,8 +182,8 @@ def load_finite(path: str) -> ProblemInstance:
         ftab = square_matrix(doc["F"], n, partial(_element_index, n), "F")
     except InputError as exc:
         raise SchemaError(str(exc), path) from None
-    dist = space.finite.dist
-    if min(map(min, dist)) < 0:
+    if min(d.numerator for d in space.finite.distances) < 0:
+        dist = space.finite.dist
         i, j = next((i, j) for i, row in enumerate(dist) for j, d in enumerate(row) if d < 0)
         raise SchemaError(f"distance[{i}][{j}]: must be nonnegative, got {dist[i][j]}", path)
     index = space.finite.index

@@ -19,7 +19,7 @@ import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import islice
+from itertools import chain, islice
 from typing import Any, Callable, Optional
 
 from .audit import AuditReport, audit
@@ -100,11 +100,13 @@ class FiniteData:
     """Exact tabulated structure of a finite space: labels, the n x n
     Fraction distance matrix and the n x n 0/1 order matrix.
 
-    Two derived views are built on first use and kept with the space:
+    Derived views are built on first use and kept with the space:
+    ``distances``, the distinct Fraction objects of dist, one per distinct
+    entry of the input matrix (square_matrix gives equal entries one object);
     ``scaled``, the pair (scale, distance matrix times scale) with scale the
     least common denominator of the distances, whose integer entries keep
-    every sum and comparison of distances exact; and the pair index of
-    pairs().
+    every sum and comparison of distances exact, worked out once per
+    distinct distance; and the pair index of pairs().
     """
 
     elements: tuple
@@ -114,10 +116,14 @@ class FiniteData:
     pair_index: Optional[PairIndex] = field(default=None, repr=False, compare=False)
 
     @cached_property
+    def distances(self):
+        return list({id(d): d for d in chain.from_iterable(self.dist)}.values())
+
+    @cached_property
     def scaled(self):
-        scale = math.lcm(*(d.denominator for row in self.dist for d in row))
-        return scale, [[d.numerator * (scale // d.denominator) for d in row]
-                       for row in self.dist]
+        scale = math.lcm(*(d.denominator for d in self.distances))
+        by_id = {id(d): d.numerator * (scale // d.denominator) for d in self.distances}
+        return scale, [list(map(by_id.__getitem__, map(id, row))) for row in self.dist]
 
     def pairs(self) -> PairIndex:
         if self.pair_index is None:
@@ -311,20 +317,40 @@ def _zero_one(v):
 
 
 def _is_row(v):
-    return hasattr(v, "__len__") and not isinstance(v, (str, dict))
+    # an ordered sized sequence: strings, bytes, dicts and sets are not rows
+    return hasattr(v, "__len__") and not isinstance(v, (str, bytes, bytearray, dict, set, frozenset))
 
 
 def square_matrix(rows, n, entry, name):
-    """rows as an n x n list of lists of entry(v) values. Anything else raises
-    InputError naming the first bad entry in row-major order as name[i][j]:
-    one that entry() rejects, or one missing from or outside the n x n square.
-    Locations are formatted only on failure."""
+    """rows as an n x n list of lists of entry(v) values. rows and each of
+    its rows are ordered sequences, not strings, bytes, dicts or sets.
+    Each distinct entry is converted once, and equal entries share the one
+    converted value: entries are told apart by type and value, so 1, 1.0 and
+    True each keep their own verdict. Anything else raises InputError naming
+    the first bad entry in row-major order as name[i][j]: one that entry()
+    rejects, or one missing from or outside the n x n square. Locations are
+    formatted only on failure."""
     try:
         if _is_row(rows) and len(rows) == n and all(_is_row(r) and len(r) == n for r in rows):
-            return [[entry(v) for v in row] for row in rows]
+            return _convert_distinct(rows, entry)
     except _REJECTED:
         pass
     raise InputError(_first_bad_entry(rows, n, entry, name))
+
+
+def _convert_distinct(rows, entry):
+    types = set(map(type, chain.from_iterable(rows)))
+    # entries of one type, or ints and strs (no int equals a str), are told
+    # apart by value alone; any other mix is keyed on (type, value)
+    by_value = len(types) == 1 or types == {int, str}
+    keys = rows if by_value else [list(zip(map(type, row), row)) for row in rows]
+    try:
+        conv = dict.fromkeys(chain.from_iterable(keys))
+    except TypeError:  # an unhashable entry: convert entry by entry
+        return [[entry(v) for v in row] for row in rows]
+    for k in conv:
+        conv[k] = entry(k if by_value else k[1])
+    return [list(map(conv.__getitem__, row)) for row in keys]
 
 
 def _first_bad_entry(rows, n, entry, name):
@@ -348,7 +374,8 @@ def _first_bad_entry(rows, n, entry, name):
 
 def finite_space(elements, dist_matrix, leq_matrix, description="finite space") -> SpaceModel:
     """A finite space given by explicit matrices, validated and converted here
-    once. Both are n x n (rows are sized sequences, not strings). Distances
+    once, each distinct entry once (square_matrix). Both are n x n, and their
+    rows are ordered sequences (not strings, bytes, dicts or sets). Distances
     are finite numbers or "p/q" strings, stored as exact Fractions so checks
     on finite spaces run with zero tolerance; leq_matrix[i][j] is 0 or 1, 1
     encoding elements[i] <= elements[j]. Booleans are rejected in both.

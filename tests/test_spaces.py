@@ -4,6 +4,7 @@ import json
 import math
 import operator
 import random
+import re
 from fractions import Fraction
 from itertools import combinations, islice, product
 
@@ -13,12 +14,13 @@ from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 import coupledfp as cf
-from coupledfp import audit
+from coupledfp import audit, spaces
 from coupledfp.audit import _randrange_stream
+from coupledfp.problems import _element_index
 from coupledfp.spaces import FLOAT_SLACK, INCOMPARABLE, PairPoint, SpaceModel, usual_real_order
 
 import finite_oracle as oracle
-from conftest import load_doc
+from conftest import DATA, load_doc
 
 finite_floats = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 
@@ -351,6 +353,12 @@ MALFORMED = {
     "leq_not_zero_one": ([[0, 1], [1, 0]], [[1, 2], [0, 1]], "leq[0][1]"),
     "bool_distance": ([[0, 1], [True, 0]], [[1, 0], [0, 1]], "distance[1][0]"),
     "bool_leq": ([[0, 1], [1, 0]], [[1, 0], [0, True]], "leq[1][1]"),
+    # unordered or byte-string rows: no JSON form, so the load_finite twin
+    # hands them over as json.load's result
+    "set_leq_row": ([[0, 1], [1, 0]], [{1, 0}, [0, 1]], "leq[0]"),
+    "frozenset_leq_row": ([[0, 1], [1, 0]], [[1, 0], frozenset({0, 1})], "leq[1]"),
+    "bytes_distance_row": ([b"\x00\x01", [1, 0]], [[1, 0], [0, 1]], "distance[0]"),
+    "set_leq_matrix": ([[0, 1], [1, 0]], {(1, 0), (0, 1)}, "leq"),
 }
 
 
@@ -362,11 +370,15 @@ def test_finite_space_rejects_malformed_matrices(dist, leq, location):
 
 
 @pytest.mark.parametrize("dist, leq, location", MALFORMED.values(), ids=MALFORMED.keys())
-def test_load_finite_rejects_malformed_matrices(tmp_path, dist, leq, location):
+def test_load_finite_rejects_malformed_matrices(tmp_path, monkeypatch, dist, leq, location):
     doc = {"schema_version": 1, "elements": ["a", "b"], "distance": dist, "leq": leq,
            "F": [[0, 0], [0, 0]]}
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps(doc))
+    try:
+        path.write_text(json.dumps(doc))
+    except TypeError:  # a set or bytes row
+        path.write_text("{}")
+        monkeypatch.setattr(json, "load", lambda fh: doc)
     with pytest.raises(cf.SchemaError) as exc:
         cf.load_finite(str(path))
     assert str(exc.value).startswith(f"{path}: {location}:")
@@ -385,6 +397,113 @@ def test_load_finite_rejects_malformed_f_table(tmp_path, ftab, location):
     with pytest.raises(cf.SchemaError) as exc:
         cf.load_finite(str(path))
     assert str(exc.value).startswith(f"{path}: {location}:")
+
+
+def _per_entry(rows, n, entry, name):
+    """square_matrix converting entry by entry: the reference for the
+    conversion of each distinct entry once."""
+    try:
+        if (spaces._is_row(rows) and len(rows) == n
+                and all(spaces._is_row(r) and len(r) == n for r in rows)):
+            return [[entry(v) for v in row] for row in rows]
+    except spaces._REJECTED:
+        pass
+    raise cf.InputError(spaces._first_bad_entry(rows, n, entry, name))
+
+
+def _outcome(convert, rows, n, entry, name):
+    """The matrix with each entry's type, or the InputError text."""
+    try:
+        return [[(type(v), v) for v in row] for row in convert(rows, n, entry, name)]
+    except cf.InputError as exc:
+        return str(exc)
+
+
+CONVERTERS = {"distance": spaces._distance, "leq": spaces._zero_one,
+              "F": functools.partial(_element_index, 3)}
+NAN = math.nan  # one NaN object, so a matrix can hold the same NaN twice
+_ENTRIES = st.one_of(
+    st.sampled_from([0, 1, 2, -1, 0.0, -0.0, 1.0, 0.5, True, False, NAN, math.inf, -math.inf,
+                     "1/2", "1", "-1/3", "x/y", Fraction(1), Fraction(1, 2), [1], []]),
+    st.integers(-2, 4),
+    st.floats(allow_nan=True, allow_infinity=True, width=16),
+    st.fractions(max_denominator=4),
+    st.builds(lambda p, q: f"{p}/{q}", st.integers(-3, 3), st.integers(0, 3)),
+)
+
+
+@st.composite
+def square_matrices(draw, n):
+    return [[draw(_ENTRIES) for _ in range(n)] for _ in range(n)]
+
+
+@pytest.mark.parametrize("name", CONVERTERS)
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_distinct_conversion_matches_per_entry(name, data):
+    # n == 3 lets F's indices be in range; draws of one type or of ints and
+    # strs only take the by-value keys, any other mix the (type, value) keys,
+    # and the equal values of different types test those keys
+    n = 3
+    equal_values = [0, 1, 0.0, 1.0, True, False, Fraction(1)]
+    pools = st.one_of(st.just([0, 1, 2, -1]), st.just([0, 1, 2, "1/2", "2"]),
+                      st.lists(st.sampled_from(equal_values), min_size=2, max_size=3))
+    rows = data.draw(st.one_of(square_matrices(n), pools.flatmap(lambda pool: st.lists(
+        st.lists(st.sampled_from(pool), min_size=n, max_size=n), min_size=n, max_size=n))))
+    entry = CONVERTERS[name]
+    assert (_outcome(spaces.square_matrix, rows, n, entry, name)
+            == _outcome(_per_entry, rows, n, entry, name))
+
+
+@pytest.mark.parametrize("rows, name, location", [
+    ([[1, 1.0], [True, 0]], "distance", "distance[1][0]"),
+    ([[1, 1.0], [True, 0]], "leq", "leq[1][0]"),
+    ([[1, 1.0], [True, 0]], "F", "F[0][1]"),
+    ([[1, 1.0], [0, 0]], "F", "F[0][1]"),
+    ([[1, True], [0, 1]], "leq", "leq[0][1]"),
+    ([[0, 1], [1, Fraction(1)]], "F", "F[1][1]"),
+])
+def test_distinct_conversion_keeps_each_types_verdict(rows, name, location):
+    # equal values of different types: the later one is still rejected
+    with pytest.raises(cf.InputError, match=rf"^{re.escape(location)}: bad entry"):
+        spaces.square_matrix(rows, 2, CONVERTERS[name], name)
+
+
+def test_distinct_conversion_reads_equal_values_by_type():
+    leq = spaces.square_matrix([[1, 1.0], [0, 1]], 2, spaces._zero_one, "leq")
+    assert [[(type(v), v) for v in row] for row in leq] == [[(int, 1), (int, 1)],
+                                                             [(int, 0), (int, 1)]]
+    dist = spaces.square_matrix([[0, 1.0], ["1", 0.0]], 2, spaces._distance, "distance")
+    assert dist == [[0, 1], [1, 0]] and all(type(d) is Fraction for row in dist for d in row)
+    # an unhashable entry that the converter accepts: a 0-d array in leq
+    assert spaces.square_matrix([[np.array(1), 0], [0, 1]], 2, spaces._zero_one,
+                                "leq") == [[1, 0], [0, 1]]
+
+
+def _lcd_scaled(dist):
+    scale = math.lcm(*(d.denominator for row in dist for d in row))
+    return scale, [[d.numerator * (scale // d.denominator) for d in row] for row in dist]
+
+
+@pytest.mark.parametrize("path", sorted(DATA.glob("*.json")), ids=lambda p: p.name)
+def test_scaled_matches_per_entry_lcd_on_fixtures(path):
+    fd = cf.load_finite(str(path)).space.finite
+    assert fd.scaled == _lcd_scaled(fd.dist)
+
+
+@given(dist=st.integers(1, 5).flatmap(lambda n: st.lists(
+    st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=12), min_size=n,
+             max_size=n), min_size=n, max_size=n)))
+def test_scaled_matches_per_entry_lcd(dist):
+    n = len(dist)
+    leq = [[int(i == j) for j in range(n)] for i in range(n)]
+    # through finite_space (equal entries share one Fraction) and with every
+    # entry its own object
+    shared = cf.finite_space(range(n), dist, leq).finite
+    assert shared.scaled == _lcd_scaled(shared.dist) == _lcd_scaled(dist)
+    own = spaces.FiniteData(tuple(range(n)), {i: i for i in range(n)},
+                            [[Fraction(d) for d in row] for row in dist], leq)
+    assert own.scaled == _lcd_scaled(dist)
 
 
 def _doc(dist, leq):
