@@ -194,13 +194,21 @@ def test_load_finite_f_out_of_range(tmp_path):
     assert "F[0][1]" in str(exc.value)
 
 
+def test_load_finite_negative_distance(tmp_path):
+    doc = dict(BASE_DOC, distance=[[0, "-1/2"], ["-1/2", 0]])
+    with pytest.raises(cf.SchemaError) as exc:
+        cf.load_finite(_write(tmp_path, doc))
+    assert "nonnegative" in str(exc.value)
+
+
 @pytest.mark.parametrize("distance, location, value", [
     ([[0, "-1/2"], ["-1/2", 0]], "distance[0][1]", "-1/2"),
     ([[0, -0.5], [-0.5, 0]], "distance[0][1]", "-1/2"),
     ([[0, 1, "1/2"], [1, 0, 2], ["1/2", "-1/3", -2]], "distance[2][1]", "-1/3"),
     ([[0, 1.5, 2], [1.5, 0, 1], [2, 1, -0.25]], "distance[2][2]", "-1/4"),
 ])
-def test_load_finite_negative_distance(tmp_path, distance, location, value):
+def test_load_finite_negative_distance_names_first_entry(tmp_path, distance, location,
+                                                         value):
     # the first negative entry in row-major order, behind any valid rows
     n = len(distance)
     doc = dict(BASE_DOC, elements=list("abc"[:n]), distance=distance,
