@@ -19,14 +19,16 @@ degenerate phase (x == u, then y == v) always runs before the random phase.
 
 Evaluation lanes are sources of comparable quadruples: vectorized operators
 on the real line go through the numpy sweep kernels, a chunk of draws at a
-time; finite tabulated spaces enumerate every quadruple with zero tolerance;
-other spaces draw them by rejection sampling or, for bands, construct them
-through the space's interpolate hook. Each condition has one predicate,
-defined in ``operators`` (_banach_holds, _banded_conclusion against the
-slackened eps, _strict_holds), that the sampled lanes and reverify_witness
-apply to those quadruples, as scalars or as arrays. The floating-point slack
-of 1e-12 relative to max(1, bound) (_with_slack) keeps rounding from minting
-a false witness, and the comparisons are written so that a NaN never passes.
+time, with the bands of a whole eps grid in one batched sweep per phase
+(_band_checks); finite tabulated spaces enumerate every quadruple with zero
+tolerance; other spaces draw them by rejection sampling or, for bands,
+construct them through the space's interpolate hook. Each condition has one
+predicate, defined in ``operators`` (_banach_holds, _banded_conclusion
+against the slackened eps, _strict_holds), that the sampled lanes and
+reverify_witness apply to those quadruples, as scalars or as arrays. The
+floating-point slack of 1e-12 relative to max(1, bound) (_with_slack) keeps
+rounding from minting a false witness, and the comparisons are written so
+that a NaN never passes.
 
 The finite lane compares integers instead (_FiniteTables): F as an index
 table, the distances scaled by the matrix's common denominator
@@ -297,31 +299,27 @@ def _check_banded(op, eps_grid, delta_candidates, samples, seed, symmetric) -> C
     cid = "symmetric_mk" if symmetric else "samet_mk"
     base = _BASE_SYMMETRIC if symmetric else _BASE_SAMET
     lane = evaluation_lane(op)
-    tables = _FiniteTables(op) if lane == "finite" else None
+    # the whole grid is checked at once, up to the first invalid delta, which
+    # is an error only when no eps before it fails
     eps_delta = []
-    band_hits = []
-    samples_used = 0
-    hits_total = 0
-    witness = None
-
-    for e_idx, eps in enumerate(grid):
+    invalid = None
+    for eps in grid:
         delta = delta_candidates(eps)
         if not delta > 0:
-            raise InputError(f"delta candidate for eps={eps} must be positive, got {delta!r}")
-        eps_delta.append((eps, delta))
-        if tables is not None:
-            hits, witness = _finite_band(op, tables, eps, delta, symmetric)
-            used = hits
-        else:
-            hits, witness, used = _band_check(op, lane, eps, delta, samples, seed,
-                                              base, e_idx, symmetric)
-        samples_used += used
-        band_hits.append((eps, hits))
-        hits_total += hits
-        if witness is not None:
+            invalid = InputError(f"delta candidate for eps={eps} must be positive, got {delta!r}")
             break
+        eps_delta.append((eps, delta))
+    results = _band_checks(op, lane, [(eps, delta, e_idx, 0) for e_idx, (eps, delta)
+                                      in enumerate(eps_delta)],
+                           samples, seed, base, symmetric, first_only=True)
+    witness = results[-1][1] if results else None
+    if witness is None and invalid is not None:
+        raise invalid
+    band_hits = [(eps, hits) for (eps, _), (hits, _, _) in zip(eps_delta, results)]
+    hits_total = sum(hits for _, hits in band_hits)
     return _report(cid, "exhaustive" if lane == "finite" else "targeted-sampling", witness,
-                   samples_used, hits_total, epsilon_grid=eps_delta, band_hits=band_hits,
+                   sum(used for _, _, used in results), hits_total,
+                   epsilon_grid=eps_delta[:len(results)], band_hits=band_hits,
                    inconclusive="" if hits_total else "no sampled quadruple landed in any band")
 
 
@@ -367,12 +365,55 @@ def _finite_band(op, tables, eps, delta, symmetric):
                                    "lhs": _banded_conclusion(op, x, y, u, v, symmetric)})
 
 
-def _band_check(op, lane, eps, delta, samples, seed, base, e_idx, symmetric, probe=0):
-    """One sampled banded check at (eps, delta): (in-band hits, witness or
-    None, draws). Per phase the kernel sweep or the construction through the
+def _band_checks(op, lane, bands, samples, seed, base, symmetric, first_only=False):
+    """Banded checks of the bands (eps, delta, e_idx, probe): per band
+    (in-band hits, witness or None, draws). On the kernel lane each phase is
+    one batched sweep over the bands still without a witness; the other lanes
+    check band after band. With first_only the list ends at the first band
+    with a witness, and later bands are checked no further."""
+    if lane != "kernel":
+        tables = _FiniteTables(op) if lane == "finite" else None
+        results = []
+        for eps, delta, e_idx, probe in bands:
+            if tables is None:
+                results.append(_generic_band(op, eps, delta, samples, seed, base, e_idx,
+                                             symmetric, probe))
+            else:
+                hits, witness = _finite_band(op, tables, eps, delta, symmetric)
+                results.append((hits, witness, hits))
+            if first_only and results[-1][1] is not None:
+                break
+        return results
+
+    floats = [(float(eps), float(delta)) for eps, delta, _, _ in bands]
+    results = [[0, None, 0] for _ in bands]
+    stop = len(bands)  # with first_only, one past the first band with a witness
+    for mode, count, kind in _phase_plan(samples):
+        live = [i for i in range(stop) if results[i][1] is None]
+        if not live:
+            break
+        sweeps = kernels._band_sweeps(
+            op, [floats[i] + (_tag(base, bands[i][2], mode, bands[i][3]),) for i in live],
+            seed, count, mode, symmetric)
+        for i, (found, hits, x, y, u, v, half, lhs) in zip(live, sweeps):
+            r = results[i]
+            r[0] += hits
+            r[2] += count
+            if found:
+                eps, delta = floats[i]
+                r[1] = Witness(x=x, y=y, u=u, v=v, kind=kind,
+                               measured={"eps": eps, "delta": delta, "half_sum": half, "lhs": lhs})
+                if first_only:
+                    stop = min(stop, i + 1)
+    return [tuple(r) for r in results[:stop]]
+
+
+def _generic_band(op, eps, delta, samples, seed, base, e_idx, symmetric, probe=0):
+    """One banded check at (eps, delta) on the generic lane: (in-band hits,
+    witness or None, draws). Per phase the construction through the
     interpolate hook, or plain rejection without it."""
     space = op.space
-    if lane == "generic" and space.interpolate is None:
+    if space.interpolate is None:
         rng_seed = kernels.stream_seed(seed, _tag(base, e_idx, 0, probe))
         used, quadruples = _sampled_quadruples(space, samples, rng_seed & 0x7FFFFFFF)
         hits, witness = _scan_band(op, quadruples, eps, delta, symmetric, "rejection")
@@ -381,19 +422,10 @@ def _band_check(op, lane, eps, delta, samples, seed, base, e_idx, symmetric, pro
     hits = 0
     used = 0
     for mode, count, kind in _phase_plan(samples):
-        tag = _tag(base, e_idx, mode, probe)
-        if lane == "kernel":
-            found, phase_hits, x, y, u, v, half, lhs = kernels.band_sweep(
-                op, float(eps), float(delta), seed, tag, count, mode, symmetric)
-            witness = Witness(x=x, y=y, u=u, v=v, kind=kind,
-                              measured={"eps": float(eps), "delta": float(delta),
-                                        "half_sum": half, "lhs": lhs}) if found else None
-            used += count
-        else:
-            rng = random.Random(kernels.stream_seed(seed, tag))
-            trials, quadruples = _band_quadruples(space, eps, delta, count, mode, rng)
-            used += trials
-            phase_hits, witness = _scan_band(op, quadruples, eps, delta, symmetric, kind)
+        rng = random.Random(kernels.stream_seed(seed, _tag(base, e_idx, mode, probe)))
+        trials, quadruples = _band_quadruples(space, eps, delta, count, mode, rng)
+        used += trials
+        phase_hits, witness = _scan_band(op, quadruples, eps, delta, symmetric, kind)
         hits += phase_hits
         if witness is not None:
             return hits, witness, used
@@ -520,35 +552,38 @@ def estimate_delta_curve(op: CoupledOperator, eps_grid, samples: int = 2000, see
     with arbitrarily thin bands). Otherwise each round checks [eps, eps + delta)
     with a fresh sample stream, from delta = the cap, and shrinks delta to its
     witness's half-sum less eps; the first round without a witness ends the
-    search. Sampling can miss violations just above the true value, so the
+    search. The eps values advance in lockstep, the probes first, then one
+    round at a time for every eps still searching, so on the kernel lane each
+    phase of a round is one batched sweep; each band's stream depends only on
+    its eps index and round, so the entries do not depend on the grid's other
+    values. Sampling can miss violations just above the true value, so the
     estimate is upper-biased; finite spaces apply the rule exhaustively.
     """
     grid = _validate_eps_grid(eps_grid)
     if samples < 1:
         raise InputError("samples must be positive")
     lane = evaluation_lane(op)
-    tables = _FiniteTables(op) if lane == "finite" else None
-    out = []
-    for e_idx, eps in enumerate(grid):
-        cap = DELTA_CAP_FACTOR * eps
-        if tables is not None:
-            out.append((float(eps), tables.curve_point(eps, cap)))
-            continue
+    if lane == "finite":
+        tables = _FiniteTables(op)
+        return [(float(eps), tables.curve_point(eps, DELTA_CAP_FACTOR * eps)) for eps in grid]
 
-        def violation(delta, probe):
-            return _band_check(op, lane, eps, delta, samples, seed,
-                               _BASE_CURVE, e_idx, True, probe)[1]
+    def witnesses(deltas, probe):
+        # per eps index i of deltas, the witness or None in [eps, eps + deltas[i])
+        bands = [(grid[i], d, i, probe) for i, d in deltas.items()]
+        results = _band_checks(op, lane, bands, samples, seed, _BASE_CURVE, True)
+        return {i: w for i, (_, w, _) in zip(deltas, results)}
 
-        if violation(eps * 1e-9, 0) is not None:
-            out.append((float(eps), 0.0))
-            continue
-        # a witness lies inside its band, so each round narrows the band
-        delta, probe = cap, 1
-        while (witness := violation(delta, probe)) is not None:
-            delta = witness.measured["half_sum"] - eps
-            probe += 1
-        out.append((float(eps), delta))
-    return out
+    thin = witnesses({i: eps * 1e-9 for i, eps in enumerate(grid)}, 0)
+    delta = {i: DELTA_CAP_FACTOR * eps if thin[i] is None else 0.0 for i, eps in enumerate(grid)}
+    searching = {i: delta[i] for i, w in thin.items() if w is None}
+    # a witness lies inside its band, so each round narrows the band
+    probe = 1
+    while searching:
+        found = witnesses(searching, probe)
+        searching = {i: w.measured["half_sum"] - grid[i] for i, w in found.items() if w is not None}
+        delta.update(searching)
+        probe += 1
+    return [(float(eps), delta[i]) for i, eps in enumerate(grid)]
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,11 @@ stream and stops at the first violation. The stream is counter based: draw j
 s0 = stream_seed(seed, tag), so a sweep builds a chunk of quadruples as numpy
 arrays, evaluates the condition's shared predicate from ``operators`` on them
 (op.apply and space.distance take whole arrays) and finds the chunk's first
-violation with argmax over the violation mask.
+violation with argmax over the violation mask. The band search also runs
+several bands at once (_band_sweeps, which band_sweep calls with one band):
+their streams are the rows of one array per pass, and a band drops out at its
+first violation, so the banded checks and the delta curve make one batched
+sweep per phase over their eps grid.
 
 On F(x, y) = (a*x - b*y)/c the results are bit-identical to the scalar
 reference in tests/kernel_oracle.py, the tests' oracle: the same stream, the
@@ -50,6 +54,24 @@ def stream_seed(seed, tag):
     return _mix64((seed & _MASK64) ^ ((tag & _MASK64) * _GOLDEN & _MASK64))
 
 
+def _uniforms(s0, i0, m, width):
+    """The uniforms of draws i0 to i0 + m - 1 of the streams whose initial
+    states are the uint64 array s0, of shape (B, 1): an array of shape
+    (width, B, m), where [r, b] holds the r-th of the width consecutive values
+    each draw consumes, for stream b's m draws."""
+    import numpy as np
+
+    offsets = np.arange(1, width + 1, dtype=np.uint64)[:, None, None]
+    counter = np.arange(i0 * width, (i0 + m) * width, width, dtype=np.uint64) + offsets
+    z = counter * np.uint64(_GOLDEN) + s0
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(_MIX1)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(_MIX2)
+    z ^= z >> np.uint64(31)
+    return (z >> np.uint64(11)).astype(np.float64) * _INV_2_53
+
+
 def _chunks(seed, tag, n, width):
     """Yield the uniforms of each chunk of at most CHUNK draws.
 
@@ -58,18 +80,9 @@ def _chunks(seed, tag, n, width):
     """
     import numpy as np
 
-    s0 = np.uint64(stream_seed(seed, tag))
-    offsets = np.arange(1, width + 1, dtype=np.uint64)[:, None]
+    s0 = np.array([[stream_seed(seed, tag)]], dtype=np.uint64)
     for i0 in range(0, n, CHUNK):
-        m = min(CHUNK, n - i0)
-        counter = np.arange(i0 * width, (i0 + m) * width, width, dtype=np.uint64) + offsets
-        z = counter * np.uint64(_GOLDEN) + s0
-        z ^= z >> np.uint64(30)
-        z *= np.uint64(_MIX1)
-        z ^= z >> np.uint64(27)
-        z *= np.uint64(_MIX2)
-        z ^= z >> np.uint64(31)
-        yield (z >> np.uint64(11)).astype(np.float64) * _INV_2_53
+        yield _uniforms(s0, i0, min(CHUNK, n - i0), width)[:, 0]
 
 
 def _box_quadruples(space, seed, tag, n):
@@ -132,30 +145,70 @@ def band_sweep(op, eps, delta, seed, tag, n, mode, symmetric):
 
     Returns (found, hits, x, y, u, v, half, lhs).
     """
+    return _band_sweeps(op, [(eps, delta, tag)], seed, n, mode, symmetric)[0]
+
+
+def _band_sweeps(op, bands, seed, n, mode, symmetric):
+    """band_sweep on each band (eps, delta, tag) of bands, with the same n,
+    mode and symmetric: one list of band_sweep's tuples, bit for bit, in the
+    order of bands.
+
+    The bands' streams run side by side: each array pass evaluates the next
+    max(1, CHUNK // B) draws of the B bands still without a violation as the
+    rows of (B, m) arrays, which op.apply and space.distance take elementwise
+    as they take a single stream's chunk. A band's draws depend only on
+    (seed, tag), so its result depends neither on the other bands nor on
+    where the passes split its stream.
+    """
+    import numpy as np
+
     space = op.space
     distance = space.distance
     scale = float(space.sample_radius or DEFAULT_SCALE)
-    hi = eps + delta
-    thresh = _with_slack(space, eps)
-
-    def chunks():
-        for r in _chunks(seed, tag, n, 4 if mode == 0 else 3):
-            h = eps + r[0] * delta
+    width = 4 if mode == 0 else 3
+    # per live band: its stream state, and eps, delta, eps + delta and the slackened eps
+    states = np.array([[stream_seed(seed, tag)] for _, _, tag in bands], dtype=np.uint64)
+    params = np.array([(eps, delta, eps + delta, _with_slack(space, eps))
+                       for eps, delta, _ in bands], dtype=np.float64)
+    live = list(range(len(bands)))
+    results = [None] * len(bands)
+    hits = [0] * len(bands)
+    i0 = 0
+    with np.errstate(all="ignore"):
+        while live and i0 < n:
+            m = min(max(1, CHUNK // len(live)), n - i0)
+            i0 += m
+            lo, d, hi, thresh = params.T[:, :, None]
+            r = _uniforms(states, i0 - m, m, width)
+            h = lo + r[0] * d
             if mode == 0:
                 p = 2.0 * h * r[3]
                 q = 2.0 * h - p
             else:
                 p, q = (0.0, 2.0 * h) if mode == 1 else (2.0 * h, 0.0)
-            x = (2.0 * r[1] - 1.0) * scale
-            v = (2.0 * r[2] - 1.0) * scale
+            x, v = (2.0 * r[1:3] - 1.0) * scale
             u = x - p
             y = v - q
             half = _half_sum(space, distance(x, u) + distance(y, v))
-            in_band = (half >= eps) & (half < hi)
+            in_band = (half >= lo) & (half < hi)
             lhs = _banded_conclusion(op, x, y, u, v, symmetric)
-            yield in_band, in_band & ~(lhs < thresh), (x, y, u, v, half, lhs)
-
-    return _first_violation(chunks())
+            bad = in_band & ~(lhs < thresh)
+            found = bad.any(axis=1).tolist()
+            for k, b in enumerate(live):
+                if not found[k]:
+                    hits[b] += int(np.count_nonzero(in_band[k]))
+                    continue
+                i = int(bad[k].argmax())
+                hits[b] += int(np.count_nonzero(in_band[k, :i + 1]))
+                results[b] = (1, hits[b]) + tuple(float(arr[k, i])
+                                                  for arr in (x, y, u, v, half, lhs))
+            if any(found):
+                rows = [k for k, hit in enumerate(found) if not hit]
+                live = [live[k] for k in rows]
+                if live:
+                    states, params = states[rows], params[rows]
+    return [res or (0, count, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+            for res, count in zip(results, hits)]
 
 
 def strict_sweep(op, seed, tag, n):

@@ -311,7 +311,9 @@ def _distance(v):
 
 
 def _zero_one(v):
-    if isinstance(v, bool) or v not in (0, 1):
+    # a numpy bool equals 0 or 1 too; one exists only once numpy is loaded
+    np = sys.modules.get("numpy")
+    if isinstance(v, bool) or (np is not None and isinstance(v, np.bool_)) or v not in (0, 1):
         raise ValueError("expected 0 or 1")
     return int(v)
 
@@ -378,7 +380,8 @@ def finite_space(elements, dist_matrix, leq_matrix, description="finite space") 
     rows are ordered sequences (not strings, bytes, dicts or sets). Distances
     are finite numbers or "p/q" strings, stored as exact Fractions so checks
     on finite spaces run with zero tolerance; leq_matrix[i][j] is 0 or 1, 1
-    encoding elements[i] <= elements[j]. Booleans are rejected in both.
+    encoding elements[i] <= elements[j]. Booleans, Python's or numpy's, are
+    rejected in both.
     Anything else is an InputError naming the first bad entry as
     distance[i][j] or leq[i][j]. The axioms themselves are audit_space's job.
     """

@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import coupledfp as cf
+from coupledfp import kernels
 from coupledfp.conditions import _banded_conclusion
 from coupledfp.operators import _finite_table, evaluation_lane
 from coupledfp.spaces import PairIndex, PairPoint
@@ -227,6 +228,55 @@ def test_finite_lane_takes_an_infinite_delta(symmetric):
     doc = json.loads(json.dumps(rep.to_jsonable(), allow_nan=False))
     assert doc["epsilon_grid"][0] == [0.5, "inf"]
     assert float(doc["witness"]["measured"]["delta"]) == math.inf
+
+
+def nan_below(threshold, vectorized):
+    """(x - y)/4, but NaN when the first argument lies below threshold: on
+    real_line(10) only a band wide enough to push u below it can fail."""
+    if vectorized:
+        import numpy as np
+
+        return cf.CoupledOperator(apply=lambda x, y: np.where(x < threshold, np.nan, (x - y) / 4),
+                                  space=cf.real_line(10.0), vectorized=True)
+    return cf.CoupledOperator(apply=lambda x, y: math.nan if x < threshold else (x - y) / 4,
+                              space=cf.real_line(10.0))
+
+
+# per lane: an operator failing first at eps = 1.0, and one holding on the grid
+BANDED_LANES = {
+    "kernel": (lambda: nan_below(-10.5, True), lambda: cf.builtin("linear(1,1,4)").operator),
+    "generic": (lambda: nan_below(-10.5, False),
+                lambda: cf.CoupledOperator(apply=lambda x, y: (x - y) / 4, space=cf.real_line())),
+    "finite": (lambda: cf.load_finite(fixture_path("diamond5.json")).operator,
+               lambda: cf.load_finite(fixture_path("twocomp4.json")).operator),
+}
+
+
+@pytest.mark.parametrize("lane", sorted(BANDED_LANES))
+@pytest.mark.parametrize("check", [cf.check_samet, cf.check_symmetric_mk])
+def test_banded_error_order(lane, check):
+    # the grid is checked at once, so delta_candidates is asked for every eps
+    # up to the first invalid candidate; that candidate is an error only when
+    # no eps before it fails
+    failing, holding = (make() for make in BANDED_LANES[lane])
+    assert evaluation_lane(failing) == evaluation_lane(holding) == lane
+    asked = []
+
+    def rule(e):
+        asked.append(e)
+        return e / 8 if e < 5 else -1.0
+
+    rep = check(failing, [0.1, 1.0, 10.0], rule, samples=2000, seed=0)
+    assert asked == [0.1, 1.0, 10.0]
+    assert rep.verdict == "fails"
+    assert rep.witness.measured["eps"] == 1.0
+    assert [eps for eps, _ in rep.epsilon_grid] == [eps for eps, _ in rep.band_hits] == [0.1, 1.0]
+    assert cf.reverify_witness(failing, rep)["violated"]
+    with pytest.raises(cf.InputError, match=r"eps=10\.0 must be positive, got -1\.0"):
+        check(holding, [0.1, 1.0, 10.0], rule, samples=2000, seed=0)
+    # an invalid first candidate is an error before any band is checked
+    with pytest.raises(cf.InputError, match=r"eps=0\.1 must be positive"):
+        check(failing, [0.1, 1.0], lambda e: 0.0, samples=2000, seed=0)
 
 
 # --- symmetric_mk ----------------------------------------------------------
@@ -506,6 +556,37 @@ def test_delta_curve_caps_for_constant_map():
     prob = cf.builtin("linear(0,0,1)")
     curve = cf.estimate_delta_curve(prob.operator, [1.0], samples=400, seed=0)
     assert curve == [(1.0, 10.0)]
+
+
+def counted_sweeps(monkeypatch):
+    """Wrap the kernel lane's batched band sweep; the list collects the
+    bands of each call (one batched sweep per phase)."""
+    batches = []
+    sweeps = kernels._band_sweeps
+
+    def counted(op, bands, *args):
+        batches.append(len(bands))
+        return sweeps(op, bands, *args)
+
+    monkeypatch.setattr(kernels, "_band_sweeps", counted)
+    return batches
+
+
+def test_delta_curve_rounds_run_in_lockstep(samet, monkeypatch):
+    # the CLI's curve of samet_example: grid 0.1/1/10, 2000 samples, seed 0.
+    # 35 batched sweeps, where one band_sweep per eps and phase made 63
+    batches = counted_sweeps(monkeypatch)
+    cf.estimate_delta_curve(samet.operator, [0.1, 1.0, 10.0], samples=2000, seed=0)
+    assert len(batches) <= 35
+    assert batches[0] == 3  # the probes of the three eps share their first sweep
+
+
+def test_holding_banded_check_makes_one_sweep_per_phase(monkeypatch):
+    batches = counted_sweeps(monkeypatch)
+    rep = cf.check_symmetric_mk(cf.builtin("linear(1,1,4)").operator, [0.1, 1.0, 10.0],
+                                EIGHTH, samples=2000, seed=0)
+    assert rep.verdict == "holds_on_samples"
+    assert batches == [3, 3, 3]  # x_equals_u, y_equals_v, random
 
 
 @given(a=st.integers(min_value=0, max_value=8), b=st.integers(min_value=0, max_value=8),

@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import json
 import math
 import subprocess
@@ -224,6 +225,64 @@ def test_sweeps_match_oracle(a, b, c, k, eps, delta, n, seed, tag, mode, symmetr
             assert got_n == got_p, name
 
 
+FAR_BAND = (1e6, 1e-300)  # one ulp of eps wide: rounding drops every draw
+band = st.one_of(st.just(FAR_BAND), st.tuples(st.floats(min_value=1e-6, max_value=100.0),
+                                               st.floats(min_value=1e-9, max_value=100.0)))
+
+
+@given(a=coeff, b=coeff, c=st.floats(min_value=0.1, max_value=5.0),
+       bands=st.lists(st.tuples(band, st.integers(min_value=0, max_value=3)),
+                      min_size=1, max_size=4),
+       n=st.integers(min_value=0, max_value=200), seed=seeds,
+       mode=st.sampled_from([0, 1, 2]), symmetric=st.sampled_from([0, 1]))
+@example(a=1.0, b=3.0, c=5.0, bands=[((1.0, 0.125), 5), (FAR_BAND, 5), ((0.1, 0.05), 5)],
+         n=130, seed=-7, mode=0, symmetric=1)  # one tag thrice, a band without hits
+@example(a=0.0, b=1.0, c=1.95, bands=[((1.0, 1e-6), 21), ((10.0, 1.0), 22), ((1.0, 1e-6), 21)],
+         n=200, seed=11, mode=0, symmetric=0)  # a repeated band violates late
+@settings(max_examples=150, deadline=None)
+def test_batched_band_sweeps_match_single_sweeps(a, b, c, bands, n, seed, mode, symmetric):
+    # a small chunk splits each band's stream across passes, at a per-band
+    # width that changes as bands find their violation and drop out
+    op = _linear_op(a, b, c)
+    bands = [(eps, delta, tag) for (eps, delta), tag in bands]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernels, "CHUNK", 64)
+        batched = kernels._band_sweeps(op, bands, seed, n, mode, symmetric)
+        single = [kernels.band_sweep(op, eps, delta, seed, tag, n, mode, symmetric)
+                  for eps, delta, tag in bands]
+    assert batched == single
+    assert single == [pure.band_sweep(a, b, c, eps, delta, n, seed, tag, 10.0, mode, symmetric,
+                                      SLACK) for eps, delta, tag in bands]
+
+
+def test_batched_band_sweeps_keep_a_hitless_band():
+    # with x == u the samet map's conclusion is 1.2 half-sums: the two real
+    # bands violate in the first pass, and the hitless one sweeps on alone
+    op = _linear_op(1.0, 3.0, 5.0)
+    bands = [(1.0, 0.125, 5), FAR_BAND + (5,), (10.0, 1.0, 6)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernels, "CHUNK", 64)
+        got = kernels._band_sweeps(op, bands, -7, 300, 1, 0)
+    assert got == [pure.band_sweep(1.0, 3.0, 5.0, eps, delta, 300, -7, tag, 10.0, 1, 0, SLACK)
+                   for eps, delta, tag in bands]
+    assert [r[:2] for r in got] == [(1, 1), (0, 0), (1, 1)]
+
+
+# perfbench/tracing.py spans every public function of a traced layer unless
+# its COUNT_ONLY lists it, and counts only the sweeps its KERNEL_SWEEPS names,
+# so a new public kernel function moves the traced per-layer numbers. Add one
+# here only together with a tracer that lists or counts it.
+PUBLIC_KERNEL_FUNCTIONS = {"banach_sweep", "band_sweep", "strict_sweep", "stream_seed",
+                           "monotone_sweep", "lattice_comparability"}
+
+
+def test_public_kernel_functions_are_pinned():
+    public = {name for name, fn in vars(kernels).items()
+              if not name.startswith("_") and inspect.isfunction(fn)
+              and fn.__module__.startswith(kernels.__name__)}
+    assert public == PUBLIC_KERNEL_FUNCTIONS
+
+
 def _report_blob(problem):
     op = problem.operator
     blobs = []
@@ -255,4 +314,14 @@ def test_reports_identical_across_backends(name, monkeypatch):
                         pure.band_sweep(a, b, c, eps, delta, n, seed, tag, scale, mode, sym, SLACK))
     monkeypatch.setattr(kernels, "strict_sweep", lambda op, seed, tag, n: pure.strict_sweep(
         a, b, c, n, seed, tag, scale, SLACK))
+    # the checks and the curve sweep their bands through the batched entry
+    batches = []
+
+    def band_sweeps(op, bands, seed, n, mode, sym):
+        batches.append(len(bands))
+        return [pure.band_sweep(a, b, c, eps, delta, n, seed, tag, scale, mode, sym, SLACK)
+                for eps, delta, tag in bands]
+
+    monkeypatch.setattr(kernels, "_band_sweeps", band_sweeps)
     assert _report_blob(problem) == blob_numpy
+    assert max(batches) == 2  # the banded checks' grid of two eps

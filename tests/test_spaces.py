@@ -369,6 +369,26 @@ def test_finite_space_rejects_malformed_matrices(dist, leq, location):
     assert str(exc.value).startswith(location + ":")
 
 
+# numpy bools equal 0 and 1 as Python's do, and are rejected like them
+NUMPY_BOOLS = {
+    "bool_array_leq": (np.array([[0, 1], [1, 0]]), np.array([[True, False], [False, True]]),
+                       "leq[0][0]"),
+    "bool_leq_entry": ([[0, 1], [1, 0]], [[1, 0], [0, np.True_]], "leq[1][1]"),
+    "bool_distance_entry": ([[0, 1], [np.False_, 0]], [[1, 0], [0, 1]], "distance[1][0]"),
+}
+
+
+@pytest.mark.parametrize("dist, leq, location", NUMPY_BOOLS.values(), ids=NUMPY_BOOLS.keys())
+def test_finite_space_rejects_numpy_bools(dist, leq, location):
+    with pytest.raises(cf.InputError) as exc:
+        cf.finite_space(["a", "b"], dist, leq)
+    assert str(exc.value).startswith(location + ":")
+    # the same matrices of numpy ints load
+    space = cf.finite_space(["a", "b"], np.array(dist, dtype=np.int64),
+                            np.array(leq, dtype=np.int64))
+    assert space.finite.leq == [[1, 0], [0, 1]]
+
+
 @pytest.mark.parametrize("dist, leq, location", MALFORMED.values(), ids=MALFORMED.keys())
 def test_load_finite_rejects_malformed_matrices(tmp_path, monkeypatch, dist, leq, location):
     doc = {"schema_version": 1, "elements": ["a", "b"], "distance": dist, "leq": leq,
