@@ -18,17 +18,20 @@ thin, rejection sampling would starve), and an adversarial coordinate-
 degenerate phase (x == u, then y == v) always runs before the random phase.
 
 Evaluation lanes are sources of comparable quadruples: vectorized operators
-on the real line go through the numpy sweep kernels, a chunk of draws at a
-time, with the bands of a whole eps grid in one batched sweep per phase
-(_band_checks); finite tabulated spaces enumerate every quadruple with zero
-tolerance; other spaces draw them by rejection sampling or, for bands,
-construct them through the space's interpolate hook. Each condition has one
-predicate, defined in ``operators`` (_banach_holds, _banded_conclusion
-against the slackened eps, _strict_holds), that the sampled lanes and
-reverify_witness apply to those quadruples, as scalars or as arrays. The
-floating-point slack of 1e-12 relative to max(1, bound) (_with_slack) keeps
-rounding from minting a false witness, and the comparisons are written so
-that a NaN never passes.
+on the real line go through the numpy sweep kernels, finite tabulated spaces
+enumerate every quadruple with zero tolerance, and other spaces draw them by
+rejection sampling or, for bands, construct them through the space's
+interpolate hook. The conditions differ only in which quadruples they count
+(all of them, those in the band, those with a positive half-sum) and in the
+conclusion that must hold, and each is written once, as its definition in
+``operators`` (_CONDITIONS): its parameters, its test and the names of its
+two measured values. The kernels' row loop runs the test on arrays, _scan
+runs it on the generic lane's scalars, passing over an uncounted quadruple
+before F is evaluated, and _measure runs it on one quadruple for the finite
+lane's witness and for reverify_witness; _witness lays out every lane's
+measured dict. The floating-point slack of 1e-12 relative to max(1, bound)
+(_with_slack) keeps rounding from minting a false witness, and the
+comparisons are written so that a NaN never passes.
 
 The finite lane compares integers instead (_FiniteTables): F as an index
 table, the distances scaled by the matrix's common denominator
@@ -37,7 +40,7 @@ Fraction, and the space's pair index (spaces.PairIndex), in which the in-band
 quadruples of each comparable (x, u) pair are one bisected slice of the
 distance-sorted (y, v) pairs, visited in enumeration order, so witnesses and
 hit counts equal a full enumeration's. The first violation alone is measured
-again through the shared predicate, in exact Fractions.
+again through the condition's definition, in exact Fractions.
 """
 
 from __future__ import annotations
@@ -54,16 +57,14 @@ from .errors import InputError
 from .operators import (
     CoupledOperator,
     evaluation_lane,
-    _banach_holds,
-    _banded_conclusion,
+    _banded_conclusion,  # unused here; the tests import it from this module
+    _CONDITIONS,
     _finite_table,
-    _half_k,
+    _measure,
     _monotone_violation,
     _oriented,
     _sampled_quadruples,
-    _strict_holds,
     _too_few,
-    _with_slack,
 )
 from .reports import ConditionReport, Witness, _report
 from .spaces import _half_sum, _require_members
@@ -113,6 +114,61 @@ def _phase_plan(samples):
     return [phase for phase in phases if phase[1] > 0]
 
 
+def _witness(cond, kind, hit, args):
+    """The witness of cond at hit = (x, y, u, v, first, second), the two
+    measured values, with the check's parameters args in cond.params order."""
+    x, y, u, v, first, second = hit
+    values = dict(zip(cond.params + cond.fields, (*args, first, second)))
+    return Witness(x=x, y=y, u=u, v=v, kind=kind,
+                   measured={key: values[key] for key in cond.keys})
+
+
+def _scan(op, cond, p, quadruples):
+    """cond over quadruples (t, x, y, u, v, d(x,u), d(y,v)) to its first
+    violation: (quadruples counted, the violation's (t, x, y, u, v, first,
+    second) or None). A quadruple that cond does not count is passed over
+    before F is evaluated (the lazy test)."""
+    space, halves, test = op.space, cond.halves, cond.test
+    count = 0
+    half = None
+    for t, x, y, u, v, dxu, dyv in quadruples:
+        if halves:
+            half = _half_sum(space, dxu + dyv)
+        counted, first, second, holds = test(op, p, x, y, u, v, dxu, dyv, half, True)
+        if not counted:
+            continue
+        count += 1
+        if not holds:
+            return count, (t, x, y, u, v, first, second)
+    return count, None
+
+
+def _sampled_check(op, lane, cid, samples, seed, *args):
+    """banach_k (args = (k,)) or strict_contraction (no args) on the kernel
+    lane, by its box sweep, or on the generic lane, by rejection draws."""
+    cond = _CONDITIONS[cid]
+    base, salt, what = _SAMPLED[cid]
+    if lane == "kernel":
+        args = tuple(map(float, args))
+        sweep = kernels.banach_sweep if cid == "banach_k" else kernels.strict_sweep
+        found, checked, *hit = sweep(op, *args, seed, _tag(base), samples)
+        used, draws, method = checked if found else samples, samples, "targeted-sampling"
+    else:
+        draws, quadruples = _sampled_quadruples(op.space, samples, seed ^ salt)
+        checked, hit = _scan(op, cond, cond.bind(op.space, *args), quadruples)
+        found, used, method = hit is not None, draws, "rejection-sampling"
+        if found:
+            used, hit = hit[0] + 1, hit[1:]
+    witness = _witness(cond, "random", hit, args) if found else None
+    return _report(cid, method, witness, used, checked, params=dict(zip(cond.params, args)),
+                   inconclusive=_too_few(checked, draws, what))
+
+
+# per sampled check: tag base, rejection-draw seed salt, what its quadruples are
+_SAMPLED = {"banach_k": (_BASE_BANACH, 0xB44A, "comparable quadruples"),
+            "strict_contraction": (_BASE_STRICT, 0x57C1, "strictly comparable pairs")}
+
+
 # ---------------------------------------------------------------------------
 # the exhaustive finite lane
 # ---------------------------------------------------------------------------
@@ -129,13 +185,13 @@ class _FiniteTables:
     conclusion S[F[x][y]][F[u][v]], plus S[F[y][x]][F[v][u]] when symmetric.
     The up pairs are read in distance order, so the ones completing a down
     pair to a sum in a band are one slice. The checks compare these integers;
-    only a witness is measured again in Fractions, through the shared
-    predicates of ``operators``."""
+    only a witness is measured again in Fractions, through the condition's
+    definition in ``operators``."""
 
     def __init__(self, op):
         fd = op.space.finite
         S, F = fd.scaled[1], _finite_table(op)
-        self.elements, self.dist, self.pairs = fd.elements, fd.dist, fd.pairs()
+        self.elements, self.pairs = fd.elements, fd.pairs()
         self.F, self.FT = F, [list(col) for col in zip(*F)]  # FT[x][y] = F[y][x]
         # rows of S at the images: SF[x][y] = S[F[x][y]], SFT[x][y] = S[F[y][x]]
         self.SF = [list(map(S.__getitem__, row)) for row in F]
@@ -183,22 +239,26 @@ class _FiniteTables:
             return walked + sum(map(p.__ge__, band)), (i, iy, j, iv)
         return walked, None
 
-    def quadruple(self, q):
-        """The elements (x, y, u, v) of the indices q, then d(x,u) and d(y,v)
-        as exact Fractions."""
-        ix, iy, iu, iv = q
-        els, dist = self.elements, self.dist
-        return els[ix], els[iy], els[iu], els[iv], dist[ix][iu], dist[iy][iv]
+    def witness(self, op, cid, q, *args):
+        """The witness of cid at the quadruple of indices q, measured again
+        through its definition in exact Fractions; args are the check's
+        parameters."""
+        cond = _CONDITIONS[cid]
+        x, y, u, v = (self.elements[i] for i in q)
+        _, first, second, _ = _measure(op, cond, cond.bind(op.space, *args), x, y, u, v)
+        return _witness(cond, "exhaustive", (x, y, u, v, first, second), args)
 
     def curve_point(self, eps, cap):
         """Exact curve entry: the smallest violating half-sum >= eps, less eps,
         at most cap. Each down pair walks its up pairs in distance order from
         the sum of eps and stops below the smallest violating sum found so
-        far, which starts at the cap's."""
+        far, which starts at the cap's; an infinite cap (DELTA_CAP_FACTOR *
+        eps overflows) bounds nothing, and the entry is inf without a
+        violation."""
         pairs = self.pairs
-        eps, cap = Fraction(eps), Fraction(cap)
+        eps = Fraction(eps)
         lo = math.ceil(2 * eps * pairs.scale)  # also the symmetric conclusion's bound
-        best = math.ceil(2 * (eps + cap) * pairs.scale)
+        best = math.ceil(2 * (eps + Fraction(cap)) * pairs.scale) if cap < math.inf else math.inf
         dists = pairs.up_dists
         for i, j, d in pairs.down:
             start = bisect_left(dists, lo - d)
@@ -209,7 +269,7 @@ class _FiniteTables:
             m = next(itertools.compress(itertools.count(), flags), None)
             if m is not None:
                 best = d + dists[start + m]
-        return float(min(Fraction(best, 2 * pairs.scale) - eps, cap))
+        return cap if best == math.inf else float(min(Fraction(best, 2 * pairs.scale) - eps, cap))
 
 
 # ---------------------------------------------------------------------------
@@ -224,33 +284,9 @@ def check_banach_k(op: CoupledOperator, k, samples: int = 10000, seed: int = 0) 
     if samples < 1:
         raise InputError("samples must be positive")
     lane = evaluation_lane(op)
-    if lane == "kernel":
-        found, checked, x, y, u, v, lhs, rhs = kernels.banach_sweep(
-            op, float(k), seed, _tag(_BASE_BANACH), samples)
-        witness = Witness(x=x, y=y, u=u, v=v, kind="random",
-                          measured={"lhs": lhs, "rhs": rhs, "k": float(k)}) if found else None
-        return _report("banach_k", "targeted-sampling", witness,
-                       checked if found else samples, checked, params={"k": float(k)},
-                       inconclusive=_too_few(checked, samples, "comparable quadruples"))
-
     if lane == "finite":
         return _finite_banach(op, k)
-    space = op.space
-    draws, quadruples = _sampled_quadruples(space, samples, seed ^ 0xB44A)
-    half_k = _half_k(space, k)
-    used = draws
-    checked = 0
-    witness = None
-    for t, x, y, u, v, dxu, dyv in quadruples:
-        checked += 1
-        lhs, rhs, holds = _banach_holds(op, half_k, x, y, u, v, dxu, dyv)
-        if not holds:
-            witness = Witness(x=x, y=y, u=u, v=v, kind="random",
-                              measured={"lhs": lhs, "rhs": rhs, "k": k})
-            used = t + 1
-            break
-    return _report("banach_k", "rejection-sampling", witness, used, checked, params={"k": k},
-                   inconclusive=_too_few(checked, draws, "comparable quadruples"))
+    return _sampled_check(op, lane, "banach_k", samples, seed, k)
 
 
 def _finite_banach(op, k):
@@ -261,12 +297,7 @@ def _finite_banach(op, k):
     tables = _FiniteTables(op)
     checked, q = tables.first_violation(
         -math.inf, math.inf, False, lambda c, s: map(gt, map(a.__mul__, c), map(b.__mul__, s)))
-    witness = None
-    if q is not None:
-        x, y, u, v, dxu, dyv = tables.quadruple(q)
-        lhs, rhs, _ = _banach_holds(op, _half_k(op.space, k), x, y, u, v, dxu, dyv)
-        witness = Witness(x=x, y=y, u=u, v=v, kind="exhaustive",
-                          measured={"lhs": lhs, "rhs": rhs, "k": k_exact})
+    witness = None if q is None else tables.witness(op, "banach_k", q, k_exact)
     return _report("banach_k", "exhaustive", witness, checked, checked, params={"k": k},
                    holds_note="exhaustive over all ordered quadruples")
 
@@ -323,26 +354,6 @@ def _check_banded(op, eps_grid, delta_candidates, samples, seed, symmetric) -> C
                    inconclusive="" if hits_total else "no sampled quadruple landed in any band")
 
 
-def _scan_band(op, quadruples, eps, delta, symmetric, kind):
-    """Test the banded condition on the quadruples whose half-sum lies in
-    [eps, eps + delta): (in-band count, first witness or None)."""
-    space = op.space
-    hi = eps + delta
-    thresh = _with_slack(space, eps)  # the conclusion must stay below it
-    hits = 0
-    for _, x, y, u, v, dxu, dyv in quadruples:
-        half = _half_sum(space, dxu + dyv)
-        if not (eps <= half < hi):
-            continue
-        hits += 1
-        lhs = _banded_conclusion(op, x, y, u, v, symmetric)
-        if not lhs < thresh:
-            return hits, Witness(x=x, y=y, u=u, v=v, kind=kind,
-                                 measured={"eps": eps, "delta": delta,
-                                           "half_sum": half, "lhs": lhs})
-    return hits, None
-
-
 def _finite_band(op, tables, eps, delta, symmetric):
     """The exhaustive banded check at (eps, delta): (in-band quadruples up to
     the first violation, witness or None). In scaled integers the band is
@@ -356,13 +367,8 @@ def _finite_band(op, tables, eps, delta, symmetric):
     hi = math.inf if delta == math.inf else math.ceil(2 * (eps + delta) * scale)
     bound = lo if symmetric else math.ceil(eps * scale)
     hits, q = tables.first_violation(lo, hi, symmetric, lambda c, s: map(bound.__le__, c))
-    if q is None:
-        return hits, None
-    x, y, u, v, dxu, dyv = tables.quadruple(q)
-    return hits, Witness(x=x, y=y, u=u, v=v, kind="exhaustive",
-                         measured={"eps": eps, "delta": delta,
-                                   "half_sum": _half_sum(op.space, dxu + dyv),
-                                   "lhs": _banded_conclusion(op, x, y, u, v, symmetric)})
+    cid = "symmetric_mk" if symmetric else "samet_mk"
+    return hits, None if q is None else tables.witness(op, cid, q, eps, delta)
 
 
 def _band_checks(op, lane, bands, samples, seed, base, symmetric, first_only=False):
@@ -385,6 +391,7 @@ def _band_checks(op, lane, bands, samples, seed, base, symmetric, first_only=Fal
                 break
         return results
 
+    cond = _CONDITIONS["symmetric_mk" if symmetric else "samet_mk"]
     floats = [(float(eps), float(delta)) for eps, delta, _, _ in bands]
     results = [[0, None, 0] for _ in bands]
     stop = len(bands)  # with first_only, one past the first band with a witness
@@ -400,9 +407,7 @@ def _band_checks(op, lane, bands, samples, seed, base, symmetric, first_only=Fal
             r[0] += hits
             r[2] += count
             if found:
-                eps, delta = floats[i]
-                r[1] = Witness(x=x, y=y, u=u, v=v, kind=kind,
-                               measured={"eps": eps, "delta": delta, "half_sum": half, "lhs": lhs})
+                r[1] = _witness(cond, kind, (x, y, u, v, half, lhs), floats[i])
                 if first_only:
                     stop = min(stop, i + 1)
     return [tuple(r) for r in results[:stop]]
@@ -413,11 +418,13 @@ def _generic_band(op, eps, delta, samples, seed, base, e_idx, symmetric, probe=0
     witness or None, draws). Per phase the construction through the
     interpolate hook, or plain rejection without it."""
     space = op.space
+    cond = _CONDITIONS["symmetric_mk" if symmetric else "samet_mk"]
+    p = cond.bind(space, eps, delta)
     if space.interpolate is None:
         rng_seed = kernels.stream_seed(seed, _tag(base, e_idx, 0, probe))
         used, quadruples = _sampled_quadruples(space, samples, rng_seed & 0x7FFFFFFF)
-        hits, witness = _scan_band(op, quadruples, eps, delta, symmetric, "rejection")
-        return hits, witness, used
+        hits, hit = _scan(op, cond, p, quadruples)
+        return hits, hit and _witness(cond, "rejection", hit[1:], (eps, delta)), used
 
     hits = 0
     used = 0
@@ -425,10 +432,10 @@ def _generic_band(op, eps, delta, samples, seed, base, e_idx, symmetric, probe=0
         rng = random.Random(kernels.stream_seed(seed, _tag(base, e_idx, mode, probe)))
         trials, quadruples = _band_quadruples(space, eps, delta, count, mode, rng)
         used += trials
-        phase_hits, witness = _scan_band(op, quadruples, eps, delta, symmetric, kind)
+        phase_hits, hit = _scan(op, cond, p, quadruples)
         hits += phase_hits
-        if witness is not None:
-            return hits, witness, used
+        if hit is not None:
+            return hits, _witness(cond, kind, hit[1:], (eps, delta)), used
     return hits, None, used
 
 
@@ -492,35 +499,9 @@ def check_strict_contraction(op: CoupledOperator, samples: int = 10000, seed: in
     if samples < 2:
         raise InputError("check_strict_contraction requires samples >= 2")
     lane = evaluation_lane(op)
-    if lane == "kernel":
-        found, checked, x, y, u, v, before, after = kernels.strict_sweep(
-            op, seed, _tag(_BASE_STRICT), samples)
-        witness = Witness(x=x, y=y, u=u, v=v, kind="random",
-                          measured={"d2_before": before, "d2_after": after}) if found else None
-        return _report("strict_contraction", "targeted-sampling", witness,
-                       checked if found else samples, checked,
-                       inconclusive=_too_few(checked, samples, "strictly comparable pairs"))
-
     if lane == "finite":
         return _finite_strict(op)
-    space = op.space
-    draws, quadruples = _sampled_quadruples(space, samples, seed ^ 0x57C1)
-    used = draws
-    checked = 0
-    witness = None
-    for t, x, y, u, v, dxu, dyv in quadruples:
-        before = _half_sum(space, dxu + dyv)
-        if not before > 0:
-            continue
-        checked += 1
-        after, holds = _strict_holds(op, x, y, u, v, before)
-        if not holds:
-            witness = Witness(x=x, y=y, u=u, v=v, kind="random",
-                              measured={"d2_before": before, "d2_after": after})
-            used = t + 1
-            break
-    return _report("strict_contraction", "rejection-sampling", witness, used, checked,
-                   inconclusive=_too_few(checked, draws, "strictly comparable pairs"))
+    return _sampled_check(op, lane, "strict_contraction", samples, seed)
 
 
 def _finite_strict(op):
@@ -528,13 +509,7 @@ def _finite_strict(op):
     conclusion must stay below s."""
     tables = _FiniteTables(op)
     checked, q = tables.first_violation(1, math.inf, True, lambda c, s: map(le, s, c))
-    witness = None
-    if q is not None:
-        x, y, u, v, dxu, dyv = tables.quadruple(q)
-        before = _half_sum(op.space, dxu + dyv)
-        after, _ = _strict_holds(op, x, y, u, v, before)
-        witness = Witness(x=x, y=y, u=u, v=v, kind="exhaustive",
-                          measured={"d2_before": before, "d2_after": after})
+    witness = None if q is None else tables.witness(op, "strict_contraction", q)
     return _report("strict_contraction", "exhaustive", witness, checked, checked,
                    inconclusive="" if checked else "no strictly comparable distinct pairs exist",
                    holds_note="exhaustive over all strictly comparable pairs")
@@ -594,8 +569,11 @@ def reverify_witness(op: CoupledOperator, report: ConditionReport) -> dict:
     """Recompute a failing report's witness from its stored coordinates.
 
     Returns the recomputed quantities plus "violated"; a genuine witness
-    must re-violate its condition exactly (it is tested by the checkers'
-    own predicate, including the rounding slack).
+    must re-violate its condition exactly: it is measured through the
+    condition's definition, the checkers' own test with its rounding slack,
+    and it must be a quadruple the condition quantifies over, with u <= x
+    and y <= v (and, for the banded conditions and strict_contraction, a
+    half-sum in the band or positive).
     """
     if report.witness is None:
         raise InputError("report carries no witness")
@@ -608,23 +586,15 @@ def reverify_witness(op: CoupledOperator, report: ConditionReport) -> dict:
         f_lo, f_hi, violation = _monotone_violation(op, w.kind, w.x, w.y, w.u, w.v)
         return {"image_low": f_lo, "image_high": f_hi, "violated": violation is not None}
 
-    dxu, dyv = space.distance(w.x, w.u), space.distance(w.y, w.v)
-    if cid == "banach_k":
-        lhs, rhs, holds = _banach_holds(op, _half_k(space, report.params["k"]),
-                                        w.x, w.y, w.u, w.v, dxu, dyv)
-        return {"lhs": lhs, "rhs": rhs, "violated": not holds}
-
-    if cid in ("samet_mk", "symmetric_mk"):
-        eps = w.measured["eps"]
-        half = _half_sum(space, dxu + dyv)
-        in_band = eps <= half < eps + w.measured["delta"]
-        lhs = _banded_conclusion(op, w.x, w.y, w.u, w.v, cid == "symmetric_mk")
-        return {"half_sum": half, "in_band": in_band, "lhs": lhs,
-                "violated": bool(in_band and not lhs < _with_slack(space, eps))}
-
-    if cid == "strict_contraction":
-        before = _half_sum(space, dxu + dyv)
-        after, holds = _strict_holds(op, w.x, w.y, w.u, w.v, before)
-        return {"d2_before": before, "d2_after": after, "violated": not holds}
-
-    raise InputError(f"unknown condition id {cid!r}")
+    cond = _CONDITIONS.get(cid)
+    if cond is None:
+        raise InputError(f"unknown condition id {cid!r}")
+    p = cond.bind(space, *(w.measured[key] for key in cond.params))
+    counted, first, second, holds = _measure(op, cond, p, w.x, w.y, w.u, w.v)
+    result = {cond.fields[0]: first}
+    if cond.flag:
+        result[cond.flag] = counted
+    result[cond.fields[1]] = second
+    oriented = space.leq(w.u, w.x) is True and space.leq(w.y, w.v) is True
+    result["violated"] = bool(counted and oriented and not holds)
+    return result

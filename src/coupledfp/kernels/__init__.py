@@ -7,19 +7,20 @@ Every sweep draws comparable quadruples (x >= u, y <= v) from a splitmix64
 stream and stops at the first violation. The stream is counter based: draw j
 (from 0) of the (seed, tag) stream is mix64(s0 + (j + 1) * GOLDEN) with
 s0 = stream_seed(seed, tag), so a sweep builds a chunk of quadruples as numpy
-arrays, evaluates the condition's shared predicate from ``operators`` on them
-(op.apply and space.distance take whole arrays) and finds the chunk's first
-violation with argmax over the violation mask. The band search also runs
-several bands at once (_band_sweeps, which band_sweep calls with one band):
-their streams are the rows of one array per pass, and a band drops out at its
-first violation, so the banded checks and the delta curve make one batched
-sweep per phase over their eps grid.
+arrays and runs the condition's test from its definition in ``operators``
+on them (op.apply and space.distance take whole arrays). All sweeps share
+one row loop, _sweeps: each row is a stream with its own parameters, the
+rows are the rows of one array per pass, and a row drops out at its first
+violation. banach_sweep and strict_sweep are one-row calls with the box
+draw; the band search runs one row per band (_band_sweeps), so the banded
+checks and the delta curve make one batched sweep per phase over their eps
+grid.
 
 On F(x, y) = (a*x - b*y)/c the results are bit-identical to the scalar
 reference in tests/kernel_oracle.py, the tests' oracle: the same stream, the
 same IEEE operations in the same order (numpy elementwise arithmetic does not
 fuse multiply-adds), the same returned tuple. Only NaN differs on purpose: it
-violates the shared predicates, while the reference lets it through.
+violates the condition tests, while the reference lets it through.
 
 The twins take the space's own sampler points, not the stream: they run the
 scalar check's trials on arrays, in the same order, and report the same
@@ -29,8 +30,7 @@ numpy is imported on the first call, never at package import, so commands
 that make no sweep do not pay its import time or memory.
 """
 
-from ..operators import _banach_holds, _banded_conclusion, _half_k, _strict_holds, _with_slack
-from ..spaces import _half_sum
+from ..operators import _CONDITIONS, _measure
 
 KERNEL_BACKEND = "numpy"
 CHUNK = 8192  # draws evaluated per array pass; bounds memory and early-exit waste
@@ -72,44 +72,63 @@ def _uniforms(s0, i0, m, width):
     return (z >> np.uint64(11)).astype(np.float64) * _INV_2_53
 
 
-def _chunks(seed, tag, n, width):
-    """Yield the uniforms of each chunk of at most CHUNK draws.
+def _sweeps(op, cond, rows, seed, n, width, draw):
+    """The first violation of cond on each row (tag, p) of rows, in n draws
+    of the row's (seed, tag) stream: per row, in the order of rows,
+    (1, quadruples counted up to and including the violation, its x, y, u, v
+    and two measured values), or (0, quadruples counted, six zeros). p is the
+    row's cond.bind tuple of floats; draw(uniforms, p) makes each draw's
+    width uniforms into a comparable quadruple (x, y, u, v).
 
-    uniforms has shape (width, m): row r holds the r-th of the width
-    consecutive stream values each draw consumes, for the chunk's m draws.
+    The rows' streams run side by side: each array pass evaluates the next
+    max(1, CHUNK // B) draws of the B rows still without a violation as the
+    rows of (B, m) arrays, with p as columns, which op.apply and
+    space.distance take elementwise as they would a single stream. A row's
+    draws depend only on (seed, tag), so its result depends neither on the
+    other rows nor on where the passes split its stream.
     """
     import numpy as np
 
-    s0 = np.array([[stream_seed(seed, tag)]], dtype=np.uint64)
-    for i0 in range(0, n, CHUNK):
-        yield _uniforms(s0, i0, min(CHUNK, n - i0), width)[:, 0]
-
-
-def _box_quadruples(space, seed, tag, n):
-    """Per chunk, (x, y, u, v) arrays: x and v uniform in the sampling box,
-    u and y up to one box radius below them."""
-    scale = float(space.sample_radius or DEFAULT_SCALE)
-    for r1, r2, r3, r4 in _chunks(seed, tag, n, 4):
-        x = (2.0 * r1 - 1.0) * scale
-        v = (2.0 * r2 - 1.0) * scale
-        yield x, v - r4 * scale, x - r3 * scale, v
-
-
-def _first_violation(chunks):
-    """Run a sweep's chunks of (counted mask or None for all, violation mask,
-    the six measured arrays): (1, count up to and including the first
-    violation, its measured values), or (0, total count, six zeros)."""
-    import numpy as np
-
-    count = 0
+    states = np.array([[stream_seed(seed, tag)] for tag, _ in rows], dtype=np.uint64)
+    params = np.array([p for _, p in rows], dtype=np.float64)
+    live = list(range(len(rows)))
+    results = [None] * len(rows)
+    counts = [0] * len(rows)
+    i0 = 0
     with np.errstate(all="ignore"):
-        for counted, bad, measured in chunks:
-            i = int(bad.argmax())
-            if bad[i]:
-                count += i + 1 if counted is None else int(np.count_nonzero(counted[:i + 1]))
-                return (1, count) + tuple(float(arr[i]) for arr in measured)
-            count += bad.size if counted is None else int(np.count_nonzero(counted))
-    return (0, count, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+        while live and i0 < n:
+            m = min(max(1, CHUNK // len(live)), n - i0)
+            p = tuple(params.T[:, :, None])
+            x, y, u, v = draw(_uniforms(states, i0, m, width), p)
+            i0 += m
+            counted, first, second, holds = _measure(op, cond, p, x, y, u, v)
+            bad = counted & ~holds
+            found = bad.any(axis=1).tolist()
+            for k, b in enumerate(live):
+                i = int(bad[k].argmax()) if found[k] else m - 1
+                counts[b] += i + 1 if counted is True else int(np.count_nonzero(counted[k, :i + 1]))
+                if found[k]:
+                    results[b] = (1, counts[b]) + tuple(float(arr[k, i]) for arr in
+                                                        (x, y, u, v, first, second))
+            if any(found):
+                keep = [k for k, hit in enumerate(found) if not hit]
+                live = [live[k] for k in keep]
+                states, params = states[keep], params[keep]
+    return [res or (0, count, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+            for res, count in zip(results, counts)]
+
+
+def _box_sweep(op, cid, args, seed, tag, n):
+    """cid's sweep of n quadruples with x and v uniform in the sampling box
+    and u and y up to one box radius below them."""
+    cond = _CONDITIONS[cid]
+    scale = float(op.space.sample_radius or DEFAULT_SCALE)
+
+    def draw(r, p):
+        x, v = (2.0 * r[:2] - 1.0) * scale
+        return x, v - r[3] * scale, x - r[2] * scale, v
+
+    return _sweeps(op, cond, [(tag, cond.bind(op.space, *args))], seed, n, 4, draw)[0]
 
 
 def banach_sweep(op, k, seed, tag, n):
@@ -118,16 +137,7 @@ def banach_sweep(op, k, seed, tag, n):
 
     Returns (found, checked, x, y, u, v, lhs, rhs).
     """
-    space = op.space
-    half_k = _half_k(space, k)
-
-    def chunks():
-        for x, y, u, v in _box_quadruples(space, seed, tag, n):
-            lhs, rhs, holds = _banach_holds(op, half_k, x, y, u, v,
-                                            space.distance(x, u), space.distance(y, v))
-            yield None, ~holds, (x, y, u, v, lhs, rhs)
-
-    return _first_violation(chunks())
+    return _box_sweep(op, "banach_k", (k,), seed, tag, n)
 
 
 def band_sweep(op, eps, delta, seed, tag, n, mode, symmetric):
@@ -151,64 +161,24 @@ def band_sweep(op, eps, delta, seed, tag, n, mode, symmetric):
 def _band_sweeps(op, bands, seed, n, mode, symmetric):
     """band_sweep on each band (eps, delta, tag) of bands, with the same n,
     mode and symmetric: one list of band_sweep's tuples, bit for bit, in the
-    order of bands.
-
-    The bands' streams run side by side: each array pass evaluates the next
-    max(1, CHUNK // B) draws of the B bands still without a violation as the
-    rows of (B, m) arrays, which op.apply and space.distance take elementwise
-    as they take a single stream's chunk. A band's draws depend only on
-    (seed, tag), so its result depends neither on the other bands nor on
-    where the passes split its stream.
-    """
-    import numpy as np
-
+    order of bands, from one _sweeps call with a row per band."""
     space = op.space
-    distance = space.distance
+    cond = _CONDITIONS["symmetric_mk" if symmetric else "samet_mk"]
     scale = float(space.sample_radius or DEFAULT_SCALE)
-    width = 4 if mode == 0 else 3
-    # per live band: its stream state, and eps, delta, eps + delta and the slackened eps
-    states = np.array([[stream_seed(seed, tag)] for _, _, tag in bands], dtype=np.uint64)
-    params = np.array([(eps, delta, eps + delta, _with_slack(space, eps))
-                       for eps, delta, _ in bands], dtype=np.float64)
-    live = list(range(len(bands)))
-    results = [None] * len(bands)
-    hits = [0] * len(bands)
-    i0 = 0
-    with np.errstate(all="ignore"):
-        while live and i0 < n:
-            m = min(max(1, CHUNK // len(live)), n - i0)
-            i0 += m
-            lo, d, hi, thresh = params.T[:, :, None]
-            r = _uniforms(states, i0 - m, m, width)
-            h = lo + r[0] * d
-            if mode == 0:
-                p = 2.0 * h * r[3]
-                q = 2.0 * h - p
-            else:
-                p, q = (0.0, 2.0 * h) if mode == 1 else (2.0 * h, 0.0)
-            x, v = (2.0 * r[1:3] - 1.0) * scale
-            u = x - p
-            y = v - q
-            half = _half_sum(space, distance(x, u) + distance(y, v))
-            in_band = (half >= lo) & (half < hi)
-            lhs = _banded_conclusion(op, x, y, u, v, symmetric)
-            bad = in_band & ~(lhs < thresh)
-            found = bad.any(axis=1).tolist()
-            for k, b in enumerate(live):
-                if not found[k]:
-                    hits[b] += int(np.count_nonzero(in_band[k]))
-                    continue
-                i = int(bad[k].argmax())
-                hits[b] += int(np.count_nonzero(in_band[k, :i + 1]))
-                results[b] = (1, hits[b]) + tuple(float(arr[k, i])
-                                                  for arr in (x, y, u, v, half, lhs))
-            if any(found):
-                rows = [k for k, hit in enumerate(found) if not hit]
-                live = [live[k] for k in rows]
-                if live:
-                    states, params = states[rows], params[rows]
-    return [res or (0, count, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-            for res, count in zip(results, hits)]
+
+    def draw(r, p):
+        lo, d = p[0], p[3]
+        h = lo + r[0] * d
+        if mode == 0:
+            dx = 2.0 * h * r[3]
+            dy = 2.0 * h - dx
+        else:
+            dx, dy = (0.0, 2.0 * h) if mode == 1 else (2.0 * h, 0.0)
+        x, v = (2.0 * r[1:3] - 1.0) * scale
+        return x, v - dy, x - dx, v
+
+    rows = [(tag, cond.bind(space, eps, delta)) for eps, delta, tag in bands]
+    return _sweeps(op, cond, rows, seed, n, 4 if mode == 0 else 3, draw)
 
 
 def strict_sweep(op, seed, tag, n):
@@ -220,16 +190,7 @@ def strict_sweep(op, seed, tag, n):
 
     Returns (found, checked, x, y, u, v, d2_before, d2_after).
     """
-    space = op.space
-
-    def chunks():
-        for x, y, u, v in _box_quadruples(space, seed, tag, n):
-            before = _half_sum(space, space.distance(x, u) + space.distance(y, v))
-            distinct = before > 0.0
-            after, holds = _strict_holds(op, x, y, u, v, before)
-            yield distinct, distinct & ~holds, (x, y, u, v, before, after)
-
-    return _first_violation(chunks())
+    return _box_sweep(op, "strict_contraction", (), seed, tag, n)
 
 
 def _columns(pool, width):

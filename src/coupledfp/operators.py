@@ -4,14 +4,16 @@ A coupled fixed point of F is exactly a fixed point of T, so the solver and
 the condition checkers mostly work through product_T. Operators are plain
 callables plus metadata.
 
-Each condition's predicate is written once, here, for the checkers in
-``conditions`` and the sweeps in ``kernels`` alike: _banach_holds,
-_banded_conclusion and _strict_holds, with the rounding slack _with_slack,
-work on floats, exact Fractions and numpy arrays without importing numpy.
-They return the *holds* comparison (False on NaN), which scalar callers negate
-with ``not`` and the sweeps with ``~``. The exhaustive finite lane compares
-the same quantities as integers on index tables and evaluates only its
-witness through these predicates, in Fractions.
+Each sampled contractive condition is written once, here, as a _Condition
+in _CONDITIONS: the parameters it binds, which comparable quadruples it
+counts, its test (_banach_holds, the band test around _banded_conclusion,
+_strict_holds) and the names of its two measured values. The sweeps in
+``kernels``, the checkers in ``conditions`` and reverify_witness all read
+it. The tests work on floats, exact Fractions and numpy arrays without
+importing numpy, and return the *holds* comparison (False on NaN), which
+scalar callers negate with ``not`` and the sweeps with ``~``. The exhaustive
+finite lane compares the same quantities as integers on index tables and
+measures only its witness through the definition, in Fractions.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice, repeat
 from operator import getitem
-from typing import Any, Callable, Optional
+from typing import Any, Callable, NamedTuple, Optional
 
 from .errors import DomainMismatchError, InputError
 from .reports import ConditionReport, Witness, _report
@@ -133,12 +135,13 @@ def _half_k(space, k):
     return Fraction(k) / 2 if space.exact else 0.5 * k
 
 
-def _banach_holds(op, half_k, x, y, u, v, dxu, dyv):
-    """banach_k on quadruples, half_k = _half_k(space, k): (lhs, rhs, holds)."""
+def _banach_holds(op, p, x, y, u, v, dxu, dyv, half, lazy):
+    """banach_k, p = (_half_k(space, k),), over every quadruple:
+    (True, lhs, rhs, holds)."""
     space = op.space
     lhs = space.distance(op.apply(x, y), op.apply(u, v))
-    rhs = half_k * (dxu + dyv)
-    return lhs, rhs, lhs <= _with_slack(space, rhs)
+    rhs = p[0] * (dxu + dyv)
+    return True, lhs, rhs, lhs <= _with_slack(space, rhs)
 
 
 def _banded_conclusion(op, x, y, u, v, symmetric):
@@ -153,11 +156,73 @@ def _banded_conclusion(op, x, y, u, v, symmetric):
     return _half_sum(space, d1 + space.distance(op.apply(y, x), op.apply(v, u)))
 
 
-def _strict_holds(op, x, y, u, v, before):
-    """Strict contraction on quadruples with d2 before = half-sum: (after, holds)."""
+def _strict_holds(op, p, x, y, u, v, dxu, dyv, before, lazy):
+    """strict_contraction, over the quadruples with d2 before = the
+    half-sum > 0: (distinct, before, after, holds)."""
+    distinct = before > 0
+    if lazy and not distinct:
+        return distinct, before, None, True
     space = op.space
     after = d2(product_T(op, PairPoint(x, y)), product_T(op, PairPoint(u, v)), space)
-    return after, after < _with_slack(space, before, -1)
+    return distinct, before, after, after < _with_slack(space, before, -1)
+
+
+def _band_bounds(space, eps, delta):
+    """The band's parameters: eps, eps + delta, the slackened eps that the
+    conclusion must stay below, and delta (which the band draws read)."""
+    return eps, eps + delta, _with_slack(space, eps), delta
+
+
+class _Condition(NamedTuple):
+    """A sampled contractive condition, as every lane and reverify_witness
+    read it. bind(space, *args) makes the check's parameters, named by params,
+    into the p its test takes. test(op, p, x, y, u, v, d(x,u), d(y,v), half,
+    lazy) gives whether the condition counts the quadruple, the two measured
+    values named by fields, and holds (False on NaN); half is the half-sum
+    when halves is set. A lazy test returns an uncounted scalar quadruple
+    before F is evaluated, with None for what F gives. keys orders the
+    witness's measured dict; flag names the counted flag in reverify_witness.
+    """
+
+    fields: tuple
+    params: tuple
+    keys: tuple
+    bind: Callable
+    halves: bool
+    test: Callable
+    flag: Optional[str] = None
+
+
+def _banded(symmetric):
+    def test(op, p, x, y, u, v, dxu, dyv, half, lazy):
+        # over the quadruples with half-sum in [eps, eps + delta)
+        in_band = (half >= p[0]) & (half < p[1])
+        if lazy and not in_band:
+            return in_band, half, None, True
+        lhs = _banded_conclusion(op, x, y, u, v, symmetric)
+        return in_band, half, lhs, lhs < p[2]
+
+    return _Condition(("half_sum", "lhs"), ("eps", "delta"), ("eps", "delta", "half_sum", "lhs"),
+                      _band_bounds, True, test, "in_band")
+
+
+_CONDITIONS = {
+    "banach_k": _Condition(("lhs", "rhs"), ("k",), ("lhs", "rhs", "k"),
+                           lambda space, k: (_half_k(space, k),), False, _banach_holds),
+    "samet_mk": _banded(False),
+    "symmetric_mk": _banded(True),
+    "strict_contraction": _Condition(("d2_before", "d2_after"), (), ("d2_before", "d2_after"),
+                                     lambda space: (), True, _strict_holds),
+}
+
+
+def _measure(op, cond, p, x, y, u, v):
+    """cond's test on a quadruple of scalars or of arrays: (counted, first
+    measured value, second, holds)."""
+    space = op.space
+    dxu, dyv = space.distance(x, u), space.distance(y, v)
+    half = _half_sum(space, dxu + dyv) if cond.halves else None
+    return cond.test(op, p, x, y, u, v, dxu, dyv, half, False)
 
 
 # measured keys of the image below and above, per mixed-monotone clause

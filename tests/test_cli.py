@@ -1,9 +1,13 @@
+import contextlib
 import csv
+import io
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coupledfp import cli
 from coupledfp.cli import main
@@ -167,6 +171,17 @@ def test_delta_curve_csv(tmp_path, capsys):
     assert float(rows[1][1]) == dmax
 
 
+@pytest.mark.parametrize("problem", ["samet_example", fixture_path("diamond5.json")])
+def test_delta_curve_with_an_overflowing_cap(capsys, problem):
+    # DELTA_CAP_FACTOR * 1e308 is inf: without a violation both lanes give an
+    # unbounded entry
+    code, out, err = run_cli(capsys, "delta-curve", "--problem", problem, "--eps-grid", "1e308",
+                             "--samples", "200")
+    assert code == 0, err
+    assert '"curve": [\n    [\n      1e+308,\n      Infinity\n    ]' in out
+    assert json.loads(out)["curve"] == [[1e308, float("inf")]]
+
+
 def test_uniqueness_command(capsys):
     code, out, err = run_cli(
         capsys, "uniqueness", "--problem", "samet_example", "--samples", "500",
@@ -322,3 +337,38 @@ def test_inadmissible_default_start_exits_two(tmp_path, capsys):
     code, out, err = run_cli(capsys, "solve", "--problem", str(p))
     assert code == 2
     assert "admissible" in err
+
+
+# --- the CLI contract, property-tested ---------------------------------------
+
+coefficient = st.one_of(
+    st.sampled_from(["0", "1", "3", "5", "1e308", "5e-324", "-1", "nan", "inf", "-inf"]),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr))
+cli_problem = st.one_of(
+    st.just("samet_example"),
+    st.tuples(coefficient, coefficient, coefficient).map(lambda abc: f"linear({','.join(abc)})"),
+    st.sampled_from(sorted(DATA.glob("*.json"))).map(str))
+cli_flags = st.lists(st.sampled_from([
+    ("--samples", "1"), ("--samples", "7"), ("--samples", "40"), ("--samples", "0"),
+    ("--max-iter", "1"), ("--max-iter", "30"), ("--seed", "0"), ("--seed", "-5"),
+    ("--tol", "0.5"), ("--tol", "1e308"), ("--tol", "5e-324"), ("--tol", "nan"),
+    ("--eps-grid", "1e308"), ("--eps-grid", "5e-324"), ("--eps-grid", "0.1,1e308"),
+    ("--eps-grid", "inf"), ("--eps-grid", "nan,1"),
+]), max_size=4)
+
+
+@given(command=st.sampled_from(sorted(cli._COMMANDS)), problem=cli_problem, flags=cli_flags)
+@settings(max_examples=60, deadline=None)
+def test_cli_exits_zero_with_json_or_two(command, problem, flags):
+    # a run completes with its JSON (exit 0) or reports an input error (exit
+    # 2); no input escapes as another exit status or a traceback. The budget
+    # stays small: --samples and --max-iter are set low unless drawn
+    argv = [command, "--problem", problem, "--samples", "20", "--max-iter", "50"]
+    argv += [part for flag in flags for part in flag]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    if code == 0:
+        json.loads(out.getvalue())
+    else:
+        assert code == 2 and err.getvalue().startswith("error: "), err.getvalue()

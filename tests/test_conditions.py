@@ -520,6 +520,64 @@ def test_reverify_rejects_witness_outside_the_space():
         cf.reverify_witness(op, rep)
 
 
+def _with_witness_at(rep, x, y, u, v):
+    rep.witness = dataclasses.replace(rep.witness, x=x, y=y, u=u, v=v)
+    return rep
+
+
+def test_reverify_rejects_a_non_comparable_quadruple():
+    # (bot, bot, top, bot) breaks the banach inequality, but u <= x fails,
+    # so banach_k does not quantify over it; nor over any other quadruple
+    # without u <= x and y <= v
+    op = cf.load_finite(fixture_path("diamond5.json")).operator
+    space = op.space
+    rep = cf.check_banach_k(op, 0.9)
+    assert rep.verdict == "fails"
+    got = cf.reverify_witness(op, _with_witness_at(rep, "bot", "bot", "top", "bot"))
+    assert got["lhs"] > got["rhs"] and got["violated"] is False
+    for x, y, u, v in itertools.product(space.finite.elements, repeat=4):
+        if not (space.leq(u, x) is True and space.leq(y, v) is True):
+            assert cf.reverify_witness(op, _with_witness_at(rep, x, y, u, v))["violated"] is False
+
+
+def test_reverify_strict_rejects_a_quadruple_without_distance(samet):
+    # equal pairs are no strictly comparable distinct pairs: d2 before is 0
+    rep = cf.ConditionReport("strict_contraction", "fails",
+                             witness=cf.Witness(x=1.0, y=2.0, u=1.0, v=2.0))
+    got = cf.reverify_witness(samet.operator, rep)
+    assert got == {"d2_before": 0.0, "d2_after": 0.0, "violated": False}
+
+
+# the measured keys of a "fails" witness, and reverify_witness's keys less
+# "violated" and "in_band", per condition
+MEASURED_KEYS = {
+    "banach_k": (lambda op: cf.check_banach_k(op, 0.5, samples=500), {"lhs", "rhs", "k"},
+                 {"lhs", "rhs"}),
+    "samet_mk": (lambda op: cf.check_samet(op, [0.5, 1.0], EIGHTH, samples=500),
+                 {"eps", "delta", "half_sum", "lhs"}, {"half_sum", "lhs"}),
+    "symmetric_mk": (lambda op: cf.check_symmetric_mk(op, [0.5, 1.0], lambda e: e, samples=500),
+                     {"eps", "delta", "half_sum", "lhs"}, {"half_sum", "lhs"}),
+    "strict_contraction": (lambda op: cf.check_strict_contraction(op, samples=500),
+                           {"d2_before", "d2_after"}, {"d2_before", "d2_after"}),
+}
+
+
+@pytest.mark.parametrize("cid", sorted(MEASURED_KEYS))
+def test_measured_keys_agree_across_lanes(cid, samet):
+    # samet_example contracts strictly, so the kernel and generic lanes take
+    # the expansive linear(1,1,1.5) for strict_contraction
+    check, measured, recomputed = MEASURED_KEYS[cid]
+    kernel = samet.operator if cid != "strict_contraction" else cf.make_linear(1, 1, 1.5).operator
+    generic = cf.CoupledOperator(apply=kernel.apply, space=kernel.space)
+    finite = cf.load_finite(fixture_path("diamond5.json")).operator
+    for op, lane in ((kernel, "kernel"), (generic, "generic"), (finite, "finite")):
+        assert evaluation_lane(op) == lane
+        rep = check(op)
+        assert rep.verdict == "fails", lane
+        assert set(rep.witness.measured) == measured, lane
+        assert set(cf.reverify_witness(op, rep)) - {"violated", "in_band"} == recomputed, lane
+
+
 # --- delta curve -----------------------------------------------------------
 
 def test_delta_curve_flagship(samet):

@@ -17,8 +17,13 @@ from conftest import fixture_path
 
 
 def _stream(seed, tag, n):
-    """The raw uniform stream as the numpy kernels generate it."""
-    return [u for (row,) in kernels._chunks(seed, tag, n, 1) for u in row.tolist()]
+    """The raw uniform stream as the numpy kernels generate it, a chunk of
+    at most CHUNK draws at a time."""
+    import numpy as np
+
+    s0 = np.array([[kernels.stream_seed(seed, tag)]], dtype=np.uint64)
+    return [u for i0 in range(0, n, kernels.CHUNK)
+            for u in kernels._uniforms(s0, i0, min(kernels.CHUNK, n - i0), 1)[0, 0].tolist()]
 
 
 def test_cli_import_leaves_numpy_unloaded():
