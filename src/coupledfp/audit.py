@@ -11,9 +11,9 @@ arrays for a real_line space with the real line's own order and a distance
 that maps arrays. Both see the same tuples in the same order, so they find
 the same witnesses.
 
-The array lane imports numpy only when called, and spaces.audit_space asks
-for it only once numpy is loaded. The report types live here; spaces
-re-exports AuditReport.
+The array lane imports numpy only when called (and numpy.random once it
+draws tuples), and spaces.audit_space asks for it only once numpy is loaded.
+The report types live here; spaces re-exports AuditReport.
 """
 
 from __future__ import annotations
@@ -84,24 +84,37 @@ def _randrange_stream(rng, n):
             yield r
 
 
+def _mt19937_at(rng):
+    """numpy's MT19937 set to the state of the random.Random rng, its 624 key
+    words and position: random_raw returns the 32-bit words that rng would
+    draw next, in order, as uint64, without advancing rng."""
+    from numpy.random import MT19937
+
+    *key, pos = rng.getstate()[1]
+    mt = MT19937()
+    mt.state = {"bit_generator": "MT19937", "state": {"key": key, "pos": pos}}
+    return mt
+
+
 def _index_blocks(rng, n, width, rows):
     """The array lane's view of _randrange_stream(rng, n): rows rows of width
-    consecutive values, as uint32 arrays of shape (width, m), one row per
+    consecutive values, as uint64 arrays of shape (width, m), one row per
     column of the block, with m <= AUDIT_BLOCK.
 
     For n < 2**32, getrandbits(n.bit_length()) takes one 32-bit Mersenne word
-    w and returns w >> (32 - n.bit_length()), and randbytes(4 * m) returns
-    the next m words in draw order, little-endian; so shifting words drawn
-    AUDIT_BLOCK at a time and rejecting values >= n gives the same values in
-    the same order. rng ends up past the values used, so it is not reused."""
+    w and returns w >> (32 - n.bit_length()), so shifting the words of
+    _mt19937_at(rng) and rejecting values >= n gives the same values in the
+    same order; rng itself is not advanced."""
     import numpy as np
 
-    shift = 32 - n.bit_length()
+    mt = _mt19937_at(rng)
+    k = n.bit_length()
     parts, have = [], 0
     for start in range(0, rows, AUDIT_BLOCK):
         need = min(AUDIT_BLOCK, rows - start) * width
         while have < need:
-            words = np.frombuffer(rng.randbytes(4 * AUDIT_BLOCK), "<u4") >> shift
+            # a share n / 2**k of the words is kept: draw about enough, at once
+            words = mt.random_raw(((need - have) << k) // n + 64) >> (32 - k)
             parts.append(words[words < n])
             have += parts[-1].size
         values = np.concatenate(parts)
@@ -273,8 +286,10 @@ _ARRAY_FAILS = {
 
 
 def _triangle_fails(d_xz, via_y, tau):
+    # the relative slack only matters once the plain comparison fails, and
     # max(1, via_y) as clip: where via_y is NaN the first comparison is False
-    return (d_xz > via_y) & (d_xz > via_y + tau * via_y.clip(min=1))
+    bad = d_xz > via_y
+    return bad & (d_xz > via_y + tau * via_y.clip(min=1)) if bad.any() else bad
 
 
 class _ArrayLane:
@@ -313,7 +328,7 @@ class _ArrayLane:
     def first_failures(self, width, block, missing):
         import numpy as np
 
-        cols = [self.xs[c] for c in block]
+        cols = self.xs.take(block)
         first = {}
         with np.errstate(all="ignore"):
             for a in missing:

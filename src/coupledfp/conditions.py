@@ -22,7 +22,7 @@ on the real line go through the numpy sweep kernels, finite tabulated spaces
 enumerate every quadruple with zero tolerance, and other spaces draw them by
 rejection sampling or, for bands, construct them through the space's
 interpolate hook. The conditions differ only in which quadruples they count
-(all of them, those in the band, those with a positive half-sum) and in the
+(all of them, those in the band, those with a finite half-sum > 0) and in the
 conclusion that must hold, and each is written once, as its definition in
 ``operators`` (_CONDITIONS): its parameters, its test and the names of its
 two measured values. The kernels' row loop runs the test on arrays, _scan
@@ -57,7 +57,6 @@ from .errors import InputError
 from .operators import (
     CoupledOperator,
     evaluation_lane,
-    _banded_conclusion,  # unused here; the tests import it from this module
     _CONDITIONS,
     _finite_table,
     _measure,
@@ -573,7 +572,7 @@ def reverify_witness(op: CoupledOperator, report: ConditionReport) -> dict:
     condition's definition, the checkers' own test with its rounding slack,
     and it must be a quadruple the condition quantifies over, with u <= x
     and y <= v (and, for the banded conditions and strict_contraction, a
-    half-sum in the band or positive).
+    half-sum in the band or positive and finite).
     """
     if report.witness is None:
         raise InputError("report carries no witness")

@@ -158,8 +158,9 @@ def _banded_conclusion(op, x, y, u, v, symmetric):
 
 def _strict_holds(op, p, x, y, u, v, dxu, dyv, before, lazy):
     """strict_contraction, over the quadruples with d2 before = the
-    half-sum > 0: (distinct, before, after, holds)."""
-    distinct = before > 0
+    half-sum > 0 and finite: (distinct, before, after, holds). An infinite
+    before bounds nothing (its slackened value is NaN), so it is not counted."""
+    distinct = (before > 0) & (before < math.inf)
     if lazy and not distinct:
         return distinct, before, None, True
     space = op.space

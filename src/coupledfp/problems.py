@@ -165,7 +165,7 @@ def load_finite(path: str) -> ProblemInstance:
 
     _schema_require(isinstance(doc, dict), "top level must be an object", path)
     _schema_require("schema_version" in doc, "missing required field 'schema_version'", path)
-    _schema_require(doc["schema_version"] == 1,
+    _schema_require(type(doc["schema_version"]) is int and doc["schema_version"] == 1,
                     f"unsupported schema_version {doc['schema_version']!r}", path)
     for key in ("elements", "distance", "leq", "F"):
         _schema_require(key in doc, f"missing required field '{key}'", path)

@@ -1,9 +1,13 @@
 import contextlib
+import copy
 import csv
 import io
 import json
+import math
+import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
 from hypothesis import given, settings
@@ -368,6 +372,72 @@ def test_cli_exits_zero_with_json_or_two(command, problem, flags):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
+    if code == 0:
+        json.loads(out.getvalue())
+    else:
+        assert code == 2 and err.getvalue().startswith("error: "), err.getvalue()
+
+
+# mutated finite documents: each fixture with one to three structural faults
+FIXTURE_DOCS = {p.name: json.loads(p.read_text()) for p in sorted(DATA.glob("*.json"))}
+DOC_LISTS = ("elements", "distance", "leq", "F", "start", "expected")
+# copied, so that a later fault cannot change the strategy's own lists
+odd_value = st.sampled_from([None, True, False, -1, 0, 1, 2, 7, 1.5, -0.5, 1e308, 2**70,
+                             math.nan, math.inf, "0", "a", [], [0], [[0]], {}]).map(copy.deepcopy)
+
+
+def _mutate(doc, data):
+    """Apply one drawn fault to doc in place: a dropped key, an entry of the
+    wrong type, a list of the wrong size, an F entry that is no element index
+    or a wrong schema_version."""
+    fault = data.draw(st.sampled_from(["drop_key", "bad_entry", "wrong_size", "bad_f_index",
+                                       "schema_version"]))
+    if fault == "schema_version":
+        versions = [0, 2, -1, True, 1.0, "1", None, 1.5, [1]]
+        doc["schema_version"] = data.draw(st.sampled_from(versions))
+        return
+    if fault == "drop_key":
+        if doc:
+            del doc[data.draw(st.sampled_from(sorted(doc)))]
+        return
+    key = "F" if fault == "bad_f_index" else data.draw(st.sampled_from(DOC_LISTS))
+    target = doc.get(key)
+    if not isinstance(target, list) or not target:
+        doc[key] = data.draw(odd_value)
+        return
+    # a row of a matrix, or the list itself
+    i = data.draw(st.integers(0, len(target) - 1))
+    if isinstance(target[i], list) and target[i] and data.draw(st.booleans()):
+        target = target[i]
+        i = data.draw(st.integers(0, len(target) - 1))
+    if fault == "wrong_size":
+        if data.draw(st.booleans()):
+            del target[i]
+        else:
+            target.append(copy.deepcopy(target[i]))
+    elif fault == "bad_f_index":
+        n = len(doc["elements"]) if isinstance(doc.get("elements"), list) else 1
+        target[i] = data.draw(st.sampled_from([n, n + 1, -1, -n, 2**63, 1.0, True]))
+    else:
+        target[i] = data.draw(odd_value)
+
+
+@given(command=st.sampled_from(sorted(cli._COMMANDS)), name=st.sampled_from(sorted(FIXTURE_DOCS)),
+       faults=st.integers(1, 3), data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_cli_exits_zero_with_json_or_two_on_mutated_documents(command, name, faults, data):
+    # the same contract as above, for finite problem files with faults
+    doc = copy.deepcopy(FIXTURE_DOCS[name])
+    for _ in range(faults):
+        _mutate(doc, data)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, name)
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        argv = [command, "--problem", path, "--samples", "20", "--max-iter", "50"]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
     if code == 0:
         json.loads(out.getvalue())
     else:

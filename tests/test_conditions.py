@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import json
 import math
+import random
 import re
 from fractions import Fraction
 
@@ -11,8 +12,7 @@ from hypothesis import strategies as st
 
 import coupledfp as cf
 from coupledfp import kernels
-from coupledfp.conditions import _banded_conclusion
-from coupledfp.operators import _finite_table, evaluation_lane
+from coupledfp.operators import _banded_conclusion, _finite_table, evaluation_lane
 from coupledfp.spaces import PairIndex, PairPoint
 
 import finite_oracle as oracle
@@ -546,6 +546,39 @@ def test_reverify_strict_rejects_a_quadruple_without_distance(samet):
                              witness=cf.Witness(x=1.0, y=2.0, u=1.0, v=2.0))
     got = cf.reverify_witness(samet.operator, rep)
     assert got == {"d2_before": 0.0, "d2_after": 0.0, "violated": False}
+
+
+def _huge_sampler(count, seed):
+    # finite points whose distances overflow to inf
+    rng = random.Random(seed)
+    return [1e308 * (2.0 * rng.random() - 1.0) for _ in range(count)]
+
+
+def _zero_operators():
+    """F = 0 where every d2 after is 0, so it contracts strictly: on the
+    kernel lane over real_line(1e308), on the generic lane over a real line
+    whose sampler spans +-1e308; both draw pairs with an infinite d2 before."""
+    import numpy as np
+
+    kernel = cf.CoupledOperator(apply=lambda x, y: np.zeros(np.shape(x)),
+                                space=cf.real_line(1e308), vectorized=True)
+    space = dataclasses.replace(cf.real_line(), sampler=_huge_sampler)
+    return {"kernel": kernel, "generic": cf.CoupledOperator(apply=lambda x, y: 0.0, space=space)}
+
+
+@pytest.mark.parametrize("lane", ["kernel", "generic"])
+def test_strict_does_not_count_an_infinite_d2_before(lane):
+    # an infinite d2 before bounds nothing: its slackened value is NaN, which
+    # no d2 after stays below, so counting it would mint a false witness
+    op = _zero_operators()[lane]
+    assert evaluation_lane(op) == lane
+    rep = cf.check_strict_contraction(op, samples=300, seed=0)
+    assert rep.verdict == "holds_on_samples"
+    assert 0 < rep.comparable_pairs_used < 300
+    witness = cf.Witness(x=1e308, y=0.0, u=-1e308, v=0.0)
+    got = cf.reverify_witness(op, cf.ConditionReport("strict_contraction", "fails",
+                                                     witness=witness))
+    assert got["d2_before"] == math.inf and got["violated"] is False
 
 
 # the measured keys of a "fails" witness, and reverify_witness's keys less

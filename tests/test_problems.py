@@ -173,6 +173,14 @@ def test_load_finite_wrong_schema_version(tmp_path):
         cf.load_finite(_write(tmp_path, doc))
 
 
+@pytest.mark.parametrize("version", [True, 1.0, "1"])
+def test_load_finite_schema_version_must_be_the_integer_one(tmp_path, version):
+    # JSON true and 1.0 compare equal to 1 in Python, but name no schema version
+    doc = dict(BASE_DOC, schema_version=version)
+    with pytest.raises(cf.SchemaError, match="unsupported schema_version"):
+        cf.load_finite(_write(tmp_path, doc))
+
+
 def test_load_finite_non_square_distance(tmp_path):
     doc = dict(BASE_DOC, distance=[[0, 1]])
     with pytest.raises(cf.SchemaError) as exc:

@@ -188,12 +188,55 @@ def test_randrange_stream_matches_randrange(n, seed):
 @pytest.mark.parametrize("n", [3, 5, 100, 500, 511, 512, 513, 1000])
 @pytest.mark.parametrize("seed", [0, 1, 42, 2**40 + 7])
 def test_index_blocks_match_randrange_stream(n, seed):
-    # AUDIT_BLOCK + 5 rows of three: two blocks, each built from several word draws
+    # AUDIT_BLOCK + 5 rows of three: two blocks
     rows = audit.AUDIT_BLOCK + 5
     blocks = list(audit._index_blocks(random.Random(seed), n, 3, rows))
     assert [b.shape for b in blocks] == [(3, audit.AUDIT_BLOCK), (3, 5)]
     got = np.concatenate([b.T.ravel() for b in blocks]).tolist()
     assert got == list(islice(_randrange_stream(random.Random(seed), n), 3 * rows))
+
+
+def _advanced_random(seed, calls, pos0):
+    """random.Random(seed) after one random() (bits 0) or getrandbits(bits)
+    call per entry of calls; with pos0, moved to position 0 of its key, which
+    no draw leaves it at (it regenerates the key at position 624 instead)."""
+    rng = random.Random(seed)
+    for bits in calls:
+        rng.getrandbits(bits) if bits else rng.random()
+    if pos0:
+        version, state, gauss = rng.getstate()
+        rng.setstate((version, state[:624] + (0,), gauss))
+    return rng
+
+
+random_calls = dict(seed=st.integers(0, 2**64), pos0=st.booleans(),
+                    calls=st.lists(st.integers(0, 96), max_size=700))
+
+
+@given(m=st.integers(1, 1500), **random_calls)
+@settings(max_examples=150, deadline=None)
+@example(m=700, seed=0, calls=[], pos0=False)  # position 624, as seeded
+@example(m=700, seed=0, calls=[0] * 312, pos0=False)  # 624 words drawn
+@example(m=700, seed=0, calls=[], pos0=True)
+def test_mt19937_words_equal_randbytes_words(m, seed, calls, pos0):
+    rng = _advanced_random(seed, calls, pos0)
+    assert rng.getstate()[1][624] in ((0,) if pos0 else range(1, 625))
+    words = audit._mt19937_at(rng).random_raw(m).tolist()
+    assert words == np.frombuffer(rng.randbytes(4 * m), "<u4").tolist()
+
+
+@given(n=st.sampled_from([1, 2, 255, 256, 257, 500, 633, 2**16 + 1]), width=st.sampled_from([2, 3]),
+       rows=st.integers(1, audit.AUDIT_BLOCK + 300), **random_calls)
+@settings(max_examples=150, deadline=None)
+@example(n=257, width=3, rows=audit.AUDIT_BLOCK + 1, seed=0, calls=[0] * 312, pos0=False)
+def test_index_blocks_equal_randrange_stream_after_any_draws(n, width, rows, seed, calls, pos0):
+    rng = _advanced_random(seed, calls, pos0)
+    state = rng.getstate()
+    blocks = list(audit._index_blocks(rng, n, width, rows))
+    assert rng.getstate() == state  # not advanced
+    assert sum(b.shape[1] for b in blocks) == rows
+    got = np.concatenate([b.T.ravel() for b in blocks]).tolist()
+    assert got == list(islice(_randrange_stream(rng, n), width * rows))
 
 
 @pytest.mark.parametrize("n", [1, 3, 58, 632])
