@@ -26,24 +26,15 @@ from operator import gt, le, ne, sub
 from typing import Optional
 
 from .errors import InputError
+from .reports import Record
 
 
 @dataclass
-class AxiomCheck:
+class AxiomCheck(Record):
     name: str
     passed: bool
     checks: int
     counterexample: Optional[dict] = None
-
-    def to_jsonable(self):
-        from .reports import jsonable
-
-        return {
-            "name": self.name,
-            "passed": self.passed,
-            "checks": self.checks,
-            "counterexample": jsonable(self.counterexample),
-        }
 
 
 @dataclass
@@ -59,6 +50,7 @@ class AuditReport:
     def failed_axioms(self):
         return [a.name for a in self.axioms if not a.passed]
 
+    # not a reports.Record: the JSON names space_description "space" and adds the passed property
     def to_jsonable(self):
         return {
             "space": self.space_description,

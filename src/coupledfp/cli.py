@@ -6,6 +6,11 @@ a run that completes exits 0 and puts the verdicts in its output, so
 pipelines can tell "ran and refuted" from "could not run" (exit 2, input
 error).
 
+The parsed argparse namespace is the run's configuration: every flag and its
+default is written once, in the parser. Each command returns its payload
+fields and a CSV writer (or None); main writes one JSON payload of
+schema_version, config (the namespace less --output) and those fields.
+
 Identical invocations (including --seed) produce byte-identical JSON. Floats
 serialize as shortest round-trip decimals; exact rationals as "p/q" strings.
 """
@@ -17,7 +22,6 @@ import functools
 import json
 import math
 import sys
-from dataclasses import dataclass
 
 from . import conditions, uniqueness as uniq
 from .errors import InputError
@@ -26,33 +30,7 @@ from .problems import resolve_problem, sample_admissible_starts
 from .solver import solve
 from .spaces import audit_space
 
-DEFAULT_EPS_GRID = (0.1, 1.0, 10.0)
 UNIQUENESS_STARTS = 10
-
-
-@dataclass
-class RunConfig:
-    command: str
-    problem: str
-    tol: float = 1e-10
-    max_iter: int = 10000
-    samples: int = 10000
-    seed: int = 42
-    eps_grid: tuple = DEFAULT_EPS_GRID
-    output: str = ""
-    format: str = "json"
-
-    def echo(self):
-        return {
-            "command": self.command,
-            "problem": self.problem,
-            "tol": self.tol,
-            "max_iter": self.max_iter,
-            "samples": self.samples,
-            "seed": self.seed,
-            "eps_grid": list(self.eps_grid),
-            "format": self.format,
-        }
 
 
 def _parse_eps_grid(text: str):
@@ -93,46 +71,13 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--eps-grid", default="0.1,1,10",
                        help="comma-separated positive eps values")
         p.add_argument("--output", default="",
-                       help="base path for artifacts (BASE.json, plus BASE.csv "
-                            "where a table is produced); stdout when omitted")
+                       help="base path for artifacts: BASE.json, plus BASE.csv from "
+                            "solve, and from delta-curve with --format csv; stdout "
+                            "when omitted")
         p.add_argument("--format", choices=("csv", "json"), default="json",
-                       help="with --output, also write the tabular artifact as CSV")
+                       help="csv: with --output, delta-curve also writes its curve "
+                            "as BASE.csv (solve always writes its trace table)")
     return parser
-
-
-def _config_from_args(args) -> RunConfig:
-    if not args.tol > 0:
-        raise InputError("--tol must be positive")
-    if args.max_iter < 1:
-        raise InputError("--max-iter must be >= 1")
-    if args.samples < 1:
-        raise InputError("--samples must be >= 1")
-    return RunConfig(
-        command=args.command,
-        problem=args.problem,
-        tol=args.tol,
-        max_iter=args.max_iter,
-        samples=args.samples,
-        seed=args.seed,
-        eps_grid=_parse_eps_grid(args.eps_grid),
-        output=args.output,
-        format=args.format,
-    )
-
-
-def _dumps(payload) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
-
-
-def _emit(config: RunConfig, payload: dict, csv_writer=None):
-    text = _dumps(payload)
-    if config.output:
-        with open(config.output + ".json", "w") as fh:
-            fh.write(text)
-        if csv_writer is not None:
-            csv_writer(config.output + ".csv")
-    else:
-        sys.stdout.write(text)
 
 
 def _delta_rule(eps):
@@ -141,59 +86,38 @@ def _delta_rule(eps):
     return eps / 8
 
 
-def _cmd_solve(config: RunConfig, problem):
-    trace = solve(problem.operator, problem.default_start, tol=config.tol,
-                  max_iter=config.max_iter, require_admissible=True)
-    payload = {
-        "schema_version": 1,
-        "config": config.echo(),
-        "trace": trace.to_jsonable(),
-    }
-    _emit(config, payload, csv_writer=trace.write_csv)
+def _cmd_solve(args, problem):
+    trace = solve(problem.operator, problem.default_start, tol=args.tol,
+                  max_iter=args.max_iter, require_admissible=True)
+    return {"trace": trace.to_jsonable()}, trace.write_csv
 
 
-def _verify_reports(config: RunConfig, problem):
+def _cmd_verify(args, problem):
     op = problem.operator
-    reports = [check_mixed_monotone(op, samples=config.samples, seed=config.seed)]
+    reports = [check_mixed_monotone(op, samples=args.samples, seed=args.seed)]
     if op.lipschitz_data is not None:
         la, lb = op.lipschitz_data
         k_cand = 2.0 * max(la, lb)
         # probe just below 1 when the declared data admits no valid constant;
         # a failure there certifies no k < 1 is workable on these samples
         k = k_cand if k_cand < 1.0 else 1.0 - 2.0 ** -20
-        rep = conditions.check_banach_k(op, k, samples=config.samples, seed=config.seed)
+        rep = conditions.check_banach_k(op, k, samples=args.samples, seed=args.seed)
         rep.params["k_source"] = (
             "2*max(lipschitz_data)" if k_cand < 1.0 else "probe just below 1"
         )
         reports.append(rep)
     reports.append(conditions.check_samet(
-        op, config.eps_grid, _delta_rule, samples=config.samples, seed=config.seed))
+        op, args.eps_grid, _delta_rule, samples=args.samples, seed=args.seed))
     reports.append(conditions.check_symmetric_mk(
-        op, config.eps_grid, _delta_rule, samples=config.samples, seed=config.seed))
+        op, args.eps_grid, _delta_rule, samples=args.samples, seed=args.seed))
     reports.append(conditions.check_strict_contraction(
-        op, samples=config.samples, seed=config.seed))
-    return reports
+        op, samples=args.samples, seed=args.seed))
+    return {"delta_rule": "eps/8", "reports": [r.to_jsonable() for r in reports]}, None
 
 
-def _cmd_verify(config: RunConfig, problem):
-    reports = _verify_reports(config, problem)
-    payload = {
-        "schema_version": 1,
-        "config": config.echo(),
-        "delta_rule": "eps/8",
-        "reports": [r.to_jsonable() for r in reports],
-    }
-    _emit(config, payload)
-
-
-def _cmd_delta_curve(config: RunConfig, problem):
+def _cmd_delta_curve(args, problem):
     curve = conditions.estimate_delta_curve(
-        problem.operator, config.eps_grid, samples=config.samples, seed=config.seed)
-    payload = {
-        "schema_version": 1,
-        "config": config.echo(),
-        "curve": [[eps, dmax] for eps, dmax in curve],
-    }
+        problem.operator, args.eps_grid, samples=args.samples, seed=args.seed)
 
     def write_csv(path):
         import csv as _csv
@@ -204,32 +128,22 @@ def _cmd_delta_curve(config: RunConfig, problem):
             for eps, dmax in curve:
                 wr.writerow([repr(float(eps)), repr(float(dmax))])
 
-    _emit(config, payload, csv_writer=write_csv if config.format == "csv" else None)
+    return ({"curve": [[eps, dmax] for eps, dmax in curve]},
+            write_csv if args.format == "csv" else None)
 
 
-def _cmd_uniqueness(config: RunConfig, problem):
+def _cmd_uniqueness(args, problem):
     starts = [problem.default_start]
-    starts += sample_admissible_starts(problem, UNIQUENESS_STARTS, seed=config.seed)
+    starts += sample_admissible_starts(problem, UNIQUENESS_STARTS, seed=args.seed)
     report = uniq.multi_start_uniqueness(
-        problem.operator, starts, tol=config.tol, max_iter=config.max_iter,
-        bound_search=problem.bound_search, seed=config.seed)
-    payload = {
-        "schema_version": 1,
-        "config": config.echo(),
-        "uniqueness": report.to_jsonable(),
-    }
-    _emit(config, payload)
+        problem.operator, starts, tol=args.tol, max_iter=args.max_iter,
+        bound_search=problem.bound_search, seed=args.seed)
+    return {"uniqueness": report.to_jsonable()}, None
 
 
-def _cmd_audit_space(config: RunConfig, problem):
-    report = audit_space(problem.space, samples=min(config.samples, 500),
-                         seed=config.seed)
-    payload = {
-        "schema_version": 1,
-        "config": config.echo(),
-        "audit": report.to_jsonable(),
-    }
-    _emit(config, payload)
+def _cmd_audit_space(args, problem):
+    report = audit_space(problem.space, samples=min(args.samples, 500), seed=args.seed)
+    return {"audit": report.to_jsonable()}, None
 
 
 _COMMANDS = {
@@ -241,27 +155,34 @@ _COMMANDS = {
 }
 
 
-def run(config: RunConfig) -> int:
+def main(argv=None) -> int:
     """Execute one command. Returns the process exit status (0 completed,
     2 input error)."""
+    args = _build_parser().parse_args(argv)
     try:
-        problem = resolve_problem(config.problem)
-        _COMMANDS[config.command](config, problem)
+        if not args.tol > 0:
+            raise InputError("--tol must be positive")
+        if args.max_iter < 1:
+            raise InputError("--max-iter must be >= 1")
+        if args.samples < 1:
+            raise InputError("--samples must be >= 1")
+        args.eps_grid = _parse_eps_grid(args.eps_grid)
+        problem = resolve_problem(args.problem)
+        fields, csv_writer = _COMMANDS[args.command](args, problem)
     except InputError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
+    config = {k: v for k, v in vars(args).items() if k != "output"}
+    text = json.dumps({"schema_version": 1, "config": config, **fields},
+                      sort_keys=True, indent=2) + "\n"
+    if args.output:
+        with open(args.output + ".json", "w") as fh:
+            fh.write(text)
+        if csv_writer is not None:
+            csv_writer(args.output + ".csv")
+    else:
+        sys.stdout.write(text)
     return 0
-
-
-def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    try:
-        config = _config_from_args(args)
-    except InputError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    return run(config)
 
 
 if __name__ == "__main__":

@@ -140,8 +140,10 @@ def banach_sweep(op, k, seed, tag, n):
     return _box_sweep(op, "banach_k", (k,), seed, tag, n)
 
 
-def band_sweep(op, eps, delta, seed, tag, n, mode, symmetric):
-    """Meir-Keeler band search: quadruples with half-sum in [eps, eps + delta).
+def _band_sweeps(op, bands, seed, n, mode, symmetric):
+    """Meir-Keeler band search on each band (eps, delta, tag) of bands, with
+    the same n, mode and symmetric: quadruples with half-sum in
+    [eps, eps + delta), one row per band of one _sweeps call.
 
     mode 0 draws a random split of the half-sum across the two coordinates,
     mode 1 pins x == u (all mass on the second coordinate), mode 2 pins y == v.
@@ -153,15 +155,9 @@ def band_sweep(op, eps, delta, seed, tag, n, mode, symmetric):
     distance, averaged with the swapped one when symmetric) stays below the
     slackened eps.
 
-    Returns (found, hits, x, y, u, v, half, lhs).
+    Returns one (found, hits, x, y, u, v, half, lhs) per band, in the order
+    of bands.
     """
-    return _band_sweeps(op, [(eps, delta, tag)], seed, n, mode, symmetric)[0]
-
-
-def _band_sweeps(op, bands, seed, n, mode, symmetric):
-    """band_sweep on each band (eps, delta, tag) of bands, with the same n,
-    mode and symmetric: one list of band_sweep's tuples, bit for bit, in the
-    order of bands, from one _sweeps call with a row per band."""
     space = op.space
     cond = _CONDITIONS["symmetric_mk" if symmetric else "samet_mk"]
     scale = float(space.sample_radius or DEFAULT_SCALE)

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable, Optional
 
@@ -84,15 +84,8 @@ def make_linear(a: float, b: float, c: float, radius: float = DEFAULT_RADIUS,
 
 
 def _samet_example() -> ProblemInstance:
-    inst = make_linear(1.0, 3.0, 5.0, name="samet_example")
-    return ProblemInstance(
-        name="samet_example",
-        space=inst.space,
-        operator=inst.operator,
-        default_start=PairPoint(-3.0, 3.0),
-        expected_fixed_point=PairPoint(0.0, 0.0),
-        bound_search=_real_lattice_bound,
-    )
+    return replace(make_linear(1.0, 3.0, 5.0, name="samet_example"),
+                   default_start=PairPoint(-3.0, 3.0))
 
 
 _LINEAR_RE = re.compile(r"^linear\(\s*([^,\s]+)\s*,\s*([^,\s]+)\s*,\s*([^,\s)]+)\s*\)$")

@@ -1,19 +1,17 @@
-"""Shared report records for the condition checkers."""
+"""Shared report records for the condition checkers, and their JSON form.
+
+jsonable turns report values into plain JSON types. A report dataclass whose
+JSON object is its fields by name, each through jsonable, inherits Record
+and writes no to_jsonable of its own: Witness and ConditionReport here,
+audit.AxiomCheck, solver.StartVerdict and uniqueness.DiagonalCheck elsewhere.
+"""
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass, field, fields
 from typing import Any, Optional
-
-CONDITION_IDS = (
-    "banach_k",
-    "samet_mk",
-    "symmetric_mk",
-    "strict_contraction",
-    "mixed_monotone",
-)
 
 VERDICT_HOLDS = "holds_on_samples"
 VERDICT_FAILS = "fails"
@@ -27,26 +25,40 @@ HOLDS_NOTE = (
 def jsonable(value):
     """Recursively convert report values to plain JSON types.
 
-    Fractions become exact "p/q" strings; finite floats pass through untouched
-    so the json encoder emits shortest round-trip decimals, and non-finite ones
-    become "inf", "-inf" or "nan" (standard JSON has no such numbers; float()
-    parses the strings back).
+    Finite floats pass through untouched so the json encoder emits shortest
+    round-trip decimals, and non-finite ones become "inf", "-inf" or "nan"
+    (standard JSON has no such numbers; float() parses the strings back). A
+    Record becomes its to_jsonable(); any other value its str(), so Fractions
+    become exact "p/q" strings.
     """
-    if isinstance(value, Fraction):
-        return str(value)
-    if isinstance(value, float) and not math.isfinite(value):
-        return str(value)
+    if isinstance(value, float):
+        return value if math.isfinite(value) else str(value)
+    if value is None or isinstance(value, (bool, int, str)):
+        return value
     if isinstance(value, dict):
         return {k: jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [jsonable(v) for v in value]
-    if value is None or isinstance(value, (bool, int, float, str)):
-        return value
+    if isinstance(value, Record):
+        return value.to_jsonable()
     return str(value)
 
 
+@functools.cache  # fields() per object would cost more than the rest of to_jsonable
+def _field_names(cls):
+    return tuple(f.name for f in fields(cls))
+
+
+class Record:
+    """Base of the report dataclasses whose JSON object is their fields, by
+    name, each through jsonable (a nested Record by its own to_jsonable)."""
+
+    def to_jsonable(self):
+        return {name: jsonable(getattr(self, name)) for name in _field_names(type(self))}
+
+
 @dataclass
-class Witness:
+class Witness(Record):
     """A concrete comparable quadruple refuting a condition.
 
     x, y, u, v are space elements with x >= u and y <= v in the base order
@@ -62,19 +74,9 @@ class Witness:
     kind: str = "random"
     measured: dict = field(default_factory=dict)
 
-    def to_jsonable(self):
-        return {
-            "x": jsonable(self.x),
-            "y": jsonable(self.y),
-            "u": jsonable(self.u),
-            "v": jsonable(self.v),
-            "kind": self.kind,
-            "measured": jsonable(self.measured),
-        }
-
 
 @dataclass
-class ConditionReport:
+class ConditionReport(Record):
     condition_id: str
     verdict: str
     witness: Optional[Witness] = None
@@ -89,20 +91,6 @@ class ConditionReport:
     @property
     def holds(self):
         return self.verdict == VERDICT_HOLDS
-
-    def to_jsonable(self):
-        return {
-            "condition_id": self.condition_id,
-            "verdict": self.verdict,
-            "witness": self.witness.to_jsonable() if self.witness else None,
-            "epsilon_grid": jsonable(self.epsilon_grid),
-            "samples_used": self.samples_used,
-            "comparable_pairs_used": self.comparable_pairs_used,
-            "band_hits": jsonable(self.band_hits),
-            "params": jsonable(self.params),
-            "method": self.method,
-            "note": self.note,
-        }
 
 
 def _report(condition_id, method, witness, samples_used, comparable, *,

@@ -25,7 +25,7 @@ from typing import Optional
 
 from .errors import InadmissibleStartError, InputError
 from .operators import CoupledOperator, product_T
-from .reports import jsonable
+from .reports import Record, jsonable
 from .spaces import INCOMPARABLE, PairPoint, d2
 
 TERM_CONVERGED = "converged"
@@ -43,7 +43,7 @@ STALL_FACTOR = 1.0 - 1e-15
 
 
 @dataclass
-class StartVerdict:
+class StartVerdict(Record):
     """Admissibility of a starting pair.
 
     direction "up":   x0 <= F(x0, y0) and F(y0, x0) <= y0
@@ -54,10 +54,6 @@ class StartVerdict:
     admissible: bool
     direction: str
     details: str = ""
-
-    def to_jsonable(self):
-        return {"admissible": self.admissible, "direction": self.direction,
-                "details": self.details}
 
 
 @dataclass
@@ -88,6 +84,7 @@ class IterationTrace:
             idx.append(n)
         return idx
 
+    # not a reports.Record: the JSON adds schema_version and final, and numbers the kept iterates
     def to_jsonable(self):
         return {
             "schema_version": 1,

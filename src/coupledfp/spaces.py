@@ -59,6 +59,7 @@ class PairPoint:
     first: Element
     second: Element
 
+    # not a reports.Record: the JSON is the list [first, second], not an object
     def to_jsonable(self):
         from .reports import jsonable
 
@@ -271,9 +272,10 @@ def real_line(radius: float = 10.0) -> SpaceModel:
     all of R. interpolate is the affine map x + t*(y - x) (metrically linear,
     order preserving for t >= 0), which the targeted band construction relies on.
     distance also maps arrays (the sweep kernels and the audit call it so).
+    The box's width 2*radius must be finite, or every sampled point is inf.
     """
-    if not (math.isfinite(radius) and radius > 0):
-        raise InputError("radius must be positive and finite")
+    if not (radius > 0 and math.isfinite(2 * radius)):
+        raise InputError("radius must be positive, with 2*radius finite")
 
     def distance(x, y):
         return abs(x - y)

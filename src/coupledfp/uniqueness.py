@@ -19,9 +19,9 @@ from typing import Callable, Optional
 
 from .errors import InputError
 from .operators import CoupledOperator
-from .reports import jsonable
+from .reports import Record, jsonable
 from .solver import TERM_CONVERGED, solve, residual
-from .spaces import (INCOMPARABLE, PairPoint, SpaceModel, _real_lattice_bound, d2, product_leq,
+from .spaces import (PairPoint, SpaceModel, _real_lattice_bound, d2, pairs_comparable,
                      usual_real_order)
 
 
@@ -38,6 +38,7 @@ class UniquenessReport:
     def all_converged(self):
         return not self.failed
 
+    # not a reports.Record: the JSON writes failed runs as {start, termination} objects
     def to_jsonable(self):
         return {
             "starts": [z.to_jsonable() for z in self.starts],
@@ -52,28 +53,17 @@ class UniquenessReport:
 
 
 @dataclass
-class DiagonalCheck:
+class DiagonalCheck(Record):
     gap: object
     within: bool
     diagonal_residual: object  # d(F(x,x), x) at the endpoint's first coordinate
-
-    def to_jsonable(self):
-        return {
-            "gap": jsonable(self.gap),
-            "within": self.within,
-            "diagonal_residual": jsonable(self.diagonal_residual),
-        }
-
-
-def _comparable_to(Z, Y, space) -> bool:
-    return product_leq(Z, Y, space) is not INCOMPARABLE
 
 
 def _pair_of_pairs_ok(Y, V, space, bound_search) -> bool:
     if bound_search is not None:
         Z = bound_search(Y, V)
-        return Z is not None and _comparable_to(Z, Y, space) and _comparable_to(Z, V, space)
-    return _comparable_to(Y, V, space)
+        return Z is not None and pairs_comparable(Z, Y, space) and pairs_comparable(Z, V, space)
+    return pairs_comparable(Y, V, space)
 
 
 def probe_comparability(space: SpaceModel, samples: int = 1000, seed: int = 0,
@@ -197,4 +187,4 @@ def check_diagonal(op: CoupledOperator, endpoint: PairPoint, tol: float = 1e-10)
     gap = space.distance(endpoint.first, endpoint.second)
     x = endpoint.first
     diag_res = space.distance(op.apply(x, x), x)
-    return DiagonalCheck(gap=gap, within=gap <= 2 * tol, diagonal_residual=diag_res)
+    return DiagonalCheck(gap=gap, within=bool(gap <= 2 * tol), diagonal_residual=diag_res)

@@ -309,6 +309,33 @@ def test_audit_space_broken_finite_golden(capsys, monkeypatch):
     assert out == TRIANGLE_BREAK4_AUDIT
 
 
+# Expected artifacts of every subcommand, byte for byte. Each file is what
+#   coupled-fp COMMAND --problem PROBLEM --samples 400 --format csv \
+#       --output tests/data/golden/COMMAND.LABEL
+# wrote when run from the repository root; a change that moves an output on
+# purpose rewrites the files that way and lists what moved.
+GOLDEN = DATA / "golden"
+GOLDEN_PROBLEMS = {"samet_example": "samet_example", "diamond5": "tests/data/diamond5.json"}
+
+
+@pytest.mark.parametrize("label", sorted(GOLDEN_PROBLEMS))
+@pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+def test_cli_artifacts_match_golden_files(command, label, tmp_path, monkeypatch, capsys):
+    # relative to the root, the problem path reads the same in config.problem
+    # and in the finite space's description wherever the tests run
+    monkeypatch.chdir(DATA.parent.parent)
+    base = tmp_path / "out"
+    code, out, err = run_cli(capsys, command, "--problem", GOLDEN_PROBLEMS[label],
+                             "--samples", "400", "--format", "csv", "--output", str(base))
+    assert (code, out, err) == (0, "", "")
+    for ext in (".json", ".csv"):
+        expected = GOLDEN / f"{command}.{label}{ext}"
+        got = base.with_suffix(ext)
+        assert got.exists() == expected.exists(), ext
+        if expected.exists():
+            assert got.read_bytes() == expected.read_bytes(), ext
+
+
 def test_solve_finite_problem_serializes_exact_values(tmp_path, capsys):
     base = str(tmp_path / "fin")
     code, out, err = run_cli(

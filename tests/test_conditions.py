@@ -556,12 +556,16 @@ def _huge_sampler(count, seed):
 
 def _zero_operators():
     """F = 0 where every d2 after is 0, so it contracts strictly: on the
-    kernel lane over real_line(1e308), on the generic lane over a real line
-    whose sampler spans +-1e308; both draw pairs with an infinite d2 before."""
+    kernel lane over a real line whose sampling radius is 1e308, on the
+    generic lane over a real line whose sampler spans +-1e308; both draw pairs
+    with an infinite d2 before."""
     import numpy as np
 
+    # real_line(1e308) is rejected: its box is 2e308 wide, so its sampler
+    # would draw only inf; the kernel lane reads sample_radius alone
     kernel = cf.CoupledOperator(apply=lambda x, y: np.zeros(np.shape(x)),
-                                space=cf.real_line(1e308), vectorized=True)
+                                space=dataclasses.replace(cf.real_line(), sample_radius=1e308),
+                                vectorized=True)
     space = dataclasses.replace(cf.real_line(), sampler=_huge_sampler)
     return {"kernel": kernel, "generic": cf.CoupledOperator(apply=lambda x, y: 0.0, space=space)}
 

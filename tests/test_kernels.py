@@ -129,7 +129,7 @@ def _run(name, a, b, c, *, n, seed, tag, scale=10.0, k=None, eps=None, delta=Non
                 kernels.banach_sweep(op, k, seed, tag, n))
     if name == "band_sweep":
         return (pure.band_sweep(a, b, c, eps, delta, n, seed, tag, scale, mode, symmetric, SLACK),
-                kernels.band_sweep(op, eps, delta, seed, tag, n, mode, symmetric))
+                kernels._band_sweeps(op, [(eps, delta, tag)], seed, n, mode, symmetric)[0])
     assert name == "strict_sweep"
     return (pure.strict_sweep(a, b, c, n, seed, tag, scale, SLACK),
             kernels.strict_sweep(op, seed, tag, n))
@@ -280,7 +280,7 @@ def test_batched_band_sweeps_match_single_sweeps(a, b, c, bands, n, seed, mode, 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(kernels, "CHUNK", 64)
         batched = kernels._band_sweeps(op, bands, seed, n, mode, symmetric)
-        single = [kernels.band_sweep(op, eps, delta, seed, tag, n, mode, symmetric)
+        single = [kernels._band_sweeps(op, [(eps, delta, tag)], seed, n, mode, symmetric)[0]
                   for eps, delta, tag in bands]
     assert batched == single
     assert single == [pure.band_sweep(a, b, c, eps, delta, n, seed, tag, 10.0, mode, symmetric,
@@ -304,8 +304,8 @@ def test_batched_band_sweeps_keep_a_hitless_band():
 # its COUNT_ONLY lists it, and counts only the sweeps its KERNEL_SWEEPS names,
 # so a new public kernel function moves the traced per-layer numbers. Add one
 # here only together with a tracer that lists or counts it.
-PUBLIC_KERNEL_FUNCTIONS = {"banach_sweep", "band_sweep", "strict_sweep", "stream_seed",
-                           "monotone_sweep", "lattice_comparability"}
+PUBLIC_KERNEL_FUNCTIONS = {"banach_sweep", "strict_sweep", "stream_seed", "monotone_sweep",
+                           "lattice_comparability"}
 
 
 def test_public_kernel_functions_are_pinned():
@@ -342,8 +342,6 @@ def test_reports_identical_across_backends(name, monkeypatch):
     scale = problem.space.sample_radius
     monkeypatch.setattr(kernels, "banach_sweep", lambda op, k, seed, tag, n: pure.banach_sweep(
         a, b, c, k, n, seed, tag, scale, SLACK))
-    monkeypatch.setattr(kernels, "band_sweep", lambda op, eps, delta, seed, tag, n, mode, sym:
-                        pure.band_sweep(a, b, c, eps, delta, n, seed, tag, scale, mode, sym, SLACK))
     monkeypatch.setattr(kernels, "strict_sweep", lambda op, seed, tag, n: pure.strict_sweep(
         a, b, c, n, seed, tag, scale, SLACK))
     # the checks and the curve sweep their bands through the batched entry

@@ -5,6 +5,7 @@ import math
 import operator
 import random
 import re
+import sys
 from fractions import Fraction
 from itertools import combinations, islice, product
 
@@ -77,6 +78,19 @@ def test_real_line_sampler_draws_the_uniform_points(radius):
         expected = [rng.uniform(-radius, radius) for _ in range(1000)]
         assert sampler(1000, seed) == expected
         assert sampler(37, seed) == expected[:37]
+
+
+@pytest.mark.parametrize("radius", [8.99e307, 1e308, math.inf, math.nan, 0.0, -1.0])
+def test_real_line_rejects_a_radius_whose_box_overflows(radius):
+    # a sampling box 2*radius wide that overflows to inf made every point inf
+    with pytest.raises(cf.InputError, match="radius"):
+        cf.real_line(radius)
+
+
+def test_real_line_accepts_the_widest_finite_box():
+    radius = sys.float_info.max / 2
+    points = cf.real_line(radius).sampler(1000, 0)
+    assert all(-radius <= x <= radius for x in points)
 
 
 @given(a=finite_floats, b=finite_floats, c=finite_floats,

@@ -203,6 +203,15 @@ def test_check_diagonal_comparable_start_instance():
     assert chk.within
 
 
+def test_check_diagonal_within_is_a_json_bool_under_a_numpy_distance():
+    # a distance returning numpy floats made within a numpy bool, which
+    # json.dumps rejects and jsonable would write as the string "True"
+    space = dataclasses.replace(cf.real_line(), distance=lambda x, y: np.float64(abs(x - y)))
+    op = cf.CoupledOperator(apply=lambda x, y: (x - 3 * y) / 5, space=space)
+    chk = cf.check_diagonal(op, PairPoint(0.0, 0.0), tol=1e-10)
+    assert chk.to_jsonable()["within"] is True
+
+
 def test_check_diagonal_rejects_bad_endpoint(samet):
     with pytest.raises(cf.InputError):
         cf.check_diagonal(samet.operator, PairPoint(5.0, 5.0), tol=1e-10)
