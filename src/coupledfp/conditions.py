@@ -190,7 +190,7 @@ class _FiniteTables:
     def __init__(self, op):
         fd = op.space.finite
         S, F = fd.scaled[1], _finite_table(op)
-        self.elements, self.pairs = fd.elements, fd.pairs()
+        self.elements, self.pairs = fd.elements, fd.pair_index
         self.F, self.FT = F, [list(col) for col in zip(*F)]  # FT[x][y] = F[y][x]
         # rows of S at the images: SF[x][y] = S[F[x][y]], SFT[x][y] = S[F[y][x]]
         self.SF = [list(map(S.__getitem__, row)) for row in F]

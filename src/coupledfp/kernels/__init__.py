@@ -1,7 +1,6 @@
 """Sweep kernels: the banach, band and strict checks of a vectorized operator
 on the real line (sampling box: the space's sample_radius), and the real
-line's array twins of two sampled checks, the mixed-monotone check and the
-comparability probe with the lattice bound.
+line's array twin of the sampled mixed-monotone check.
 
 Every sweep draws comparable quadruples (x >= u, y <= v) from a splitmix64
 stream and stops at the first violation. The stream is counter based: draw j
@@ -22,9 +21,9 @@ same IEEE operations in the same order (numpy elementwise arithmetic does not
 fuse multiply-adds), the same returned tuple. Only NaN differs on purpose: it
 violates the condition tests, while the reference lets it through.
 
-The twins take the space's own sampler points, not the stream: they run the
-scalar check's trials on arrays, in the same order, and report the same
-counts. Their callers read any witness back through the scalar callables.
+The twin takes the space's own sampler points, not the stream: it runs the
+scalar check's trials on arrays, in the same order, and reports the same
+counts. Its caller reads any witness back through the scalar callables.
 
 numpy is imported on the first call, never at package import, so commands
 that make no sweep do not pay its import time or memory.
@@ -192,9 +191,8 @@ def strict_sweep(op, seed, tag, n):
 def _columns(pool, width):
     """The first len(pool) // width trials of width consecutive points each,
     as width float64 columns (column r holds point r of every trial), or
-    None when a point is NaN: the scalar probe's PairPoint equality matches
-    a NaN object with itself, which values on arrays cannot, so the callers
-    of the twins run their scalar loop on such a pool."""
+    None when a point is NaN, so that the caller runs its scalar loop on
+    such a pool."""
     import numpy as np
 
     trials = len(pool) // width
@@ -232,26 +230,3 @@ def monotone_sweep(op, pool):
         t = a.size
     return t, int(np.count_nonzero(comparable[:t]))
 
-
-def _pairs_comparable(p1, p2, q1, q2):
-    """Mask of (p1, p2) and (q1, q2) comparable in the product order:
-    p1 <= q1 and q2 <= p2, or the reverse (spaces.product_leq)."""
-    return ((p1 <= q1) & (q2 <= p2)) | ((q1 <= p1) & (p2 <= q2))
-
-
-def lattice_comparability(pool):
-    """uniqueness.probe_comparability's count on the real line with the
-    lattice bound: trial t takes Y = (y1, y2) and V = (v1, v2) from
-    pool[4t:4t + 4], drops Y == V, and counts Z = (max(y1, v1),
-    min(y2, v2)) comparable to both. Returns (good, trials), as integers,
-    or None for a pool with a NaN."""
-    import numpy as np
-
-    columns = _columns(pool, 4)
-    if columns is None:
-        return None
-    y1, y2, v1, v2 = columns
-    distinct = (y1 != v1) | (y2 != v2)
-    z1, z2 = np.maximum(y1, v1), np.minimum(y2, v2)
-    good = distinct & _pairs_comparable(z1, z2, y1, y2) & _pairs_comparable(z1, z2, v1, v2)
-    return int(np.count_nonzero(good)), int(np.count_nonzero(distinct))

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass, field, fields
 from typing import Any, Optional
 
@@ -28,8 +29,9 @@ def jsonable(value):
     Finite floats pass through untouched so the json encoder emits shortest
     round-trip decimals, and non-finite ones become "inf", "-inf" or "nan"
     (standard JSON has no such numbers; float() parses the strings back). A
-    Record becomes its to_jsonable(); any other value its str(), so Fractions
-    become exact "p/q" strings.
+    Record becomes its to_jsonable() and a numpy scalar its Python scalar
+    (.item()); any other value its str(), so Fractions become exact "p/q"
+    strings.
     """
     if isinstance(value, float):
         return value if math.isfinite(value) else str(value)
@@ -41,6 +43,11 @@ def jsonable(value):
         return [jsonable(v) for v in value]
     if isinstance(value, Record):
         return value.to_jsonable()
+    np = sys.modules.get("numpy")  # a numpy scalar exists only once numpy is loaded
+    if np is not None and isinstance(value, np.generic):
+        item = value.item()  # longdouble has no Python scalar and stays itself
+        if not isinstance(item, np.generic):
+            return jsonable(item)
     return str(value)
 
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import InadmissibleStartError, InputError
-from .operators import CoupledOperator, product_T
+from .operators import CoupledOperator, _with_slack, product_T
 from .reports import Record, jsonable
 from .spaces import INCOMPARABLE, PairPoint, d2
 
@@ -35,7 +35,6 @@ TERM_DIVERGED = "diverged"
 TERM_MONOTONICITY_VIOLATION = "monotonicity_violation"
 TERM_NON_FINITE = "non_finite"
 
-ETA_SLACK = 1e-12
 RATIO_WINDOW = 8
 RATIO_CAP = 1.0 - 1e-9
 STALL_WINDOW = 50
@@ -148,8 +147,7 @@ def residual(op: CoupledOperator, Z: PairPoint):
 
 def _grew(space, step, prev):
     """step > prev beyond the float rounding slack (none on exact spaces)."""
-    slack = 0 if space.exact else ETA_SLACK * max(1.0, float(prev))
-    return step > prev + slack
+    return step > _with_slack(space, prev)
 
 
 def solve(op: CoupledOperator, Z0: PairPoint, tol: float = 1e-10,

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import random
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, islice
@@ -107,14 +107,13 @@ class FiniteData:
     ``scaled``, the pair (scale, distance matrix times scale) with scale the
     least common denominator of the distances, whose integer entries keep
     every sum and comparison of distances exact, worked out once per
-    distinct distance; and the pair index of pairs().
+    distinct distance; and ``pair_index``, the space's PairIndex.
     """
 
     elements: tuple
     index: dict
     dist: list  # Fraction matrix
     leq: list  # 0/1 matrix
-    pair_index: Optional[PairIndex] = field(default=None, repr=False, compare=False)
 
     @cached_property
     def distances(self):
@@ -126,10 +125,9 @@ class FiniteData:
         by_id = {id(d): d.numerator * (scale // d.denominator) for d in self.distances}
         return scale, [list(map(by_id.__getitem__, map(id, row))) for row in self.dist]
 
-    def pairs(self) -> PairIndex:
-        if self.pair_index is None:
-            self.pair_index = PairIndex.build(self)
-        return self.pair_index
+    @cached_property
+    def pair_index(self) -> PairIndex:
+        return PairIndex.build(self)
 
 
 @dataclass
@@ -238,10 +236,10 @@ def usual_real_order(space: SpaceModel) -> bool:
     """True for a space of kind "real_line" that keeps real_line()'s own leq.
 
     This is the one gate of the real line's array paths (the audit's array
-    lane, the sweep kernels, the array mixed-monotone check and the array
-    comparability probe): they compare floats with <= in place of calling
-    leq, so a space made from real_line() with a replaced leq, which keeps
-    the kind, must not pass.
+    lane, the sweep kernels and the array mixed-monotone check) and of the
+    comparability probe's closed form: they compare with <= in place of
+    calling leq, so a space made from real_line() with a replaced leq, which
+    keeps the kind, must not pass.
     """
     return space.kind == "real_line" and space.leq is _line_leq
 

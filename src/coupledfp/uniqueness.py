@@ -12,7 +12,6 @@ comparable.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Callable, Optional
@@ -76,10 +75,12 @@ def probe_comparability(space: SpaceModel, samples: int = 1000, seed: int = 0,
     Y == V trials are vacuous and excluded from the denominator. Finite
     spaces are counted exactly (with bound_search only if n**4 <= 500,000);
     otherwise the rate is estimated from seeded samples. A space with no
-    distinct pairs reports 0.0. On a space with the real line's own order
-    (usual_real_order) and the real line's lattice bound as bound_search,
-    the samples are counted on arrays (kernels.lattice_comparability) once
-    numpy is already loaded, unless one is NaN; the probe never imports it.
+    distinct pairs reports 0.0. With the real line's lattice bound as
+    bound_search on the real line's own order (usual_real_order, with no
+    contains to reject a point), Z = (max(y1, v1), min(y2, v2)) is above
+    both Y = (y1, y2) and V = (v1, v2), so the rate of a sample without a
+    NaN is 1.0 if some trial has Y != V and 0.0 otherwise, with nothing
+    counted; a sample with a NaN is counted.
 
     Without bound_search the exact count is closed-form in the 0/1 matrix L:
     (a, b), (c, d) are comparable iff L[a][c] L[d][b] or L[c][a] L[b][d], so
@@ -105,16 +106,12 @@ def probe_comparability(space: SpaceModel, samples: int = 1000, seed: int = 0,
                        for Y, V in combinations(all_pairs, 2))
         return good / trials if trials else 0.0
     pool = space.sampler(4 * samples, seed ^ 0xC0BA)
-    counts = None
     if (bound_search is _real_lattice_bound and usual_real_order(space)
-            and "numpy" in sys.modules):
-        from .kernels import lattice_comparability
-
-        counts = lattice_comparability(pool)
-    good, trials = counts or _sampled_counts(pool, space, bound_search)
-    if trials == 0:
-        return 0.0
-    return good / trials
+            and space.contains is None and not any(p != p for p in pool)):
+        trials = zip(*[iter(pool)] * 4)
+        return 1.0 if any((y1, y2) != (v1, v2) for y1, y2, v1, v2 in trials) else 0.0
+    good, trials = _sampled_counts(pool, space, bound_search)
+    return good / trials if trials else 0.0
 
 
 def _sampled_counts(pool, space, bound_search):

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 import coupledfp as cf
 from coupledfp import kernels
 from coupledfp.operators import _banded_conclusion, _finite_table, evaluation_lane
+from coupledfp.reports import Witness
 from coupledfp.spaces import PairIndex, PairPoint
 
 import finite_oracle as oracle
@@ -228,6 +229,17 @@ def test_finite_lane_takes_an_infinite_delta(symmetric):
     doc = json.loads(json.dumps(rep.to_jsonable(), allow_nan=False))
     assert doc["epsilon_grid"][0] == [0.5, "inf"]
     assert float(doc["witness"]["measured"]["delta"]) == math.inf
+
+
+def test_jsonable_writes_numpy_scalars_as_python_scalars():
+    # a user sampler or operator may return numpy scalars: each keeps its
+    # JSON type instead of becoming a string
+    import numpy as np
+
+    w = Witness(np.int64(5), np.float32(0.5), np.bool_(False), np.float32("inf"),
+                measured={"n": np.uint8(3)})
+    assert json.dumps(w.to_jsonable(), allow_nan=False) == (
+        '{"x": 5, "y": 0.5, "u": false, "v": "inf", "kind": "random", "measured": {"n": 3}}')
 
 
 def nan_below(threshold, vectorized):
@@ -902,7 +914,7 @@ def test_pair_index_is_built_once_per_space(monkeypatch):
     cf.estimate_delta_curve(op, [0.5, 1.0, 2.0])
     assert builds == [op.space.finite]
     # one entry per comparable pair, not per quadruple
-    pairs = op.space.finite.pairs()
+    pairs = op.space.finite.pair_index
     comparable = sum(map(sum, op.space.finite.leq))
     assert len(pairs.down) == len(pairs.up) == len(pairs.up_dists) == comparable
     cf.check_samet(cf.load_finite(fixture_path("diamond5.json")).operator, [0.5], EIGHTH)

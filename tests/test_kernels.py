@@ -58,8 +58,7 @@ print("numpy" in sys.modules)
 
 def test_generic_and_finite_checks_leave_numpy_unloaded():
     # the shared predicates serve the sweeps without importing numpy, and the
-    # audit and the comparability probe take their array paths only once
-    # something else has loaded it
+    # audit takes its array path only once something else has loaded it
     out = subprocess.run([sys.executable, "-c", GENERIC_AND_FINITE_CHECKS,
                           fixture_path("diamond5.json")],
                          capture_output=True, text=True, check=True).stdout.split()
@@ -304,8 +303,7 @@ def test_batched_band_sweeps_keep_a_hitless_band():
 # its COUNT_ONLY lists it, and counts only the sweeps its KERNEL_SWEEPS names,
 # so a new public kernel function moves the traced per-layer numbers. Add one
 # here only together with a tracer that lists or counts it.
-PUBLIC_KERNEL_FUNCTIONS = {"banach_sweep", "strict_sweep", "stream_seed", "monotone_sweep",
-                           "lattice_comparability"}
+PUBLIC_KERNEL_FUNCTIONS = {"banach_sweep", "strict_sweep", "stream_seed", "monotone_sweep"}
 
 
 def test_public_kernel_functions_are_pinned():

@@ -662,7 +662,7 @@ def test_scaled_matrix_is_exact_and_shared_with_the_pair_index():
     scale, scaled = fd.scaled
     assert scale == 4
     assert all(scaled[i][j] == fd.dist[i][j] * scale for i in range(4) for j in range(4))
-    pairs = fd.pairs()
+    pairs = fd.pair_index
     assert pairs.scale == scale
     assert pairs.up == [(i, j, scaled[i][j]) for i in range(4) for j in range(4) if fd.leq[i][j]]
 

@@ -1,14 +1,17 @@
 import dataclasses
 import math
+import pathlib
 import random
+import subprocess
+import sys
+from fractions import Fraction
 
-import numpy as np  # noqa: F401  (loaded, so the probe may count on arrays)
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import coupledfp as cf
-from coupledfp import kernels
+from coupledfp import uniqueness
 from coupledfp.spaces import PairPoint, _real_lattice_bound
 
 from conftest import fixture_path, load_doc
@@ -37,13 +40,13 @@ PROBE_SPACES = {
 @pytest.mark.parametrize("samples", [1, 2, 50, 500])
 @pytest.mark.parametrize("name", list(PROBE_SPACES))
 def test_probe_lattice_rate_on_arrays_matches_the_scalar_probe(name, samples, monkeypatch):
-    # numpy is loaded here, so real_line's own order with its lattice bound
-    # counts on arrays; a replaced order or a user bound takes the scalar
-    # probe, and all three give the same float
+    # real_line's own order with its lattice bound takes the closed form; a
+    # replaced order or a user bound counts on the scalar loop, and all three
+    # give the same float
     space = PROBE_SPACES[name]
-    counted, calls = kernels.lattice_comparability, []
-    monkeypatch.setattr(kernels, "lattice_comparability",
-                        lambda pool: calls.append(pool) or counted(pool))
+    counted, calls = uniqueness._sampled_counts, []
+    monkeypatch.setattr(uniqueness, "_sampled_counts",
+                        lambda pool, *args: calls.append(pool) or counted(pool, *args))
     replaced = dataclasses.replace(space, leq=lambda x, y: True if x <= y else False)
     user_bound = lambda Y, V: _real_lattice_bound(Y, V)  # noqa: E731
     for seed in (0, 1, 42):
@@ -51,23 +54,87 @@ def test_probe_lattice_rate_on_arrays_matches_the_scalar_probe(name, samples, mo
                  for s, bound in ((space, _real_lattice_bound), (replaced, _real_lattice_bound),
                                   (space, user_bound))]
         assert rates[0] == rates[1] == rates[2]
-    assert len(calls) == 3
+    assert len(calls) == 6
 
 
 @pytest.mark.parametrize("nan", [lambda: math.nan, lambda: float("nan")],
                          ids=["same_nan", "new_nans"])
 @pytest.mark.parametrize("seed", range(6))
 def test_probe_with_nan_draws_counts_on_the_scalar_loop(seed, nan):
-    # PairPoint equality matches a NaN object with itself, values on arrays
-    # never do; a pool with a NaN (some lattice bounds then incomparable) is
-    # counted by the scalar loop on real_line's own order and lattice bound
+    # PairPoint equality matches a NaN object with itself, and the lattice
+    # bound of a NaN is incomparable; a pool with a NaN is counted by the
+    # scalar loop on real_line's own order and lattice bound
     rng = random.Random(seed)
     pool = [rng.choice((-1.0, 0.0, 1.0)) if rng.random() < 0.9 else nan() for _ in range(400)]
-    assert kernels.lattice_comparability(pool) is None
     space = dataclasses.replace(cf.real_line(), sampler=lambda count, seed: pool[:count])
     rate = cf.probe_comparability(space, 100, 0, _real_lattice_bound)
     assert rate == cf.probe_comparability(space, 100, 0, lambda Y, V: _real_lattice_bound(Y, V))
     assert 0 < rate < 1
+
+
+def test_probe_lattice_rate_is_exact_past_two_to_the_53():
+    # Y = (2**53, 2**53) and V = (2**53 + 1, 2**53) differ, though not as
+    # float64; the lattice bound V is above both, so the rate is 1.0 whether
+    # or not numpy is loaded
+    import numpy  # noqa: F401
+
+    pool = [2 ** 53, 2 ** 53, 2 ** 53 + 1, 2 ** 53]
+    space = dataclasses.replace(cf.real_line(), sampler=lambda count, seed: pool[:count])
+    assert cf.probe_comparability(space, 1, 0, _real_lattice_bound) == 1.0
+
+
+def test_probe_lattice_rate_checks_membership_as_the_scalar_loop_does():
+    # a contains that rejects a sampled point makes both probes raise
+    space = dataclasses.replace(cf.real_line(), contains=lambda x: x >= -5)
+    for bound in (_real_lattice_bound, lambda Y, V: _real_lattice_bound(Y, V)):
+        with pytest.raises(cf.DomainMismatchError):
+            cf.probe_comparability(space, 50, 0, bound)
+
+
+# few distinct values, so ties and Y == V trials are common; the same NaN
+# object and fresh NaNs, which PairPoint equality tells apart
+_POOL_POINTS = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, math.inf, -math.inf, math.nan, 2 ** 53,
+                     float(2 ** 53), Fraction(1, 3)]),
+    st.floats(),
+    st.integers(2 ** 53 - 2, 2 ** 53 + 2),
+    st.fractions(max_denominator=7),
+)
+
+
+@given(pool=st.lists(_POOL_POINTS, max_size=24), samples=st.integers(1, 6))
+@example(pool=[2 ** 53, 2 ** 53, 2 ** 53 + 1, 2 ** 53], samples=1)  # one float64 pair
+@example(pool=[1.0, math.nan, 1.0, math.nan], samples=1)  # one NaN object: Y == V
+@example(pool=[1.0, math.nan, 1.0, float("nan")], samples=1)  # two NaNs: Y != V
+@example(pool=[-0.0, 1.0, 0.0, 1.0, 2.0], samples=2)  # -0.0 == 0.0, and a short trial
+@settings(max_examples=300, deadline=None)
+def _lattice_rate_is_the_scalar_count(pool, samples):
+    space = dataclasses.replace(cf.real_line(), sampler=lambda count, seed: pool[:count])
+    good, trials = uniqueness._sampled_counts(pool[:4 * samples], space, _real_lattice_bound)
+    rate = cf.probe_comparability(space, samples, 0, _real_lattice_bound)
+    assert rate == (good / trials if trials else 0.0)
+
+
+def test_probe_lattice_rate_is_the_scalar_count_with_numpy_loaded():
+    import numpy  # noqa: F401
+
+    _lattice_rate_is_the_scalar_count()
+
+
+LATTICE_RATE_WITHOUT_NUMPY = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import test_uniqueness
+test_uniqueness._lattice_rate_is_the_scalar_count()
+print("numpy" in sys.modules)
+"""
+
+
+def test_probe_lattice_rate_is_the_scalar_count_without_numpy():
+    out = subprocess.run([sys.executable, "-c", LATTICE_RATE_WITHOUT_NUMPY,
+                          str(pathlib.Path(__file__).parent)],
+                         capture_output=True, text=True, check=True).stdout.split()
+    assert out == ["False"]
 
 
 def test_probe_antichain_rate_zero():
@@ -205,7 +272,9 @@ def test_check_diagonal_comparable_start_instance():
 
 def test_check_diagonal_within_is_a_json_bool_under_a_numpy_distance():
     # a distance returning numpy floats made within a numpy bool, which
-    # json.dumps rejects and jsonable would write as the string "True"
+    # json.dumps rejects
+    import numpy as np
+
     space = dataclasses.replace(cf.real_line(), distance=lambda x, y: np.float64(abs(x - y)))
     op = cf.CoupledOperator(apply=lambda x, y: (x - 3 * y) / 5, space=space)
     chk = cf.check_diagonal(op, PairPoint(0.0, 0.0), tol=1e-10)
