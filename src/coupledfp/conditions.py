@@ -50,11 +50,13 @@ import math
 import random
 from bisect import bisect_left
 from fractions import Fraction
+from functools import cached_property
 from operator import add, getitem, gt, le
 
 from . import kernels
 from .errors import InputError
 from .operators import (
+    DELTA_CAP_FACTOR,
     CoupledOperator,
     evaluation_lane,
     _CONDITIONS,
@@ -73,8 +75,6 @@ _BASE_STRICT = 2
 _BASE_SAMET = 3
 _BASE_SYMMETRIC = 4
 _BASE_CURVE = 5
-
-DELTA_CAP_FACTOR = 10.0
 
 
 def _tag(base, eps_idx=0, mode=0, probe=0):
@@ -175,8 +175,10 @@ _SAMPLED = {"banach_k": (_BASE_BANACH, 0xB44A, "comparable quadruples"),
 class _FiniteTables:
     """The integer view of a finite problem, built once per check: F as an
     index table (operators._finite_table: the loaded table, or n**2 op.apply
-    calls) and its transpose FT, the scaled distance matrix
-    S = FiniteData.scaled[1] and the space's pair index.
+    calls) and its transpose FT, and on first use SF and SFT, the rows of the
+    scaled distance matrix S = FiniteData.scaled[1] at the images. The walks
+    read the space's pair index (FiniteData.pair_index, built once per
+    space); the mixed-monotone scan reads neither.
 
     A comparable quadruple is a down pair (x, u), u <= x, with an up pair
     (y, v), y <= v; the enumeration order is down pairs, then up pairs, each
@@ -188,36 +190,41 @@ class _FiniteTables:
     definition in ``operators``."""
 
     def __init__(self, op):
-        fd = op.space.finite
-        S, F = fd.scaled[1], _finite_table(op)
-        self.elements, self.pairs = fd.elements, fd.pair_index
-        self.F, self.FT = F, [list(col) for col in zip(*F)]  # FT[x][y] = F[y][x]
-        # rows of S at the images: SF[x][y] = S[F[x][y]], SFT[x][y] = S[F[y][x]]
-        self.SF = [list(map(S.__getitem__, row)) for row in F]
-        self.SFT = [list(map(S.__getitem__, row)) for row in self.FT]
-        up = self.pairs.up
-        self.ys = [up[q][0] for q in self.pairs.up_by_dist]
-        self.vs = [up[q][1] for q in self.pairs.up_by_dist]
+        self.op, self.finite = op, op.space.finite
+        self.F = F = _finite_table(op)
+        self.FT = [list(col) for col in zip(*F)]  # FT[x][y] = F[y][x]
+
+    # rows of S at the images: SF[x][y] = S[F[x][y]], SFT[x][y] = S[F[y][x]]
+    @cached_property
+    def SF(self):
+        return [list(map(self.finite.scaled[1].__getitem__, row)) for row in self.F]
+
+    @cached_property
+    def SFT(self):
+        return [list(map(self.finite.scaled[1].__getitem__, row)) for row in self.FT]
 
     def conclusions(self, i, j, start, end, symmetric):
         """The scaled conclusions of the down pair (i, j) with the up pairs
         start to end in distance order."""
-        ys, vs = self.ys[start:end], self.vs[start:end]
+        pairs = self.finite.pair_index
+        ys, vs = pairs.ys[start:end], pairs.vs[start:end]
         c = map(getitem, map(self.SF[i].__getitem__, ys), map(self.F[j].__getitem__, vs))
         if symmetric:
             c = map(add, c, map(getitem, map(self.SFT[i].__getitem__, ys),
                                 map(self.FT[j].__getitem__, vs)))
         return c
 
-    def first_violation(self, lo, hi, symmetric, violations):
-        """Walk the quadruples whose scaled distance sum lies in [lo, hi), in
-        enumeration order, to the first violation; violations(conclusions,
-        sums) turns conclusions and sums into violation flags. Returns
-        (quadruples walked, the violation included; the violation's
-        (x, y, u, v) indices, or None)."""
-        dists, by_dist = self.pairs.up_dists, self.pairs.up_by_dist
+    def first_violation(self, cid, lo, hi, symmetric, violations, *args):
+        """Walk cid's quadruples whose scaled distance sum lies in [lo, hi),
+        in enumeration order, to the first violation; violations(conclusions,
+        sums) turns conclusions and sums into violation flags, and args are
+        the check's parameters. Returns (quadruples walked, the violation
+        included; its witness, measured through cid's definition in exact
+        Fractions, or None)."""
+        pairs = self.finite.pair_index
+        dists, pos = pairs.dists, pairs.pos
         walked = 0
-        for i, j, d in self.pairs.down:
+        for i, j, d in pairs.down:
             start = bisect_left(dists, lo - d)
             end = bisect_left(dists, hi - d, start)
             if start == end:
@@ -231,21 +238,46 @@ class _FiniteTables:
                 walked += end - start
                 continue
             # the first violation in enumeration order is the one at the
-            # lowest up position; the walk counts the band's up pairs up to it
-            band = by_dist[start:end]
-            p = min(itertools.compress(band, flags()))
-            iy, iv, _ = self.pairs.up[p]
-            return walked + sum(map(p.__ge__, band)), (i, iy, j, iv)
+            # lowest row-major position; the walk counts the band's up pairs
+            # up to it
+            band = pos[start:end]
+            p, q = min(itertools.compress(zip(band, range(start, end)), flags()))
+            cond = _CONDITIONS[cid]
+            x, y, u, v = (self.finite.elements[k] for k in (i, pairs.ys[q], j, pairs.vs[q]))
+            _, first, second, _ = _measure(self.op, cond, cond.bind(self.op.space, *args),
+                                           x, y, u, v)
+            return (walked + sum(map(p.__ge__, band)),
+                    _witness(cond, "exhaustive", (x, y, u, v, first, second), args))
         return walked, None
 
-    def witness(self, op, cid, q, *args):
-        """The witness of cid at the quadruple of indices q, measured again
-        through its definition in exact Fractions; args are the check's
-        parameters."""
-        cond = _CONDITIONS[cid]
-        x, y, u, v = (self.elements[i] for i in q)
-        _, first, second, _ = _measure(op, cond, cond.bind(op.space, *args), x, y, u, v)
-        return _witness(cond, "exhaustive", (x, y, u, v, first, second), args)
+    def mixed_monotone(self):
+        """operators.check_mixed_monotone on a finite space: both clauses for
+        every comparable pair lo <= hi and every w, in (lo, hi) row-major
+        order, on F, FT and the 0/1 order matrix L: L[F[lo][w]][F[hi][w]] and
+        L[F[w][hi]][F[w][lo]]. Only the first violation goes through
+        _monotone_violation, for its witness."""
+        els, L, F, FT = self.finite.elements, self.finite.leq, self.F, self.FT
+        # up-set rows of the images: up_F[i][w] = L[F[i][w]], up_FT[i][w] = L[F[w][i]]
+        up_F = [list(map(L.__getitem__, row)) for row in F]
+        up_FT = [list(map(L.__getitem__, row)) for row in FT]
+        idx = range(len(els))
+        checked = 0
+        witness = None
+        for i, j in ((i, j) for i in idx for j in idx if L[i][j]):
+            if all(map(getitem, up_F[i], F[j])) and all(map(getitem, up_FT[j], FT[i])):
+                checked += len(idx)
+                continue
+            w = next(w for w in idx if not (up_F[i][w][F[j][w]] and up_FT[j][w][FT[i][w]]))
+            checked += w + 1
+            lo, hi, w = els[i], els[j], els[w]
+            _, _, witness = _monotone_violation(self.op, "first_argument", hi, w, lo, w)
+            if witness is None:
+                _, _, witness = _monotone_violation(self.op, "second_argument", w, lo, w, hi)
+            break
+        # reflexive pairs alone still decide the clauses on a finite space, so an
+        # exhaustive scan is conclusive even on an antichain
+        return _report("mixed_monotone", "exhaustive", witness, checked, checked,
+                       holds_note="exhaustive over all comparable argument pairs")
 
     def curve_point(self, eps, cap):
         """Exact curve entry: the smallest violating half-sum >= eps, less eps,
@@ -254,11 +286,11 @@ class _FiniteTables:
         far, which starts at the cap's; an infinite cap (DELTA_CAP_FACTOR *
         eps overflows) bounds nothing, and the entry is inf without a
         violation."""
-        pairs = self.pairs
+        pairs = self.finite.pair_index
         eps = Fraction(eps)
         lo = math.ceil(2 * eps * pairs.scale)  # also the symmetric conclusion's bound
         best = math.ceil(2 * (eps + Fraction(cap)) * pairs.scale) if cap < math.inf else math.inf
-        dists = pairs.up_dists
+        dists = pairs.dists
         for i, j, d in pairs.down:
             start = bisect_left(dists, lo - d)
             end = bisect_left(dists, best - d, start)
@@ -293,10 +325,9 @@ def _finite_banach(op, k):
     (k/2)(d(x,u) + d(y,v)) iff 2 k.den S1 > k.num s on the scaled integers."""
     k_exact = Fraction(k)
     a, b = 2 * k_exact.denominator, k_exact.numerator
-    tables = _FiniteTables(op)
-    checked, q = tables.first_violation(
-        -math.inf, math.inf, False, lambda c, s: map(gt, map(a.__mul__, c), map(b.__mul__, s)))
-    witness = None if q is None else tables.witness(op, "banach_k", q, k_exact)
+    checked, witness = _FiniteTables(op).first_violation(
+        "banach_k", -math.inf, math.inf, False,
+        lambda c, s: map(gt, map(a.__mul__, c), map(b.__mul__, s)), k_exact)
     return _report("banach_k", "exhaustive", witness, checked, checked, params={"k": k},
                    holds_note="exhaustive over all ordered quadruples")
 
@@ -353,7 +384,7 @@ def _check_banded(op, eps_grid, delta_candidates, samples, seed, symmetric) -> C
                    inconclusive="" if hits_total else "no sampled quadruple landed in any band")
 
 
-def _finite_band(op, tables, eps, delta, symmetric):
+def _finite_band(tables, eps, delta, symmetric):
     """The exhaustive banded check at (eps, delta): (in-band quadruples up to
     the first violation, witness or None). In scaled integers the band is
     ceil(2 eps scale) <= s < ceil(2 (eps + delta) scale), and the conclusion
@@ -361,13 +392,12 @@ def _finite_band(op, tables, eps, delta, symmetric):
     symmetric."""
     # an infinite delta stays a float, so the band is [eps, inf)
     eps, delta = Fraction(eps), Fraction(delta) if delta < math.inf else delta
-    scale = tables.pairs.scale
+    scale = tables.finite.pair_index.scale
     lo = math.ceil(2 * eps * scale)
     hi = math.inf if delta == math.inf else math.ceil(2 * (eps + delta) * scale)
     bound = lo if symmetric else math.ceil(eps * scale)
-    hits, q = tables.first_violation(lo, hi, symmetric, lambda c, s: map(bound.__le__, c))
-    cid = "symmetric_mk" if symmetric else "samet_mk"
-    return hits, None if q is None else tables.witness(op, cid, q, eps, delta)
+    return tables.first_violation("symmetric_mk" if symmetric else "samet_mk", lo, hi, symmetric,
+                                  lambda c, s: map(bound.__le__, c), eps, delta)
 
 
 def _band_checks(op, lane, bands, samples, seed, base, symmetric, first_only=False):
@@ -384,7 +414,7 @@ def _band_checks(op, lane, bands, samples, seed, base, symmetric, first_only=Fal
                 results.append(_generic_band(op, eps, delta, samples, seed, base, e_idx,
                                              symmetric, probe))
             else:
-                hits, witness = _finite_band(op, tables, eps, delta, symmetric)
+                hits, witness = _finite_band(tables, eps, delta, symmetric)
                 results.append((hits, witness, hits))
             if first_only and results[-1][1] is not None:
                 break
@@ -429,7 +459,7 @@ def _generic_band(op, eps, delta, samples, seed, base, e_idx, symmetric, probe=0
     used = 0
     for mode, count, kind in _phase_plan(samples):
         rng = random.Random(kernels.stream_seed(seed, _tag(base, e_idx, mode, probe)))
-        trials, quadruples = _band_quadruples(space, eps, delta, count, mode, rng)
+        trials, quadruples = _band_quadruples(space, p[0], p[3], count, mode, rng)
         used += trials
         phase_hits, hit = _scan(op, cond, p, quadruples)
         hits += phase_hits
@@ -438,16 +468,16 @@ def _generic_band(op, eps, delta, samples, seed, base, e_idx, symmetric, probe=0
     return hits, None, used
 
 
-def _band_quadruples(space, eps, delta, count, mode, rng):
-    """Comparable quadruples aimed at the band [eps, eps + delta) through the
-    interpolate hook: (draws, iterator shaped like _sampled_quadruples')."""
+def _band_quadruples(space, eps, width, count, mode, rng):
+    """Comparable quadruples aimed at half-sums in [eps, eps + width) through
+    the interpolate hook: (draws, iterator shaped like _sampled_quadruples')."""
     pool = space.sampler(4 * count, rng.getrandbits(31))
     trials = len(pool) // 4
 
     def quadruples():
         distance, leq, interp, rand = space.distance, space.leq, space.interpolate, rng.random
         for t in range(trials):
-            h = eps + rand() * delta
+            h = eps + rand() * width
             px = _oriented(space, pool[4 * t], pool[4 * t + 1])
             py = _oriented(space, pool[4 * t + 2], pool[4 * t + 3])
             if px is None or py is None:
@@ -506,9 +536,8 @@ def check_strict_contraction(op: CoupledOperator, samples: int = 10000, seed: in
 def _finite_strict(op):
     """Every comparable quadruple with a positive scaled sum s: the symmetric
     conclusion must stay below s."""
-    tables = _FiniteTables(op)
-    checked, q = tables.first_violation(1, math.inf, True, lambda c, s: map(le, s, c))
-    witness = None if q is None else tables.witness(op, "strict_contraction", q)
+    checked, witness = _FiniteTables(op).first_violation(
+        "strict_contraction", 1, math.inf, True, lambda c, s: map(le, s, c))
     return _report("strict_contraction", "exhaustive", witness, checked, checked,
                    inconclusive="" if checked else "no strictly comparable distinct pairs exist",
                    holds_note="exhaustive over all strictly comparable pairs")

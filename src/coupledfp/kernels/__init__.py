@@ -21,9 +21,10 @@ same IEEE operations in the same order (numpy elementwise arithmetic does not
 fuse multiply-adds), the same returned tuple. Only NaN differs on purpose: it
 violates the condition tests, while the reference lets it through.
 
-The twin takes the space's own sampler points, not the stream: it runs the
-scalar check's trials on arrays, in the same order, and reports the same
-counts. Its caller reads any witness back through the scalar callables.
+The twin takes the space's own sampler points, not the stream, when float64
+holds each of them exactly: it runs the scalar check's trials on arrays, in
+the same order, and reports the same counts. Its caller reads any witness
+back through the scalar callables.
 
 numpy is imported on the first call, never at package import, so commands
 that make no sweep do not pay its import time or memory.
@@ -188,20 +189,6 @@ def strict_sweep(op, seed, tag, n):
     return _box_sweep(op, "strict_contraction", (), seed, tag, n)
 
 
-def _columns(pool, width):
-    """The first len(pool) // width trials of width consecutive points each,
-    as width float64 columns (column r holds point r of every trial), or
-    None when a point is NaN, so that the caller runs its scalar loop on
-    such a pool."""
-    import numpy as np
-
-    trials = len(pool) // width
-    flat = np.array(pool[:width * trials], dtype=np.float64)
-    if np.isnan(flat).any():
-        return None
-    return flat.reshape(trials, width).T
-
-
 def monotone_sweep(op, pool):
     """operators.check_mixed_monotone's trials on the real line: trial t
     takes (a, b, w) = pool[3t:3t + 3], skips a and b unless a <= b or
@@ -209,13 +196,20 @@ def monotone_sweep(op, pool):
     t, F(w, hi) <= F(w, lo) on odd t, with op.apply on arrays; a NaN image
     violates. Returns (the first violating t, or the number of trials when
     none violates, and the comparable trials before it), or None for a pool
-    with a NaN."""
+    that float64 does not hold exactly, such as ints past 2**53, whose
+    trials only the scalar loop decides."""
     import numpy as np
 
-    columns = _columns(pool, 3)
-    if columns is None:
+    trials = len(pool) // 3
+    points = pool[:3 * trials]
+    flat = np.array(points)
+    if flat.dtype.kind not in "fiub" or flat.dtype.itemsize > 8:
         return None
-    a, b, w = columns
+    flat = flat.astype(np.float64, copy=False)
+    # below 2**53 in magnitude every int is a float64; past it, compare
+    if (np.abs(flat) >= 2.0 ** 53).any() and flat.tolist() != list(points):
+        return None
+    a, b, w = flat.reshape(trials, 3).T
     below = a <= b
     comparable = below | (b <= a)
     lo, hi = np.where(below, a, b), np.where(below, b, a)
@@ -229,4 +223,3 @@ def monotone_sweep(op, pool):
     if not bad[t]:
         t = a.size
     return t, int(np.count_nonzero(comparable[:t]))
-

@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice, repeat
-from operator import getitem
 from typing import Any, Callable, NamedTuple, Optional
 
 from .errors import DomainMismatchError, InputError
@@ -30,6 +29,7 @@ from .reports import ConditionReport, Witness, _report
 from .spaces import FLOAT_SLACK, PairPoint, SpaceModel, _half_sum, d2, maps_arrays, usual_real_order
 
 MIN_COMPARABLE = 10
+DELTA_CAP_FACTOR = 10.0  # the delta curve's cap, and the drawn width of an infinite band
 
 
 @dataclass
@@ -170,8 +170,12 @@ def _strict_holds(op, p, x, y, u, v, dxu, dyv, before, lazy):
 
 def _band_bounds(space, eps, delta):
     """The band's parameters: eps, eps + delta, the slackened eps that the
-    conclusion must stay below, and delta (which the band draws read)."""
-    return eps, eps + delta, _with_slack(space, eps), delta
+    conclusion must stay below, and the width of the half-sums the band
+    draws aim at, from eps: delta, or for the band [eps, inf) of an infinite
+    delta the curve's cap DELTA_CAP_FACTOR * eps, since an infinite width
+    draws only inf and NaN half-sums."""
+    width = delta if delta < math.inf else DELTA_CAP_FACTOR * eps
+    return eps, eps + delta, _with_slack(space, eps), width
 
 
 class _Condition(NamedTuple):
@@ -252,16 +256,6 @@ def _monotone_violation(op, clause, x, y, u, v):
                                measured={lo_key: f_lo, hi_key: f_hi})
 
 
-def _trial_witness(op, t, lo, hi, w):
-    """Trial t of check_mixed_monotone on the pair lo <= hi and the free
-    argument w: the witness of its clause, or None. Even trials test the
-    first argument, F(lo, w) <= F(hi, w); odd trials the second,
-    F(w, hi) <= F(w, lo)."""
-    if t % 2 == 0:
-        return _monotone_violation(op, "first_argument", hi, w, lo, w)[2]
-    return _monotone_violation(op, "second_argument", w, lo, w, hi)[2]
-
-
 def check_mixed_monotone(op: CoupledOperator, samples: int = 10000, seed: int = 0) -> ConditionReport:
     """Sample the two monotonicity clauses: F nondecreasing in its first
     argument and nonincreasing in its second, over comparable argument pairs.
@@ -279,7 +273,9 @@ def check_mixed_monotone(op: CoupledOperator, samples: int = 10000, seed: int = 
     space = op.space
     lane = evaluation_lane(op)
     if lane == "finite":
-        return _mixed_monotone_finite(op)
+        from .conditions import _FiniteTables
+
+        return _FiniteTables(op).mixed_monotone()
 
     pool = space.sampler(3 * samples, seed ^ 0x3A5C)
     if len(pool) < 3:
@@ -299,7 +295,11 @@ def check_mixed_monotone(op: CoupledOperator, samples: int = 10000, seed: int = 
         if pair is None:
             continue
         used += 1
-        witness = _trial_witness(op, t, *pair, w)
+        lo, hi = pair
+        if t % 2 == 0:  # the first argument: F(lo, w) <= F(hi, w)
+            witness = _monotone_violation(op, "first_argument", hi, w, lo, w)[2]
+        else:  # the second: F(w, hi) <= F(w, lo)
+            witness = _monotone_violation(op, "second_argument", w, lo, w, hi)[2]
         if witness is not None:
             samples_used = t + 1
             break
@@ -330,38 +330,6 @@ def _finite_table(op: CoupledOperator) -> list:
             except (KeyError, TypeError):
                 raise DomainMismatchError(f"F({x!r}, {y!r}) = {z!r} is not an element of "
                                           f"{space.description or 'the space'}") from None
-
-
-def _mixed_monotone_finite(op: CoupledOperator) -> ConditionReport:
-    """Both clauses for every comparable pair lo <= hi and every w, in (lo, hi)
-    row-major order, on the index table of F and the 0/1 order matrix L:
-    L[F[lo][w]][F[hi][w]] and L[F[w][hi]][F[w][lo]]. Only the first violation
-    goes through _monotone_violation, for its witness."""
-    fd = op.space.finite
-    els, L = fd.elements, fd.leq
-    F = _finite_table(op)
-    FT = [list(col) for col in zip(*F)]  # FT[i][w] = F[w][i]
-    # up-set rows of the images: up_F[i][w] = L[F[i][w]], up_FT[i][w] = L[F[w][i]]
-    up_F = [list(map(L.__getitem__, row)) for row in F]
-    up_FT = [list(map(L.__getitem__, row)) for row in FT]
-    idx = range(len(els))
-    checked = 0
-    witness = None
-    for i, j in ((i, j) for i in idx for j in idx if L[i][j]):
-        if all(map(getitem, up_F[i], F[j])) and all(map(getitem, up_FT[j], FT[i])):
-            checked += len(idx)
-            continue
-        w = next(w for w in idx if not (up_F[i][w][F[j][w]] and up_FT[j][w][FT[i][w]]))
-        checked += w + 1
-        lo, hi, w = els[i], els[j], els[w]
-        _, _, witness = _monotone_violation(op, "first_argument", hi, w, lo, w)
-        if witness is None:
-            _, _, witness = _monotone_violation(op, "second_argument", w, lo, w, hi)
-        break
-    # reflexive pairs alone still decide the clauses on a finite space, so an
-    # exhaustive scan is conclusive even on an antichain
-    return _report("mixed_monotone", "exhaustive", witness, checked, checked,
-                   holds_note="exhaustive over all comparable argument pairs")
 
 
 def audit_lipschitz(op: CoupledOperator, samples: int = 2000, seed: int = 0):

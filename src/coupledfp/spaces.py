@@ -69,31 +69,23 @@ class PairPoint:
 @dataclass
 class PairIndex:
     """The comparable pairs of a finite space, with their distances from the
-    space's integer-scaled matrix (FiniteData.scaled).
+    space's integer-scaled matrix (FiniteData.scaled), in the order the
+    finite lane walks them.
 
-    down holds (x, u, d(x,u) * scale) for u <= x and up holds
-    (y, v, d(y,v) * scale) for y <= v, as element indices in row-major order.
-    up_by_dist lists the positions into up sorted by distance (ties keep their
-    order) and up_dists those sorted distances, so the up pairs completing a
+    down holds (x, u, d(x,u) * scale) for u <= x, as element indices in
+    row-major order. The up pairs y <= v are the parallel lists dists
+    (d(y,v) * scale), pos (the pair's row-major position), ys and vs, sorted
+    by distance with ties in row-major order, so the up pairs completing a
     down pair to a half-sum in a band are one bisected slice. The index is
     O(comparable pairs); quadruples are never tabulated.
     """
 
     scale: int
     down: list
-    up: list
-    up_by_dist: list
-    up_dists: list
-
-    @classmethod
-    def build(cls, fd):
-        scale, dist = fd.scaled
-        idx = range(len(fd.elements))
-        leq = fd.leq
-        down = [(i, j, dist[i][j]) for i in idx for j in idx if leq[j][i]]
-        up = [(i, j, dist[i][j]) for i in idx for j in idx if leq[i][j]]
-        up_by_dist = sorted(range(len(up)), key=lambda p: up[p][2])
-        return cls(scale, down, up, up_by_dist, [up[p][2] for p in up_by_dist])
+    dists: list
+    pos: list
+    ys: list
+    vs: list
 
 
 @dataclass
@@ -127,7 +119,12 @@ class FiniteData:
 
     @cached_property
     def pair_index(self) -> PairIndex:
-        return PairIndex.build(self)
+        scale, dist = self.scaled
+        idx, leq = range(len(self.elements)), self.leq
+        down = [(i, j, dist[i][j]) for i in idx for j in idx if leq[j][i]]
+        up = sorted((dist[i][j], p, i, j) for p, (i, j) in
+                    enumerate((i, j) for i in idx for j in idx if leq[i][j]))
+        return PairIndex(scale, down, *([t[k] for t in up] for k in range(4)))
 
 
 @dataclass

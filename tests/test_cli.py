@@ -315,7 +315,9 @@ def test_audit_space_broken_finite_golden(capsys, monkeypatch):
 # wrote when run from the repository root; a change that moves an output on
 # purpose rewrites the files that way and lists what moved.
 GOLDEN = DATA / "golden"
-GOLDEN_PROBLEMS = {"samet_example": "samet_example", "diamond5": "tests/data/diamond5.json"}
+GOLDEN_PROBLEMS = {"samet_example": "samet_example",
+                   **{name: f"tests/data/{name}.json" for name in
+                      ("antichain3", "chain3_monotone", "diamond5", "triangle_break4", "twocomp4")}}
 
 
 @pytest.mark.parametrize("label", sorted(GOLDEN_PROBLEMS))

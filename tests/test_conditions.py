@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import itertools
 import json
@@ -5,6 +6,7 @@ import math
 import random
 import re
 from fractions import Fraction
+from functools import cached_property
 
 import pytest
 from hypothesis import example, given, settings
@@ -12,9 +14,11 @@ from hypothesis import strategies as st
 
 import coupledfp as cf
 from coupledfp import kernels
+from coupledfp.conditions import _BASE_CURVE, _BASE_SAMET, _BASE_SYMMETRIC, DELTA_CAP_FACTOR, _tag
+from coupledfp.kernels import stream_seed
 from coupledfp.operators import _banded_conclusion, _finite_table, evaluation_lane
 from coupledfp.reports import Witness
-from coupledfp.spaces import PairIndex, PairPoint
+from coupledfp.spaces import INCOMPARABLE, FiniteData, PairPoint
 
 import finite_oracle as oracle
 from conftest import antichain_reals, fixture_path, nan_beyond_five, np_tanh_operator
@@ -229,6 +233,23 @@ def test_finite_lane_takes_an_infinite_delta(symmetric):
     doc = json.loads(json.dumps(rep.to_jsonable(), allow_nan=False))
     assert doc["epsilon_grid"][0] == [0.5, "inf"]
     assert float(doc["witness"]["measured"]["delta"]) == math.inf
+
+
+@pytest.mark.parametrize("vectorized", [True, False], ids=["kernel", "generic"])
+@pytest.mark.parametrize("check", [cf.check_samet, cf.check_symmetric_mk])
+def test_sampled_lanes_draw_an_infinite_band_over_the_cap(samet, vectorized, check):
+    # the band of delta_from_k(0, eps) = inf is [eps, inf); its half-sums are
+    # drawn from [eps, eps + DELTA_CAP_FACTOR * eps), not as inf or NaN, so
+    # the sampled lanes find the failure the finite lane would
+    op = dataclasses.replace(samet.operator, vectorized=vectorized)
+    assert evaluation_lane(op) == ("kernel" if vectorized else "generic")
+    rep = check(op, [0.5, 1.0], lambda e: cf.delta_from_k(0.0, e), samples=2000, seed=0)
+    assert rep.verdict == "fails"
+    assert all(hits > 0 for _, hits in rep.band_hits)
+    w = rep.witness.measured
+    assert w["delta"] == math.inf
+    assert w["eps"] <= w["half_sum"] < (1 + DELTA_CAP_FACTOR) * w["eps"]
+    assert cf.reverify_witness(op, rep)["violated"] is True
 
 
 def test_jsonable_writes_numpy_scalars_as_python_scalars():
@@ -716,6 +737,190 @@ def test_delta_curve_is_the_smallest_violating_half_sum(a, b, c, seed):
                 (evaluation_lane(op), eps, dmax, star)
 
 
+# --- the generic band lane, recounted ---------------------------------------
+
+_GRID3 = (-1.0, 0.0, 1.0)
+
+
+def _r2_grid(hook):
+    """R^2 with the L1 metric and the componentwise order, sampled on the
+    grid {-1, 0, 1}^2: many point pairs are incomparable, and a ninth equal."""
+
+    def distance(p, q):
+        return abs(p[0] - q[0]) + abs(p[1] - q[1])
+
+    def leq(p, q):
+        if p[0] <= q[0] and p[1] <= q[1]:
+            return True
+        if q[0] <= p[0] and q[1] <= p[1]:
+            return False
+        return INCOMPARABLE
+
+    def sampler(count, seed):
+        rng = random.Random(seed)
+        return [(rng.choice(_GRID3), rng.choice(_GRID3)) for _ in range(count)]
+
+    return cf.SpaceModel(distance=distance, leq=leq, sampler=sampler,
+                         description="componentwise R^2 grid", interpolate=hook)
+
+
+def _overshooting(p, q, t):
+    # affine up to q; asked to step past it, the hook also drifts by
+    # (2, -1) times the excess, so some legs leave the order and the others
+    # the band
+    over = max(t - 1.0, 0.0)
+    return (p[0] + t * (q[0] - p[0]) + 2 * over, p[1] + t * (q[1] - p[1]) - over)
+
+
+def _quarter_difference(p, q):
+    # on comparable quadruples each conclusion is half the half-sum, so a
+    # band fails exactly where it reaches 2 eps
+    return ((p[0] - q[0]) / 4, (p[1] - q[1]) / 4)
+
+
+R2_OPERATORS = {name: cf.CoupledOperator(apply=_quarter_difference, space=_r2_grid(hook))
+                for name, hook in (("rejection", None), ("interpolate", _overshooting))}
+
+
+def _oriented_pair(space, a, b):
+    if space.leq(a, b) is True:
+        return a, b
+    if space.leq(b, a) is True:
+        return b, a
+    return None
+
+
+def _recount_band(op, eps, delta, e_idx, probe, base, samples, seed, symmetric, tally):
+    """The generic lane's draws for the band [eps, eps + delta), recounted
+    one quadruple at a time: (in-band quadruples up to the first violation,
+    the violation's (x, y, u, v, half-sum) or None, draws). tally counts the
+    draws dropped, by reason."""
+    space, F, dist = op.space, op.apply, op.space.distance
+
+    def quadruples():
+        # yields (phase draws, that phase's comparable quadruples)
+        if space.interpolate is None:
+            rng_seed = stream_seed(seed, _tag(base, e_idx, 0, probe)) & 0x7FFFFFFF
+            pool = space.sampler(4 * samples, rng_seed)
+            quads = []
+            for t in range(len(pool) // 4):
+                px, py = (_oriented_pair(space, *pool[4 * t + k:4 * t + k + 2]) for k in (0, 2))
+                if px is None or py is None:
+                    tally["incomparable"] += 1
+                    continue
+                quads.append((px[1], py[0], px[0], py[1]))
+            yield len(pool) // 4, quads
+            return
+        width = delta if delta < math.inf else DELTA_CAP_FACTOR * eps
+        n_adv = max(1, samples // 10)
+        for mode, count in ((1, n_adv), (2, n_adv), (0, samples - 2 * n_adv)):
+            if count <= 0:
+                continue
+            rng = random.Random(stream_seed(seed, _tag(base, e_idx, mode, probe)))
+            pool = space.sampler(4 * count, rng.getrandbits(31))
+            quads = []
+            for t in range(len(pool) // 4):
+                h = eps + rng.random() * width
+                px, py = (_oriented_pair(space, *pool[4 * t + k:4 * t + k + 2]) for k in (0, 2))
+                if px is None or py is None:
+                    tally["incomparable"] += 1
+                    continue
+                (u0, x), (y, v0) = px, py
+                s = rng.random() if mode == 0 else (0.0 if mode == 1 else 1.0)
+                legs = []
+                for a, b, length in ((x, u0, 2 * h * s), (y, v0, 2 * h - 2 * h * s)):
+                    if length == 0:
+                        legs.append(a)
+                    elif dist(a, b) == 0:
+                        tally["zero_leg"] += 1
+                        break
+                    else:
+                        legs.append(space.interpolate(a, b, length / dist(a, b)))
+                if len(legs) < 2:
+                    continue
+                u, v = legs
+                if space.leq(u, x) is not True or space.leq(y, v) is not True:
+                    tally["hook_left_the_order"] += 1
+                    continue
+                quads.append((x, y, u, v))
+            yield len(pool) // 4, quads
+
+    hits = used = 0
+    for draws, quads in quadruples():
+        used += draws
+        for x, y, u, v in quads:
+            half = (dist(x, u) + dist(y, v)) / 2
+            if not eps <= half < eps + delta:
+                tally["out_of_band"] += 1
+                continue
+            hits += 1
+            lhs = dist(F(x, y), F(u, v))
+            if symmetric:
+                lhs = (lhs + dist(F(y, x), F(v, u))) / 2
+            if not lhs < eps + 1e-12 * max(1.0, eps):
+                return hits, (x, y, u, v, half), used
+    return hits, None, used
+
+
+@pytest.mark.parametrize("rule", [lambda e: e / 2, lambda e: 3 * e], ids=["half", "triple"])
+@pytest.mark.parametrize("symmetric", [False, True])
+@pytest.mark.parametrize("name", sorted(R2_OPERATORS))
+def test_generic_banded_checks_match_a_recount(name, symmetric, rule):
+    op = R2_OPERATORS[name]
+    assert evaluation_lane(op) == "generic"
+    grid, samples, seed = [0.5, 1.0, 1.5], 300, 5
+    check = cf.check_symmetric_mk if symmetric else cf.check_samet
+    base = _BASE_SYMMETRIC if symmetric else _BASE_SAMET
+    rep = check(op, grid, rule, samples=samples, seed=seed)
+    tally = collections.Counter()
+    band_hits, used, hit = [], 0, None
+    for i, eps in enumerate(grid):
+        hits, hit, draws = _recount_band(op, eps, rule(eps), i, 0, base, samples, seed,
+                                         symmetric, tally)
+        band_hits.append((eps, hits))
+        used += draws
+        if hit is not None:
+            break
+    assert (rep.band_hits, rep.samples_used) == (band_hits, used)
+    assert rep.verdict == ("fails" if hit else "holds_on_samples")
+    if hit:
+        w = rep.witness
+        assert (w.x, w.y, w.u, w.v, w.measured["half_sum"]) == hit
+        assert cf.reverify_witness(op, rep)["violated"] is True
+        return
+    # a holding check reads every draw: each way a draw can miss the band occurs
+    reasons = {"incomparable", "out_of_band"}
+    if name == "interpolate":
+        reasons |= {"zero_leg", "hook_left_the_order"}
+    assert reasons <= {reason for reason, n in tally.items() if n}
+
+
+@pytest.mark.parametrize("name", sorted(R2_OPERATORS))
+def test_generic_delta_curve_matches_a_recount(name):
+    op = R2_OPERATORS[name]
+    grid, samples, seed = [0.5, 1.0], 300, 3
+    tally = collections.Counter()
+    expected = []
+    for i, eps in enumerate(grid):
+        # a thin probe, then rounds that shrink delta to their witness's
+        # half-sum less eps until one finds none
+        probe, delta, hit = 0, eps * 1e-9, True
+        while hit:
+            hit = _recount_band(op, eps, delta, i, probe, _BASE_CURVE, samples, seed, True,
+                                tally)[1]
+            if probe == 0:
+                delta = 0.0 if hit else DELTA_CAP_FACTOR * eps
+                hit = not hit
+            elif hit:
+                delta = hit[4] - eps
+            probe += 1
+        expected.append((eps, delta))
+    got = cf.estimate_delta_curve(op, grid, samples=samples, seed=seed)
+    assert got == expected
+    # a band fails from a half-sum of 2 eps on, so no entry is below eps
+    assert all(eps <= delta < DELTA_CAP_FACTOR * eps for eps, delta in got)
+
+
 @given(data=st.data())
 @settings(max_examples=80, deadline=None)
 def test_finite_curve_matches_oracle(data):
@@ -901,13 +1106,15 @@ def test_replaced_apply_drops_the_loaded_table():
 
 def test_pair_index_is_built_once_per_space(monkeypatch):
     builds = []
-    build = PairIndex.build.__func__
+    build = FiniteData.pair_index.func
 
-    def counted(cls, fd):
+    def counted(fd):
         builds.append(fd)
-        return build(cls, fd)
+        return build(fd)
 
-    monkeypatch.setattr(PairIndex, "build", classmethod(counted))
+    index = cached_property(counted)
+    index.__set_name__(FiniteData, "pair_index")
+    monkeypatch.setattr(FiniteData, "pair_index", index)
     op = cf.load_finite(fixture_path("diamond5.json")).operator
     cf.check_samet(op, [0.5, 1.0], EIGHTH)
     cf.check_symmetric_mk(op, [0.5, 1.0], lambda e: cf.delta_from_k(0.0, e))
@@ -916,6 +1123,7 @@ def test_pair_index_is_built_once_per_space(monkeypatch):
     # one entry per comparable pair, not per quadruple
     pairs = op.space.finite.pair_index
     comparable = sum(map(sum, op.space.finite.leq))
-    assert len(pairs.down) == len(pairs.up) == len(pairs.up_dists) == comparable
+    assert len(pairs.down) == comparable
+    assert [len(pairs.ys), len(pairs.vs), len(pairs.dists), len(pairs.pos)] == [comparable] * 4
     cf.check_samet(cf.load_finite(fixture_path("diamond5.json")).operator, [0.5], EIGHTH)
     assert len(builds) == 2

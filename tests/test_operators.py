@@ -150,6 +150,28 @@ def test_mixed_monotone_goes_on_past_a_trial_only_the_arrays_flag():
     assert got.verdict == "holds_on_samples" and got.samples_used == 1000
 
 
+def _past_2_53(count):
+    rng = random.Random(0)
+    return [2**53 + rng.randrange(8) for _ in range(count)]
+
+
+_PAST_2_53 = _past_2_53(150)
+
+
+@pytest.mark.parametrize("pool", [_PAST_2_53, _PAST_2_53[:-1] + [0.5]],
+                         ids=["ints", "ints_and_a_float"])
+def test_mixed_monotone_arrays_leave_points_past_float64_to_the_scalar_loop(pool):
+    # float64 rounds ints past 2**53, so x % 2 would read 0 on every point
+    # and the arrays would pass what the scalar lane fails at trial 5
+    space = dataclasses.replace(cf.real_line(), sampler=lambda count, seed: pool[:count])
+    op = _vectorized(lambda x, y: np.mod(x, 2), space)
+    assert kernels.monotone_sweep(op, pool) is None
+    twin = dataclasses.replace(op, vectorized=False)
+    got, want = (cf.check_mixed_monotone(o, samples=50) for o in (op, twin))
+    assert json.dumps(got.to_jsonable()) == json.dumps(want.to_jsonable())
+    assert (got.verdict, got.samples_used) == ("fails", 5)
+
+
 def test_mixed_monotone_arrays_find_both_clauses():
     # the cases above include a failure of each clause and a hold
     kinds = {name: cf.check_mixed_monotone(op, samples=2000, seed=0)

@@ -664,7 +664,11 @@ def test_scaled_matrix_is_exact_and_shared_with_the_pair_index():
     assert all(scaled[i][j] == fd.dist[i][j] * scale for i in range(4) for j in range(4))
     pairs = fd.pair_index
     assert pairs.scale == scale
-    assert pairs.up == [(i, j, scaled[i][j]) for i in range(4) for j in range(4) if fd.leq[i][j]]
+    up = [(i, j, scaled[i][j]) for i in range(4) for j in range(4) if fd.leq[i][j]]
+    # one entry per comparable pair, in distance order with ties row-major
+    walk = sorted(range(len(up)), key=lambda p: up[p][2])
+    assert pairs.pos == walk
+    assert list(zip(pairs.ys, pairs.vs, pairs.dists)) == [up[p] for p in walk]
 
 
 @pytest.mark.parametrize("space, failed", [
