@@ -1,18 +1,13 @@
 """The metric and order axiom checks behind spaces.audit_space.
 
 A finite space is checked exhaustively on its integer matrices (the matrix
-lane). Any other space is checked on sampled points by one driver,
-_sampled_witnesses, which fixes what is checked: every point, then all index
-pairs and triples up to their caps and, past a cap, tuples drawn from a
-seeded index stream; the number of tuples checked; and the first failure of
-each axiom. Two lanes evaluate its blocks of tuples: the callable lane
-through the space's scalar distance and leq, the array lane on float64
-arrays for a real_line space with the real line's own order and a distance
-that maps arrays. Both see the same tuples in the same order, so they find
-the same witnesses.
-
-The array lane imports numpy only when called (and numpy.random once it
-draws tuples), and spaces.audit_space asks for it only once numpy is loaded.
+lane). real_line() itself passes every axiom by construction (see
+spaces.audit_space), and its report says so without a check. Any other space
+is checked on sampled points by one driver, _sampled_witnesses, which fixes
+what is checked: every point, then all index pairs and triples up to their
+caps and, past a cap, tuples drawn from a seeded index stream; the number of
+tuples checked; and the first failure of each axiom. The callable lane
+evaluates its blocks of tuples through the space's scalar distance and leq.
 The report types live here; spaces re-exports AuditReport.
 """
 
@@ -22,7 +17,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from itertools import combinations, compress, islice
-from operator import gt, le, ne, sub
+from operator import gt, ne, sub
 from typing import Optional
 
 from .errors import InputError
@@ -42,6 +37,7 @@ class AuditReport:
     space_description: str
     axioms: list = field(default_factory=list)
     exhaustive: bool = False
+    method: Optional[str] = None  # "by_construction" when no axiom was checked
 
     @property
     def passed(self) -> bool:
@@ -52,16 +48,19 @@ class AuditReport:
 
     # not a reports.Record: the JSON names space_description "space" and adds the passed property
     def to_jsonable(self):
-        return {
+        out = {
             "space": self.space_description,
             "passed": self.passed,
             "exhaustive": self.exhaustive,
             "axioms": [a.to_jsonable() for a in self.axioms],
         }
+        if self.method is not None:
+            out["method"] = self.method
+        return out
 
 
-# rows per block in both lanes: a few float64 arrays or lists of this length,
-# so that the audit needs far less memory than a sweep (kernels.CHUNK draws)
+# rows per block: a few lists of this length, so that the audit needs far
+# less memory than a sweep (kernels.CHUNK draws)
 AUDIT_BLOCK = 2048
 
 
@@ -74,44 +73,6 @@ def _randrange_stream(rng, n):
         r = getrandbits(k)
         if r < n:
             yield r
-
-
-def _mt19937_at(rng):
-    """numpy's MT19937 set to the state of the random.Random rng, its 624 key
-    words and position: random_raw returns the 32-bit words that rng would
-    draw next, in order, as uint64, without advancing rng."""
-    from numpy.random import MT19937
-
-    *key, pos = rng.getstate()[1]
-    mt = MT19937()
-    mt.state = {"bit_generator": "MT19937", "state": {"key": key, "pos": pos}}
-    return mt
-
-
-def _index_blocks(rng, n, width, rows):
-    """The array lane's view of _randrange_stream(rng, n): rows rows of width
-    consecutive values, as uint64 arrays of shape (width, m), one row per
-    column of the block, with m <= AUDIT_BLOCK.
-
-    For n < 2**32, getrandbits(n.bit_length()) takes one 32-bit Mersenne word
-    w and returns w >> (32 - n.bit_length()), so shifting the words of
-    _mt19937_at(rng) and rejecting values >= n gives the same values in the
-    same order; rng itself is not advanced."""
-    import numpy as np
-
-    mt = _mt19937_at(rng)
-    k = n.bit_length()
-    parts, have = [], 0
-    for start in range(0, rows, AUDIT_BLOCK):
-        need = min(AUDIT_BLOCK, rows - start) * width
-        while have < need:
-            # a share n / 2**k of the words is kept: draw about enough, at once
-            words = mt.random_raw(((need - have) << k) // n + 64) >> (32 - k)
-            parts.append(words[words < n])
-            have += parts[-1].size
-        values = np.concatenate(parts)
-        yield values[:need].reshape(-1, width).T
-        parts, have = [values[need:]], have - need
 
 
 def _joined(groups, width):
@@ -161,7 +122,7 @@ def _tuple_count(n, width):
 
 def _sampled_witnesses(lane, n, seed):
     """The first failing point, pair and triple per axiom on n sampled points
-    and the number of points, pairs and triples checked, for either lane.
+    and the number of points, pairs and triples checked.
 
     Points are all checked. Pairs run over all index pairs i < j and triples
     over all index triples, in lexicographic order, up to their caps; past a
@@ -263,74 +224,6 @@ class _CallableLane:
         return tri, trans
 
 
-# failure mask of each axiom on float64 arrays, given the order leq as a
-# boolean mask; each is the callable lane's test, elementwise
-_ARRAY_FAILS = {
-    "metric_identity": lambda d, leq, tau, x: abs(d(x, x)) > tau,
-    "order_reflexive": lambda d, leq, tau, x: ~leq(x, x),
-    "metric_nonnegative": lambda d, leq, tau, x, y: d(x, y) < -tau,
-    "metric_symmetry": lambda d, leq, tau, x, y: abs(d(x, y) - d(y, x)) > tau,
-    "order_antisymmetric": lambda d, leq, tau, x, y: leq(x, y) & leq(y, x) & (x != y),
-    "metric_triangle": lambda d, leq, tau, x, y, z: _triangle_fails(d(x, z), d(x, y) + d(y, z),
-                                                                    tau),
-    "order_transitive": lambda d, leq, tau, x, y, z: leq(x, y) & leq(y, z) & ~leq(x, z),
-}
-
-
-def _triangle_fails(d_xz, via_y, tau):
-    # the relative slack only matters once the plain comparison fails, and
-    # max(1, via_y) as clip: where via_y is NaN the first comparison is False
-    bad = d_xz > via_y
-    return bad & (d_xz > via_y + tau * via_y.clip(min=1)) if bad.any() else bad
-
-
-class _ArrayLane:
-    """Blocks whose columns are index arrays, checked on float64 arrays of
-    the points through the space's distance and leq(xs, ys), the mask of
-    x <= y: the real line's usual order."""
-
-    def __init__(self, space, pts, tau, leq=le):
-        import numpy as np
-
-        self.pts, self.xs = pts, np.array(pts, dtype=np.float64)
-        self.d, self.leq, self.tau = space.distance, leq, tau
-
-    def all_rows(self, width):
-        import numpy as np
-
-        n = len(self.pts)
-        total = _tuple_count(n, width)
-        idx = np.arange(n)
-        starts = idx * (2 * n - idx - 1) // 2  # position of the pair (i, i + 1)
-        for p0 in range(0, total, AUDIT_BLOCK):
-            p = np.arange(p0, min(p0 + AUDIT_BLOCK, total))
-            if width == 2:
-                i = starts.searchsorted(p, "right") - 1
-                yield i, p - starts[i] + i + 1
-            else:
-                yield np.unravel_index(p, (n,) * width)
-
-    def drawn_rows(self, rng, width, rows):
-        for block in _index_blocks(rng, len(self.pts), width, rows):
-            if width == 2:
-                keep = block[0] != block[1]
-                block = block[:, keep]
-            yield block
-
-    def first_failures(self, width, block, missing):
-        import numpy as np
-
-        cols = self.xs.take(block)
-        first = {}
-        with np.errstate(all="ignore"):
-            for a in missing:
-                bad = _ARRAY_FAILS[a](self.d, self.leq, self.tau, *cols)
-                r = int(bad.argmax())
-                if bad[r]:
-                    first[a] = tuple(self.pts[c[r]] for c in block)
-        return first
-
-
 def _finite_witnesses(fd):
     """The matrix lane: the first failing index, index pair i < j and index
     triple per axiom, in lexicographic order, read with zero tolerance from
@@ -376,15 +269,13 @@ def _first_transitivity_break(L):
     return None
 
 
-def audit(space, samples, seed, tau, on_arrays):
-    """spaces.audit_space, past its argument check; tau is the metric slack
-    of the sampled checks (the matrix lane has none), and on_arrays says that
-    numpy is loaded and the space has the real line's own order and a
-    distance that maps arrays, so that the array lane may check it."""
+def audit(space, samples, seed, tau):
+    """spaces.audit_space, past its argument check and its by-construction
+    path; tau is the metric slack of the sampled checks (the matrix lane has
+    none)."""
     fd = space.finite
     if fd is None:
-        return _sampled_audit(space, samples, seed, tau,
-                              _ArrayLane if on_arrays else _CallableLane)
+        return _sampled_audit(space, samples, seed, tau)
     pts = fd.elements
     found = {name: tuple(map(pts.__getitem__, w))
              for name, w in _finite_witnesses(fd).items() if w is not None}
@@ -392,21 +283,28 @@ def audit(space, samples, seed, tau, on_arrays):
     return _audit_report(space, found, counts, exhaustive=True)
 
 
-def _sampled_audit(space, samples, seed, tau, lane):
-    """audit of a space without matrices, checked in the given lane."""
+def audit_by_construction(space):
+    """The report of a space whose axioms hold by construction: every axiom
+    passed, with no check run."""
+    return _audit_report(space, {}, (0, 0, 0), exhaustive=False, method="by_construction")
+
+
+def _sampled_audit(space, samples, seed, tau):
+    """audit of a space without matrices, in the callable lane."""
     pts = list(space.sampler(samples, seed))
     if not pts:
         raise InputError("sampler returned no points to audit")
-    found, counts = _sampled_witnesses(lane(space, pts, tau), len(pts), seed)
+    found, counts = _sampled_witnesses(_CallableLane(space, pts, tau), len(pts), seed)
     return _audit_report(space, found, counts, exhaustive=False)
 
 
-def _audit_report(space, found, counts, exhaustive):
+def _audit_report(space, found, counts, exhaustive, method=None):
     """The report from the witness points of the failed axioms and the number
     of points, pairs and triples checked."""
     checks = {a: count for (_, _, _, axioms), count in zip(_AUDIT_PHASES, counts)
               for a in axioms}
-    report = AuditReport(space_description=space.description, exhaustive=exhaustive)
+    report = AuditReport(space_description=space.description, exhaustive=exhaustive,
+                         method=method)
     for name, counterexample in _COUNTEREXAMPLES.items():
         w = found.get(name)
         report.axioms.append(AxiomCheck(

@@ -19,6 +19,7 @@ measures only its witness through the definition, in Fractions.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice, repeat
@@ -173,8 +174,9 @@ def _band_bounds(space, eps, delta):
     conclusion must stay below, and the width of the half-sums the band
     draws aim at, from eps: delta, or for the band [eps, inf) of an infinite
     delta the curve's cap DELTA_CAP_FACTOR * eps, since an infinite width
-    draws only inf and NaN half-sums."""
-    width = delta if delta < math.inf else DELTA_CAP_FACTOR * eps
+    draws only inf and NaN half-sums; past eps of about 1.8e307 the cap
+    overflows, so the width stops at the largest float less eps."""
+    width = delta if delta < math.inf else min(DELTA_CAP_FACTOR * eps, sys.float_info.max - eps)
     return eps, eps + delta, _with_slack(space, eps), width
 
 

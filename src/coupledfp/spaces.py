@@ -18,11 +18,11 @@ import random
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import chain, islice
 from typing import Any, Callable, Optional
 
-from .audit import AuditReport, audit
+from .audit import AuditReport, audit, audit_by_construction
 from .errors import DomainMismatchError, InputError
 
 Element = Any
@@ -203,25 +203,46 @@ def audit_space(space: SpaceModel, samples: int = 100, seed: int = 0) -> AuditRe
     or draw order of the stream.
 
     A finite space, of any size, is checked exhaustively on its matrices (the
-    matrix lane) with zero tolerance; its report is marked exhaustive. Every
-    other space is checked on `samples` sampled points, where pairs and
-    triples past their caps are drawn from a seeded index stream (see
-    coupledfp.audit); its metric checks allow the slack FLOAT_SLACK
-    (relative, on the triangle) unless the space is exact. A space with the
-    real line's own order (usual_real_order) whose distance maps arrays is
-    checked on float64 arrays (the array lane), through its distance and
-    x <= y, when numpy is already loaded, for example by a sweep; the audit
-    never imports it. Any other space, one with a replaced leq or a
-    float-only distance among them, or any space before numpy is loaded, is
-    checked through its distance and leq (the callable lane). Both lanes walk the
-    same tuples, so they give the same report. Either way the counterexample
-    is read back through the space's distance and leq.
+    matrix lane) with zero tolerance; its report is marked exhaustive.
+
+    A space that keeps all of real_line()'s own parts (its kind, leq,
+    distance and sampler, and the float slack of a space not marked exact)
+    passes every axiom by construction, and is reported so, with no sampling
+    and no distance or leq call: each axiom passed, with 0 checks and no
+    counterexample, "exhaustive" false and "method" "by_construction". The
+    argument, for floats x, y, z drawn by its sampler:
+    - abs(x - x) == 0 and abs(x - y) == abs(y - x) hold exactly in IEEE
+      arithmetic, and an absolute value is never negative;
+    - <= on floats other than NaN is a total order (reflexive, antisymmetric
+      with -0.0 == 0.0, and transitive), and _line_leq reads it;
+    - the sampler draws finite floats in [-r, r], with 2r finite, so every
+      distance is finite;
+    - each of the three subtractions and the one addition of the triangle
+      check rounds by at most u = 2**-53 relative, so the computed d(x, z)
+      exceeds the computed d(x, y) + d(y, z) by at most about 3u times that
+      sum, far inside the slack FLOAT_SLACK * max(1, sum).
+
+    Any other space without matrices, one made from real_line() with a
+    replaced distance, leq or sampler or with kind "custom" among them, is
+    checked on `samples` sampled points through its distance and leq (the
+    callable lane), where pairs and triples past their caps are drawn from a
+    seeded index stream (see coupledfp.audit); its metric checks allow the
+    slack FLOAT_SLACK (relative, on the triangle) unless the space is exact.
+    The counterexample is read back through the space's distance and leq.
     """
     if samples < 3:
         raise InputError("audit requires samples >= 3")
-    on_arrays = (usual_real_order(space) and "numpy" in sys.modules
-                 and maps_arrays(space.distance))
-    return audit(space, samples, seed, 0 if space.exact else FLOAT_SLACK, on_arrays)
+    if _own_real_line(space):
+        return audit_by_construction(space)
+    return audit(space, samples, seed, 0 if space.exact else FLOAT_SLACK)
+
+
+def _own_real_line(space: SpaceModel) -> bool:
+    """Whether space keeps real_line()'s kind, leq, distance and sampler,
+    and its float slack: the premises of audit_space's by-construction path."""
+    sampler = space.sampler
+    return (usual_real_order(space) and space.distance is _line_distance and not space.exact
+            and isinstance(sampler, partial) and sampler.func is _line_sampler)
 
 
 def _line_leq(x, y):
@@ -232,11 +253,12 @@ def _line_leq(x, y):
 def usual_real_order(space: SpaceModel) -> bool:
     """True for a space of kind "real_line" that keeps real_line()'s own leq.
 
-    This is the one gate of the real line's array paths (the audit's array
-    lane, the sweep kernels and the array mixed-monotone check) and of the
-    comparability probe's closed form: they compare with <= in place of
-    calling leq, so a space made from real_line() with a replaced leq, which
-    keeps the kind, must not pass.
+    This is the one gate of the real line's array paths (the sweep kernels
+    and the array mixed-monotone check), of the comparability probe's closed
+    form and, with the distance and sampler also real_line()'s own, of the
+    audit's by-construction path: they compare with <= in place of calling
+    leq, so a space made from real_line() with a replaced leq, which keeps
+    the kind, must not pass.
     """
     return space.kind == "real_line" and space.leq is _line_leq
 
@@ -260,37 +282,39 @@ def _real_lattice_bound(Y: PairPoint, V: PairPoint) -> PairPoint:
     return PairPoint(max(Y.first, V.first), min(Y.second, V.second))
 
 
+def _line_distance(x, y):
+    return abs(x - y)
+
+
+def _line_sampler(lo, span, count, seed):
+    # rng.uniform(lo, lo + span) is lo + span * rng.random(): the same
+    # floats, without a method call per point
+    rng = random.Random(seed)
+    return [lo + span * u for u in islice(iter(rng.random, None), count)]
+
+
 def real_line(radius: float = 10.0) -> SpaceModel:
     """The real line with |x - y| and the usual total order.
 
     The sampler draws uniformly from [-radius, radius]; the space itself is
     all of R. interpolate is the affine map x + t*(y - x) (metrically linear,
     order preserving for t >= 0), which the targeted band construction relies on.
-    distance also maps arrays (the sweep kernels and the audit call it so).
-    The box's width 2*radius must be finite, or every sampled point is inf.
+    distance also maps arrays (the sweep kernels call it so). The distance
+    and the sampler are module-level functions, so audit_space can tell that
+    a space keeps them. The box's width 2*radius must be finite, or every
+    sampled point is inf.
     """
     if not (radius > 0 and math.isfinite(2 * radius)):
         raise InputError("radius must be positive, with 2*radius finite")
-
-    def distance(x, y):
-        return abs(x - y)
-
     lo = -radius
-    span = radius - lo
-
-    def sampler(count, seed):
-        # rng.uniform(lo, radius) is lo + (radius - lo) * rng.random(): the
-        # same floats, without a method call per point
-        rng = random.Random(seed)
-        return [lo + span * u for u in islice(iter(rng.random, None), count)]
 
     def interpolate(x, y, t):
         return x + t * (y - x)
 
     return SpaceModel(
-        distance=distance,
+        distance=_line_distance,
         leq=_line_leq,
-        sampler=sampler,
+        sampler=partial(_line_sampler, lo, radius - lo),
         description=f"real line (|.|, usual order, sampling box [-{radius}, {radius}])",
         kind="real_line",
         sample_radius=float(radius),

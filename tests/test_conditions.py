@@ -5,6 +5,7 @@ import json
 import math
 import random
 import re
+import sys
 from fractions import Fraction
 from functools import cached_property
 
@@ -249,6 +250,23 @@ def test_sampled_lanes_draw_an_infinite_band_over_the_cap(samet, vectorized, che
     w = rep.witness.measured
     assert w["delta"] == math.inf
     assert w["eps"] <= w["half_sum"] < (1 + DELTA_CAP_FACTOR) * w["eps"]
+    assert cf.reverify_witness(op, rep)["violated"] is True
+
+
+@pytest.mark.parametrize("vectorized", [True, False], ids=["kernel", "generic"])
+@pytest.mark.parametrize("check", [cf.check_samet, cf.check_symmetric_mk])
+def test_sampled_lanes_draw_an_infinite_band_past_the_overflowing_cap(samet, vectorized, check):
+    # at eps = 2e307 the cap DELTA_CAP_FACTOR * eps overflows; the band draws
+    # up to the largest float instead, and finds that 3/5 |y - v| >= eps for
+    # a large |y - v|; F overflows there, so the witness's lhs is inf
+    op = dataclasses.replace(samet.operator, vectorized=vectorized)
+    assert evaluation_lane(op) == ("kernel" if vectorized else "generic")
+    rep = check(op, [2e307], lambda e: math.inf, samples=500)
+    assert rep.verdict == "fails"
+    assert rep.band_hits == [(2e307, 1)]
+    w = rep.witness.measured
+    assert w["delta"] == math.inf and w["lhs"] == math.inf
+    assert 2e307 <= w["half_sum"] <= sys.float_info.max
     assert cf.reverify_witness(op, rep)["violated"] is True
 
 
@@ -811,7 +829,7 @@ def _recount_band(op, eps, delta, e_idx, probe, base, samples, seed, symmetric, 
                 quads.append((px[1], py[0], px[0], py[1]))
             yield len(pool) // 4, quads
             return
-        width = delta if delta < math.inf else DELTA_CAP_FACTOR * eps
+        width = delta if delta < math.inf else min(DELTA_CAP_FACTOR * eps, sys.float_info.max - eps)
         n_adv = max(1, samples // 10)
         for mode, count in ((1, n_adv), (2, n_adv), (0, samples - 2 * n_adv)):
             if count <= 0:

@@ -66,30 +66,31 @@ def test_generic_and_finite_checks_leave_numpy_unloaded():
 
 
 KERNEL_LANE_CALLS = """
-import contextlib, io, sys
+import contextlib, dataclasses, io, sys
 import coupledfp as cf
 from coupledfp import cli
 from coupledfp.spaces import _real_lattice_bound
 op = cf.builtin("samet_example").operator
 with contextlib.redirect_stdout(io.StringIO()):
-    for command in ("verify", "delta-curve", "solve", "uniqueness"):
+    for command in ("verify", "delta-curve", "solve", "uniqueness", "audit-space"):
         assert cli.main([command, "--problem", "samet_example", "--samples", "500"]) == 0
 cf.check_mixed_monotone(op, samples=500)
 cf.probe_comparability(cf.real_line(), samples=500, bound_search=_real_lattice_bound)
-cf.audit_space(cf.real_line(), samples=50)
-print("numpy" in sys.modules, "numpy.random" in sys.modules)
 cf.audit_space(cf.real_line(), samples=500)
-print("numpy.random" in sys.modules)
+print("numpy" in sys.modules, "numpy.random" in sys.modules)
+report = cf.audit_space(dataclasses.replace(cf.real_line(), kind="custom"), samples=700)
+print(report.passed, "numpy.random" in sys.modules)
 """
 
 
-def test_only_the_array_audit_loads_numpy_random():
-    # the kernel lane draws from its own counter stream; numpy.random (about
-    # 5 MB and 11 ms to import) is loaded only by the array audit's index
-    # stream, which a space of more than 58 points draws its triples from
+def test_nothing_loads_numpy_random():
+    # the kernel lane draws from its own counter stream, and the audit draws
+    # its index stream from random.Random: numpy.random (about 5 MB and 11 ms
+    # to import) is never loaded, not even by a 700-point audit in the
+    # callable lane, which draws its pairs and triples, after the kernel lane
     out = subprocess.run([sys.executable, "-c", KERNEL_LANE_CALLS],
                          capture_output=True, text=True, check=True).stdout.split()
-    assert out == ["True", "False", "True"]
+    assert out == ["True", "False", "True", "False"]
 
 
 def test_rng_streams_bit_identical():

@@ -202,59 +202,19 @@ def test_randrange_stream_matches_randrange(n, seed):
 @pytest.mark.parametrize("n", [3, 5, 100, 500, 511, 512, 513, 1000])
 @pytest.mark.parametrize("seed", [0, 1, 42, 2**40 + 7])
 def test_index_blocks_match_randrange_stream(n, seed):
-    # AUDIT_BLOCK + 5 rows of three: two blocks
+    # the callable lane's drawn triples, on points that are their own
+    # indices: AUDIT_BLOCK + 5 rows of three consecutive stream values, in
+    # two blocks
     rows = audit.AUDIT_BLOCK + 5
-    blocks = list(audit._index_blocks(random.Random(seed), n, 3, rows))
-    assert [b.shape for b in blocks] == [(3, audit.AUDIT_BLOCK), (3, 5)]
-    got = np.concatenate([b.T.ravel() for b in blocks]).tolist()
+    lane = audit._CallableLane(cf.real_line(), list(range(n)), 0.0)
+    blocks = list(lane.drawn_rows(random.Random(seed), 3, rows))
+    assert [[len(c) for c in b] for b in blocks] == [[audit.AUDIT_BLOCK] * 3, [5] * 3]
+    got = [i for b in blocks for row in zip(*b) for i in row]
     assert got == list(islice(_randrange_stream(random.Random(seed), n), 3 * rows))
 
 
-def _advanced_random(seed, calls, pos0):
-    """random.Random(seed) after one random() (bits 0) or getrandbits(bits)
-    call per entry of calls; with pos0, moved to position 0 of its key, which
-    no draw leaves it at (it regenerates the key at position 624 instead)."""
-    rng = random.Random(seed)
-    for bits in calls:
-        rng.getrandbits(bits) if bits else rng.random()
-    if pos0:
-        version, state, gauss = rng.getstate()
-        rng.setstate((version, state[:624] + (0,), gauss))
-    return rng
-
-
-random_calls = dict(seed=st.integers(0, 2**64), pos0=st.booleans(),
-                    calls=st.lists(st.integers(0, 96), max_size=700))
-
-
-@given(m=st.integers(1, 1500), **random_calls)
-@settings(max_examples=150, deadline=None)
-@example(m=700, seed=0, calls=[], pos0=False)  # position 624, as seeded
-@example(m=700, seed=0, calls=[0] * 312, pos0=False)  # 624 words drawn
-@example(m=700, seed=0, calls=[], pos0=True)
-def test_mt19937_words_equal_randbytes_words(m, seed, calls, pos0):
-    rng = _advanced_random(seed, calls, pos0)
-    assert rng.getstate()[1][624] in ((0,) if pos0 else range(1, 625))
-    words = audit._mt19937_at(rng).random_raw(m).tolist()
-    assert words == np.frombuffer(rng.randbytes(4 * m), "<u4").tolist()
-
-
-@given(n=st.sampled_from([1, 2, 255, 256, 257, 500, 633, 2**16 + 1]), width=st.sampled_from([2, 3]),
-       rows=st.integers(1, audit.AUDIT_BLOCK + 300), **random_calls)
-@settings(max_examples=150, deadline=None)
-@example(n=257, width=3, rows=audit.AUDIT_BLOCK + 1, seed=0, calls=[0] * 312, pos0=False)
-def test_index_blocks_equal_randrange_stream_after_any_draws(n, width, rows, seed, calls, pos0):
-    rng = _advanced_random(seed, calls, pos0)
-    state = rng.getstate()
-    blocks = list(audit._index_blocks(rng, n, width, rows))
-    assert rng.getstate() == state  # not advanced
-    assert sum(b.shape[1] for b in blocks) == rows
-    got = np.concatenate([b.T.ravel() for b in blocks]).tolist()
-    assert got == list(islice(_randrange_stream(rng, n), width * rows))
-
-
 @pytest.mark.parametrize("n", [1, 3, 58, 632])
-@pytest.mark.parametrize("lane", [audit._CallableLane, audit._ArrayLane])
+@pytest.mark.parametrize("lane", [audit._CallableLane])
 def test_lanes_enumerate_all_tuples_in_order(lane, n):
     # the sizes the audit enumerates: triples up to 58 points, pairs up to 632;
     # the points are their own indices
@@ -265,7 +225,7 @@ def test_lanes_enumerate_all_tuples_in_order(lane, n):
     for width, rows in expected.items():
         blocks = list(lane.all_rows(width))
         assert all(len(b) == width for b in blocks)
-        assert [r for b in blocks for r in zip(*(list(map(int, c)) for c in b))] == rows
+        assert [r for b in blocks for r in zip(*b)] == rows
 
 
 def _vectorized(name, **changes):
@@ -273,10 +233,13 @@ def _vectorized(name, **changes):
 
 
 # real-line spaces whose distance maps arrays, each with its order as a mask
-# on arrays: the clean line and broken variants
+# on arrays: the clean line and broken variants, each failing the axioms its
+# comment names where a sample shows it
 VECTORIZED_SPACES = {
     "real_line": (_vectorized("real line"), operator.le),
+    # d(x, y) < 0 for x < y, and not symmetric
     "signed": (_vectorized("signed difference", distance=lambda x, y: x - y), operator.le),
+    # no triangle inequality
     "squared": (_vectorized("squared difference", distance=lambda x, y: (x - y) * (x - y)),
                 operator.le),
     # x <= y + 0.05: reflexive, but neither antisymmetric nor transitive
@@ -290,49 +253,149 @@ VECTORIZED_SPACES = {
                       operator.lt),
 }
 
+# each axiom's failure mask on float64 arrays of points, given the order as a
+# mask, with the sampled audit's slack
+_AXIOM_FAILS = {
+    "metric_identity": lambda d, leq, x: abs(d(x, x)) > FLOAT_SLACK,
+    "order_reflexive": lambda d, leq, x: ~leq(x, x),
+    "metric_nonnegative": lambda d, leq, x, y: d(x, y) < -FLOAT_SLACK,
+    "metric_symmetry": lambda d, leq, x, y: abs(d(x, y) - d(y, x)) > FLOAT_SLACK,
+    "order_antisymmetric": lambda d, leq, x, y: leq(x, y) & leq(y, x) & (x != y),
+    "metric_triangle": lambda d, leq, x, y, z: (
+        d(x, z) > d(x, y) + d(y, z) + FLOAT_SLACK * np.maximum(1, d(x, y) + d(y, z))),
+    "order_transitive": lambda d, leq, x, y, z: leq(x, y) & leq(y, z) & ~leq(x, z),
+}
+
+
+def _audited_tuples(n, width, seed):
+    """The index tuples a sampled audit of n points checks, from the audit's
+    spec, as an array of shape (width, tuples): all points; all pairs i < j
+    up to 200,000 of them, else 200,000 drawn pairs with i == j skipped; all
+    triples up to 200,000, else 200,000 drawn; drawn values are consecutive
+    random.Random(seed ^ salt).randrange(n) values, which _randrange_stream
+    yields (its test above)."""
+    if width == 1:
+        tuples = [(i,) for i in range(n)]
+    elif (math.comb(n, 2) if width == 2 else n ** 3) <= 200_000:
+        tuples = list(combinations(range(n), 2) if width == 2 else product(range(n), repeat=3))
+    else:
+        stream = _randrange_stream(random.Random(seed ^ (0x5EED if width == 2 else 0x7A1A)), n)
+        drawn = islice(zip(*[stream] * width), 200_000)
+        tuples = [t for t in drawn if width == 3 or t[0] != t[1]]
+    return np.array(tuples).T
+
+
+def _recounted_audit(space, mask, n, seed):
+    """Per axiom, its number of checks and its first failing points or None,
+    recounted on arrays of the points with the order mask."""
+    pts = space.sampler(n, seed)
+    xs = np.array(pts)
+    by_width = {width: _audited_tuples(n, width, seed) for width in (1, 2, 3)}
+    got = {}
+    for name, fails in _AXIOM_FAILS.items():
+        idx = by_width[fails.__code__.co_argcount - 2]
+        bad = fails(space.distance, mask, *xs[idx])
+        r = int(bad.argmax())
+        got[name] = (idx.shape[1], tuple(pts[i] for i in idx[:, r]) if bad[r] else None)
+    return got
+
 
 @pytest.mark.parametrize("n", [3, 58, 59, 500, 633, 700])
 @pytest.mark.parametrize("name", list(VECTORIZED_SPACES))
 @given(seed=st.integers(0, 2**64))
-# no shrinking: each step would audit up to 700 points in both lanes again
+# no shrinking: each step would audit and recount up to 700 points again
 @settings(max_examples=1, deadline=None, phases=(Phase.explicit, Phase.reuse, Phase.generate))
 def test_audit_lanes_give_identical_reports(name, n, seed):
-    # all triples up to 58 points, sampled triples from 59, sampled pairs from 633
+    # the callable lane against a recount of the same tuples on arrays: all
+    # triples up to 58 points, sampled triples from 59, sampled pairs from
+    # 633; each broken space fails exactly the axioms the recount finds
+    # failing, with the same first witness and check count
     space, mask = VECTORIZED_SPACES[name]
-    lanes = (audit._CallableLane, functools.partial(audit._ArrayLane, leq=mask))
-    reports = [json.dumps(audit._sampled_audit(space, n, seed, FLOAT_SLACK, lane).to_jsonable())
-               for lane in lanes]
-    assert reports[0] == reports[1]
+    report = audit._sampled_audit(space, n, seed, FLOAT_SLACK)
+    got = {a.name: (a.checks, a.counterexample and tuple(
+        a.counterexample[k] for k in "xyz" if k in a.counterexample)) for a in report.axioms}
+    assert got == _recounted_audit(space, mask, n, seed)
 
 
-def test_audit_lane_follows_the_real_line_order(monkeypatch):
-    # numpy is loaded here: a real_line space with real_line()'s own leq takes
-    # the array lane; a replaced leq or another kind, the callable lane
-    lanes = []
-    sampled_audit = audit._sampled_audit
-    monkeypatch.setattr(audit, "_sampled_audit", lambda space, samples, seed, tau, lane: (
-        lanes.append(lane) or sampled_audit(space, samples, seed, tau, lane)))
-    loose = dataclasses.replace(cf.real_line(), leq=VECTORIZED_SPACES["loose_order"][0].leq)
-    assert cf.audit_space(cf.real_line(), samples=10).passed
-    assert cf.audit_space(loose, samples=200).failed_axioms() == ["order_antisymmetric"]
-    assert cf.audit_space(dataclasses.replace(cf.real_line(), kind="custom"), samples=10).passed
-    assert lanes == [audit._ArrayLane, audit._CallableLane, audit._CallableLane]
+def _audit_path(space, samples=10, seed=0):
+    report = cf.audit_space(space, samples=samples, seed=seed)
+    assert report.passed, report.failed_axioms()
+    if report.to_jsonable().get("method") == "by_construction":
+        assert {a.checks for a in report.axioms} == {0}
+        return "by_construction"
+    assert all(a.checks for a in report.axioms)
+    return "matrix" if report.exhaustive else "callable"
 
 
-def test_audit_of_a_float_only_distance_takes_the_callable_lane(monkeypatch):
-    # numpy is loaded here; a replaced distance that takes floats only keeps
-    # the real line's order, but its audit goes through the callables and
-    # gives real_line()'s report, not a TypeError from the array lane
-    lanes = []
-    sampled_audit = audit._sampled_audit
-    monkeypatch.setattr(audit, "_sampled_audit", lambda space, samples, seed, tau, lane: (
-        lanes.append(lane) or sampled_audit(space, samples, seed, tau, lane)))
+def test_audit_lane_follows_the_real_line_order():
+    # real_line() and a copy that keeps its kind, leq, distance, sampler and
+    # float slack are audited by construction; a replaced part, or another
+    # kind, sends the space to the callable lane, and a finite space to its
+    # matrices
+    line = cf.real_line()
+    kept = [line, cf.real_line(1e300), dataclasses.replace(line, description="renamed"),
+            dataclasses.replace(line, sample_radius=1.0)]
+    assert [_audit_path(s) for s in kept] == ["by_construction"] * 4
+    replaced = [dataclasses.replace(line, leq=lambda x, y: x <= y),
+                dataclasses.replace(line, distance=lambda x, y: abs(x - y)),
+                dataclasses.replace(line, sampler=lambda count, seed: line.sampler(count, seed)),
+                dataclasses.replace(line, exact=True),
+                dataclasses.replace(line, kind="custom")]
+    assert [_audit_path(s) for s in replaced] == ["callable"] * 5
+    doc = load_doc("diamond5.json")
+    assert _audit_path(cf.finite_space(doc["elements"], doc["distance"], doc["leq"])) == "matrix"
+    loose = cf.audit_space(VECTORIZED_SPACES["loose_order"][0], samples=200)
+    assert loose.failed_axioms() == ["order_antisymmetric"]
+
+
+def test_audit_of_a_float_only_distance_takes_the_callable_lane():
+    # a replaced distance that takes floats only keeps the real line's order,
+    # but its audit goes through the callables and gives the report of a
+    # "custom" real line, whose distance is real_line()'s
     scalar = dataclasses.replace(cf.real_line(), distance=lambda x, y: math.fabs(x - y))
     assert usual_real_order(scalar)
+    custom = dataclasses.replace(cf.real_line(), kind="custom")
     for seed in (0, 42):
-        assert (json.dumps(cf.audit_space(scalar, samples=60, seed=seed).to_jsonable())
-                == json.dumps(cf.audit_space(cf.real_line(), samples=60, seed=seed).to_jsonable()))
-    assert lanes == [audit._CallableLane, audit._ArrayLane] * 2
+        report = cf.audit_space(scalar, samples=60, seed=seed).to_jsonable()
+        assert "method" not in report and report["axioms"][0]["checks"] == 60
+        assert (json.dumps(report)
+                == json.dumps(cf.audit_space(custom, samples=60, seed=seed).to_jsonable()))
+
+
+@given(radius=st.floats(min_value=0.0, max_value=sys.float_info.max / 2, exclude_min=True),
+       samples=st.integers(3, 700), seed=st.integers(0, 2**64))
+@settings(max_examples=12, deadline=None)
+@example(radius=sys.float_info.max / 2, samples=700, seed=0)
+@example(radius=5e-324, samples=59, seed=0)
+@example(radius=1e9, samples=633, seed=1)
+def test_by_construction_report_agrees_with_the_callable_lane(radius, samples, seed):
+    # the axioms real_line() passes by construction pass when checked too,
+    # on any box whose width is finite, down to subnormal radii
+    line = cf.real_line(radius)
+    report = cf.audit_space(line, samples=samples, seed=seed)
+    assert report.to_jsonable()["method"] == "by_construction"
+    checked = cf.audit_space(dataclasses.replace(line, kind="custom"), samples=samples, seed=seed)
+    assert "method" not in checked.to_jsonable()
+    assert checked.failed_axioms() == report.failed_axioms() == []
+
+
+def test_by_construction_audit_draws_no_point():
+    # a sample size no audit could check returns at once: nothing is drawn
+    report = cf.audit_space(cf.real_line(), samples=10**12, seed=3)
+    assert report.passed and {a.checks for a in report.axioms} == {0}
+    with pytest.raises(cf.InputError):
+        cf.audit_space(cf.real_line(), samples=2)
+
+
+def test_only_by_construction_reports_name_their_method():
+    doc = load_doc("diamond5.json")
+    finite = cf.finite_space(doc["elements"], doc["distance"], doc["leq"])
+    custom = dataclasses.replace(cf.real_line(), kind="custom")
+    line = cf.audit_space(cf.real_line(), samples=10).to_jsonable()
+    assert line["method"] == "by_construction" and line["exhaustive"] is False
+    assert all(a["counterexample"] is None for a in line["axioms"])
+    for space in (finite, custom):
+        assert "method" not in cf.audit_space(space, samples=10).to_jsonable()
 
 
 def test_usual_real_order_needs_the_kind_and_the_real_line_order():
@@ -348,7 +411,9 @@ def test_usual_real_order_needs_the_kind_and_the_real_line_order():
 def test_audit_real_line_check_counts(samples, pair_checks):
     # 500 points: all 124,750 pairs; 700 points: 200,000 sampled index pairs
     # minus the 286 with i == j at seed 0. Triples are sampled at both sizes.
-    report = cf.audit_space(cf.real_line(), samples=samples, seed=0)
+    # kind "custom" keeps real_line()'s callables but takes the callable lane.
+    line = dataclasses.replace(cf.real_line(), kind="custom")
+    report = cf.audit_space(line, samples=samples, seed=0)
     assert {a.name: a.checks for a in report.axioms} == {
         "metric_identity": samples,
         "order_reflexive": samples,
