@@ -400,12 +400,15 @@ def _finite_band(tables, eps, delta, symmetric):
                                   lambda c, s: map(bound.__le__, c), eps, delta)
 
 
-def _band_checks(op, lane, bands, samples, seed, base, symmetric, first_only=False):
+def _band_checks(op, lane, bands, samples, seed, base, symmetric, first_only=False,
+                 smallest=False):
     """Banded checks of the bands (eps, delta, e_idx, probe): per band
     (in-band hits, witness or None, draws). On the kernel lane each phase is
     one batched sweep over the bands still without a witness; the other lanes
     check band after band. With first_only the list ends at the first band
-    with a witness, and later bands are checked no further."""
+    with a witness, and later bands are checked no further. smallest passes
+    the delta curve's block rule to kernels._band_sweeps; the other lanes
+    keep the first violation."""
     if lane != "kernel":
         tables = _FiniteTables(op) if lane == "finite" else None
         results = []
@@ -430,7 +433,7 @@ def _band_checks(op, lane, bands, samples, seed, base, symmetric, first_only=Fal
             break
         sweeps = kernels._band_sweeps(
             op, [floats[i] + (_tag(base, bands[i][2], mode, bands[i][3]),) for i in live],
-            seed, count, mode, symmetric)
+            seed, count, mode, symmetric, smallest)
         for i, (found, hits, x, y, u, v, half, lhs) in zip(live, sweeps):
             r = results[i]
             r[0] += hits
@@ -555,12 +558,17 @@ def estimate_delta_curve(op: CoupledOperator, eps_grid, samples: int = 2000, see
     with arbitrarily thin bands). Otherwise each round checks [eps, eps + delta)
     with a fresh sample stream, from delta = the cap, and shrinks delta to its
     witness's half-sum less eps; the first round without a witness ends the
-    search. The eps values advance in lockstep, the probes first, then one
-    round at a time for every eps still searching, so on the kernel lane each
-    phase of a round is one batched sweep; each band's stream depends only on
-    its eps index and round, so the entries do not depend on the grid's other
-    values. Sampling can miss violations just above the true value, so the
-    estimate is upper-biased; finite spaces apply the rule exhaustively.
+    search. A round's witness is the violation of smallest half-sum in the
+    first block of draws that holds one, the earliest on ties: on the kernel
+    lane a block is kernels.CHUNK // 4 draws of a phase, on the generic lane,
+    which evaluates one quadruple at a time, a single draw, so its witness is
+    the first violation. The eps values advance in lockstep, the probes
+    first, then one round at a time for every eps still searching, so on the
+    kernel lane each phase of a round is one batched sweep; each band's
+    stream depends only on its eps index and round, and its blocks on that
+    stream alone, so the entries do not depend on the grid's other values.
+    Sampling can miss violations just above the true value, so the estimate
+    is upper-biased; finite spaces apply the rule exhaustively.
     """
     grid = _validate_eps_grid(eps_grid)
     if samples < 1:
@@ -573,7 +581,8 @@ def estimate_delta_curve(op: CoupledOperator, eps_grid, samples: int = 2000, see
     def witnesses(deltas, probe):
         # per eps index i of deltas, the witness or None in [eps, eps + deltas[i])
         bands = [(grid[i], d, i, probe) for i, d in deltas.items()]
-        results = _band_checks(op, lane, bands, samples, seed, _BASE_CURVE, True)
+        results = _band_checks(op, lane, bands, samples, seed, _BASE_CURVE, True,
+                               smallest=True)
         return {i: w for i, (_, w, _) in zip(deltas, results)}
 
     thin = witnesses({i: eps * 1e-9 for i, eps in enumerate(grid)}, 0)

@@ -3,7 +3,11 @@ on the real line (sampling box: the space's sample_radius), and the real
 line's array twin of the sampled mixed-monotone check.
 
 Every sweep draws comparable quadruples (x >= u, y <= v) from a splitmix64
-stream and stops at the first violation. The stream is counter based: draw j
+stream and stops at the first violation, except the delta curve's band
+search: it draws in fixed blocks of CHUNK // 4 draws, stops at the first
+block that holds a violation and reports the one of smallest half-sum in
+that block (the earliest draw on ties), with the block's in-band draws
+counted as hits. The stream is counter based: draw j
 (from 0) of the (seed, tag) stream is mix64(s0 + (j + 1) * GOLDEN) with
 s0 = stream_seed(seed, tag), so a sweep builds a chunk of quadruples as numpy
 arrays and runs the condition's test from its definition in ``operators``
@@ -13,7 +17,8 @@ rows are the rows of one array per pass, and a row drops out at its first
 violation. banach_sweep and strict_sweep are one-row calls with the box
 draw; the band search runs one row per band (_band_sweeps), so the banded
 checks and the delta curve make one batched sweep per phase over their eps
-grid.
+grid. A block's size does not depend on how many rows share the call, so a
+band's curve result is the one it gets alone.
 
 On F(x, y) = (a*x - b*y)/c the results are bit-identical to the scalar
 reference in tests/kernel_oracle.py, the tests' oracle: the same stream, the
@@ -72,7 +77,7 @@ def _uniforms(s0, i0, m, width):
     return (z >> np.uint64(11)).astype(np.float64) * _INV_2_53
 
 
-def _sweeps(op, cond, rows, seed, n, width, draw):
+def _sweeps(op, cond, rows, seed, n, width, draw, block=0):
     """The first violation of cond on each row (tag, p) of rows, in n draws
     of the row's (seed, tag) stream: per row, in the order of rows,
     (1, quadruples counted up to and including the violation, its x, y, u, v
@@ -86,9 +91,21 @@ def _sweeps(op, cond, rows, seed, n, width, draw):
     space.distance take elementwise as they would a single stream. A row's
     draws depend only on (seed, tag), so its result depends neither on the
     other rows nor on where the passes split its stream.
+
+    With a block size, a pass evaluates the next block draws of every live
+    row instead, whatever B is, and a row leaves at the first block that
+    holds a violation, with the violation of smallest first measured value in
+    that block (the earliest draw on ties); its count then runs to the end of
+    that block. The rows' results depend on the fixed block boundaries only,
+    so again not on the other rows: at most CHUNK // block rows share a pass,
+    which keeps a pass within CHUNK draws.
     """
     import numpy as np
 
+    group = max(1, CHUNK // block) if block else len(rows)
+    if len(rows) > group:
+        return [res for g in range(0, len(rows), group)
+                for res in _sweeps(op, cond, rows[g:g + group], seed, n, width, draw, block)]
     states = np.array([[stream_seed(seed, tag)] for tag, _ in rows], dtype=np.uint64)
     params = np.array([p for _, p in rows], dtype=np.float64)
     live = list(range(len(rows)))
@@ -97,16 +114,22 @@ def _sweeps(op, cond, rows, seed, n, width, draw):
     i0 = 0
     with np.errstate(all="ignore"):
         while live and i0 < n:
-            m = min(max(1, CHUNK // len(live)), n - i0)
+            m = min(block or max(1, CHUNK // len(live)), n - i0)
             p = tuple(params.T[:, :, None])
             x, y, u, v = draw(_uniforms(states, i0, m, width), p)
             i0 += m
             counted, first, second, holds = _measure(op, cond, p, x, y, u, v)
             bad = counted & ~holds
             found = bad.any(axis=1).tolist()
+            if block:  # the smallest violating first value, the earliest on ties
+                picks = np.where(bad, first, np.inf).argmin(axis=1).tolist()
+            else:
+                picks = bad.argmax(axis=1).tolist()
             for k, b in enumerate(live):
-                i = int(bad[k].argmax()) if found[k] else m - 1
-                counts[b] += i + 1 if counted is True else int(np.count_nonzero(counted[k, :i + 1]))
+                i = picks[k]
+                end = m - 1 if block or not found[k] else i
+                counts[b] += (end + 1 if counted is True
+                              else int(np.count_nonzero(counted[k, :end + 1])))
                 if found[k]:
                     results[b] = (1, counts[b]) + tuple(float(arr[k, i]) for arr in
                                                         (x, y, u, v, first, second))
@@ -140,10 +163,14 @@ def banach_sweep(op, k, seed, tag, n):
     return _box_sweep(op, "banach_k", (k,), seed, tag, n)
 
 
-def _band_sweeps(op, bands, seed, n, mode, symmetric):
+def _band_sweeps(op, bands, seed, n, mode, symmetric, smallest=False):
     """Meir-Keeler band search on each band (eps, delta, tag) of bands, with
     the same n, mode and symmetric: quadruples with half-sum in
     [eps, eps + delta), one row per band of one _sweeps call.
+
+    A band stops at its first violation, or with smallest (the delta curve's
+    rule) at the smallest half-sum of the first violating block of
+    CHUNK // 4 draws (_sweeps).
 
     mode 0 draws a random split of the half-sum across the two coordinates,
     mode 1 pins x == u (all mass on the second coordinate), mode 2 pins y == v.
@@ -174,7 +201,8 @@ def _band_sweeps(op, bands, seed, n, mode, symmetric):
         return x, v - dy, x - dx, v
 
     rows = [(tag, cond.bind(space, eps, delta)) for eps, delta, tag in bands]
-    return _sweeps(op, cond, rows, seed, n, 4 if mode == 0 else 3, draw)
+    return _sweeps(op, cond, rows, seed, n, 4 if mode == 0 else 3, draw,
+                   CHUNK // 4 if smallest else 0)
 
 
 def strict_sweep(op, seed, tag, n):

@@ -7,7 +7,9 @@ at a time, the plainest statement of the stream the kernels vectorize. Any
 semantic change to a sweep must be made here too.
 
 All sweeps draw comparable quadruples (x >= u, y <= v) and stop at the first
-violation. Floats only; exact (rational) spaces are handled elsewhere.
+violation, except band_sweep_smallest, the delta curve's band search, which
+stops at the first block of draws that holds one. Floats only; exact
+(rational) spaces are handled elsewhere.
 """
 
 _MASK64 = (1 << 64) - 1
@@ -77,8 +79,9 @@ def banach_sweep(a, b, c, k, n, seed, tag, scale, slack):
     return (0, n, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
 
 
-def band_sweep(a, b, c, eps, delta, n, seed, tag, scale, mode, symmetric, slack):
-    """Meir-Keeler band search: quadruples with half-sum in [eps, eps + delta).
+def _band_draws(a, b, c, eps, delta, n, seed, tag, scale, mode, symmetric, slack):
+    """The n draws of the Meir-Keeler band search: quadruples with half-sum
+    in [eps, eps + delta).
 
     mode 0 draws a random split of the half-sum across the two coordinates,
     mode 1 pins x == u (all mass on the second coordinate), mode 2 pins y == v.
@@ -90,10 +93,10 @@ def band_sweep(a, b, c, eps, delta, n, seed, tag, scale, mode, symmetric, slack)
     image distance, or the averaged pair of image distances when symmetric)
     reaches eps + slack * max(1, eps).
 
-    Returns (found, hits, x, y, u, v, half, lhs).
+    Yields, per draw, None for a draw outside the band, else
+    (x, y, u, v, half, lhs, violates).
     """
     state = stream_seed(seed, tag)
-    hits = 0
     hi = eps + delta
     m = eps if eps > 1.0 else 1.0
     thresh = eps + slack * m
@@ -120,8 +123,8 @@ def band_sweep(a, b, c, eps, delta, n, seed, tag, scale, mode, symmetric, slack)
         dyv = abs(y - v)
         half = _half(dxu + dyv)
         if not (half >= eps and half < hi):
+            yield None
             continue
-        hits += 1
         fxy = (a * x - b * y) / c
         fuv = (a * u - b * v) / c
         lhs = abs(fxy - fuv)
@@ -129,8 +132,42 @@ def band_sweep(a, b, c, eps, delta, n, seed, tag, scale, mode, symmetric, slack)
             fyx = (a * y - b * x) / c
             fvu = (a * v - b * u) / c
             lhs = _half(lhs + abs(fyx - fvu))
-        if lhs >= thresh:
-            return (1, hits, x, y, u, v, half, lhs)
+        yield x, y, u, v, half, lhs, lhs >= thresh
+
+
+def band_sweep(a, b, c, eps, delta, n, seed, tag, scale, mode, symmetric, slack):
+    """The band search of _band_draws to its first violation.
+
+    Returns (found, hits, x, y, u, v, half, lhs).
+    """
+    hits = 0
+    for draw in _band_draws(a, b, c, eps, delta, n, seed, tag, scale, mode, symmetric, slack):
+        if draw is None:
+            continue
+        hits += 1
+        if draw[-1]:
+            return (1, hits) + draw[:-1]
+    return (0, hits, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+
+
+def band_sweep_smallest(a, b, c, eps, delta, n, seed, tag, scale, mode, symmetric, slack, block):
+    """The band search of _band_draws in blocks of block draws, the delta
+    curve's rule: the violation with the smallest half-sum in the first block
+    that holds one (the earliest draw on ties), with the in-band draws up to
+    the end of that block.
+
+    Returns (found, hits, x, y, u, v, half, lhs).
+    """
+    hits = 0
+    best = None
+    draws = _band_draws(a, b, c, eps, delta, n, seed, tag, scale, mode, symmetric, slack)
+    for j, draw in enumerate(draws, 1):
+        if draw is not None:
+            hits += 1
+            if draw[-1] and (best is None or draw[4] < best[4]):
+                best = draw[:-1]
+        if best is not None and (j % block == 0 or j == n):
+            return (1, hits) + best
     return (0, hits, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
 
 

@@ -720,10 +720,11 @@ def counted_sweeps(monkeypatch):
 
 def test_delta_curve_rounds_run_in_lockstep(samet, monkeypatch):
     # the CLI's curve of samet_example: grid 0.1/1/10, 2000 samples, seed 0.
-    # 35 batched sweeps, where one band_sweep per eps and phase made 63
+    # 17 batched sweeps, where shrinking each band to its first violation made
+    # 35, and one band_sweep per eps and phase 63
     batches = counted_sweeps(monkeypatch)
     cf.estimate_delta_curve(samet.operator, [0.1, 1.0, 10.0], samples=2000, seed=0)
-    assert len(batches) <= 35
+    assert len(batches) <= 17
     assert batches[0] == 3  # the probes of the three eps share their first sweep
 
 

@@ -130,6 +130,11 @@ def _run(name, a, b, c, *, n, seed, tag, scale=10.0, k=None, eps=None, delta=Non
     if name == "band_sweep":
         return (pure.band_sweep(a, b, c, eps, delta, n, seed, tag, scale, mode, symmetric, SLACK),
                 kernels._band_sweeps(op, [(eps, delta, tag)], seed, n, mode, symmetric)[0])
+    if name == "band_sweep_smallest":
+        return (pure.band_sweep_smallest(a, b, c, eps, delta, n, seed, tag, scale, mode,
+                                         symmetric, SLACK, kernels.CHUNK // 4),
+                kernels._band_sweeps(op, [(eps, delta, tag)], seed, n, mode, symmetric,
+                                     smallest=True)[0])
     assert name == "strict_sweep"
     return (pure.strict_sweep(a, b, c, n, seed, tag, scale, SLACK),
             kernels.strict_sweep(op, seed, tag, n))
@@ -264,27 +269,75 @@ band = st.one_of(st.just(FAR_BAND), st.tuples(st.floats(min_value=1e-6, max_valu
 
 @given(a=coeff, b=coeff, c=st.floats(min_value=0.1, max_value=5.0),
        bands=st.lists(st.tuples(band, st.integers(min_value=0, max_value=3)),
-                      min_size=1, max_size=4),
+                      min_size=1, max_size=6),
        n=st.integers(min_value=0, max_value=200), seed=seeds,
-       mode=st.sampled_from([0, 1, 2]), symmetric=st.sampled_from([0, 1]))
+       mode=st.sampled_from([0, 1, 2]), symmetric=st.sampled_from([0, 1]),
+       smallest=st.booleans())
 @example(a=1.0, b=3.0, c=5.0, bands=[((1.0, 0.125), 5), (FAR_BAND, 5), ((0.1, 0.05), 5)],
-         n=130, seed=-7, mode=0, symmetric=1)  # one tag thrice, a band without hits
+         n=130, seed=-7, mode=0, symmetric=1, smallest=False)  # one tag thrice, a band without hits
 @example(a=0.0, b=1.0, c=1.95, bands=[((1.0, 1e-6), 21), ((10.0, 1.0), 22), ((1.0, 1e-6), 21)],
-         n=200, seed=11, mode=0, symmetric=0)  # a repeated band violates late
+         n=200, seed=11, mode=0, symmetric=0, smallest=False)  # a repeated band violates late
+@example(a=0.0, b=1.0, c=1.95, bands=[((1.0, 1e-6), 21), ((10.0, 1.0), 22), ((1.0, 1e-6), 21),
+                                      (FAR_BAND, 3), ((1.0, 1e-6), 21), ((0.1, 0.05), 0)],
+         n=200, seed=11, mode=0, symmetric=0, smallest=True)  # two block passes of 4 and 2 rows
 @settings(max_examples=150, deadline=None)
-def test_batched_band_sweeps_match_single_sweeps(a, b, c, bands, n, seed, mode, symmetric):
+def test_batched_band_sweeps_match_single_sweeps(a, b, c, bands, n, seed, mode, symmetric,
+                                                 smallest):
     # a small chunk splits each band's stream across passes, at a per-band
-    # width that changes as bands find their violation and drop out
+    # width that changes as bands find their violation and drop out, or with
+    # smallest in blocks of CHUNK // 4 draws, at most four rows to a pass: a
+    # band's entry does not depend on the other bands of its call
     op = _linear_op(a, b, c)
     bands = [(eps, delta, tag) for (eps, delta), tag in bands]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(kernels, "CHUNK", 64)
-        batched = kernels._band_sweeps(op, bands, seed, n, mode, symmetric)
-        single = [kernels._band_sweeps(op, [(eps, delta, tag)], seed, n, mode, symmetric)[0]
-                  for eps, delta, tag in bands]
+        batched = kernels._band_sweeps(op, bands, seed, n, mode, symmetric, smallest)
+        single = [kernels._band_sweeps(op, [(eps, delta, tag)], seed, n, mode, symmetric,
+                                       smallest)[0] for eps, delta, tag in bands]
     assert batched == single
-    assert single == [pure.band_sweep(a, b, c, eps, delta, n, seed, tag, 10.0, mode, symmetric,
-                                      SLACK) for eps, delta, tag in bands]
+    if smallest:
+        expected = [pure.band_sweep_smallest(a, b, c, eps, delta, n, seed, tag, 10.0, mode,
+                                             symmetric, SLACK, 16) for eps, delta, tag in bands]
+    else:
+        expected = [pure.band_sweep(a, b, c, eps, delta, n, seed, tag, 10.0, mode, symmetric,
+                                    SLACK) for eps, delta, tag in bands]
+    assert single == expected
+
+
+@given(a=coeff, b=coeff, c=st.floats(min_value=0.1, max_value=5.0),
+       eps=st.floats(min_value=1e-6, max_value=100.0),
+       delta=st.floats(min_value=1e-9, max_value=100.0),
+       n=st.integers(min_value=0, max_value=3 * 2048 + 1), seed=seeds,
+       tag=st.integers(min_value=0, max_value=2 ** 64 - 1),
+       mode=st.sampled_from([0, 1, 2]), symmetric=st.sampled_from([0, 1]))
+@example(a=0.0, b=1.0, c=1.999, eps=1.0, delta=1e-6, n=2 * 2048 + 1, seed=34, tag=22, mode=0,
+         symmetric=0)  # the first violating block is the second, and its first is not its least
+@example(a=1.0, b=3.0, c=5.0, eps=1.0, delta=10.0, n=5000, seed=0, tag=5, mode=0,
+         symmetric=1)  # a violation in the first block, among many
+@settings(max_examples=40, deadline=None)
+def test_smallest_band_sweep_matches_oracle(a, b, c, eps, delta, n, seed, tag, mode, symmetric):
+    # the delta curve's band search at the real block size, CHUNK // 4 draws
+    assert kernels.CHUNK // 4 == 2048
+    got_p, got_n = _run("band_sweep_smallest", a, b, c, eps=eps, delta=delta, n=n, seed=seed,
+                        tag=tag, mode=mode, symmetric=symmetric)
+    assert got_n == got_p
+
+
+def test_smallest_band_sweep_ties_go_to_the_earliest_draw():
+    # the band [1, 1 + 2**-52) of linear(0,1,1) with x == u holds only the
+    # half-sum 1.0, and every in-band draw violates (its conclusion is 2 half-
+    # sums): the first block's violations tie, and its first one is reported,
+    # with the block's in-band draws as hits
+    a, b, c, eps, delta, n, seed, tag = 0.0, 1.0, 1.0, 1.0, 2.0 ** -52, 300, 3, 9
+    draws = list(pure._band_draws(a, b, c, eps, delta, 16, seed, tag, 10.0, 1, 0, SLACK))
+    hits = [d for d in draws if d is not None]
+    assert len(hits) >= 2 and all(d[4] == 1.0 and d[-1] for d in hits)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernels, "CHUNK", 64)
+        got_p, got_n = _run("band_sweep_smallest", a, b, c, eps=eps, delta=delta, n=n,
+                            seed=seed, tag=tag, mode=1)
+    first = pure.band_sweep(a, b, c, eps, delta, n, seed, tag, 10.0, 1, 0, SLACK)
+    assert got_n == got_p == (1, len(hits)) + first[2:]
 
 
 def test_batched_band_sweeps_keep_a_hitless_band():
@@ -343,14 +396,20 @@ def test_reports_identical_across_backends(name, monkeypatch):
         a, b, c, k, n, seed, tag, scale, SLACK))
     monkeypatch.setattr(kernels, "strict_sweep", lambda op, seed, tag, n: pure.strict_sweep(
         a, b, c, n, seed, tag, scale, SLACK))
-    # the checks and the curve sweep their bands through the batched entry
+    # the checks and the curve sweep their bands through the batched entry,
+    # the curve's probes and rounds with its smallest-in-block rule
     batches = []
 
-    def band_sweeps(op, bands, seed, n, mode, sym):
-        batches.append(len(bands))
+    def band_sweeps(op, bands, seed, n, mode, sym, smallest=False):
+        batches.append((len(bands), smallest))
+        if smallest:
+            return [pure.band_sweep_smallest(a, b, c, eps, delta, n, seed, tag, scale, mode, sym,
+                                             SLACK, kernels.CHUNK // 4)
+                    for eps, delta, tag in bands]
         return [pure.band_sweep(a, b, c, eps, delta, n, seed, tag, scale, mode, sym, SLACK)
                 for eps, delta, tag in bands]
 
     monkeypatch.setattr(kernels, "_band_sweeps", band_sweeps)
     assert _report_blob(problem) == blob_numpy
-    assert max(batches) == 2  # the banded checks' grid of two eps
+    assert max(batches) == (2, False)  # the banded checks' grid of two eps
+    assert (1, True) in batches  # the curve's probe and rounds
