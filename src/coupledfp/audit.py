@@ -3,20 +3,20 @@
 A finite space is checked exhaustively on its integer matrices (the matrix
 lane). real_line() itself passes every axiom by construction (see
 spaces.audit_space), and its report says so without a check. Any other space
-is checked on sampled points by one driver, _sampled_witnesses, which fixes
-what is checked: every point, then all index pairs and triples up to their
-caps and, past a cap, tuples drawn from a seeded index stream; the number of
-tuples checked; and the first failure of each axiom. The callable lane
-evaluates its blocks of tuples through the space's scalar distance and leq.
-The report types live here; spaces re-exports AuditReport.
+gets the sampled audit: every point, then all index pairs and triples up to
+their caps and, past a cap, tuples drawn from a seeded index stream, each
+checked through the space's distance and leq until every axiom of its width
+has failed; the report counts every tuple and names the first failure of
+each axiom. The report types live here; spaces re-exports AuditReport.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from collections import deque
 from dataclasses import dataclass, field
-from itertools import combinations, compress, islice
+from itertools import chain, combinations, compress, islice, product
 from operator import gt, ne, sub
 from typing import Optional
 
@@ -59,8 +59,8 @@ class AuditReport:
         return out
 
 
-# rows per block: a few lists of this length, so that the audit needs far
-# less memory than a sweep (kernels.CHUNK draws)
+# rows per block of drawn tuples: a few lists of this length, so that the audit
+# needs far less memory than a sweep (kernels.CHUNK draws)
 AUDIT_BLOCK = 2048
 
 
@@ -73,20 +73,6 @@ def _randrange_stream(rng, n):
         r = getrandbits(k)
         if r < n:
             yield r
-
-
-def _joined(groups, width):
-    """Consecutive groups of columns joined into blocks of AUDIT_BLOCK rows
-    or more: a block ends with the group that fills it."""
-    cols = [[] for _ in range(width)]
-    for group in groups:
-        for col, part in zip(cols, group):
-            col += part
-        if len(cols[0]) >= AUDIT_BLOCK:
-            yield cols
-            cols = [[] for _ in range(width)]
-    if cols[0]:
-        yield cols
 
 
 MAX_AUDIT_PAIRS = 200_000
@@ -120,108 +106,78 @@ def _tuple_count(n, width):
     return math.comb(n, 2) if width == 2 else n ** width
 
 
-def _sampled_witnesses(lane, n, seed):
-    """The first failing point, pair and triple per axiom on n sampled points
-    and the number of points, pairs and triples checked.
+def _audit_tuples(pts, width, cap, seed, salt, sizes):
+    """The tuples of points one phase of the sampled audit checks, as one
+    iterator: all points, index pairs i < j or index triples, in
+    lexicographic order, up to the cap; past it, cap tuples of width
+    consecutive values of _randrange_stream(Random(seed ^ salt)), sliced
+    from lists of AUDIT_BLOCK rows, with each pair i == j dropped. sizes
+    receives the number of tuples of each block as it is handed out."""
+    total = _tuple_count(len(pts), width)
+    if cap is None or total <= cap:
+        sizes.append(total)
+        return combinations(pts, width) if width < 3 else product(pts, repeat=3)
+    return chain.from_iterable(_drawn_blocks(pts, width, cap, random.Random(seed ^ salt), sizes))
 
-    Points are all checked. Pairs run over all index pairs i < j and triples
-    over all index triples, in lexicographic order, up to their caps; past a
-    cap a pair (triple) is two (three) consecutive values of one seeded index
-    stream, and a drawn pair with i == j is skipped. The lane hands these
-    tuples over in blocks, each width columns of equal length, and finds a
-    block's first failure of each axiom still without a witness; the first
-    block with one holds the first failure overall. Every block is counted,
-    checked or not.
-    """
-    found = {}
-    counts = []
-    for width, cap, salt, axioms in _AUDIT_PHASES:
-        if cap is None or _tuple_count(n, width) <= cap:
-            blocks = lane.all_rows(width)
+
+def _drawn_blocks(pts, width, rows, rng, sizes):
+    get, s = pts.__getitem__, _randrange_stream(rng, len(pts))
+    for start in range(0, rows, AUDIT_BLOCK):
+        m = min(AUDIT_BLOCK, rows - start)
+        if width == 3:
+            flat = list(islice(map(get, s), 3 * m))
+            sizes.append(m)
+            yield zip(flat[0::3], flat[1::3], flat[2::3])
         else:
-            blocks = lane.drawn_rows(random.Random(seed ^ salt), width, cap)
-        rows = 0
-        for block in blocks:
-            rows += len(block[0])
-            missing = [a for a in axioms if a not in found]
-            if missing:
-                found.update(lane.first_failures(width, block, missing))
-        counts.append(rows)
-    return found, counts
+            flat = list(islice(s, 2 * m))
+            keep = list(map(ne, flat[0::2], flat[1::2]))
+            sizes.append(sum(keep))
+            yield compress(zip(map(get, flat[0::2]), map(get, flat[1::2])), keep)
 
 
-class _CallableLane:
-    """Blocks whose columns are lists of points, checked row by row through
-    the space's scalar distance and leq; a block's loop stops once every
-    axiom asked for has failed."""
+# the sampled audit's scans, one per tuple width: the first failing tuple of
+# each axiom of that width, in _AUDIT_PHASES order, or None; a scan stops once
+# every axiom has failed
+def _points(d, leq, tau, tuples):
+    ident = refl = None
+    for (x,) in tuples:
+        if ident is None and abs(d(x, x)) > tau:
+            ident = (x,)
+        if refl is None and leq(x, x) is not True:
+            refl = (x,)
+        if ident is not None and refl is not None:
+            break
+    return ident, refl
 
-    def __init__(self, space, pts, tau):
-        self.pts, self.d, self.leq, self.tau = pts, space.distance, space.leq, tau
 
-    def all_rows(self, width):
-        pts, n = self.pts, len(self.pts)
-        if width == 1:
-            return ([pts[s:s + AUDIT_BLOCK]] for s in range(0, n, AUDIT_BLOCK))
-        if width == 2:
-            groups = (([x] * (n - 1 - i), pts[i + 1:]) for i, x in enumerate(pts))
-        else:
-            groups = (([x] * n, [y] * n, pts) for x in pts for y in pts)
-        return _joined(groups, width)
+def _pairs(d, leq, tau, tuples):
+    nonneg = sym = antisym = None
+    for x, y in tuples:
+        dxy = d(x, y)
+        if nonneg is None and dxy < -tau:
+            nonneg = (x, y)
+        if sym is None and abs(dxy - d(y, x)) > tau:
+            sym = (x, y)
+        if antisym is None and leq(x, y) is True and leq(y, x) is True and x != y:
+            antisym = (x, y)
+        if nonneg is not None and sym is not None and antisym is not None:
+            break
+    return nonneg, sym, antisym
 
-    def drawn_rows(self, rng, width, rows):
-        pts, s = self.pts, _randrange_stream(rng, len(self.pts))
-        for start in range(0, rows, AUDIT_BLOCK):
-            m = min(AUDIT_BLOCK, rows - start)
-            if width == 2:
-                flat = list(islice(s, 2 * m))
-                keep = list(map(ne, flat[0::2], flat[1::2]))
-                yield [list(map(pts.__getitem__, compress(flat[c::2], keep))) for c in (0, 1)]
-            else:
-                flat = list(islice(map(pts.__getitem__, s), 3 * m))
-                yield [flat[0::3], flat[1::3], flat[2::3]]
 
-    def first_failures(self, width, block, missing):
-        # an axiom outside missing starts out False, so its test is skipped
-        axioms = _AUDIT_PHASES[width - 1][3]
-        start = [None if a in missing else False for a in axioms]
-        first = (self._points, self._pairs, self._triples)[width - 1](*block, *start)
-        return {a: w for a, w in zip(axioms, first) if w}
-
-    def _points(self, xs, ident, refl):
-        d, leq, tau = self.d, self.leq, self.tau
-        if ident is None:
-            ident = next(((x,) for x in xs if abs(d(x, x)) > tau), None)
-        if refl is None:
-            refl = next(((x,) for x in xs if leq(x, x) is not True), None)
-        return ident, refl
-
-    def _pairs(self, xs, ys, nonneg, sym, antisym):
-        d, leq, tau = self.d, self.leq, self.tau
-        for x, y in zip(xs, ys):
-            dxy = d(x, y)
-            if nonneg is None and dxy < -tau:
-                nonneg = (x, y)
-            if sym is None and abs(dxy - d(y, x)) > tau:
-                sym = (x, y)
-            if antisym is None and leq(x, y) is True and leq(y, x) is True and x != y:
-                antisym = (x, y)
-            if nonneg is not None and sym is not None and antisym is not None:
-                break
-        return nonneg, sym, antisym
-
-    def _triples(self, xs, ys, zs, tri, trans):
-        d, leq, tau = self.d, self.leq, self.tau
-        for x, y, z in zip(xs, ys, zs):
-            if tri is None:
-                d_xz, via_y = d(x, z), d(x, y) + d(y, z)
-                # the relative slack only matters once the plain comparison fails
-                if d_xz > via_y and d_xz > via_y + tau * max(1, via_y):
-                    tri = (x, y, z)
-            if trans is None and leq(x, y) is True and leq(y, z) is True and leq(x, z) is not True:
-                trans = (x, y, z)
-            if tri is not None and trans is not None:
-                break
-        return tri, trans
+def _triples(d, leq, tau, tuples):
+    tri = trans = None
+    for x, y, z in tuples:
+        if tri is None:
+            d_xz, via_y = d(x, z), d(x, y) + d(y, z)
+            # the relative slack only matters once the plain comparison fails
+            if d_xz > via_y and d_xz > via_y + tau * max(1, via_y):
+                tri = (x, y, z)
+        if trans is None and leq(x, y) is True and leq(y, z) is True and leq(x, z) is not True:
+            trans = (x, y, z)
+        if tri is not None and trans is not None:
+            break
+    return tri, trans
 
 
 def _finite_witnesses(fd):
@@ -290,11 +246,20 @@ def audit_by_construction(space):
 
 
 def _sampled_audit(space, samples, seed, tau):
-    """audit of a space without matrices, in the callable lane."""
+    """audit of a space without matrices: per tuple width, its scan over the
+    tuples of _audit_tuples through the space's distance and leq, and the
+    number of those tuples, checked or not."""
     pts = list(space.sampler(samples, seed))
     if not pts:
         raise InputError("sampler returned no points to audit")
-    found, counts = _sampled_witnesses(_CallableLane(space, pts, tau), len(pts), seed)
+    found, counts = {}, []
+    for (width, cap, salt, axioms), scan in zip(_AUDIT_PHASES, (_points, _pairs, _triples)):
+        sizes = []
+        tuples = _audit_tuples(pts, width, cap, seed, salt, sizes)
+        witnesses = scan(space.distance, space.leq, tau, tuples)
+        found.update((a, w) for a, w in zip(axioms, witnesses) if w is not None)
+        deque(tuples, 0)  # draw what a scan that stopped early left, to count it
+        counts.append(sum(sizes))
     return _audit_report(space, found, counts, exhaustive=False)
 
 

@@ -626,6 +626,9 @@ def reverify_witness(op: CoupledOperator, report: ConditionReport) -> dict:
     cond = _CONDITIONS.get(cid)
     if cond is None:
         raise InputError(f"unknown condition id {cid!r}")
+    missing = [key for key in cond.params if key not in w.measured]
+    if missing:
+        raise InputError(f"{cid} witness lacks the measured {missing[0]!r}")
     p = cond.bind(space, *(w.measured[key] for key in cond.params))
     counted, first, second, holds = _measure(op, cond, p, w.x, w.y, w.u, w.v)
     result = {cond.fields[0]: first}

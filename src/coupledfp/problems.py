@@ -33,8 +33,8 @@ from typing import Callable, Optional
 from .errors import InputError, SchemaError
 from .operators import CoupledOperator
 from .solver import check_start
-from .spaces import (PairPoint, SpaceModel, _real_lattice_bound, finite_space, real_line,
-                     square_matrix)
+from .spaces import (PairPoint, SpaceModel, _real_lattice_bound, _require_members, finite_space,
+                     real_line, square_matrix)
 
 DEFAULT_RADIUS = 10.0
 
@@ -54,7 +54,7 @@ class ProblemInstance:
 def make_linear(a: float, b: float, c: float, radius: float = DEFAULT_RADIUS,
                 name: Optional[str] = None) -> ProblemInstance:
     """The linear family F(x, y) = (a*x - b*y)/c on the real line."""
-    if a < 0 or b < 0:
+    if not (a >= 0 and b >= 0):  # NaN fails both tests
         raise InputError("linear(a,b,c) requires a >= 0 and b >= 0")
     if not c > 0:
         raise InputError("linear(a,b,c) requires c > 0")
@@ -182,7 +182,11 @@ def load_finite(path: str) -> ProblemInstance:
     index = space.finite.index
 
     def apply(x, y):
-        return elements[ftab[index[x]][index[y]]]
+        try:
+            return elements[ftab[index[x]][index[y]]]
+        except (KeyError, TypeError):  # not an element, or not even hashable
+            _require_members(space, x, y)
+            raise
 
     apply.table = ftab  # read by the finite checks instead of tabulating apply again
     op = CoupledOperator(apply=apply, space=space,

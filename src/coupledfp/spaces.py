@@ -225,7 +225,7 @@ def audit_space(space: SpaceModel, samples: int = 100, seed: int = 0) -> AuditRe
     Any other space without matrices, one made from real_line() with a
     replaced distance, leq or sampler or with kind "custom" among them, is
     checked on `samples` sampled points through its distance and leq (the
-    callable lane), where pairs and triples past their caps are drawn from a
+    sampled audit), where pairs and triples past their caps are drawn from a
     seeded index stream (see coupledfp.audit); its metric checks allow the
     slack FLOAT_SLACK (relative, on the triangle) unless the space is exact.
     The counterexample is read back through the space's distance and leq.

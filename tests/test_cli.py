@@ -131,6 +131,12 @@ def test_unknown_problem_exits_two(capsys):
     assert "samet_example" in err and "linear(a,b,c)" in err
 
 
+def test_nan_linear_coefficient_exits_two(capsys):
+    code, out, err = run_cli(capsys, "verify", "--problem", "linear(nan,1,4)")
+    assert code == 2
+    assert out == "" and "a >= 0 and b >= 0" in err
+
+
 def test_bad_tol_exits_two(capsys):
     code, out, err = run_cli(capsys, "solve", "--problem", "samet_example",
                              "--tol", "0")

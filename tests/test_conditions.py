@@ -599,6 +599,18 @@ def test_reverify_strict_rejects_a_quadruple_without_distance(samet):
     assert got == {"d2_before": 0.0, "d2_after": 0.0, "violated": False}
 
 
+@pytest.mark.parametrize("cid, measured, key", [
+    ("banach_k", {}, "k"), ("samet_mk", {"eps": 1.0}, "delta"),
+    ("symmetric_mk", {"delta": 0.5, "lhs": 0.1}, "eps"),
+], ids=["banach_k", "samet_mk", "symmetric_mk"])
+def test_reverify_names_a_missing_measured_param(samet, cid, measured, key):
+    # a witness rebuilt from an edited artifact may lack a param of its condition
+    rep = cf.ConditionReport(cid, "fails",
+                             witness=cf.Witness(x=1.0, y=2.0, u=0.0, v=3.0, measured=measured))
+    with pytest.raises(cf.InputError, match=f"{cid} witness lacks the measured '{key}'"):
+        cf.reverify_witness(samet.operator, rep)
+
+
 def _huge_sampler(count, seed):
     # finite points whose distances overflow to inf
     rng = random.Random(seed)

@@ -48,6 +48,12 @@ def test_linear_rejects_bad_coefficients(name):
         cf.builtin(name)
 
 
+@pytest.mark.parametrize("name", ["linear(nan,1,4)", "linear(1,nan,4)", "linear(1,1,nan)"])
+def test_linear_rejects_nan_coefficients(name):
+    with pytest.raises(cf.InputError, match="requires"):
+        cf.builtin(name)
+
+
 def test_linear_name_parsing_with_floats():
     prob = cf.builtin("linear(0.5, 1.5, 4)")
     assert prob.operator.apply(2.0, 1.0) == (0.5 * 2.0 - 1.5 * 1.0) / 4.0
@@ -256,6 +262,20 @@ def test_load_finite_bad_start_pair(tmp_path):
     with pytest.raises(cf.SchemaError) as exc:
         cf.load_finite(_write(tmp_path, doc))
     assert "start" in str(exc.value)
+
+
+@pytest.mark.parametrize("start", [PairPoint("zz", "a"), PairPoint("bot", "zz"),
+                                   PairPoint(["bot"], "bot")], ids=["first", "second", "unhashable"])
+def test_non_member_start_on_a_loaded_finite_problem(start):
+    # each entry point that applies the tabulated F to the start names the
+    # element that is not in the space
+    op = cf.load_finite(fixture_path("diamond5.json")).operator
+    calls = [lambda: cf.solve(op, start), lambda: cf.check_start(op, start),
+             lambda: cf.residual(op, start), lambda: cf.multi_start_uniqueness(op, [start]),
+             lambda: cf.check_diagonal(op, start)]
+    for call in calls:
+        with pytest.raises(cf.DomainMismatchError, match="is not in"):
+            call()
 
 
 @pytest.mark.parametrize("field, value, location", [

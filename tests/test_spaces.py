@@ -202,30 +202,28 @@ def test_randrange_stream_matches_randrange(n, seed):
 @pytest.mark.parametrize("n", [3, 5, 100, 500, 511, 512, 513, 1000])
 @pytest.mark.parametrize("seed", [0, 1, 42, 2**40 + 7])
 def test_index_blocks_match_randrange_stream(n, seed):
-    # the callable lane's drawn triples, on points that are their own
+    # the sampled audit's drawn triples, on points that are their own
     # indices: AUDIT_BLOCK + 5 rows of three consecutive stream values, in
     # two blocks
-    rows = audit.AUDIT_BLOCK + 5
-    lane = audit._CallableLane(cf.real_line(), list(range(n)), 0.0)
-    blocks = list(lane.drawn_rows(random.Random(seed), 3, rows))
-    assert [[len(c) for c in b] for b in blocks] == [[audit.AUDIT_BLOCK] * 3, [5] * 3]
-    got = [i for b in blocks for row in zip(*b) for i in row]
+    pts, rows, sizes = list(range(n)), audit.AUDIT_BLOCK + 5, []
+    blocks = [list(b) for b in audit._drawn_blocks(pts, 3, rows, random.Random(seed), sizes)]
+    assert sizes == [len(b) for b in blocks] == [audit.AUDIT_BLOCK, 5]
+    assert {len(row) for b in blocks for row in b} == {3}
+    got = [i for b in blocks for row in b for i in row]
     assert got == list(islice(_randrange_stream(random.Random(seed), n), 3 * rows))
 
 
 @pytest.mark.parametrize("n", [1, 3, 58, 632])
-@pytest.mark.parametrize("lane", [audit._CallableLane])
-def test_lanes_enumerate_all_tuples_in_order(lane, n):
+def test_audit_tuples_enumerate_in_order(n):
     # the sizes the audit enumerates: triples up to 58 points, pairs up to 632;
     # the points are their own indices
-    lane = lane(cf.real_line(), list(range(n)), 0.0)
-    expected = {1: list(product(range(n))), 2: list(combinations(range(n), 2))}
+    expected = [list(product(range(n))), list(combinations(range(n), 2))]
     if n <= 58:
-        expected[3] = list(product(range(n), repeat=3))
-    for width, rows in expected.items():
-        blocks = list(lane.all_rows(width))
-        assert all(len(b) == width for b in blocks)
-        assert [r for b in blocks for r in zip(*b)] == rows
+        expected.append(list(product(range(n), repeat=3)))
+    for (width, cap, salt, _), rows in zip(audit._AUDIT_PHASES, expected):
+        sizes = []
+        assert list(audit._audit_tuples(list(range(n)), width, cap, 0, salt, sizes)) == rows
+        assert sizes == [len(rows)]
 
 
 def _vectorized(name, **changes):
