@@ -63,12 +63,11 @@ from .operators import (
     _finite_table,
     _measure,
     _monotone_violation,
-    _oriented,
     _sampled_quadruples,
     _too_few,
 )
 from .reports import ConditionReport, Witness, _report
-from .spaces import _half_sum, _require_members
+from .spaces import INCOMPARABLE, _half_sum, _require_members
 
 _BASE_BANACH = 1
 _BASE_STRICT = 2
@@ -473,20 +472,30 @@ def _generic_band(op, eps, delta, samples, seed, base, e_idx, symmetric, probe=0
 
 def _band_quadruples(space, eps, width, count, mode, rng):
     """Comparable quadruples aimed at half-sums in [eps, eps + width) through
-    the interpolate hook: (draws, iterator shaped like _sampled_quadruples')."""
+    the interpolate hook: (draws, iterator shaped like _sampled_quadruples'),
+    each draw oriented in place as there."""
     pool = space.sampler(4 * count, rng.getrandbits(31))
     trials = len(pool) // 4
 
     def quadruples():
         distance, leq, interp, rand = space.distance, space.leq, space.interpolate, rng.random
-        for t in range(trials):
+        it = iter(pool)
+        for t, a, b, c, e in zip(range(trials), it, it, it, it):
             h = eps + rand() * width
-            px = _oriented(space, pool[4 * t], pool[4 * t + 1])
-            py = _oriented(space, pool[4 * t + 2], pool[4 * t + 3])
-            if px is None or py is None:
+            if leq(a, b) is True:
+                u0, x = a, b
+            elif leq(b, a) is True:
+                u0, x = b, a
+            else:
+                u0 = INCOMPARABLE
+            if leq(c, e) is True:
+                y0, v0 = c, e
+            elif leq(e, c) is True:
+                y0, v0 = e, c
+            else:
                 continue
-            u0, x = px
-            y0, v0 = py
+            if u0 is INCOMPARABLE:
+                continue
             if mode == 1:
                 tp, tq = 0.0, 2.0 * h
             elif mode == 2:

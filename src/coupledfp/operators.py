@@ -1,8 +1,8 @@
 """Coupled operators F: X x X -> X and the induced pair map T(x, y) = (F(x,y), F(y,x)).
 
-A coupled fixed point of F is exactly a fixed point of T, so the solver and
-the condition checkers mostly work through product_T. Operators are plain
-callables plus metadata.
+A coupled fixed point of F is exactly a fixed point of T, so the solver works
+through product_T; the condition checkers measure T's images through the
+definitions below instead. Operators are plain callables plus metadata.
 
 Each sampled contractive condition is written once, here, as a _Condition
 in _CONDITIONS: the parameters it binds, which comparable quadruples it
@@ -27,7 +27,7 @@ from typing import Any, Callable, NamedTuple, Optional
 
 from .errors import DomainMismatchError, InputError
 from .reports import ConditionReport, Witness, _report
-from .spaces import FLOAT_SLACK, PairPoint, SpaceModel, _half_sum, d2, maps_arrays, usual_real_order
+from .spaces import FLOAT_SLACK, INCOMPARABLE, PairPoint, SpaceModel, _half_sum, maps_arrays, usual_real_order
 
 MIN_COMPARABLE = 10
 DELTA_CAP_FACTOR = 10.0  # the delta curve's cap, and the drawn width of an infinite band
@@ -96,21 +96,30 @@ def _oriented(space, a, b):
 
 
 def _sampled_quadruples(space, samples, seed):
-    """Rejection draws of comparable quadruples (x >= u, y <= v).
-
-    Returns (draws, iterator): the number of draws made, and for every draw t
-    whose two point pairs are both comparable, (t, x, y, u, v, d(x,u), d(y,v)).
-    """
+    """Rejection draws of comparable quadruples (x >= u, y <= v): (draws, an
+    iterator of (t, x, y, u, v, d(x,u), d(y,v)) for every draw t whose two
+    point pairs are comparable). Draw t orients pool points 4t..4t+3 in place,
+    with _oriented's leq calls on both pairs, in its order."""
     pool = space.sampler(4 * samples, seed)
     draws = len(pool) // 4
 
     def quadruples():
-        distance = space.distance
-        for t in range(draws):
-            px = _oriented(space, pool[4 * t], pool[4 * t + 1])
-            py = _oriented(space, pool[4 * t + 2], pool[4 * t + 3])
-            if px is not None and py is not None:
-                (u, x), (y, v) = px, py
+        distance, leq = space.distance, space.leq
+        it = iter(pool)
+        for t, a, b, c, e in zip(range(draws), it, it, it, it):
+            if leq(a, b) is True:
+                u, x = a, b
+            elif leq(b, a) is True:
+                u, x = b, a
+            else:
+                u = INCOMPARABLE  # the second pair is oriented all the same
+            if leq(c, e) is True:
+                y, v = c, e
+            elif leq(e, c) is True:
+                y, v = e, c
+            else:
+                continue
+            if u is not INCOMPARABLE:
                 yield t, x, y, u, v, distance(x, u), distance(y, v)
 
     return draws, quadruples()
@@ -158,15 +167,15 @@ def _banded_conclusion(op, x, y, u, v, symmetric):
 
 
 def _strict_holds(op, p, x, y, u, v, dxu, dyv, before, lazy):
-    """strict_contraction, over the quadruples with d2 before = the
-    half-sum > 0 and finite: (distinct, before, after, holds). An infinite
-    before bounds nothing (its slackened value is NaN), so it is not counted."""
+    """strict_contraction, over the quadruples with d2 before = the half-sum
+    > 0 and finite: (distinct, before, after, holds); after is the symmetric
+    conclusion, d2 of the pair-map images without a membership test. An
+    infinite before bounds nothing (its slackened value is NaN): not counted."""
     distinct = (before > 0) & (before < math.inf)
     if lazy and not distinct:
         return distinct, before, None, True
-    space = op.space
-    after = d2(product_T(op, PairPoint(x, y)), product_T(op, PairPoint(u, v)), space)
-    return distinct, before, after, after < _with_slack(space, before, -1)
+    after = _banded_conclusion(op, x, y, u, v, True)
+    return distinct, before, after, after < _with_slack(op.space, before, -1)
 
 
 def _band_bounds(space, eps, delta):

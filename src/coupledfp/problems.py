@@ -4,7 +4,7 @@ Registry:
   samet_example        the real line with F(x, y) = (x - 3y)/5, start (-3, 3),
                        coupled fixed point (0, 0); separates the symmetric
                        banded condition from the asymmetric one
-  linear(a,b,c)        F(x, y) = (a*x - b*y)/c with a, b >= 0, c > 0; mixed
+  linear(a,b,c)        F(x, y) = (a*x - b*y)/c with finite a, b >= 0, c > 0; mixed
                        monotone by construction, contracts to (0, 0) when
                        a + b < c
   finite_poset(path)   a fully tabulated instance loaded from JSON; all
@@ -25,6 +25,7 @@ Finite-problem JSON schema (schema_version 1):
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass, replace
 from functools import partial
@@ -54,8 +55,8 @@ class ProblemInstance:
 def make_linear(a: float, b: float, c: float, radius: float = DEFAULT_RADIUS,
                 name: Optional[str] = None) -> ProblemInstance:
     """The linear family F(x, y) = (a*x - b*y)/c on the real line."""
-    if not (a >= 0 and b >= 0):  # NaN fails both tests
-        raise InputError("linear(a,b,c) requires a >= 0 and b >= 0")
+    if not (0 <= a < math.inf and 0 <= b < math.inf):  # NaN fails both tests
+        raise InputError("linear(a,b,c) requires finite a >= 0 and b >= 0")
     if not c > 0:
         raise InputError("linear(a,b,c) requires c > 0")
     a, b, c = float(a), float(b), float(c)

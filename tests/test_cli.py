@@ -137,6 +137,14 @@ def test_nan_linear_coefficient_exits_two(capsys):
     assert out == "" and "a >= 0 and b >= 0" in err
 
 
+@pytest.mark.parametrize("problem", ["linear(inf,1,4)", "linear(1,inf,4)"])
+def test_infinite_linear_coefficient_exits_two(capsys, problem):
+    # an infinite a or b made four "fails" verdicts on NaN witnesses
+    code, out, err = run_cli(capsys, "verify", "--problem", problem)
+    assert code == 2
+    assert out == "" and "finite a >= 0 and b >= 0" in err
+
+
 def test_bad_tol_exits_two(capsys):
     code, out, err = run_cli(capsys, "solve", "--problem", "samet_example",
                              "--tol", "0")

@@ -427,6 +427,29 @@ def test_nan_conclusion_is_a_reverifying_failure(check):
         assert cf.reverify_witness(op, rep)["violated"] is True
 
 
+def _leaving_operator():
+    # F(x, y) = 5 + x sends [-1, 1] outside itself; on comparable quadruples
+    # every conclusion equals its bound, so each sampled check fails
+    space = dataclasses.replace(cf.real_line(1), contains=lambda x: -1 <= x <= 1, kind="custom")
+    return cf.CoupledOperator(apply=lambda x, y: 5 + x, space=space)
+
+
+@pytest.mark.parametrize("check", sorted(NAN_CHECKS))
+def test_sampled_checks_do_not_test_images_for_membership(check):
+    # the checks measure F's images without a membership test, strict as the
+    # others; solve, below, still rejects an image outside the space
+    op = _leaving_operator()
+    assert evaluation_lane(op) == "generic"
+    rep = NAN_CHECKS[check](op)
+    assert rep.verdict == "fails"
+    assert all(math.isfinite(value) for value in rep.witness.measured.values())
+
+
+def test_solve_rejects_an_image_outside_the_space():
+    with pytest.raises(cf.DomainMismatchError, match="is not in real line"):
+        cf.solve(_leaving_operator(), PairPoint(0.0, 0.0), require_admissible=False)
+
+
 def test_nan_conclusion_rejects_every_delta():
     for op in (nan_beyond_five(), nan_beyond_five(vectorized=True)):
         assert cf.estimate_delta_curve(op, [1.0], samples=200, seed=0) == [(1.0, 0.0)]
@@ -453,13 +476,21 @@ def test_strict_holds_on_flagship(samet):
 
 
 def test_strict_fails_for_projection():
-    # F(x, y) = x makes T the identity: distances never shrink
+    # F(x, y) = x makes T the identity: distances never shrink, on the kernel
+    # and on the generic lane; diamond5 fails too. Each witness's d2 after is
+    # d2 of the pair-map images, measured apart from the check
     prob = cf.builtin("linear(1,0,1)")
-    rep = cf.check_strict_contraction(prob.operator, samples=2000, seed=0)
-    assert rep.verdict == "fails"
-    w = rep.witness
-    assert w.measured["d2_after"] >= w.measured["d2_before"] * (1 - 1e-12)
-    assert cf.reverify_witness(prob.operator, rep)["violated"]
+    ops = [prob.operator, cf.CoupledOperator(apply=prob.operator.apply, space=prob.space),
+           cf.load_finite(fixture_path("diamond5.json")).operator]
+    assert [evaluation_lane(op) for op in ops] == ["kernel", "generic", "finite"]
+    for op in ops:
+        rep = cf.check_strict_contraction(op, samples=2000, seed=0)
+        assert rep.verdict == "fails"
+        w = rep.witness
+        assert w.measured["d2_after"] >= w.measured["d2_before"] * (1 - 1e-12)
+        images = (cf.product_T(op, PairPoint(w.x, w.y)), cf.product_T(op, PairPoint(w.u, w.v)))
+        assert w.measured["d2_after"] == cf.d2(*images, op.space)
+        assert cf.reverify_witness(op, rep)["violated"]
 
 
 def test_strict_spec_pair_arithmetic():
@@ -811,6 +842,11 @@ def _quarter_difference(p, q):
 
 R2_OPERATORS = {name: cf.CoupledOperator(apply=_quarter_difference, space=_r2_grid(hook))
                 for name, hook in (("rejection", None), ("interpolate", _overshooting))}
+# with the real line, through its affine hook and a plain callable, as
+# generic_api runs it; there the conclusions are again half the half-sum
+GENERIC_OPERATORS = {**R2_OPERATORS,
+                     "real_line": cf.CoupledOperator(apply=lambda x, y: (x - y) / 4,
+                                                     space=cf.real_line())}
 
 
 def _oriented_pair(space, a, b):
@@ -895,9 +931,9 @@ def _recount_band(op, eps, delta, e_idx, probe, base, samples, seed, symmetric, 
 
 @pytest.mark.parametrize("rule", [lambda e: e / 2, lambda e: 3 * e], ids=["half", "triple"])
 @pytest.mark.parametrize("symmetric", [False, True])
-@pytest.mark.parametrize("name", sorted(R2_OPERATORS))
+@pytest.mark.parametrize("name", sorted(GENERIC_OPERATORS))
 def test_generic_banded_checks_match_a_recount(name, symmetric, rule):
-    op = R2_OPERATORS[name]
+    op = GENERIC_OPERATORS[name]
     assert evaluation_lane(op) == "generic"
     grid, samples, seed = [0.5, 1.0, 1.5], 300, 5
     check = cf.check_symmetric_mk if symmetric else cf.check_samet
@@ -919,16 +955,21 @@ def test_generic_banded_checks_match_a_recount(name, symmetric, rule):
         assert (w.x, w.y, w.u, w.v, w.measured["half_sum"]) == hit
         assert cf.reverify_witness(op, rep)["violated"] is True
         return
-    # a holding check reads every draw: each way a draw can miss the band occurs
+    # a holding check reads every draw: each way a draw can miss the band
+    # occurs; on the real line every pair is comparable and the affine hook
+    # lands each quadruple in the band, so none misses it
+    if name == "real_line":
+        assert not tally
+        return
     reasons = {"incomparable", "out_of_band"}
     if name == "interpolate":
         reasons |= {"zero_leg", "hook_left_the_order"}
     assert reasons <= {reason for reason, n in tally.items() if n}
 
 
-@pytest.mark.parametrize("name", sorted(R2_OPERATORS))
+@pytest.mark.parametrize("name", sorted(GENERIC_OPERATORS))
 def test_generic_delta_curve_matches_a_recount(name):
-    op = R2_OPERATORS[name]
+    op = GENERIC_OPERATORS[name]
     grid, samples, seed = [0.5, 1.0], 300, 3
     tally = collections.Counter()
     expected = []

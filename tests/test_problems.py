@@ -54,6 +54,13 @@ def test_linear_rejects_nan_coefficients(name):
         cf.builtin(name)
 
 
+@pytest.mark.parametrize("name", ["linear(inf,1,4)", "linear(1,inf,4)", "linear(inf,inf,4)"])
+def test_linear_rejects_infinite_coefficients(name):
+    # inf * 0 is NaN, so an infinite a or b makes no real-valued F at 0
+    with pytest.raises(cf.InputError, match="requires finite a >= 0 and b >= 0"):
+        cf.builtin(name)
+
+
 def test_linear_name_parsing_with_floats():
     prob = cf.builtin("linear(0.5, 1.5, 4)")
     assert prob.operator.apply(2.0, 1.0) == (0.5 * 2.0 - 1.5 * 1.0) / 4.0
