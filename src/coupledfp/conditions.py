@@ -473,12 +473,14 @@ def _generic_band(op, eps, delta, samples, seed, base, e_idx, symmetric, probe=0
 def _band_quadruples(space, eps, width, count, mode, rng):
     """Comparable quadruples aimed at half-sums in [eps, eps + width) through
     the interpolate hook: (draws, iterator shaped like _sampled_quadruples'),
-    each draw oriented in place as there."""
+    each draw oriented in place as there. A constructed leg outside the
+    space's contains is dropped, so every witness lies in the space."""
     pool = space.sampler(4 * count, rng.getrandbits(31))
     trials = len(pool) // 4
 
     def quadruples():
         distance, leq, interp, rand = space.distance, space.leq, space.interpolate, rng.random
+        contains = space.contains
         it = iter(pool)
         for t, a, b, c, e in zip(range(trials), it, it, it, it):
             h = eps + rand() * width
@@ -514,7 +516,7 @@ def _band_quadruples(space, eps, width, count, mode, rng):
                 if d0 == 0:
                     continue
                 u = interp(x, u0, tp / d0)
-                if leq(u, x) is not True:
+                if leq(u, x) is not True or contains is not None and not contains(u):
                     continue
             y = y0
             if tq == 0.0:
@@ -524,7 +526,7 @@ def _band_quadruples(space, eps, width, count, mode, rng):
                 if d0 == 0:
                     continue
                 v = interp(y0, v0, tq / d0)
-                if leq(y, v) is not True:
+                if leq(y, v) is not True or contains is not None and not contains(v):
                     continue
             yield t, x, y, u, v, distance(x, u), distance(y, v)
 

@@ -14,6 +14,11 @@ ratio q ~ eta_{n+1}/eta_n: the remaining product-space distance is at most
 residual/(1 - q), and each coordinate moves at most twice that. A small step
 alone never certifies a fixed point, and a small residual alone can still
 leave the endpoint several multiples of tol away from the limit.
+
+The loop runs on the coordinates (x_n, y_n), with the same arithmetic as
+d2(T(Z), Z): each new image is checked for membership once, when it is
+computed (the start once, after its first image), and a PairPoint is built
+only for an iterate the trace keeps.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from typing import Optional
 from .errors import InadmissibleStartError, InputError
 from .operators import CoupledOperator, _with_slack, product_T
 from .reports import Record, jsonable
-from .spaces import INCOMPARABLE, PairPoint, d2
+from .spaces import INCOMPARABLE, PairPoint, _half_sum, _require_members, d2
 
 TERM_CONVERGED = "converged"
 TERM_MAX_ITERATIONS = "max_iterations"
@@ -186,13 +191,18 @@ def solve(op: CoupledOperator, Z0: PairPoint, tol: float = 1e-10,
     if require_admissible and not verdict.admissible:
         raise InadmissibleStartError(verdict)
     space = op.space
+    apply, distance = op.apply, space.distance
+    check = space.contains is not None
 
+    # fx, fy is T(x, y) and r is d2(T(Z), Z), with d2's membership order
     iterates = [Z0]
     eta = []
     ratios = []
-    Z = Z0
-    W = product_T(op, Z)
-    r = d2(W, Z, space)
+    x, y = Z0.first, Z0.second
+    fx, fy = apply(x, y), apply(y, x)
+    if check:
+        _require_members(space, fx, fy, x, y)
+    r = _half_sum(space, distance(fx, x) + distance(fy, y))
     if r <= tol or not r < math.inf:
         return IterationTrace(iterates, eta, TERM_CONVERGED if r <= tol else TERM_NON_FINITE,
                               r, 0, keep_every, verdict)
@@ -202,23 +212,23 @@ def solve(op: CoupledOperator, Z0: PairPoint, tol: float = 1e-10,
     while n < max_iter:
         # take the step; the residual of the previous iterate is the new eta
         step = r
-        Z = W
+        x, y = fx, fy
         n += 1
         eta.append(step)
         if n % keep_every == 0:
-            iterates.append(Z)
+            iterates.append(PairPoint(x, y))
+        fx, fy = apply(x, y), apply(y, x)
+        if check:
+            _require_members(space, fx, fy)
+        r = _half_sum(space, distance(fx, x) + distance(fy, y))
         if n >= 2:
             prev = eta[-2]
             if require_admissible and _grew(space, step, prev):
+                # the final residual is that of the iterate just reached
                 termination = TERM_MONOTONICITY_VIOLATION
-                W = product_T(op, Z)
-                r = d2(W, Z, space)
                 break
             if prev > 0:
                 ratios.append(step / prev)
-        W = product_T(op, Z)
-        r = d2(W, Z, space)
-
         if r == 0:
             termination = TERM_CONVERGED
             break
@@ -242,5 +252,5 @@ def solve(op: CoupledOperator, Z0: PairPoint, tol: float = 1e-10,
                 break
 
     if n % keep_every != 0:
-        iterates.append(Z)
+        iterates.append(PairPoint(x, y))
     return IterationTrace(iterates, eta, termination, r, n, keep_every, verdict)

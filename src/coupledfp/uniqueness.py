@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
+from operator import ne
 from typing import Callable, Optional
 
 from .errors import InputError
@@ -107,7 +108,7 @@ def probe_comparability(space: SpaceModel, samples: int = 1000, seed: int = 0,
         return good / trials if trials else 0.0
     pool = space.sampler(4 * samples, seed ^ 0xC0BA)
     if (bound_search is _real_lattice_bound and usual_real_order(space)
-            and space.contains is None and not any(p != p for p in pool)):
+            and space.contains is None and not any(map(ne, pool, pool))):
         trials = zip(*[iter(pool)] * 4)
         return 1.0 if any((y1, y2) != (v1, v2) for y1, y2, v1, v2 in trials) else 0.0
     good, trials = _sampled_counts(pool, space, bound_search)
@@ -147,7 +148,9 @@ def multi_start_uniqueness(op: CoupledOperator, starts, tol: float = 1e-10,
     kept_starts = []
     failed = []
     for Z0 in starts:
-        trace = solve(op, Z0, tol=tol, max_iter=max_iter, require_admissible=False)
+        # only the endpoint is read, so no iterate between start and end is kept
+        trace = solve(op, Z0, tol=tol, max_iter=max_iter, require_admissible=False,
+                      keep_every=max_iter)
         if trace.termination == TERM_CONVERGED:
             kept_starts.append(Z0)
             endpoints.append(trace.final)

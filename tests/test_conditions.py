@@ -437,12 +437,17 @@ def _leaving_operator():
 @pytest.mark.parametrize("check", sorted(NAN_CHECKS))
 def test_sampled_checks_do_not_test_images_for_membership(check):
     # the checks measure F's images without a membership test, strict as the
-    # others; solve, below, still rejects an image outside the space
+    # others; solve, below, still rejects an image outside the space. The
+    # points themselves stay in it: the band construction drops a leg it
+    # steps outside [-1, 1], so every witness re-verifies
     op = _leaving_operator()
     assert evaluation_lane(op) == "generic"
     rep = NAN_CHECKS[check](op)
     assert rep.verdict == "fails"
     assert all(math.isfinite(value) for value in rep.witness.measured.values())
+    w = rep.witness
+    assert all(op.space.member(p) for p in (w.x, w.y, w.u, w.v))
+    assert cf.reverify_witness(op, rep)["violated"] is True
 
 
 def test_solve_rejects_an_image_outside_the_space():

@@ -1,13 +1,17 @@
 import csv
+import dataclasses
 import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import coupledfp as cf
+from coupledfp import solver
 from coupledfp.spaces import PairPoint
 
-from conftest import fixture_path, np_tanh_operator
+from conftest import FINITE_FIXTURES, fixture_path, np_tanh_operator
 
 
 # --- check_start -----------------------------------------------------------
@@ -173,6 +177,24 @@ def test_solve_stops_on_non_finite_residual(apply, start, iterations):
     assert not tr.residual < math.inf
 
 
+def _boxed(apply, radius=10.0):
+    """apply on the real line restricted by contains to [-radius, radius]."""
+    space = dataclasses.replace(cf.real_line(radius), contains=lambda x: abs(x) <= radius)
+    return cf.CoupledOperator(apply=apply, space=space)
+
+
+@pytest.mark.parametrize("apply,start,element", [
+    (lambda x, y: 2 * x + 1, (0.0, 0.0), 15.0),  # the orbit 1, 3, 7, 15 leaves at step 4
+    (lambda x, y: (x - y) / 4, (20.0, 0.0), 20.0),  # the start lies outside
+    (lambda x, y: 2 * x + 1, (20.0, 0.0), 41.0),  # both: the first image is named first
+])
+def test_solve_names_the_first_element_outside_the_space(apply, start, element):
+    message = f"element {element!r} is not in real line (|.|, usual order, sampling box [-10.0, 10.0])"
+    with pytest.raises(cf.DomainMismatchError) as exc:
+        cf.solve(_boxed(apply), PairPoint(*start), require_admissible=False)
+    assert str(exc.value) == message
+
+
 def test_solve_validates_inputs(samet):
     with pytest.raises(cf.InputError):
         cf.solve(samet.operator, PairPoint(-3.0, 3.0), tol=0.0)
@@ -252,3 +274,122 @@ def test_finite_diamond_admissible_run():
     # up starts generate a non-decreasing pair sequence, exactly checkable here
     for i in range(len(tr.iterates) - 1):
         assert cf.product_leq(tr.iterates[i], tr.iterates[i + 1], prob.space) is True
+
+
+# --- the loop against a reference walk through product_T and d2 ------------
+
+def _reference_solve(op, Z0, tol, max_iter, require_admissible, keep_every):
+    """Picard iteration written pair by pair: every step builds T(Z) with
+    product_T and measures d2(T(Z), Z), which checks all four coordinates."""
+    verdict = cf.check_start(op, Z0)
+    if require_admissible and not verdict.admissible:
+        raise cf.InadmissibleStartError(verdict)
+    space = op.space
+    iterates, eta, ratios = [Z0], [], []
+    Z = Z0
+    W = cf.product_T(op, Z)
+    r = cf.d2(W, Z, space)
+    if r <= tol or not r < math.inf:
+        return solver.IterationTrace(iterates, eta, "converged" if r <= tol else "non_finite",
+                                     r, 0, keep_every, verdict)
+    n = 0
+    termination = "max_iterations"
+    while n < max_iter:
+        step, Z = r, W
+        n += 1
+        eta.append(step)
+        if n % keep_every == 0:
+            iterates.append(Z)
+        if n >= 2:
+            prev = eta[-2]
+            if require_admissible and solver._grew(space, step, prev):
+                termination = "monotonicity_violation"
+                W = cf.product_T(op, Z)
+                r = cf.d2(W, Z, space)
+                break
+            if prev > 0:
+                ratios.append(step / prev)
+        W = cf.product_T(op, Z)
+        r = cf.d2(W, Z, space)
+        if r == 0:
+            termination = "converged"
+            break
+        if not r < math.inf:
+            termination = "non_finite"
+            break
+        if r <= tol and step <= tol:
+            qhat = max(ratios[-(solver.RATIO_WINDOW - 1):] + [r / step])
+            if qhat < solver.RATIO_CAP and 2 * (r / (1 - qhat)) <= tol:
+                termination = "converged"
+                break
+        if n > solver.STALL_WINDOW and float(eta[-1]) > tol:
+            if float(eta[-1]) >= solver.STALL_FACTOR * float(eta[-1 - solver.STALL_WINDOW]):
+                window = eta[-1 - solver.STALL_WINDOW:-1]
+                grew = solver._grew(space, eta[-1], max(window))
+                termination = "diverged" if grew else "stalled"
+                break
+    if n % keep_every != 0:
+        iterates.append(Z)
+    return solver.IterationTrace(iterates, eta, termination, r, n, keep_every, verdict)
+
+
+def _outcome(run, *args):
+    """Everything a run reports, in repr so that floats (NaN too) and
+    Fractions compare exactly; an error compares by type and message."""
+    try:
+        tr = run(*args)
+    except cf.CoupledFPError as exc:
+        return type(exc).__name__, str(exc)
+    return (tr.termination, tr.iterations, repr(tr.eta), repr(tr.residual),
+            repr(tr.iterates), repr(tr.final), tr.kept_indices())
+
+
+def _assert_matches_reference(op, start, tol, max_iter, require_admissible, keep):
+    keep_every = max_iter if keep == "max_iter" else keep
+    args = (op, start, tol, max_iter, require_admissible, keep_every)
+    assert _outcome(cf.solve, *args) == _outcome(_reference_solve, *args)
+
+
+_COEFFS = st.floats(0.0, 3.0)
+_COORDS = st.floats(-8.0, 8.0)
+_KEEP = st.sampled_from([1, 3, "max_iter"])
+
+
+@given(a=_COEFFS, b=_COEFFS, c=st.floats(0.25, 4.0), x=_COORDS, y=_COORDS,
+       tol=st.sampled_from([1e-10, 1e-4]), max_iter=st.integers(1, 120), keep=_KEEP,
+       require_admissible=st.booleans(), boxed=st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_solve_matches_reference_on_linear_maps(a, b, c, x, y, tol, max_iter, keep,
+                                                require_admissible, boxed):
+    op = cf.make_linear(a, b, c).operator
+    if boxed:  # the same map on [-10, 10] through contains, so orbits can leave
+        op = _boxed(op.apply)
+    _assert_matches_reference(op, PairPoint(x, y), tol, max_iter, require_admissible, keep)
+
+
+@given(name=st.sampled_from(FINITE_FIXTURES), data=st.data(), max_iter=st.integers(1, 60),
+       keep=_KEEP, require_admissible=st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_solve_matches_reference_on_finite_fixtures(name, data, max_iter, keep,
+                                                    require_admissible):
+    prob = cf.load_finite(fixture_path(name))
+    elements = st.sampled_from(prob.space.finite.elements)
+    start = PairPoint(data.draw(elements), data.draw(elements))
+    _assert_matches_reference(prob.operator, start, 1e-10, max_iter, require_admissible, keep)
+
+
+@given(a=_COEFFS, b=_COEFFS, c=st.floats(0.25, 4.0),
+       starts=st.lists(st.tuples(_COORDS, _COORDS), min_size=1, max_size=4),
+       max_iter=st.integers(1, 200))
+@settings(max_examples=100, deadline=None)
+def test_uniqueness_endpoints_match_unthinned_runs(a, b, c, starts, max_iter):
+    op = cf.make_linear(a, b, c).operator
+    starts = [PairPoint(x, y) for x, y in starts]
+    report = cf.multi_start_uniqueness(op, starts, tol=1e-10, max_iter=max_iter,
+                                       comparability_samples=1)
+    runs = [cf.solve(op, Z0, tol=1e-10, max_iter=max_iter, require_admissible=False)
+            for Z0 in starts]
+    converged = [tr.final for tr in runs if tr.termination == "converged"]
+    assert repr(report.endpoints) == repr(converged)
+    assert report.failed == [(Z0, tr.termination) for Z0, tr in zip(starts, runs)
+                             if tr.termination != "converged"]
