@@ -1,6 +1,6 @@
-"""Sweep kernels: the banach, band and strict checks of a vectorized operator
-on the real line (sampling box: the space's sample_radius), and the real
-line's array twin of the sampled mixed-monotone check.
+"""Sweep kernels: the banach, band, strict and mixed-monotone checks of a
+vectorized operator on the real line (sampling box: the space's
+sample_radius).
 
 Every sweep draws comparable quadruples (x >= u, y <= v) from a splitmix64
 stream and stops at the first violation, except the delta curve's band
@@ -26,10 +26,10 @@ same IEEE operations in the same order (numpy elementwise arithmetic does not
 fuse multiply-adds), the same returned tuple. Only NaN differs on purpose: it
 violates the condition tests, while the reference lets it through.
 
-The twin takes the space's own sampler points, not the stream, when float64
-holds each of them exactly: it runs the scalar check's trials on arrays, in
-the same order, and reports the same counts. Its caller reads any witness
-back through the scalar callables.
+monotone_sweep draws argument triples from a stream of its own and only
+locates the first violating trial; its caller rereads that trial and the
+later ones as floats (_monotone_trials). Its report is the reference's
+monotone_sweep bit for bit, NaN images included (both count them violations).
 
 numpy is imported on the first call, never at package import, so commands
 that make no sweep do not pay its import time or memory.
@@ -217,37 +217,44 @@ def strict_sweep(op, seed, tag, n):
     return _box_sweep(op, "strict_contraction", (), seed, tag, n)
 
 
-def monotone_sweep(op, pool):
-    """operators.check_mixed_monotone's trials on the real line: trial t
-    takes (a, b, w) = pool[3t:3t + 3], skips a and b unless a <= b or
-    b <= a, orders them as lo <= hi and tests F(lo, w) <= F(hi, w) on even
-    t, F(w, hi) <= F(w, lo) on odd t, with op.apply on arrays; a NaN image
-    violates. Returns (the first violating t, or the number of trials when
-    none violates, and the comparable trials before it), or None for a pool
-    that float64 does not hold exactly, such as ints past 2**53, whose
-    trials only the scalar loop decides."""
+def _monotone_passes(op, seed, tag, start, n):
+    """Trials start to n - 1 of the mixed-monotone (seed, tag) stream, at most
+    CHUNK per pass: (the pass's first trial, a (3, m) float64 array of its
+    trials' a, b and w, uniform in the sampling box)."""
     import numpy as np
 
-    trials = len(pool) // 3
-    points = pool[:3 * trials]
-    flat = np.array(points)
-    if flat.dtype.kind not in "fiub" or flat.dtype.itemsize > 8:
-        return None
-    flat = flat.astype(np.float64, copy=False)
-    # below 2**53 in magnitude every int is a float64; past it, compare
-    if (np.abs(flat) >= 2.0 ** 53).any() and flat.tolist() != list(points):
-        return None
-    a, b, w = flat.reshape(trials, 3).T
-    below = a <= b
-    comparable = below | (b <= a)
-    lo, hi = np.where(below, a, b), np.where(below, b, a)
-    bad = np.empty(a.size, dtype=bool)
-    even, odd = slice(0, None, 2), slice(1, None, 2)
+    scale = float(op.space.sample_radius or DEFAULT_SCALE)
+    s0 = np.array([[stream_seed(seed, tag)]], dtype=np.uint64)
+    for t0 in range(start, n, CHUNK):
+        yield t0, (2.0 * _uniforms(s0, t0, min(CHUNK, n - t0), 3)[:, 0] - 1.0) * scale
+
+
+def _monotone_trials(op, seed, tag, start, n):
+    """The same trials as [a, b, w] lists of floats."""
+    return (abw for _, arr in _monotone_passes(op, seed, tag, start, n) for abw in arr.T.tolist())
+
+
+def monotone_sweep(op, seed, tag, n):
+    """operators.check_mixed_monotone's n trials on the real line, on arrays:
+    trial t draws (a, b, w) (_monotone_passes), skips a and b unless a <= b
+    or b <= a, orders them as lo <= hi and tests F(lo, w) <= F(hi, w) on
+    even t, F(w, hi) <= F(w, lo) on odd t; a NaN image violates. Returns the
+    first violating t, or n, and the comparable trials before it."""
+    import numpy as np
+
+    used = 0
     with np.errstate(all="ignore"):
-        bad[even] = ~np.less_equal(op.apply(lo[even], w[even]), op.apply(hi[even], w[even]))
-        bad[odd] = ~np.less_equal(op.apply(w[odd], hi[odd]), op.apply(w[odd], lo[odd]))
-    bad &= comparable
-    t = int(bad.argmax())
-    if not bad[t]:
-        t = a.size
-    return t, int(np.count_nonzero(comparable[:t]))
+        for t0, (a, b, w) in _monotone_passes(op, seed, tag, 0, n):
+            below = a <= b
+            comparable = below | (b <= a)
+            lo, hi = np.where(below, a, b), np.where(below, b, a)
+            bad = np.empty(a.size, dtype=bool)
+            even, odd = slice(t0 % 2, None, 2), slice(1 - t0 % 2, None, 2)
+            bad[even] = ~np.less_equal(op.apply(lo[even], w[even]), op.apply(hi[even], w[even]))
+            bad[odd] = ~np.less_equal(op.apply(w[odd], hi[odd]), op.apply(w[odd], lo[odd]))
+            bad &= comparable
+            t = int(bad.argmax())
+            if bad[t]:
+                return t0 + t, used + int(np.count_nonzero(comparable[:t]))
+            used += int(np.count_nonzero(comparable))
+    return n, used

@@ -22,7 +22,7 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice, repeat
+from itertools import repeat
 from typing import Any, Callable, NamedTuple, Optional
 
 from .errors import DomainMismatchError, InputError
@@ -82,24 +82,11 @@ def product_T(op: CoupledOperator, Z: PairPoint) -> PairPoint:
     return PairPoint(op.apply(Z.first, Z.second), op.apply(Z.second, Z.first))
 
 
-def _oriented(space, a, b):
-    """Order a sampled pair so that the first element is <= the second.
-
-    Returns None for incomparable draws; equal elements come back as-is.
-    """
-    v = space.leq(a, b)
-    if v is True:
-        return a, b
-    if space.leq(b, a) is True:
-        return b, a
-    return None
-
-
 def _sampled_quadruples(space, samples, seed):
     """Rejection draws of comparable quadruples (x >= u, y <= v): (draws, an
     iterator of (t, x, y, u, v, d(x,u), d(y,v)) for every draw t whose two
     point pairs are comparable). Draw t orients pool points 4t..4t+3 in place,
-    with _oriented's leq calls on both pairs, in its order."""
+    asking leq(a, b), then leq(b, a), of each pair (a, b)."""
     pool = space.sampler(4 * samples, seed)
     draws = len(pool) // 4
 
@@ -241,6 +228,8 @@ def _measure(op, cond, p, x, y, u, v):
     return cond.test(op, p, x, y, u, v, dxu, dyv, half, False)
 
 
+_MONOTONE_TAG = 6 << 56  # the kernel lane's stream: conditions._tag(6), past the checks' five bases
+
 # measured keys of the image below and above, per mixed-monotone clause
 _MONOTONE_KEYS = {"first_argument": ("f_of_u_y", "f_of_x_y"),
                   "second_argument": ("f_of_x_y", "f_of_x_v")}
@@ -273,11 +262,11 @@ def check_mixed_monotone(op: CoupledOperator, samples: int = 10000, seed: int = 
 
     Incomparable draws are discarded (and counted); fewer than MIN_COMPARABLE
     surviving comparisons yields an inconclusive verdict rather than a
-    vacuous pass. Finite spaces are enumerated exhaustively instead. In the
-    kernel lane the same trials run on arrays first (kernels.monotone_sweep),
-    and the scalar loop starts at the first trial they flag, so the witness
-    is read on the sampled floats and a flagged trial that the floats pass
-    does not end the check.
+    vacuous pass. Finite spaces are enumerated exhaustively instead. Trial
+    t takes (a, b, w) from the space's sampler, or on the kernel lane from
+    its own stream (kernels.monotone_sweep runs the trials on arrays, and
+    the loop below reads the first one they flag and the later ones as
+    floats, so a trial that only the arrays fail does not end the check).
     """
     if samples < 2:
         raise InputError("check_mixed_monotone requires samples >= 2")
@@ -288,25 +277,28 @@ def check_mixed_monotone(op: CoupledOperator, samples: int = 10000, seed: int = 
 
         return _FiniteTables(op).mixed_monotone()
 
-    pool = space.sampler(3 * samples, seed ^ 0x3A5C)
-    if len(pool) < 3:
-        raise InputError("sampler returned too few points")
-    trials = samples_used = len(pool) // 3
-    start = used = 0
     if lane == "kernel":
-        from .kernels import monotone_sweep
+        from . import kernels
 
-        # the arrays skip the trials before the first one they flag; the
-        # loop below reads its witness, and goes on should it find none
-        start, used = monotone_sweep(op, pool) or (0, 0)
+        trials = samples_used = samples
+        start, used = kernels.monotone_sweep(op, seed, _MONOTONE_TAG, samples)
+        draws = kernels._monotone_trials(op, seed, _MONOTONE_TAG, start, samples)
+    else:
+        pool = space.sampler(3 * samples, seed ^ 0x3A5C)
+        if len(pool) < 3:
+            raise InputError("sampler returned too few points")
+        trials = samples_used = len(pool) // 3
+        start = used = 0
+        draws = zip(*[iter(pool)] * 3)
     witness = None
-    points = islice(pool, 3 * start, None)
-    for t, (a, b, w) in enumerate(zip(points, points, points), start):
-        pair = _oriented(space, a, b)
-        if pair is None:
+    for t, (a, b, w) in enumerate(draws, start):
+        if space.leq(a, b) is True:
+            lo, hi = a, b
+        elif space.leq(b, a) is True:
+            lo, hi = b, a
+        else:
             continue
         used += 1
-        lo, hi = pair
         if t % 2 == 0:  # the first argument: F(lo, w) <= F(hi, w)
             witness = _monotone_violation(op, "first_argument", hi, w, lo, w)[2]
         else:  # the second: F(w, hi) <= F(w, lo)

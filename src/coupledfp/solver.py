@@ -121,11 +121,11 @@ def _num_str(v):
     return str(v)
 
 
-def check_start(op: CoupledOperator, Z0: PairPoint) -> StartVerdict:
-    """Classify a starting pair as up/down admissible or inadmissible."""
+def check_start(op: CoupledOperator, Z0: PairPoint, images=None) -> StartVerdict:
+    """Classify a starting pair as up/down admissible or inadmissible.
+    images, if given, is (F(x0, y0), F(y0, x0)), which F is then not asked."""
     space = op.space
-    fx = op.apply(Z0.first, Z0.second)
-    fy = op.apply(Z0.second, Z0.first)
+    fx, fy = images or (op.apply(Z0.first, Z0.second), op.apply(Z0.second, Z0.first))
     x_below = space.leq(Z0.first, fx)
     y_above = space.leq(fy, Z0.second)
     if x_below is True and y_above is True:
@@ -134,14 +134,10 @@ def check_start(op: CoupledOperator, Z0: PairPoint) -> StartVerdict:
     y_below = space.leq(Z0.second, fy)
     if x_above is True and y_below is True:
         return StartVerdict(True, "down", "F(x0,y0) <= x0 and y0 <= F(y0,x0)")
-    parts = []
-    for name, v in (("x0 vs F(x0,y0)", x_below), ("F(y0,x0) vs y0", y_above),
-                    ("F(x0,y0) vs x0", x_above), ("y0 vs F(y0,x0)", y_below)):
-        if v is INCOMPARABLE:
-            parts.append(f"{name}: incomparable")
-    detail = "; ".join(parts) if parts else (
-        "neither the up nor the down pair of inequalities holds"
-    )
+    parts = [f"{name}: incomparable" for name, v in (
+        ("x0 vs F(x0,y0)", x_below), ("F(y0,x0) vs y0", y_above),
+        ("F(x0,y0) vs x0", x_above), ("y0 vs F(y0,x0)", y_below)) if v is INCOMPARABLE]
+    detail = "; ".join(parts) or "neither the up nor the down pair of inequalities holds"
     return StartVerdict(False, "none", detail)
 
 
@@ -187,19 +183,18 @@ def solve(op: CoupledOperator, Z0: PairPoint, tol: float = 1e-10,
         raise InputError("max_iter must be >= 1")
     if keep_every < 1:
         raise InputError("keep_every must be >= 1")
-    verdict = check_start(op, Z0)
-    if require_admissible and not verdict.admissible:
-        raise InadmissibleStartError(verdict)
     space = op.space
     apply, distance = op.apply, space.distance
     check = space.contains is not None
 
-    # fx, fy is T(x, y) and r is d2(T(Z), Z), with d2's membership order
-    iterates = [Z0]
-    eta = []
-    ratios = []
+    # fx, fy is T(x, y), which also decides the start's verdict, and r is
+    # d2(T(Z), Z), with d2's membership order
     x, y = Z0.first, Z0.second
     fx, fy = apply(x, y), apply(y, x)
+    verdict = check_start(op, Z0, (fx, fy))
+    if require_admissible and not verdict.admissible:
+        raise InadmissibleStartError(verdict)
+    iterates, eta, ratios = [Z0], [], []
     if check:
         _require_members(space, fx, fy, x, y)
     r = _half_sum(space, distance(fx, x) + distance(fy, y))
@@ -223,12 +218,14 @@ def solve(op: CoupledOperator, Z0: PairPoint, tol: float = 1e-10,
         r = _half_sum(space, distance(fx, x) + distance(fy, y))
         if n >= 2:
             prev = eta[-2]
-            if require_admissible and _grew(space, step, prev):
+            if require_admissible and step > grow_bound:
                 # the final residual is that of the iterate just reached
                 termination = TERM_MONOTONICITY_VIOLATION
                 break
             if prev > 0:
                 ratios.append(step / prev)
+        if require_admissible:  # _grew's bound for the next step, computed once
+            grow_bound = _with_slack(space, step)
         if r == 0:
             termination = TERM_CONVERGED
             break

@@ -8,8 +8,9 @@ semantic change to a sweep must be made here too.
 
 All sweeps draw comparable quadruples (x >= u, y <= v) and stop at the first
 violation, except band_sweep_smallest, the delta curve's band search, which
-stops at the first block of draws that holds one. Floats only; exact
-(rational) spaces are handled elsewhere.
+stops at the first block of draws that holds one; monotone_sweep draws the
+mixed-monotone check's argument triples. Floats only; exact (rational) spaces
+are handled elsewhere.
 """
 
 _MASK64 = (1 << 64) - 1
@@ -208,3 +209,42 @@ def strict_sweep(a, b, c, n, seed, tag, scale, slack):
         if d2t >= d2yv - slack * m:
             return (1, checked, x, y, u, v, d2yv, d2t)
     return (0, checked, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+
+
+def monotone_sweep(f, n, seed, tag, scale):
+    """The kernel lane's mixed-monotone check on the scalar map f: trial t
+    draws a, b and w in the sampling box, orders a and b as lo <= hi (a pair
+    that neither order relates is skipped) and tests f(lo, w) <= f(hi, w) on
+    even t, f(w, hi) <= f(w, lo) on odd t, to the first violation; a NaN
+    image violates.
+
+    Returns (found, trials up to and including the violation, comparable
+    trials counted, x, y, u, v, image at the lower argument, image at the
+    upper one), with the witness in the check's slots: (hi, w, lo, w) on
+    even t, (w, lo, w, hi) on odd t.
+    """
+    state = stream_seed(seed, tag)
+    used = 0
+    for t in range(n):
+        state, r1 = _next_unif(state)
+        state, r2 = _next_unif(state)
+        state, r3 = _next_unif(state)
+        a = (2.0 * r1 - 1.0) * scale
+        b = (2.0 * r2 - 1.0) * scale
+        w = (2.0 * r3 - 1.0) * scale
+        if a <= b:
+            lo, hi = a, b
+        elif b <= a:
+            lo, hi = b, a
+        else:
+            continue
+        used += 1
+        if t % 2 == 0:
+            f_lo, f_hi = f(lo, w), f(hi, w)
+            if not f_lo <= f_hi:
+                return (1, t + 1, used, hi, w, lo, w, f_lo, f_hi)
+        else:
+            f_lo, f_hi = f(w, lo), f(w, hi)
+            if not f_hi <= f_lo:
+                return (1, t + 1, used, w, lo, w, hi, f_lo, f_hi)
+    return (0, n, used, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)

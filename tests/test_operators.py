@@ -5,13 +5,17 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import coupledfp as cf
-from coupledfp import kernels
+from coupledfp import kernels, operators
 from coupledfp.errors import InputError
 from coupledfp.operators import evaluation_lane
+from coupledfp.reports import Witness, _report
 from coupledfp.spaces import PairPoint
 
+import kernel_oracle as pure
 from conftest import antichain_reals, nan_beyond_five, np_tanh_operator
 
 
@@ -117,21 +121,132 @@ VECTORIZED_MAPS = {
 }
 
 
+# measured keys of the image at the lower and at the upper argument, per clause
+_CLAUSE_KEYS = {"first_argument": ("f_of_u_y", "f_of_x_y"),
+                "second_argument": ("f_of_x_y", "f_of_x_v")}
+
+
+def _reference_report(op, samples, seed):
+    """The kernel lane's mixed-monotone report as the scalar reference in
+    tests/kernel_oracle.py computes it, on op.apply called with floats."""
+    found, trials, used, x, y, u, v, f_lo, f_hi = pure.monotone_sweep(
+        op.apply, samples, seed, operators._MONOTONE_TAG, op.space.sample_radius)
+    witness = None
+    if found:
+        clause = "first_argument" if (trials - 1) % 2 == 0 else "second_argument"
+        lo_key, hi_key = _CLAUSE_KEYS[clause]
+        witness = Witness(x=x, y=y, u=u, v=v, kind=clause, measured={lo_key: f_lo, hi_key: f_hi})
+    few = f"only {used} comparable argument pairs among {samples} draws" if used < 10 else ""
+    return _report("mixed_monotone", "sampled", witness, trials, used, inconclusive=few)
+
+
+def _json(report):
+    return json.dumps(report.to_jsonable())
+
+
 @pytest.mark.parametrize("samples", [2, 3, 10, 2000])
 @pytest.mark.parametrize("name", list(VECTORIZED_MAPS))
 def test_mixed_monotone_arrays_match_the_scalar_lane(name, samples, monkeypatch):
-    # the kernel lane's array trials report what the same map's generic lane
-    # reports, byte for byte, witness included
+    # the kernel lane's array trials report what the scalar stream reference
+    # reports, byte for byte, witness included, with one sweep per check
     op = VECTORIZED_MAPS[name]
-    twin = dataclasses.replace(op, vectorized=False)
-    assert (evaluation_lane(op), evaluation_lane(twin)) == ("kernel", "generic")
+    assert evaluation_lane(op) == "kernel"
     sweep, sweeps = kernels.monotone_sweep, []
     monkeypatch.setattr(kernels, "monotone_sweep", lambda *a: sweeps.append(a) or sweep(*a))
     for seed in (0, 1, 7, 42, 2**40):
-        got, want = (json.dumps(cf.check_mixed_monotone(o, samples=samples, seed=seed)
-                                .to_jsonable()) for o in (op, twin))
-        assert got == want
+        got = cf.check_mixed_monotone(op, samples=samples, seed=seed)
+        assert _json(got) == _json(_reference_report(op, samples, seed))
     assert len(sweeps) == 5
+
+
+def _signed_linear(a, b, c, radius):
+    # (a*x - b*y)/c fails the first clause for a < 0, the second for b < 0
+    return _vectorized(lambda x, y: (a * x - b * y) / c, cf.real_line(radius))
+
+
+_SIGNED = st.integers(-3, 3).map(float)
+
+
+def _nan_beyond(limit):
+    # (x - y)/4, but NaN for x > limit: past 9.9 on real_line(10), the
+    # first violation is seldom in the first few trials
+    return _vectorized(lambda x, y: np.where(x > limit, np.nan, (x - y) / 4))
+
+
+_NAN_MAPS = {"nan_beyond_five": nan_beyond_five(vectorized=True),
+             "nan_beyond_9.9": _nan_beyond(9.9)}
+
+
+@given(abc=st.one_of(st.sampled_from(list(_NAN_MAPS)),
+                     st.tuples(_SIGNED, _SIGNED, st.sampled_from([1.0, 3.0, 4.0]))),
+       radius=st.sampled_from([0.5, 10.0, 1e3]), samples=st.sampled_from([2, 3, 10, 2000]),
+       seed=st.one_of(st.sampled_from([0, 1, -7, 2**63]), st.integers(-2**64, 2**64)),
+       chunk=st.sampled_from([kernels.CHUNK, 7, 64]))
+@example(abc=(-1.0, 3.0, 5.0), radius=10.0, samples=2000, seed=-7, chunk=7)
+@example(abc=(1.0, -3.0, 5.0), radius=10.0, samples=2000, seed=2**63, chunk=64)
+@example(abc="nan_beyond_five", radius=10.0, samples=2000, seed=0, chunk=kernels.CHUNK)
+@example(abc="nan_beyond_9.9", radius=10.0, samples=2000, seed=-7, chunk=7)
+@settings(max_examples=150, deadline=None)
+def test_mixed_monotone_kernel_lane_is_the_stream_reference(abc, radius, samples, seed, chunk):
+    # the NaN maps keep their own radius; with a pass of any chunk size, odd
+    # ones too, the sweep flags the reference's first violation itself
+    op = _NAN_MAPS[abc] if isinstance(abc, str) else _signed_linear(*abc, radius)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernels, "CHUNK", chunk)
+        got = cf.check_mixed_monotone(op, samples=samples, seed=seed)
+        flagged = kernels.monotone_sweep(op, seed, operators._MONOTONE_TAG, samples)
+    want = _reference_report(op, samples, seed)
+    assert _json(got) == _json(want)
+    found = want.witness is not None
+    assert flagged == (want.samples_used - found, want.comparable_pairs_used - found)
+
+
+def _nan_past_9_5_on_floats_only(x, y):
+    # breaks the vectorized promise: decreasing in x on arrays, so the arrays
+    # flag trial 0; on floats (x - y)/4, NaN for x > 9.5
+    if isinstance(x, np.ndarray):
+        return -x
+    return math.nan if x > 9.5 else (x - y) / 4
+
+
+@pytest.mark.parametrize("chunk", [7, 64, kernels.CHUNK])
+def test_mixed_monotone_scalar_loop_reads_the_later_trials_of_the_stream(chunk, monkeypatch):
+    # from the flagged trial on, the loop reads every later trial as floats,
+    # whatever passes the stream is rebuilt in
+    monkeypatch.setattr(kernels, "CHUNK", chunk)
+    op = _vectorized(_nan_past_9_5_on_floats_only)
+    reached = []
+    for seed in range(8):
+        got = cf.check_mixed_monotone(op, samples=500, seed=seed)
+        assert _json(got) == _json(_reference_report(op, 500, seed))
+        reached.append(got.samples_used)
+    assert max(reached) > 7  # past the first pass of 7 trials
+
+
+def _no_sampler(count, seed):
+    raise AssertionError("the kernel lane drew sampler points")
+
+
+@pytest.mark.parametrize("apply", [lambda x, y: (x - 3 * y) / 5, lambda x, y: np.mod(x, 2)],
+                         ids=["samet", "mod_2"])
+def test_mixed_monotone_kernel_lane_calls_no_sampler(apply):
+    op = _vectorized(apply, dataclasses.replace(cf.real_line(), sampler=_no_sampler))
+    for seed in (0, 5):
+        got = cf.check_mixed_monotone(op, samples=50, seed=seed)
+        assert _json(got) == _json(_reference_report(op, 50, seed))
+
+
+@pytest.mark.parametrize("name", list(VECTORIZED_MAPS))
+def test_mixed_monotone_kernel_verdict_is_the_generic_twins(name):
+    # the lanes draw different trials, but reach the same verdict at 2,000
+    # samples, and every witness re-verifies
+    op = VECTORIZED_MAPS[name]
+    twin = dataclasses.replace(op, vectorized=False)
+    for seed in (0, 1, 7):
+        got, want = (cf.check_mixed_monotone(o, samples=2000, seed=seed) for o in (op, twin))
+        assert got.verdict == want.verdict
+        for o, rep in ((op, got), (twin, want)):
+            assert rep.witness is None or cf.reverify_witness(o, rep)["violated"]
 
 
 def _increasing_on_floats_only(x, y):
@@ -143,7 +258,7 @@ def test_mixed_monotone_goes_on_past_a_trial_only_the_arrays_flag():
     # the arrays flag trial 0 or 2, the floats pass it: the check carries on
     # over every trial, as the generic lane does, instead of stopping there
     op = _vectorized(_increasing_on_floats_only)
-    assert kernels.monotone_sweep(op, op.space.sampler(3000, 0x3A5C))[0] < 3
+    assert kernels.monotone_sweep(op, 0, operators._MONOTONE_TAG, 1000)[0] < 3
     twin = dataclasses.replace(op, vectorized=False)
     got, want = (cf.check_mixed_monotone(o, samples=1000, seed=0) for o in (op, twin))
     assert got.to_jsonable() == want.to_jsonable()
@@ -161,14 +276,13 @@ _PAST_2_53 = _past_2_53(150)
 @pytest.mark.parametrize("pool", [_PAST_2_53, _PAST_2_53[:-1] + [0.5]],
                          ids=["ints", "ints_and_a_float"])
 def test_mixed_monotone_arrays_leave_points_past_float64_to_the_scalar_loop(pool):
-    # float64 rounds ints past 2**53, so x % 2 would read 0 on every point
-    # and the arrays would pass what the scalar lane fails at trial 5
+    # float64 rounds ints past 2**53, so x % 2 would read 0 on every point;
+    # the generic lane reads the sampler's ints as they are and fails at
+    # trial 5 (the kernel lane draws floats, and no sampler points at all)
     space = dataclasses.replace(cf.real_line(), sampler=lambda count, seed: pool[:count])
-    op = _vectorized(lambda x, y: np.mod(x, 2), space)
-    assert kernels.monotone_sweep(op, pool) is None
-    twin = dataclasses.replace(op, vectorized=False)
-    got, want = (cf.check_mixed_monotone(o, samples=50) for o in (op, twin))
-    assert json.dumps(got.to_jsonable()) == json.dumps(want.to_jsonable())
+    op = cf.CoupledOperator(apply=lambda x, y: np.mod(x, 2), space=space)
+    got = cf.check_mixed_monotone(op, samples=50)
+    assert evaluation_lane(op) == "generic"
     assert (got.verdict, got.samples_used) == ("fails", 5)
 
 

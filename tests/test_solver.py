@@ -195,6 +195,30 @@ def test_solve_names_the_first_element_outside_the_space(apply, start, element):
     assert str(exc.value) == message
 
 
+@pytest.mark.parametrize("require_admissible", [True, False])
+def test_solve_evaluates_each_image_once(samet, require_admissible):
+    # the start's verdict reads the first step's images: two apply calls for
+    # the start and two per step
+    apply, calls = samet.operator.apply, []
+    op = dataclasses.replace(samet.operator, apply=lambda x, y: calls.append(x) or apply(x, y))
+    tr = cf.solve(op, PairPoint(-3.0, 3.0), require_admissible=require_admissible)
+    assert len(calls) == 2 * tr.iterations + 2 == 226
+    want = cf.solve(samet.operator, PairPoint(-3.0, 3.0), require_admissible=require_admissible)
+    assert tr.to_jsonable() == want.to_jsonable()
+
+
+def _creeping(x, y):
+    # steps of 1 + 1e-15 * |x|: each step grows, by far less than the slack
+    return x + 1 + 1e-15 * x if x >= 0 else x - 1 + 1e-15 * x
+
+
+def test_solve_excuses_step_growth_within_the_rounding_slack():
+    op = cf.CoupledOperator(apply=_creeping, space=cf.real_line())
+    tr = cf.solve(op, PairPoint(1.0, -1.0), max_iter=100)
+    assert tr.eta[1] > tr.eta[0]
+    assert (tr.termination, tr.iterations) == ("stalled", 51)
+
+
 def test_solve_validates_inputs(samet):
     with pytest.raises(cf.InputError):
         cf.solve(samet.operator, PairPoint(-3.0, 3.0), tol=0.0)

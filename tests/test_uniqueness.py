@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 import pathlib
 import random
@@ -55,6 +56,27 @@ def test_probe_lattice_rate_on_arrays_matches_the_scalar_probe(name, samples, mo
                                   (space, user_bound))]
         assert rates[0] == rates[1] == rates[2]
     assert len(calls) == 6
+
+
+class _CountingPartial(functools.partial):
+    # still real_line()'s own sampler to _own_real_line, but records counts
+    def __call__(self, count, seed):
+        self.counts.append(count)
+        return super().__call__(count, seed)
+
+
+@pytest.mark.parametrize("samples", [1, 500])
+def test_probe_lattice_rate_on_the_real_line_reads_one_trial(samples):
+    # real_line()'s sampler is prefix-stable, with finite floats: its first
+    # trial settles the rate, and the probe asks for those four points only
+    sampler = _CountingPartial(LINE.sampler.func, *LINE.sampler.args)
+    sampler.counts = []
+    space = dataclasses.replace(LINE, sampler=sampler)
+    wrapped = dataclasses.replace(LINE, sampler=lambda count, seed: LINE.sampler(count, seed))
+    for seed in range(5):
+        rate = cf.probe_comparability(space, samples, seed, _real_lattice_bound)
+        assert rate == cf.probe_comparability(wrapped, samples, seed, _real_lattice_bound) == 1.0
+    assert sampler.counts == [4] * 5
 
 
 @pytest.mark.parametrize("nan", [lambda: math.nan, lambda: float("nan")],
