@@ -66,7 +66,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tol", type=float, default=1e-10)
         p.add_argument("--max-iter", type=int, default=10000)
         p.add_argument("--samples", type=int, default=10000,
-                       help="per-eps draw budget for banded checks; point budget elsewhere")
+                       help="draw budget per check (per eps for banded checks), audit-space "
+                            "points (at most 500); unread by solve and uniqueness, whose "
+                            "comparability probe always draws 500 samples")
         p.add_argument("--seed", type=int, default=42)
         p.add_argument("--eps-grid", default="0.1,1,10",
                        help="comma-separated positive eps values")

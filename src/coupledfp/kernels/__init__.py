@@ -97,12 +97,12 @@ def _sweeps(op, cond, rows, seed, n, width, draw, block=0):
     holds a violation, with the violation of smallest first measured value in
     that block (the earliest draw on ties); its count then runs to the end of
     that block. The rows' results depend on the fixed block boundaries only,
-    so again not on the other rows: at most CHUNK // block rows share a pass,
-    which keeps a pass within CHUNK draws.
+    so again not on the other rows: at most CHUNK // min(block, n) rows share
+    a pass, which keeps a pass within CHUNK draws.
     """
     import numpy as np
 
-    group = max(1, CHUNK // block) if block else len(rows)
+    group = max(1, CHUNK // (min(block, n) or 1)) if block else len(rows)
     if len(rows) > group:
         return [res for g in range(0, len(rows), group)
                 for res in _sweeps(op, cond, rows[g:g + group], seed, n, width, draw, block)]

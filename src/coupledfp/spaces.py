@@ -24,6 +24,7 @@ from typing import Any, Callable, Optional
 
 from .audit import AuditReport, audit, audit_by_construction
 from .errors import DomainMismatchError, InputError
+from .reports import jsonable
 
 Element = Any
 
@@ -61,8 +62,6 @@ class PairPoint:
 
     # not a reports.Record: the JSON is the list [first, second], not an object
     def to_jsonable(self):
-        from .reports import jsonable
-
         return [jsonable(self.first), jsonable(self.second)]
 
 
@@ -180,17 +179,24 @@ def d2(Y: PairPoint, V: PairPoint, space: SpaceModel):
     return _half_sum(space, space.distance(Y.first, V.first) + space.distance(Y.second, V.second))
 
 
+def _product_order(leq, a1, a2, b1, b2):
+    """product_leq of (a1, a2) and (b1, b2) under the base order leq, without
+    its membership test: True, False or INCOMPARABLE."""
+    if leq(a1, b1) is True and leq(b2, a2) is True:
+        return True
+    if leq(b1, a1) is True and leq(a2, b2) is True:
+        return False
+    return INCOMPARABLE
+
+
 def product_leq(Y: PairPoint, V: PairPoint, space: SpaceModel):
     """Three-valued product order: True iff Y <=2 V, i.e. Y.first <= V.first
     and V.second <= Y.second; False when the reverse relation holds instead;
-    INCOMPARABLE when neither direction does.
+    INCOMPARABLE when neither direction does. It tests membership, then
+    reads _product_order, which the comparability probe calls on coordinates.
     """
     _require_members(space, Y.first, Y.second, V.first, V.second)
-    if space.leq(Y.first, V.first) is True and space.leq(V.second, Y.second) is True:
-        return True
-    if space.leq(V.first, Y.first) is True and space.leq(Y.second, V.second) is True:
-        return False
-    return INCOMPARABLE
+    return _product_order(space.leq, Y.first, Y.second, V.first, V.second)
 
 
 def pairs_comparable(Y: PairPoint, V: PairPoint, space: SpaceModel) -> bool:

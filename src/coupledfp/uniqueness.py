@@ -13,7 +13,7 @@ comparable.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import chain, combinations
 from operator import ne
 from typing import Callable, Optional
 
@@ -21,8 +21,8 @@ from .errors import InputError
 from .operators import CoupledOperator
 from .reports import Record, jsonable
 from .solver import TERM_CONVERGED, solve, residual
-from .spaces import (PairPoint, SpaceModel, _own_real_line, _real_lattice_bound, d2,
-                     pairs_comparable, usual_real_order)
+from .spaces import (INCOMPARABLE, PairPoint, SpaceModel, _half_sum, _own_real_line,
+                     _product_order, _real_lattice_bound, _require_members, usual_real_order)
 
 
 @dataclass
@@ -59,13 +59,6 @@ class DiagonalCheck(Record):
     diagonal_residual: object  # d(F(x,x), x) at the endpoint's first coordinate
 
 
-def _pair_of_pairs_ok(Y, V, space, bound_search) -> bool:
-    if bound_search is not None:
-        Z = bound_search(Y, V)
-        return Z is not None and pairs_comparable(Z, Y, space) and pairs_comparable(Z, V, space)
-    return pairs_comparable(Y, V, space)
-
-
 def probe_comparability(space: SpaceModel, samples: int = 1000, seed: int = 0,
                         bound_search: Optional[Callable] = None) -> float:
     """Fraction of distinct pair-of-pairs (Y, V) admitting a pair comparable
@@ -75,13 +68,15 @@ def probe_comparability(space: SpaceModel, samples: int = 1000, seed: int = 0,
 
     Y == V trials are vacuous and excluded from the denominator. Finite
     spaces are counted exactly (with bound_search only if n**4 <= 500,000);
-    otherwise the rate is estimated from seeded samples. A space with no
-    distinct pairs reports 0.0. With the real line's lattice bound as
-    bound_search on the real line's own order (usual_real_order, with no
-    contains to reject a point), Z = (max(y1, v1), min(y2, v2)) is above
-    both Y = (y1, y2) and V = (v1, v2), so the rate of a sample without a
-    NaN is 1.0 if some trial has Y != V and 0.0 otherwise, with nothing
-    counted; a sample with a NaN is counted.
+    otherwise the rate is estimated from seeded samples. Both counts run on
+    coordinates, with product_leq's membership tests and order, and build
+    PairPoints only to call bound_search. A space with no distinct pairs
+    reports 0.0. With the real line's lattice bound as bound_search on the
+    real line's own order (usual_real_order, with no contains to reject a
+    point), Z = (max(y1, v1), min(y2, v2)) is above both Y = (y1, y2) and
+    V = (v1, v2), so the rate of a sample without a NaN is 1.0 if some trial
+    has Y != V and 0.0 otherwise, with nothing counted; a sample with a NaN
+    is counted.
 
     Without bound_search the exact count is closed-form in the 0/1 matrix L:
     (a, b), (c, d) are comparable iff L[a][c] L[d][b] or L[c][a] L[b][d], so
@@ -102,9 +97,9 @@ def probe_comparability(space: SpaceModel, samples: int = 1000, seed: int = 0,
             r = sum(1 for i in range(n) if L[i][i])
             good = (2 * P * P - E * E - r * r) // 2
         else:
-            all_pairs = [PairPoint(a, b) for a in fd.elements for b in fd.elements]
-            good = sum(_pair_of_pairs_ok(Y, V, space, bound_search)
-                       for Y, V in combinations(all_pairs, 2))
+            pairs = [(a, b) for a in fd.elements for b in fd.elements]
+            good = _sampled_counts(chain.from_iterable(Y + V for Y, V in combinations(pairs, 2)),
+                                   space, bound_search)[0]
         return good / trials if trials else 0.0
     lattice = bound_search is _real_lattice_bound and space.contains is None
     if lattice and _own_real_line(space):  # finite floats, the same first four at any count
@@ -120,17 +115,28 @@ def probe_comparability(space: SpaceModel, samples: int = 1000, seed: int = 0,
 
 
 def _sampled_counts(pool, space, bound_search):
-    """(good, trials) of probe_comparability on the sampled points: trial t
-    takes Y and V from pool[4t:4t + 4] and is dropped when Y == V."""
+    """(good, trials) of probe_comparability on the points of pool, any
+    iterable: trial t takes Y and V from pool[4t:4t + 4], is dropped when
+    Y == V, and is good when Y and V, or bound_search's Z and Y, then Z and
+    V, are comparable. Membership is tested only if the space has a contains."""
+    leq, check = space.leq, space.contains is not None
+
+    def comparable(a1, a2, b1, b2):
+        if check:
+            _require_members(space, a1, a2, b1, b2)
+        return _product_order(leq, a1, a2, b1, b2) is not INCOMPARABLE
+
     trials = good = 0
-    for t in range(len(pool) // 4):
-        Y = PairPoint(pool[4 * t], pool[4 * t + 1])
-        V = PairPoint(pool[4 * t + 2], pool[4 * t + 3])
-        if Y == V:
+    for y1, y2, v1, v2 in zip(*[iter(pool)] * 4):
+        if (y1, y2) == (v1, v2):
             continue
         trials += 1
-        if _pair_of_pairs_ok(Y, V, space, bound_search):
-            good += 1
+        if bound_search is None:
+            good += comparable(y1, y2, v1, v2)
+        else:
+            Z = bound_search(PairPoint(y1, y2), PairPoint(v1, v2))
+            good += Z is not None and comparable(Z.first, Z.second, y1, y2) and comparable(
+                Z.first, Z.second, v1, v2)
     return good, trials
 
 
@@ -143,7 +149,9 @@ def multi_start_uniqueness(op: CoupledOperator, starts, tol: float = 1e-10,
 
     max_pairwise_d2 <= 2*tol is consistent with a unique coupled fixed point;
     anything larger is a refutation certificate (two reproducible runs landed
-    at distinct fixed points). Non-converged runs are excluded and flagged.
+    at distinct fixed points). It is the largest d2 over endpoint pairs, the
+    int 0 if none is positive, with no membership test: solve made one.
+    Non-converged runs are excluded and flagged.
     """
     starts = list(starts)
     if not starts:
@@ -161,18 +169,17 @@ def multi_start_uniqueness(op: CoupledOperator, starts, tol: float = 1e-10,
         else:
             failed.append((Z0, trace.termination))
     space = op.space
-    worst = 0
-    for i in range(len(endpoints)):
-        for j in range(i + 1, len(endpoints)):
-            dd = d2(endpoints[i], endpoints[j], space)
-            if dd > worst:
-                worst = dd
+    distance, worst = space.distance, 0  # the largest sum, halved once: halving is monotone
+    for Y, V in combinations(endpoints, 2):
+        total = distance(Y.first, V.first) + distance(Y.second, V.second)
+        if total > worst:
+            worst = total
     gaps = [space.distance(z.first, z.second) for z in endpoints]
     rate = probe_comparability(space, comparability_samples, seed, bound_search)
     return UniquenessReport(
         starts=kept_starts,
         endpoints=endpoints,
-        max_pairwise_d2=worst,
+        max_pairwise_d2=worst and _half_sum(space, worst),
         comparability_rate=rate,
         diagonal_gaps=gaps,
         failed=failed,

@@ -285,8 +285,9 @@ def test_batched_band_sweeps_match_single_sweeps(a, b, c, bands, n, seed, mode, 
                                                  smallest):
     # a small chunk splits each band's stream across passes, at a per-band
     # width that changes as bands find their violation and drop out, or with
-    # smallest in blocks of CHUNK // 4 draws, at most four rows to a pass: a
-    # band's entry does not depend on the other bands of its call
+    # smallest in blocks of CHUNK // 4 draws, at most CHUNK // min(block, n)
+    # rows to a pass: a band's entry does not depend on the other bands of
+    # its call
     op = _linear_op(a, b, c)
     bands = [(eps, delta, tag) for (eps, delta), tag in bands]
     with pytest.MonkeyPatch.context() as mp:
@@ -351,6 +352,37 @@ def test_batched_band_sweeps_keep_a_hitless_band():
     assert got == [pure.band_sweep(1.0, 3.0, 5.0, eps, delta, 300, -7, tag, 10.0, 1, 0, SLACK)
                    for eps, delta, tag in bands]
     assert [r[:2] for r in got] == [(1, 1), (0, 0), (1, 1)]
+
+
+@pytest.mark.parametrize("name", ["samet_example", "linear(1,1,4)", "linear(2,1,4)"])
+def test_delta_curve_sweeps_a_short_phase_of_many_eps_in_one_call(name, monkeypatch):
+    # a block of CHUNK // 4 draws is longer than the 200-draw adversarial
+    # phases, so every row of such a phase fits one pass: twelve eps share
+    # one _sweeps call there, and each row's entry is the one it gets alone
+    op = cf.builtin(name).operator
+    grid = [k / 10 for k in range(1, 11)] + [1, 10]
+    sweeps, band_sweeps, phases = kernels._sweeps, kernels._band_sweeps, []
+
+    def alone(op, cond, rows, *args):
+        return [res for row in rows for res in sweeps(op, cond, [row], *args)]
+
+    monkeypatch.setattr(kernels, "_sweeps", alone)
+    expected = cf.estimate_delta_curve(op, grid, samples=2000, seed=1)
+
+    def counted(op, cond, rows, *args):
+        phases[-1].append(len(rows))
+        return sweeps(op, cond, rows, *args)
+
+    def phase(op, bands, seed, n, *args):
+        phases.append([n])
+        return band_sweeps(op, bands, seed, n, *args)
+
+    monkeypatch.setattr(kernels, "_sweeps", counted)
+    monkeypatch.setattr(kernels, "_band_sweeps", phase)
+    assert cf.estimate_delta_curve(op, grid, samples=2000, seed=1) == expected
+    adversarial = [rows for n, *rows in phases if n == 200]
+    assert adversarial and all(len(rows) == 1 for rows in adversarial)
+    assert adversarial[0] == [len(grid)]  # the thin probes of every eps
 
 
 # perfbench/tracing.py spans every public function of a traced layer unless

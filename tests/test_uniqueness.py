@@ -5,6 +5,7 @@ import pathlib
 import random
 import subprocess
 import sys
+import types
 from fractions import Fraction
 
 import pytest
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 
 import coupledfp as cf
 from coupledfp import uniqueness
-from coupledfp.spaces import PairPoint, _real_lattice_bound
+from coupledfp.spaces import PairPoint, _real_lattice_bound, pairs_comparable
 
 from conftest import fixture_path, load_doc
 
@@ -159,6 +160,98 @@ def test_probe_lattice_rate_is_the_scalar_count_without_numpy():
     assert out == ["False"]
 
 
+def reference_counts(pool, space, bound_search):
+    """(good, trials) of the sampled probe by its definition on PairPoints:
+    a trial with Y != V is good when Y and V, or bound_search(Y, V) and each
+    of them, are comparable (pairs_comparable, which tests membership)."""
+    trials = good = 0
+    for t in range(len(pool) // 4):
+        Y = PairPoint(pool[4 * t], pool[4 * t + 1])
+        V = PairPoint(pool[4 * t + 2], pool[4 * t + 3])
+        if Y == V:
+            continue
+        trials += 1
+        if bound_search is None:
+            good += pairs_comparable(Y, V, space)
+        else:
+            Z = bound_search(Y, V)
+            good += (Z is not None and pairs_comparable(Z, Y, space)
+                     and pairs_comparable(Z, V, space))
+    return good, trials
+
+
+def _partial_leq(x, y):
+    # the usual order, with NaN incomparable to everything
+    if x <= y:
+        return True
+    if y <= x:
+        return False
+    return cf.INCOMPARABLE
+
+
+PROBE_BOUNDS = {
+    "none": None,
+    "lattice": _real_lattice_bound,
+    "user": lambda Y, V: PairPoint(min(Y.first, V.second), max(Y.second, V.first)),
+    "no_bound": lambda Y, V: None,
+}
+
+
+def _counted(count, space, pool, bound_search):
+    """The outcome of count on pool, as (result or error message, the leq
+    calls as pairs of the compared objects)."""
+    calls = []
+
+    def leq(x, y):
+        calls.append((x, y))
+        return space.leq(x, y)
+
+    try:
+        out = count(pool, dataclasses.replace(space, leq=leq), bound_search)
+    except cf.DomainMismatchError as exc:
+        out = str(exc)
+    return out, calls
+
+
+@given(pool=st.lists(_POOL_POINTS, max_size=24), bound=st.sampled_from(sorted(PROBE_BOUNDS)),
+       order=st.sampled_from(["line", "partial"]), reject=st.sampled_from([None, 1.0, -1.0]))
+@example(pool=[1.0, 0.0, 0.0, 1.0], bound="user", order="line", reject=1.0)
+@example(pool=[math.nan, 0.0, 1.0, 0.0], bound="none", order="partial", reject=None)
+@example(pool=[0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 1.0], bound="lattice", order="line",
+         reject=None)  # a Y == V trial, then a counted one
+@settings(max_examples=400, deadline=None)
+def test_sampled_counts_are_the_pair_point_loop(pool, bound, order, reject):
+    # the coordinate count gives the PairPoint loop's (good, trials), or its
+    # DomainMismatchError message when contains rejects a point, and asks
+    # leq the same questions in the same order
+    space = cf.real_line()
+    if order == "partial":
+        space = dataclasses.replace(space, leq=_partial_leq)
+    if reject is not None:
+        space = dataclasses.replace(space, contains=lambda x: x != reject)
+    got, got_calls = _counted(uniqueness._sampled_counts, space, pool, PROBE_BOUNDS[bound])
+    want, want_calls = _counted(reference_counts, space, pool, PROBE_BOUNDS[bound])
+    assert got == want
+    assert len(got_calls) == len(want_calls)
+    assert all(a is c and b is d for (a, b), (c, d) in zip(got_calls, want_calls))
+
+
+@pytest.mark.parametrize("name", ["antichain3.json", "twocomp4.json", "diamond5.json"])
+def test_probe_finite_bound_search_is_the_pair_point_enumeration(name):
+    # the enumeration of a finite space with a bound search counts on
+    # coordinates too: the same rate as every distinct pair of PairPoints
+    prob = cf.load_finite(fixture_path(name))
+    space, elements = prob.space, prob.space.finite.elements
+    pairs = [PairPoint(a, b) for a in elements for b in elements]
+    for bound in (lambda Y, V: Y, lambda Y, V: PairPoint(V.first, Y.second),
+                  lambda Y, V: None if Y.first == V.second else PairPoint(elements[0], Y.first)):
+        good = sum((Z := bound(Y, V)) is not None and pairs_comparable(Z, Y, space)
+                   and pairs_comparable(Z, V, space)
+                   for i, Y in enumerate(pairs) for V in pairs[i + 1:])
+        trials = len(pairs) * (len(pairs) - 1) // 2
+        assert cf.probe_comparability(space, 10, 0, bound) == good / trials
+
+
 def test_probe_antichain_rate_zero():
     doc = load_doc("antichain3.json")
     space = cf.finite_space(doc["elements"], doc["distance"], doc["leq"])
@@ -253,6 +346,59 @@ def test_multi_start_exposes_two_fixed_points():
     assert rep.endpoints == [PairPoint("a0", "a0"), PairPoint("b0", "b0")]
     assert rep.max_pairwise_d2 == 2  # distinct coupled fixed points
     assert rep.comparability_rate < 1.0
+
+
+def reference_spread(endpoints, space):
+    """max_pairwise_d2 by its definition: the largest d2 over endpoint pairs
+    i < j, the first on ties, and the int 0 when none is positive."""
+    worst = 0
+    for i in range(len(endpoints)):
+        for j in range(i + 1, len(endpoints)):
+            dd = cf.d2(endpoints[i], endpoints[j], space)
+            if dd > worst:
+                worst = dd
+    return worst
+
+
+def _spread(op, endpoints, monkeypatch):
+    # every start converges at once to itself, so the endpoints are the starts
+    monkeypatch.setattr(uniqueness, "solve", lambda op, Z0, **kw: types.SimpleNamespace(
+        termination=uniqueness.TERM_CONVERGED, final=Z0))
+    return cf.multi_start_uniqueness(op, endpoints, comparability_samples=1).max_pairwise_d2
+
+
+_TINY = st.sampled_from([0.0, -0.0, 5e-324, 1e-323, 1.5e-323, 2e-323, 1.0, math.nan,
+                         math.inf, -math.inf])
+
+
+@given(endpoints=st.lists(st.tuples(st.one_of(_TINY, st.floats()), st.one_of(_TINY, st.floats())),
+                          min_size=1, max_size=6))
+@example(endpoints=[(0.0, 0.0), (5e-324, 0.0)])  # a sum of 5e-324 is kept whole
+@example(endpoints=[(0.0, 0.0), (5e-324, 0.0), (1e-323, 0.0)])  # 1e-323 halves to 5e-324 too
+@example(endpoints=[(0.0, 0.0), (1.5e-323, 0.0), (2e-323, 0.0)])  # 3 and 4 ulps halve alike
+@example(endpoints=[(0.0, math.nan), (1.0, 0.0), (math.inf, 0.0)])
+@example(endpoints=[(1.0, 2.0)] * 3)  # all equal: the int 0
+@settings(max_examples=300, deadline=None)
+def test_max_pairwise_d2_is_the_d2_loop_on_floats(endpoints):
+    with pytest.MonkeyPatch.context() as mp:
+        op = cf.CoupledOperator(apply=lambda x, y: x, space=cf.real_line())
+        endpoints = [PairPoint(x, y) for x, y in endpoints]
+        got = _spread(op, endpoints, mp)
+    want = reference_spread(endpoints, op.space)
+    assert (type(got), repr(got)) == (type(want), repr(want))
+
+
+@pytest.mark.parametrize("name", ["one.json", "chain3_monotone.json", "twocomp4.json",
+                                  "diamond5.json", "triangle_break4.json"])
+def test_max_pairwise_d2_is_the_d2_loop_on_finite_fixtures(name, monkeypatch):
+    # exact Fraction distances: every pair of elements as an endpoint
+    op = cf.load_finite(fixture_path(name)).operator
+    elements = op.space.finite.elements
+    endpoints = [PairPoint(a, b) for a in elements for b in elements]
+    for chosen in (endpoints, endpoints[::-1], endpoints[:1], endpoints[::3]):
+        got = _spread(op, chosen, monkeypatch)
+        want = reference_spread(chosen, op.space)
+        assert (type(got), repr(got)) == (type(want), repr(want))
 
 
 def test_multi_start_flags_nonconverged():
