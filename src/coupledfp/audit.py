@@ -21,6 +21,7 @@ from operator import gt, ne, sub
 from typing import Optional
 
 from .errors import InputError
+from .kernels import _sampler_seed
 from .reports import Record
 
 
@@ -79,11 +80,11 @@ MAX_AUDIT_PAIRS = 200_000
 MAX_AUDIT_TRIPLES = 200_000
 
 # per tuple width: the cap on enumerating all index tuples (None: always
-# all), the salt of the seeded index stream drawn past it, the axioms checked
+# all), the seed consumer of the index stream drawn past it, the axioms checked
 _AUDIT_PHASES = (
     (1, None, None, ("metric_identity", "order_reflexive")),
-    (2, MAX_AUDIT_PAIRS, 0x5EED, ("metric_nonnegative", "metric_symmetry", "order_antisymmetric")),
-    (3, MAX_AUDIT_TRIPLES, 0x7A1A, ("metric_triangle", "order_transitive")),
+    (2, MAX_AUDIT_PAIRS, "audit_pairs", ("metric_nonnegative", "metric_symmetry", "order_antisymmetric")),
+    (3, MAX_AUDIT_TRIPLES, "audit_triples", ("metric_triangle", "order_transitive")),
 )
 
 
@@ -106,18 +107,19 @@ def _tuple_count(n, width):
     return math.comb(n, 2) if width == 2 else n ** width
 
 
-def _audit_tuples(pts, width, cap, seed, salt, sizes):
+def _audit_tuples(pts, width, cap, seed, consumer, sizes):
     """The tuples of points one phase of the sampled audit checks, as one
     iterator: all points, index pairs i < j or index triples, in
     lexicographic order, up to the cap; past it, cap tuples of width
-    consecutive values of _randrange_stream(Random(seed ^ salt)), sliced
-    from lists of AUDIT_BLOCK rows, with each pair i == j dropped. sizes
-    receives the number of tuples of each block as it is handed out."""
+    consecutive values of _randrange_stream(Random(_sampler_seed(seed, consumer))),
+    sliced from lists of AUDIT_BLOCK rows, with each pair i == j dropped.
+    sizes receives the number of tuples of each block as it is handed out."""
     total = _tuple_count(len(pts), width)
     if cap is None or total <= cap:
         sizes.append(total)
         return combinations(pts, width) if width < 3 else product(pts, repeat=3)
-    return chain.from_iterable(_drawn_blocks(pts, width, cap, random.Random(seed ^ salt), sizes))
+    rng = random.Random(_sampler_seed(seed, consumer))
+    return chain.from_iterable(_drawn_blocks(pts, width, cap, rng, sizes))
 
 
 def _drawn_blocks(pts, width, rows, rng, sizes):
@@ -249,13 +251,13 @@ def _sampled_audit(space, samples, seed, tau):
     """audit of a space without matrices: per tuple width, its scan over the
     tuples of _audit_tuples through the space's distance and leq, and the
     number of those tuples, checked or not."""
-    pts = list(space.sampler(samples, seed))
+    pts = list(space.sampler(samples, _sampler_seed(seed, "audit_points")))
     if not pts:
         raise InputError("sampler returned no points to audit")
     found, counts = {}, []
-    for (width, cap, salt, axioms), scan in zip(_AUDIT_PHASES, (_points, _pairs, _triples)):
+    for (width, cap, consumer, axioms), scan in zip(_AUDIT_PHASES, (_points, _pairs, _triples)):
         sizes = []
-        tuples = _audit_tuples(pts, width, cap, seed, salt, sizes)
+        tuples = _audit_tuples(pts, width, cap, seed, consumer, sizes)
         witnesses = scan(space.distance, space.leq, tau, tuples)
         found.update((a, w) for a, w in zip(axioms, witnesses) if w is not None)
         deque(tuples, 0)  # draw what a scan that stopped early left, to count it

@@ -66,9 +66,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tol", type=float, default=1e-10)
         p.add_argument("--max-iter", type=int, default=10000)
         p.add_argument("--samples", type=int, default=10000,
-                       help="draw budget per check (per eps for banded checks), audit-space "
-                            "points (at most 500); unread by solve and uniqueness, whose "
-                            "comparability probe always draws 500 samples")
+                       help="draw budget per check (per eps for banded checks) and per "
+                            "comparability probe, audit-space points (at most 500); unread by solve")
         p.add_argument("--seed", type=int, default=42)
         p.add_argument("--eps-grid", default="0.1,1,10",
                        help="comma-separated positive eps values")
@@ -139,7 +138,7 @@ def _cmd_uniqueness(args, problem):
     starts += sample_admissible_starts(problem, UNIQUENESS_STARTS, seed=args.seed)
     report = uniq.multi_start_uniqueness(
         problem.operator, starts, tol=args.tol, max_iter=args.max_iter,
-        bound_search=problem.bound_search, seed=args.seed)
+        bound_search=problem.bound_search, comparability_samples=args.samples, seed=args.seed)
     return {"uniqueness": report.to_jsonable()}, None
 
 

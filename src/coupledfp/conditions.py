@@ -55,6 +55,7 @@ from operator import add, getitem, gt, le
 
 from . import kernels
 from .errors import InputError
+from .kernels import _BASES, _sampler_seed, _tag
 from .operators import (
     DELTA_CAP_FACTOR,
     CoupledOperator,
@@ -68,16 +69,6 @@ from .operators import (
 )
 from .reports import ConditionReport, Witness, _report
 from .spaces import INCOMPARABLE, _half_sum, _require_members
-
-_BASE_BANACH = 1
-_BASE_STRICT = 2
-_BASE_SAMET = 3
-_BASE_SYMMETRIC = 4
-_BASE_CURVE = 5
-
-
-def _tag(base, eps_idx=0, mode=0, probe=0):
-    return ((base & 0xFF) << 56) ^ ((probe & 0xFFFFFF) << 32) ^ ((eps_idx & 0xFFFF) << 8) ^ (mode & 0xFF)
 
 
 def _validate_eps_grid(eps_grid):
@@ -145,26 +136,21 @@ def _sampled_check(op, lane, cid, samples, seed, *args):
     """banach_k (args = (k,)) or strict_contraction (no args) on the kernel
     lane, by its box sweep, or on the generic lane, by rejection draws."""
     cond = _CONDITIONS[cid]
-    base, salt, what = _SAMPLED[cid]
     if lane == "kernel":
         args = tuple(map(float, args))
         sweep = kernels.banach_sweep if cid == "banach_k" else kernels.strict_sweep
-        found, checked, *hit = sweep(op, *args, seed, _tag(base), samples)
+        found, checked, *hit = sweep(op, *args, seed, _tag(_BASES[cid]), samples)
         used, draws, method = checked if found else samples, samples, "targeted-sampling"
     else:
-        draws, quadruples = _sampled_quadruples(op.space, samples, seed ^ salt)
+        draws, quadruples = _sampled_quadruples(op.space, samples, _sampler_seed(seed, cid))
         checked, hit = _scan(op, cond, cond.bind(op.space, *args), quadruples)
         found, used, method = hit is not None, draws, "rejection-sampling"
         if found:
             used, hit = hit[0] + 1, hit[1:]
     witness = _witness(cond, "random", hit, args) if found else None
+    what = "comparable quadruples" if cid == "banach_k" else "strictly comparable pairs"
     return _report(cid, method, witness, used, checked, params=dict(zip(cond.params, args)),
                    inconclusive=_too_few(checked, draws, what))
-
-
-# per sampled check: tag base, rejection-draw seed salt, what its quadruples are
-_SAMPLED = {"banach_k": (_BASE_BANACH, 0xB44A, "comparable quadruples"),
-            "strict_contraction": (_BASE_STRICT, 0x57C1, "strictly comparable pairs")}
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +343,6 @@ def _check_banded(op, eps_grid, delta_candidates, samples, seed, symmetric) -> C
     if samples < 1:
         raise InputError("samples must be positive")
     cid = "symmetric_mk" if symmetric else "samet_mk"
-    base = _BASE_SYMMETRIC if symmetric else _BASE_SAMET
     lane = evaluation_lane(op)
     # the whole grid is checked at once, up to the first invalid delta, which
     # is an error only when no eps before it fails
@@ -371,7 +356,7 @@ def _check_banded(op, eps_grid, delta_candidates, samples, seed, symmetric) -> C
         eps_delta.append((eps, delta))
     results = _band_checks(op, lane, [(eps, delta, e_idx, 0) for e_idx, (eps, delta)
                                       in enumerate(eps_delta)],
-                           samples, seed, base, symmetric, first_only=True)
+                           samples, seed, _BASES[cid], symmetric, first_only=True)
     witness = results[-1][1] if results else None
     if witness is None and invalid is not None:
         raise invalid
@@ -592,7 +577,7 @@ def estimate_delta_curve(op: CoupledOperator, eps_grid, samples: int = 2000, see
     def witnesses(deltas, probe):
         # per eps index i of deltas, the witness or None in [eps, eps + deltas[i])
         bands = [(grid[i], d, i, probe) for i, d in deltas.items()]
-        results = _band_checks(op, lane, bands, samples, seed, _BASE_CURVE, True,
+        results = _band_checks(op, lane, bands, samples, seed, _BASES["curve"], True,
                                smallest=True)
         return {i: w for i, (_, w, _) in zip(deltas, results)}
 

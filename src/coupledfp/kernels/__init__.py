@@ -31,11 +31,15 @@ locates the first violating trial; its caller rereads that trial and the
 later ones as floats (_monotone_trials). Its report is the reference's
 monotone_sweep bit for bit, NaN images included (both count them violations).
 
-numpy is imported on the first call, never at package import, so commands
-that make no sweep do not pay its import time or memory.
-"""
+The module also holds the package's seed policy: every seeded draw starts
+from stream_seed(seed, _tag(base)), one stream per consumer, with the base
+from the one table _BASES; a sampler or random.Random is seeded with that
+state cut to 31 bits (_sampler_seed).
 
-from ..operators import _CONDITIONS, _measure
+numpy and the rest of the package are imported on the first sweep, never at
+import, so commands that make no sweep do not pay numpy's import time or
+memory, and every module can read the seed policy.
+"""
 
 KERNEL_BACKEND = "numpy"
 CHUNK = 8192  # draws evaluated per array pass; bounds memory and early-exit waste
@@ -47,6 +51,11 @@ _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 _INV_2_53 = 1.0 / 9007199254740992.0  # 2^-53
 
+# the top byte of each seeded consumer's tags; 1-6 are the sweeps' streams
+_BASES = {"banach_k": 1, "strict_contraction": 2, "samet_mk": 3, "symmetric_mk": 4,
+          "curve": 5, "mixed_monotone": 6, "lipschitz": 7, "starts": 8, "comparability": 9,
+          "audit_points": 10, "audit_pairs": 11, "audit_triples": 12}
+
 
 def _mix64(z):
     z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
@@ -57,6 +66,15 @@ def _mix64(z):
 def stream_seed(seed, tag):
     """Initial splitmix64 state for the (seed, tag) stream."""
     return _mix64((seed & _MASK64) ^ ((tag & _MASK64) * _GOLDEN & _MASK64))
+
+
+def _tag(base, eps_idx=0, mode=0, probe=0):
+    return ((base & 0xFF) << 56) ^ ((probe & 0xFFFFFF) << 32) ^ ((eps_idx & 0xFFFF) << 8) ^ (mode & 0xFF)
+
+
+def _sampler_seed(seed, consumer):
+    """The space.sampler or random.Random seed of a consumer named in _BASES."""
+    return stream_seed(seed, _tag(_BASES[consumer])) & 0x7FFFFFFF
 
 
 def _uniforms(s0, i0, m, width):
@@ -77,13 +95,14 @@ def _uniforms(s0, i0, m, width):
     return (z >> np.uint64(11)).astype(np.float64) * _INV_2_53
 
 
-def _sweeps(op, cond, rows, seed, n, width, draw, block=0):
-    """The first violation of cond on each row (tag, p) of rows, in n draws
-    of the row's (seed, tag) stream: per row, in the order of rows,
-    (1, quadruples counted up to and including the violation, its x, y, u, v
-    and two measured values), or (0, quadruples counted, six zeros). p is the
-    row's cond.bind tuple of floats; draw(uniforms, p) makes each draw's
-    width uniforms into a comparable quadruple (x, y, u, v).
+def _sweeps(op, cid, rows, seed, n, width, draw, block=0):
+    """The first violation of the condition cid on each row (tag, args) of
+    rows, in n draws of the row's (seed, tag) stream: per row, in the order
+    of rows, (1, quadruples counted up to and including the violation, its x,
+    y, u, v and two measured values), or (0, quadruples counted, six zeros).
+    p, the row's tuple of floats cond.bind(op.space, *args), is passed to
+    draw(uniforms, p), which makes each draw's width uniforms into a
+    comparable quadruple (x, y, u, v).
 
     The rows' streams run side by side: each array pass evaluates the next
     max(1, CHUNK // B) draws of the B rows still without a violation as the
@@ -102,12 +121,15 @@ def _sweeps(op, cond, rows, seed, n, width, draw, block=0):
     """
     import numpy as np
 
+    from ..operators import _CONDITIONS, _measure
+
     group = max(1, CHUNK // (min(block, n) or 1)) if block else len(rows)
     if len(rows) > group:
         return [res for g in range(0, len(rows), group)
-                for res in _sweeps(op, cond, rows[g:g + group], seed, n, width, draw, block)]
+                for res in _sweeps(op, cid, rows[g:g + group], seed, n, width, draw, block)]
+    cond = _CONDITIONS[cid]
     states = np.array([[stream_seed(seed, tag)] for tag, _ in rows], dtype=np.uint64)
-    params = np.array([p for _, p in rows], dtype=np.float64)
+    params = np.array([cond.bind(op.space, *args) for _, args in rows], dtype=np.float64)
     live = list(range(len(rows)))
     results = [None] * len(rows)
     counts = [0] * len(rows)
@@ -144,14 +166,13 @@ def _sweeps(op, cond, rows, seed, n, width, draw, block=0):
 def _box_sweep(op, cid, args, seed, tag, n):
     """cid's sweep of n quadruples with x and v uniform in the sampling box
     and u and y up to one box radius below them."""
-    cond = _CONDITIONS[cid]
     scale = float(op.space.sample_radius or DEFAULT_SCALE)
 
     def draw(r, p):
         x, v = (2.0 * r[:2] - 1.0) * scale
         return x, v - r[3] * scale, x - r[2] * scale, v
 
-    return _sweeps(op, cond, [(tag, cond.bind(op.space, *args))], seed, n, 4, draw)[0]
+    return _sweeps(op, cid, [(tag, args)], seed, n, 4, draw)[0]
 
 
 def banach_sweep(op, k, seed, tag, n):
@@ -185,9 +206,7 @@ def _band_sweeps(op, bands, seed, n, mode, symmetric, smallest=False):
     Returns one (found, hits, x, y, u, v, half, lhs) per band, in the order
     of bands.
     """
-    space = op.space
-    cond = _CONDITIONS["symmetric_mk" if symmetric else "samet_mk"]
-    scale = float(space.sample_radius or DEFAULT_SCALE)
+    scale = float(op.space.sample_radius or DEFAULT_SCALE)
 
     def draw(r, p):
         lo, d = p[0], p[3]
@@ -200,9 +219,9 @@ def _band_sweeps(op, bands, seed, n, mode, symmetric, smallest=False):
         x, v = (2.0 * r[1:3] - 1.0) * scale
         return x, v - dy, x - dx, v
 
-    rows = [(tag, cond.bind(space, eps, delta)) for eps, delta, tag in bands]
-    return _sweeps(op, cond, rows, seed, n, 4 if mode == 0 else 3, draw,
-                   CHUNK // 4 if smallest else 0)
+    rows = [(tag, (eps, delta)) for eps, delta, tag in bands]
+    return _sweeps(op, "symmetric_mk" if symmetric else "samet_mk", rows, seed, n,
+                   4 if mode == 0 else 3, draw, CHUNK // 4 if smallest else 0)
 
 
 def strict_sweep(op, seed, tag, n):

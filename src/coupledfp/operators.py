@@ -25,6 +25,7 @@ from fractions import Fraction
 from itertools import repeat
 from typing import Any, Callable, NamedTuple, Optional
 
+from . import kernels
 from .errors import DomainMismatchError, InputError
 from .reports import ConditionReport, Witness, _report
 from .spaces import FLOAT_SLACK, INCOMPARABLE, PairPoint, SpaceModel, _half_sum, maps_arrays, usual_real_order
@@ -228,8 +229,6 @@ def _measure(op, cond, p, x, y, u, v):
     return cond.test(op, p, x, y, u, v, dxu, dyv, half, False)
 
 
-_MONOTONE_TAG = 6 << 56  # the kernel lane's stream: conditions._tag(6), past the checks' five bases
-
 # measured keys of the image below and above, per mixed-monotone clause
 _MONOTONE_KEYS = {"first_argument": ("f_of_u_y", "f_of_x_y"),
                   "second_argument": ("f_of_x_y", "f_of_x_v")}
@@ -278,13 +277,12 @@ def check_mixed_monotone(op: CoupledOperator, samples: int = 10000, seed: int = 
         return _FiniteTables(op).mixed_monotone()
 
     if lane == "kernel":
-        from . import kernels
-
         trials = samples_used = samples
-        start, used = kernels.monotone_sweep(op, seed, _MONOTONE_TAG, samples)
-        draws = kernels._monotone_trials(op, seed, _MONOTONE_TAG, start, samples)
+        tag = kernels._tag(kernels._BASES["mixed_monotone"])
+        start, used = kernels.monotone_sweep(op, seed, tag, samples)
+        draws = kernels._monotone_trials(op, seed, tag, start, samples)
     else:
-        pool = space.sampler(3 * samples, seed ^ 0x3A5C)
+        pool = space.sampler(3 * samples, kernels._sampler_seed(seed, "mixed_monotone"))
         if len(pool) < 3:
             raise InputError("sampler returned too few points")
         trials = samples_used = len(pool) // 3
@@ -346,7 +344,7 @@ def audit_lipschitz(op: CoupledOperator, samples: int = 2000, seed: int = 0):
         raise InputError("operator declares no lipschitz_data")
     la, lb = op.lipschitz_data
     space = op.space
-    _, quadruples = _sampled_quadruples(space, samples, seed ^ 0x11B5)
+    _, quadruples = _sampled_quadruples(space, samples, kernels._sampler_seed(seed, "lipschitz"))
     worst = 0.0
     worst_violation = -math.inf
     witness = None

@@ -32,6 +32,7 @@ from functools import partial
 from typing import Callable, Optional
 
 from .errors import InputError, SchemaError
+from .kernels import _sampler_seed
 from .operators import CoupledOperator
 from .solver import check_start
 from .spaces import (PairPoint, SpaceModel, _real_lattice_bound, _require_members, finite_space,
@@ -234,7 +235,7 @@ def sample_admissible_starts(problem: ProblemInstance, count: int, seed: int = 0
     size = 128
     while True:
         size = min(size, 2 * max_draws)
-        pool = problem.space.sampler(size, seed ^ 0xADB1)
+        pool = problem.space.sampler(size, _sampler_seed(seed, "starts"))
         for t in range(tested, len(pool) // 2):
             Z = PairPoint(pool[2 * t], pool[2 * t + 1])
             if check_start(op, Z).admissible:

@@ -14,15 +14,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import chain, combinations
-from operator import ne
 from typing import Callable, Optional
 
 from .errors import InputError
+from .kernels import _sampler_seed
 from .operators import CoupledOperator
 from .reports import Record, jsonable
 from .solver import TERM_CONVERGED, solve, residual
 from .spaces import (INCOMPARABLE, PairPoint, SpaceModel, _half_sum, _own_real_line,
-                     _product_order, _real_lattice_bound, _require_members, usual_real_order)
+                     _product_order, _real_lattice_bound, _require_members)
 
 
 @dataclass
@@ -71,12 +71,11 @@ def probe_comparability(space: SpaceModel, samples: int = 1000, seed: int = 0,
     otherwise the rate is estimated from seeded samples. Both counts run on
     coordinates, with product_leq's membership tests and order, and build
     PairPoints only to call bound_search. A space with no distinct pairs
-    reports 0.0. With the real line's lattice bound as bound_search on the
-    real line's own order (usual_real_order, with no contains to reject a
-    point), Z = (max(y1, v1), min(y2, v2)) is above both Y = (y1, y2) and
-    V = (v1, v2), so the rate of a sample without a NaN is 1.0 if some trial
-    has Y != V and 0.0 otherwise, with nothing counted; a sample with a NaN
-    is counted.
+    reports 0.0. With the real line's lattice bound as bound_search on
+    real_line() itself (spaces._own_real_line, with no contains), whose
+    sampler draws finite floats, Z = (max(y1, v1), min(y2, v2)) is above both
+    Y = (y1, y2) and V = (v1, v2), so the rate is 1.0, with nothing counted,
+    as soon as the first trial has Y != V.
 
     Without bound_search the exact count is closed-form in the 0/1 matrix L:
     (a, b), (c, d) are comparable iff L[a][c] L[d][b] or L[c][a] L[b][d], so
@@ -101,16 +100,12 @@ def probe_comparability(space: SpaceModel, samples: int = 1000, seed: int = 0,
             good = _sampled_counts(chain.from_iterable(Y + V for Y, V in combinations(pairs, 2)),
                                    space, bound_search)[0]
         return good / trials if trials else 0.0
-    lattice = bound_search is _real_lattice_bound and space.contains is None
-    if lattice and _own_real_line(space):  # finite floats, the same first four at any count
-        y1, y2, v1, v2 = space.sampler(4, seed ^ 0xC0BA)
+    rng_seed = _sampler_seed(seed, "comparability")
+    if bound_search is _real_lattice_bound and space.contains is None and _own_real_line(space):
+        y1, y2, v1, v2 = space.sampler(4, rng_seed)  # finite floats, the same first four at any count
         if (y1, y2) != (v1, v2):
             return 1.0
-    pool = space.sampler(4 * samples, seed ^ 0xC0BA)
-    if lattice and usual_real_order(space) and not any(map(ne, pool, pool)):
-        trials = zip(*[iter(pool)] * 4)
-        return 1.0 if any((y1, y2) != (v1, v2) for y1, y2, v1, v2 in trials) else 0.0
-    good, trials = _sampled_counts(pool, space, bound_search)
+    good, trials = _sampled_counts(space.sampler(4 * samples, rng_seed), space, bound_search)
     return good / trials if trials else 0.0
 
 

@@ -213,6 +213,19 @@ def test_uniqueness_command(capsys):
     assert all(g <= 2e-10 for g in rep["diagonal_gaps"])
 
 
+def test_uniqueness_probe_reads_samples(capsys, monkeypatch):
+    # the comparability probe draws the --samples that config echoes
+    probe, calls = cli.uniq.probe_comparability, []
+    monkeypatch.setattr(cli.uniq, "probe_comparability",
+                        lambda space, samples, *args: calls.append(samples) or probe(
+                            space, samples, *args))
+    for samples in ("3", "500"):
+        code, out, _ = run_cli(capsys, "uniqueness", "--problem", "samet_example",
+                               "--samples", samples, "--max-iter", "50")
+        assert code == 0 and json.loads(out)["config"]["samples"] == int(samples)
+    assert calls == [3, 500]
+
+
 def test_audit_space_command(capsys):
     code, out, err = run_cli(
         capsys, "audit-space", "--problem", "samet_example", "--samples", "200",

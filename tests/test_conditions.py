@@ -15,8 +15,8 @@ from hypothesis import strategies as st
 
 import coupledfp as cf
 from coupledfp import kernels
-from coupledfp.conditions import _BASE_CURVE, _BASE_SAMET, _BASE_SYMMETRIC, DELTA_CAP_FACTOR, _tag
-from coupledfp.kernels import stream_seed
+from coupledfp.conditions import DELTA_CAP_FACTOR
+from coupledfp.kernels import _BASES, _tag, stream_seed
 from coupledfp.operators import _banded_conclusion, _finite_table, evaluation_lane
 from coupledfp.reports import Witness
 from coupledfp.spaces import INCOMPARABLE, FiniteData, PairPoint
@@ -942,7 +942,7 @@ def test_generic_banded_checks_match_a_recount(name, symmetric, rule):
     assert evaluation_lane(op) == "generic"
     grid, samples, seed = [0.5, 1.0, 1.5], 300, 5
     check = cf.check_symmetric_mk if symmetric else cf.check_samet
-    base = _BASE_SYMMETRIC if symmetric else _BASE_SAMET
+    base = _BASES["symmetric_mk" if symmetric else "samet_mk"]
     rep = check(op, grid, rule, samples=samples, seed=seed)
     tally = collections.Counter()
     band_hits, used, hit = [], 0, None
@@ -983,7 +983,7 @@ def test_generic_delta_curve_matches_a_recount(name):
         # half-sum less eps until one finds none
         probe, delta, hit = 0, eps * 1e-9, True
         while hit:
-            hit = _recount_band(op, eps, delta, i, probe, _BASE_CURVE, samples, seed, True,
+            hit = _recount_band(op, eps, delta, i, probe, _BASES["curve"], samples, seed, True,
                                 tally)[1]
             if probe == 0:
                 delta = 0.0 if hit else DELTA_CAP_FACTOR * eps

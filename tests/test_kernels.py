@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import inspect
 import json
@@ -100,6 +101,29 @@ def test_rng_streams_bit_identical():
             assert _stream(seed, tag, 64) == pure.rand_doubles(seed, tag, 64)
     n = kernels.CHUNK + 5
     assert _stream(-7, 11, n) == pure.rand_doubles(-7, 11, n)
+
+
+def test_seed_table_gives_each_consumer_its_own_stream():
+    # one base per seeded consumer, in _tag's top byte; the sweeps' bases 1-6
+    # are pinned, since every kernel-lane report is drawn from them
+    bases = kernels._BASES
+    assert len(set(bases.values())) == len(bases)
+    assert all(0 < base <= 0xFF and kernels._tag(base) == base << 56 for base in bases.values())
+    sweeps = ("banach_k", "strict_contraction", "samet_mk", "symmetric_mk", "curve",
+              "mixed_monotone")
+    assert [bases[c] for c in sweeps] == [1, 2, 3, 4, 5, 6]
+    for seed in range(100):
+        assert len({kernels.stream_seed(seed, kernels._tag(b)) for b in bases.values()}) == len(bases)
+        assert len({kernels._sampler_seed(seed, c) for c in bases}) == len(bases)
+        assert kernels._sampler_seed(seed, "starts") == (
+            kernels.stream_seed(seed, bases["starts"] << 56) & 0x7FFFFFFF)
+
+
+def test_kernels_import_nothing_at_module_level():
+    # numpy and the rest of the package load on the first sweep, so any
+    # module of the package can import the seed policy without a cycle
+    tree = ast.parse(inspect.getsource(kernels))
+    assert not [node for node in tree.body if isinstance(node, (ast.Import, ast.ImportFrom))]
 
 
 def test_rng_range_and_determinism():

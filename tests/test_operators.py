@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import coupledfp as cf
-from coupledfp import kernels, operators
+from coupledfp import kernels
 from coupledfp.errors import InputError
 from coupledfp.operators import evaluation_lane
 from coupledfp.reports import Witness, _report
@@ -121,6 +121,10 @@ VECTORIZED_MAPS = {
 }
 
 
+# the kernel lane's mixed-monotone stream, written out: base 6 of
+# kernels._BASES in the tag's top byte
+MONOTONE_TAG = 6 << 56
+
 # measured keys of the image at the lower and at the upper argument, per clause
 _CLAUSE_KEYS = {"first_argument": ("f_of_u_y", "f_of_x_y"),
                 "second_argument": ("f_of_x_y", "f_of_x_v")}
@@ -130,7 +134,7 @@ def _reference_report(op, samples, seed):
     """The kernel lane's mixed-monotone report as the scalar reference in
     tests/kernel_oracle.py computes it, on op.apply called with floats."""
     found, trials, used, x, y, u, v, f_lo, f_hi = pure.monotone_sweep(
-        op.apply, samples, seed, operators._MONOTONE_TAG, op.space.sample_radius)
+        op.apply, samples, seed, MONOTONE_TAG, op.space.sample_radius)
     witness = None
     if found:
         clause = "first_argument" if (trials - 1) % 2 == 0 else "second_argument"
@@ -194,7 +198,7 @@ def test_mixed_monotone_kernel_lane_is_the_stream_reference(abc, radius, samples
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(kernels, "CHUNK", chunk)
         got = cf.check_mixed_monotone(op, samples=samples, seed=seed)
-        flagged = kernels.monotone_sweep(op, seed, operators._MONOTONE_TAG, samples)
+        flagged = kernels.monotone_sweep(op, seed, MONOTONE_TAG, samples)
     want = _reference_report(op, samples, seed)
     assert _json(got) == _json(want)
     found = want.witness is not None
@@ -258,7 +262,7 @@ def test_mixed_monotone_goes_on_past_a_trial_only_the_arrays_flag():
     # the arrays flag trial 0 or 2, the floats pass it: the check carries on
     # over every trial, as the generic lane does, instead of stopping there
     op = _vectorized(_increasing_on_floats_only)
-    assert kernels.monotone_sweep(op, 0, operators._MONOTONE_TAG, 1000)[0] < 3
+    assert kernels.monotone_sweep(op, 0, MONOTONE_TAG, 1000)[0] < 3
     twin = dataclasses.replace(op, vectorized=False)
     got, want = (cf.check_mixed_monotone(o, samples=1000, seed=0) for o in (op, twin))
     assert got.to_jsonable() == want.to_jsonable()

@@ -5,6 +5,7 @@ import pytest
 
 import coupledfp as cf
 from coupledfp.cli import main
+from coupledfp.kernels import _BASES, stream_seed
 from coupledfp.spaces import PairPoint
 
 from conftest import FINITE_FIXTURES, fixture_path
@@ -98,8 +99,9 @@ def test_sample_admissible_starts(samet):
 
 
 def _starts_from_full_pool(problem, count, seed, max_draws):
-    # one request for the whole stream, then a scan of it
-    pool = problem.space.sampler(2 * max_draws, seed ^ 0xADB1)
+    # one request for the whole stream of the starts' seed, then a scan of it
+    starts_seed = stream_seed(seed, _BASES["starts"] << 56) & 0x7FFFFFFF
+    pool = problem.space.sampler(2 * max_draws, starts_seed)
     found = []
     for t in range(len(pool) // 2):
         Z = PairPoint(pool[2 * t], pool[2 * t + 1])
