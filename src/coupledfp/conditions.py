@@ -21,15 +21,17 @@ Evaluation lanes are sources of comparable quadruples: vectorized operators
 on the real line go through the numpy sweep kernels, finite tabulated spaces
 enumerate every quadruple with zero tolerance, and other spaces draw them by
 rejection sampling or, for bands, construct them through the space's
-interpolate hook. The conditions differ only in which quadruples they count
-(all of them, those in the band, those with a finite half-sum > 0) and in the
+interpolate hook. The conditions, and operators.check_mixed_monotone's
+F(u, v) <= F(x, y), differ only in which quadruples they count (all of
+them, those in the band, those with a finite half-sum > 0) and in the
 conclusion that must hold, and each is written once, as its definition in
 ``operators`` (_CONDITIONS): its parameters, its test and the names of its
 two measured values. The kernels' row loop runs the test on arrays, _scan
 runs it on the generic lane's scalars, passing over an uncounted quadruple
 before F is evaluated, and _measure runs it on one quadruple for the finite
-lane's witness and for reverify_witness; _witness lays out every lane's
-measured dict. The floating-point slack of 1e-12 relative to max(1, bound)
+lane's witness and for reverify_witness, which also checks every kernel
+witness on floats (_float_confirmed); _witness lays out every lane's measured
+dict. The floating-point slack of 1e-12 relative to max(1, bound)
 (_with_slack) keeps rounding from minting a false witness, and the
 comparisons are written so that a NaN never passes.
 
@@ -61,9 +63,9 @@ from .operators import (
     CoupledOperator,
     evaluation_lane,
     _CONDITIONS,
+    _argument_quadruples,
     _finite_table,
     _measure,
-    _monotone_violation,
     _sampled_quadruples,
     _too_few,
 )
@@ -132,25 +134,38 @@ def _scan(op, cond, p, quadruples):
     return count, None
 
 
+# per sampled check: what it counts, its kernel sweep, its generic draws, its
+# method on either lane, and the witness kinds, of which draw t takes kinds[t % len]
+_SAMPLED = {
+    "banach_k": ("comparable quadruples", "banach_sweep", _sampled_quadruples,
+                 ("targeted-sampling", "rejection-sampling"), ("random",)),
+    "strict_contraction": ("strictly comparable pairs", "strict_sweep", _sampled_quadruples,
+                           ("targeted-sampling", "rejection-sampling"), ("random",)),
+    "mixed_monotone": ("comparable argument pairs", "monotone_sweep", _argument_quadruples,
+                       ("sampled", "sampled"), ("first_argument", "second_argument")),
+}
+
+
 def _sampled_check(op, lane, cid, samples, seed, *args):
-    """banach_k (args = (k,)) or strict_contraction (no args) on the kernel
-    lane, by its box sweep, or on the generic lane, by rejection draws."""
+    """banach_k (args = (k,)), strict_contraction or mixed_monotone (no args)
+    on the kernel lane, by its sweep, or on the generic lane, by its draws
+    (_SAMPLED)."""
     cond = _CONDITIONS[cid]
+    what, sweep, draw, methods, kinds = _SAMPLED[cid]
     if lane == "kernel":
         args = tuple(map(float, args))
-        sweep = kernels.banach_sweep if cid == "banach_k" else kernels.strict_sweep
-        found, checked, *hit = sweep(op, *args, seed, _tag(_BASES[cid]), samples)
-        used, draws, method = checked if found else samples, samples, "targeted-sampling"
+        found, checked, *hit = getattr(kernels, sweep)(op, *args, seed, _tag(_BASES[cid]), samples)
+        used, draws, method = checked if found else samples, samples, methods[0]
     else:
-        draws, quadruples = _sampled_quadruples(op.space, samples, _sampler_seed(seed, cid))
+        draws, quadruples = draw(op.space, samples, _sampler_seed(seed, cid))
         checked, hit = _scan(op, cond, cond.bind(op.space, *args), quadruples)
-        found, used, method = hit is not None, draws, "rejection-sampling"
+        found, used, method = hit is not None, draws, methods[1]
         if found:
             used, hit = hit[0] + 1, hit[1:]
-    witness = _witness(cond, "random", hit, args) if found else None
-    what = "comparable quadruples" if cid == "banach_k" else "strictly comparable pairs"
-    return _report(cid, method, witness, used, checked, params=dict(zip(cond.params, args)),
-                   inconclusive=_too_few(checked, draws, what))
+    # a sweep whose kinds differ counts every draw, so used - 1 is the draw
+    witness = _witness(cond, kinds[(used - 1) % len(kinds)], hit, args) if found else None
+    return _report(cid, method, _float_confirmed(op, lane, cid, witness), used, checked,
+                   params=dict(zip(cond.params, args)), inconclusive=_too_few(checked, draws, what))
 
 
 # ---------------------------------------------------------------------------
@@ -239,8 +254,9 @@ class _FiniteTables:
         """operators.check_mixed_monotone on a finite space: both clauses for
         every comparable pair lo <= hi and every w, in (lo, hi) row-major
         order, on F, FT and the 0/1 order matrix L: L[F[lo][w]][F[hi][w]] and
-        L[F[w][hi]][F[w][lo]]. Only the first violation goes through
-        _monotone_violation, for its witness."""
+        L[F[w][hi]][F[w][lo]]. Only the first violation is measured, through
+        the condition's definition, for its witness: the quadruple
+        (hi, w, lo, w) of the first clause, else (w, lo, w, hi)."""
         els, L, F, FT = self.finite.elements, self.finite.leq, self.F, self.FT
         # up-set rows of the images: up_F[i][w] = L[F[i][w]], up_FT[i][w] = L[F[w][i]]
         up_F = [list(map(L.__getitem__, row)) for row in F]
@@ -252,12 +268,14 @@ class _FiniteTables:
             if all(map(getitem, up_F[i], F[j])) and all(map(getitem, up_FT[j], FT[i])):
                 checked += len(idx)
                 continue
-            w = next(w for w in idx if not (up_F[i][w][F[j][w]] and up_FT[j][w][FT[i][w]]))
-            checked += w + 1
-            lo, hi, w = els[i], els[j], els[w]
-            _, _, witness = _monotone_violation(self.op, "first_argument", hi, w, lo, w)
-            if witness is None:
-                _, _, witness = _monotone_violation(self.op, "second_argument", w, lo, w, hi)
+            k = next(k for k in idx if not (up_F[i][k][F[j][k]] and up_FT[j][k][FT[i][k]]))
+            checked += k + 1
+            lo, hi, w = els[i], els[j], els[k]
+            kind, quadruple = (("first_argument", (hi, w, lo, w)) if not up_F[i][k][F[j][k]]
+                               else ("second_argument", (w, lo, w, hi)))
+            cond = _CONDITIONS["mixed_monotone"]
+            _, low, high, _ = _measure(self.op, cond, (), *quadruple)
+            witness = _witness(cond, kind, (*quadruple, low, high), ())
             break
         # reflexive pairs alone still decide the clauses on a finite space, so an
         # exhaustive scan is conclusive even on an antichain
@@ -356,8 +374,8 @@ def _check_banded(op, eps_grid, delta_candidates, samples, seed, symmetric) -> C
         eps_delta.append((eps, delta))
     results = _band_checks(op, lane, [(eps, delta, e_idx, 0) for e_idx, (eps, delta)
                                       in enumerate(eps_delta)],
-                           samples, seed, _BASES[cid], symmetric, first_only=True)
-    witness = results[-1][1] if results else None
+                           samples, seed, _BASES[cid], symmetric)
+    witness = _float_confirmed(op, lane, cid, results[-1][1] if results else None)
     if witness is None and invalid is not None:
         raise invalid
     band_hits = [(eps, hits) for (eps, _), (hits, _, _) in zip(eps_delta, results)]
@@ -384,15 +402,14 @@ def _finite_band(tables, eps, delta, symmetric):
                                   lambda c, s: map(bound.__le__, c), eps, delta)
 
 
-def _band_checks(op, lane, bands, samples, seed, base, symmetric, first_only=False,
-                 smallest=False):
+def _band_checks(op, lane, bands, samples, seed, base, symmetric, curve=False):
     """Banded checks of the bands (eps, delta, e_idx, probe): per band
     (in-band hits, witness or None, draws). On the kernel lane each phase is
     one batched sweep over the bands still without a witness; the other lanes
-    check band after band. With first_only the list ends at the first band
-    with a witness, and later bands are checked no further. smallest passes
-    the delta curve's block rule to kernels._band_sweeps; the other lanes
-    keep the first violation."""
+    check band after band. The list ends at the first band with a witness,
+    and later bands are checked no further, except for the delta curve
+    (curve), which checks every band and passes its block rule to
+    kernels._band_sweeps; the other lanes keep the first violation."""
     if lane != "kernel":
         tables = _FiniteTables(op) if lane == "finite" else None
         results = []
@@ -403,28 +420,28 @@ def _band_checks(op, lane, bands, samples, seed, base, symmetric, first_only=Fal
             else:
                 hits, witness = _finite_band(tables, eps, delta, symmetric)
                 results.append((hits, witness, hits))
-            if first_only and results[-1][1] is not None:
+            if not curve and results[-1][1] is not None:
                 break
         return results
 
     cond = _CONDITIONS["symmetric_mk" if symmetric else "samet_mk"]
     floats = [(float(eps), float(delta)) for eps, delta, _, _ in bands]
     results = [[0, None, 0] for _ in bands]
-    stop = len(bands)  # with first_only, one past the first band with a witness
+    stop = len(bands)  # but for the curve, one past the first band with a witness
     for mode, count, kind in _phase_plan(samples):
         live = [i for i in range(stop) if results[i][1] is None]
         if not live:
             break
         sweeps = kernels._band_sweeps(
             op, [floats[i] + (_tag(base, bands[i][2], mode, bands[i][3]),) for i in live],
-            seed, count, mode, symmetric, smallest)
+            seed, count, mode, symmetric, curve)
         for i, (found, hits, x, y, u, v, half, lhs) in zip(live, sweeps):
             r = results[i]
             r[0] += hits
             r[2] += count
             if found:
                 r[1] = _witness(cond, kind, (x, y, u, v, half, lhs), floats[i])
-                if first_only:
+                if not curve:
                     stop = min(stop, i + 1)
     return [tuple(r) for r in results[:stop]]
 
@@ -578,7 +595,7 @@ def estimate_delta_curve(op: CoupledOperator, eps_grid, samples: int = 2000, see
         # per eps index i of deltas, the witness or None in [eps, eps + deltas[i])
         bands = [(grid[i], d, i, probe) for i, d in deltas.items()]
         results = _band_checks(op, lane, bands, samples, seed, _BASES["curve"], True,
-                               smallest=True)
+                               curve=True)
         return {i: w for i, (_, w, _) in zip(deltas, results)}
 
     thin = witnesses({i: eps * 1e-9 for i, eps in enumerate(grid)}, 0)
@@ -614,11 +631,6 @@ def reverify_witness(op: CoupledOperator, report: ConditionReport) -> dict:
     space = op.space
     cid = report.condition_id
     _require_members(space, w.x, w.y, w.u, w.v)
-
-    if cid == "mixed_monotone":
-        f_lo, f_hi, violation = _monotone_violation(op, w.kind, w.x, w.y, w.u, w.v)
-        return {"image_low": f_lo, "image_high": f_hi, "violated": violation is not None}
-
     cond = _CONDITIONS.get(cid)
     if cond is None:
         raise InputError(f"unknown condition id {cid!r}")
@@ -634,3 +646,14 @@ def reverify_witness(op: CoupledOperator, report: ConditionReport) -> dict:
     oriented = space.leq(w.u, w.x) is True and space.leq(w.y, w.v) is True
     result["violated"] = bool(counted and oriented and not holds)
     return result
+
+
+def _float_confirmed(op, lane, cid, witness):
+    """witness, unless the kernel lane found it on arrays and it does not
+    violate cid on floats: op then breaks its vectorized=True declaration."""
+    if (lane == "kernel" and witness is not None
+            and not reverify_witness(op, ConditionReport(cid, "fails", witness))["violated"]):
+        raise InputError(f"the {cid} witness found on float64 arrays does not violate it on "
+                         "floats: the operator's vectorized=True declaration does not hold; make "
+                         "apply map arrays as it maps floats, or set vectorized=False")
+    return witness

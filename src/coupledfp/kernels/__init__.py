@@ -15,21 +15,18 @@ on them (op.apply and space.distance take whole arrays). All sweeps share
 one row loop, _sweeps: each row is a stream with its own parameters, the
 rows are the rows of one array per pass, and a row drops out at its first
 violation. banach_sweep and strict_sweep are one-row calls with the box
-draw; the band search runs one row per band (_band_sweeps), so the banded
-checks and the delta curve make one batched sweep per phase over their eps
-grid. A block's size does not depend on how many rows share the call, so a
-band's curve result is the one it gets alone.
+draw, monotone_sweep one with the mixed-monotone trials' draw; the band
+search runs one row per band (_band_sweeps), so the banded checks and the
+delta curve make one batched sweep per phase over their eps grid. A block's
+size does not depend on how many rows share the call, so a band's curve
+result is the one it gets alone.
 
 On F(x, y) = (a*x - b*y)/c the results are bit-identical to the scalar
 reference in tests/kernel_oracle.py, the tests' oracle: the same stream, the
 same IEEE operations in the same order (numpy elementwise arithmetic does not
-fuse multiply-adds), the same returned tuple. Only NaN differs on purpose: it
-violates the condition tests, while the reference lets it through.
-
-monotone_sweep draws argument triples from a stream of its own and only
-locates the first violating trial; its caller rereads that trial and the
-later ones as floats (_monotone_trials). Its report is the reference's
-monotone_sweep bit for bit, NaN images included (both count them violations).
+fuse multiply-adds), the same results. Only NaN differs on purpose: it
+violates the condition tests, while the reference lets it through, except
+in monotone_sweep, where both count a NaN image a violation.
 
 The module also holds the package's seed policy: every seeded draw starts
 from stream_seed(seed, _tag(base)), one stream per consumer, with the base
@@ -101,8 +98,8 @@ def _sweeps(op, cid, rows, seed, n, width, draw, block=0):
     of rows, (1, quadruples counted up to and including the violation, its x,
     y, u, v and two measured values), or (0, quadruples counted, six zeros).
     p, the row's tuple of floats cond.bind(op.space, *args), is passed to
-    draw(uniforms, p), which makes each draw's width uniforms into a
-    comparable quadruple (x, y, u, v).
+    draw(uniforms, p, i0), which makes each draw's width uniforms into a
+    comparable quadruple (x, y, u, v), with i0 the pass's first draw index.
 
     The rows' streams run side by side: each array pass evaluates the next
     max(1, CHUNK // B) draws of the B rows still without a violation as the
@@ -138,7 +135,7 @@ def _sweeps(op, cid, rows, seed, n, width, draw, block=0):
         while live and i0 < n:
             m = min(block or max(1, CHUNK // len(live)), n - i0)
             p = tuple(params.T[:, :, None])
-            x, y, u, v = draw(_uniforms(states, i0, m, width), p)
+            x, y, u, v = draw(_uniforms(states, i0, m, width), p, i0)
             i0 += m
             counted, first, second, holds = _measure(op, cond, p, x, y, u, v)
             bad = counted & ~holds
@@ -168,7 +165,7 @@ def _box_sweep(op, cid, args, seed, tag, n):
     and u and y up to one box radius below them."""
     scale = float(op.space.sample_radius or DEFAULT_SCALE)
 
-    def draw(r, p):
+    def draw(r, p, i0):
         x, v = (2.0 * r[:2] - 1.0) * scale
         return x, v - r[3] * scale, x - r[2] * scale, v
 
@@ -208,7 +205,7 @@ def _band_sweeps(op, bands, seed, n, mode, symmetric, smallest=False):
     """
     scale = float(op.space.sample_radius or DEFAULT_SCALE)
 
-    def draw(r, p):
+    def draw(r, p, i0):
         lo, d = p[0], p[3]
         h = lo + r[0] * d
         if mode == 0:
@@ -236,44 +233,23 @@ def strict_sweep(op, seed, tag, n):
     return _box_sweep(op, "strict_contraction", (), seed, tag, n)
 
 
-def _monotone_passes(op, seed, tag, start, n):
-    """Trials start to n - 1 of the mixed-monotone (seed, tag) stream, at most
-    CHUNK per pass: (the pass's first trial, a (3, m) float64 array of its
-    trials' a, b and w, uniform in the sampling box)."""
+def monotone_sweep(op, seed, tag, n):
+    """Search for a violation of mixed monotonicity, F(u, v) <= F(x, y),
+    over n trials: trial t draws (a, b, w) uniform in the sampling box,
+    orders a and b as lo <= hi and is the quadruple (hi, w, lo, w) on even t,
+    (w, lo, w, hi) on odd t; a NaN image violates.
+
+    Returns (found, checked, x, y, u, v, F(u, v), F(x, y)).
+    """
     import numpy as np
 
     scale = float(op.space.sample_radius or DEFAULT_SCALE)
-    s0 = np.array([[stream_seed(seed, tag)]], dtype=np.uint64)
-    for t0 in range(start, n, CHUNK):
-        yield t0, (2.0 * _uniforms(s0, t0, min(CHUNK, n - t0), 3)[:, 0] - 1.0) * scale
 
+    def draw(r, p, i0):
+        a, b, w = (2.0 * r - 1.0) * scale
+        below = a <= b
+        lo, hi = np.where(below, a, b), np.where(below, b, a)
+        even = np.arange(i0, i0 + a.shape[1]) % 2 == 0
+        return np.where(even, hi, w), np.where(even, w, lo), np.where(even, lo, w), np.where(even, w, hi)
 
-def _monotone_trials(op, seed, tag, start, n):
-    """The same trials as [a, b, w] lists of floats."""
-    return (abw for _, arr in _monotone_passes(op, seed, tag, start, n) for abw in arr.T.tolist())
-
-
-def monotone_sweep(op, seed, tag, n):
-    """operators.check_mixed_monotone's n trials on the real line, on arrays:
-    trial t draws (a, b, w) (_monotone_passes), skips a and b unless a <= b
-    or b <= a, orders them as lo <= hi and tests F(lo, w) <= F(hi, w) on
-    even t, F(w, hi) <= F(w, lo) on odd t; a NaN image violates. Returns the
-    first violating t, or n, and the comparable trials before it."""
-    import numpy as np
-
-    used = 0
-    with np.errstate(all="ignore"):
-        for t0, (a, b, w) in _monotone_passes(op, seed, tag, 0, n):
-            below = a <= b
-            comparable = below | (b <= a)
-            lo, hi = np.where(below, a, b), np.where(below, b, a)
-            bad = np.empty(a.size, dtype=bool)
-            even, odd = slice(t0 % 2, None, 2), slice(1 - t0 % 2, None, 2)
-            bad[even] = ~np.less_equal(op.apply(lo[even], w[even]), op.apply(hi[even], w[even]))
-            bad[odd] = ~np.less_equal(op.apply(w[odd], hi[odd]), op.apply(w[odd], lo[odd]))
-            bad &= comparable
-            t = int(bad.argmax())
-            if bad[t]:
-                return t0 + t, used + int(np.count_nonzero(comparable[:t]))
-            used += int(np.count_nonzero(comparable))
-    return n, used
+    return _sweeps(op, "mixed_monotone", [(tag, ())], seed, n, 3, draw)[0]

@@ -4,10 +4,11 @@ A coupled fixed point of F is exactly a fixed point of T, so the solver works
 through product_T; the condition checkers measure T's images through the
 definitions below instead. Operators are plain callables plus metadata.
 
-Each sampled contractive condition is written once, here, as a _Condition
-in _CONDITIONS: the parameters it binds, which comparable quadruples it
-counts, its test (_banach_holds, the band test around _banded_conclusion,
-_strict_holds) and the names of its two measured values. The sweeps in
+Each sampled condition is written once, here, as a _Condition in
+_CONDITIONS: the parameters it binds, which comparable quadruples it counts,
+its test (_banach_holds, the band test around _banded_conclusion,
+_strict_holds, and _monotone_holds, F(u, v) <= F(x, y): T is monotone in the
+product order) and the names of its two measured values. The sweeps in
 ``kernels``, the checkers in ``conditions`` and reverify_witness all read
 it. The tests work on floats, exact Fractions and numpy arrays without
 importing numpy, and return the *holds* comparison (False on NaN), which
@@ -27,8 +28,9 @@ from typing import Any, Callable, NamedTuple, Optional
 
 from . import kernels
 from .errors import DomainMismatchError, InputError
-from .reports import ConditionReport, Witness, _report
-from .spaces import FLOAT_SLACK, INCOMPARABLE, PairPoint, SpaceModel, _half_sum, maps_arrays, usual_real_order
+from .reports import ConditionReport, Witness
+from .spaces import (FLOAT_SLACK, INCOMPARABLE, PairPoint, SpaceModel, _half_sum, _line_leq, maps_arrays,
+                     usual_real_order)
 
 MIN_COMPARABLE = 10
 DELTA_CAP_FACTOR = 10.0  # the delta curve's cap, and the drawn width of an infinite band
@@ -57,9 +59,8 @@ class CoupledOperator:
 def evaluation_lane(op: CoupledOperator) -> str:
     """How the checkers should evaluate this operator.
 
-    "kernel"  -> numpy arrays: the sweep kernels and the array mixed-monotone
-                 check (a vectorized operator on a space with the real line's
-                 own order, spaces.usual_real_order)
+    "kernel"  -> numpy arrays: the sweep kernels (a vectorized operator on a
+                 space with the real line's own order, spaces.usual_real_order)
     "finite"  -> exhaustive enumeration on the space's integer tables
     "generic" -> sampled evaluation through the Python callables
 
@@ -109,6 +110,34 @@ def _sampled_quadruples(space, samples, seed):
                 continue
             if u is not INCOMPARABLE:
                 yield t, x, y, u, v, distance(x, u), distance(y, v)
+
+    return draws, quadruples()
+
+
+def _argument_quadruples(space, samples, seed):
+    """check_mixed_monotone's trials on the space's sampler: (draws, an
+    iterator shaped like _sampled_quadruples', with None for the distances,
+    which the test does not read). Trial t takes pool points 3t..3t+2 as
+    (a, b, w), orders a and b as lo <= hi and is the quadruple (hi, w, lo, w)
+    on even t, (w, lo, w, hi) on odd t; it is dropped unless a and b are
+    comparable and w <= w."""
+    pool = space.sampler(3 * samples, seed)
+    if len(pool) < 3:
+        raise InputError("sampler returned too few points")
+    draws = len(pool) // 3
+
+    def quadruples():
+        leq = space.leq
+        it = iter(pool)
+        for t, a, b, w in zip(range(draws), it, it, it):
+            if leq(a, b) is True:
+                lo, hi = a, b
+            elif leq(b, a) is True:
+                lo, hi = b, a
+            else:
+                continue
+            if leq(w, w) is True:
+                yield (t, hi, w, lo, w, None, None) if t % 2 == 0 else (t, w, lo, w, hi, None, None)
 
     return draws, quadruples()
 
@@ -166,6 +195,15 @@ def _strict_holds(op, p, x, y, u, v, dxu, dyv, before, lazy):
     return distinct, before, after, after < _with_slack(op.space, before, -1)
 
 
+def _monotone_holds(op, p, x, y, u, v, dxu, dyv, half, lazy):
+    """mixed_monotone, over every quadruple: (True, F(u, v), F(x, y), holds),
+    compared with <= when the space has real_line()'s own leq, which is <=
+    and which usual_real_order requires of arrays, and through leq elsewhere."""
+    leq = op.space.leq
+    low, high = op.apply(u, v), op.apply(x, y)
+    return True, low, high, low <= high if leq is _line_leq else leq(low, high) is True
+
+
 def _band_bounds(space, eps, delta):
     """The band's parameters: eps, eps + delta, the slackened eps that the
     conclusion must stay below, and the width of the half-sums the band
@@ -217,6 +255,8 @@ _CONDITIONS = {
     "symmetric_mk": _banded(True),
     "strict_contraction": _Condition(("d2_before", "d2_after"), (), ("d2_before", "d2_after"),
                                      lambda space: (), True, _strict_holds),
+    "mixed_monotone": _Condition(("f_of_u_v", "f_of_x_y"), (), ("f_of_u_v", "f_of_x_y"),
+                                 lambda space: (), False, _monotone_holds),
 }
 
 
@@ -229,83 +269,24 @@ def _measure(op, cond, p, x, y, u, v):
     return cond.test(op, p, x, y, u, v, dxu, dyv, half, False)
 
 
-# measured keys of the image below and above, per mixed-monotone clause
-_MONOTONE_KEYS = {"first_argument": ("f_of_u_y", "f_of_x_y"),
-                  "second_argument": ("f_of_x_y", "f_of_x_v")}
-
-
-def _monotone_violation(op, clause, x, y, u, v):
-    """One mixed-monotone clause on a witness-shaped quadruple.
-
-    "first_argument" (y == v):  u <= x  =>  F(u, y) <= F(x, y);
-    "second_argument" (x == u): y <= v  =>  F(x, y) >= F(x, v).
-    Returns (image at the lower argument, image at the upper one, the
-    witness if the clause is violated, else None).
-    """
-    if clause == "first_argument":
-        f_lo, f_hi = op.apply(u, y), op.apply(x, y)
-        holds = op.space.leq(f_lo, f_hi) is True
-    else:
-        f_lo, f_hi = op.apply(x, y), op.apply(x, v)
-        holds = op.space.leq(f_hi, f_lo) is True
-    if holds:
-        return f_lo, f_hi, None
-    lo_key, hi_key = _MONOTONE_KEYS[clause]
-    return f_lo, f_hi, Witness(x=x, y=y, u=u, v=v, kind=clause,
-                               measured={lo_key: f_lo, hi_key: f_hi})
-
-
 def check_mixed_monotone(op: CoupledOperator, samples: int = 10000, seed: int = 0) -> ConditionReport:
     """Sample the two monotonicity clauses: F nondecreasing in its first
     argument and nonincreasing in its second, over comparable argument pairs.
 
-    Incomparable draws are discarded (and counted); fewer than MIN_COMPARABLE
-    surviving comparisons yields an inconclusive verdict rather than a
-    vacuous pass. Finite spaces are enumerated exhaustively instead. Trial
-    t takes (a, b, w) from the space's sampler, or on the kernel lane from
-    its own stream (kernels.monotone_sweep runs the trials on arrays, and
-    the loop below reads the first one they flag and the later ones as
-    floats, so a trial that only the arrays fail does not end the check).
+    Trial t tests F(u, v) <= F(x, y) on the first clause's quadruple on even
+    t, the second's on odd t (_argument_quadruples; on the kernel lane
+    kernels.monotone_sweep), and a witness's kind names its clause. Fewer
+    than MIN_COMPARABLE comparable trials yield an inconclusive verdict
+    rather than a vacuous pass. Finite spaces are enumerated exhaustively.
     """
     if samples < 2:
         raise InputError("check_mixed_monotone requires samples >= 2")
-    space = op.space
+    from . import conditions
+
     lane = evaluation_lane(op)
     if lane == "finite":
-        from .conditions import _FiniteTables
-
-        return _FiniteTables(op).mixed_monotone()
-
-    if lane == "kernel":
-        trials = samples_used = samples
-        tag = kernels._tag(kernels._BASES["mixed_monotone"])
-        start, used = kernels.monotone_sweep(op, seed, tag, samples)
-        draws = kernels._monotone_trials(op, seed, tag, start, samples)
-    else:
-        pool = space.sampler(3 * samples, kernels._sampler_seed(seed, "mixed_monotone"))
-        if len(pool) < 3:
-            raise InputError("sampler returned too few points")
-        trials = samples_used = len(pool) // 3
-        start = used = 0
-        draws = zip(*[iter(pool)] * 3)
-    witness = None
-    for t, (a, b, w) in enumerate(draws, start):
-        if space.leq(a, b) is True:
-            lo, hi = a, b
-        elif space.leq(b, a) is True:
-            lo, hi = b, a
-        else:
-            continue
-        used += 1
-        if t % 2 == 0:  # the first argument: F(lo, w) <= F(hi, w)
-            witness = _monotone_violation(op, "first_argument", hi, w, lo, w)[2]
-        else:  # the second: F(w, hi) <= F(w, lo)
-            witness = _monotone_violation(op, "second_argument", w, lo, w, hi)[2]
-        if witness is not None:
-            samples_used = t + 1
-            break
-    return _report("mixed_monotone", "sampled", witness, samples_used, used,
-                   inconclusive=_too_few(used, trials, "comparable argument pairs"))
+        return conditions._FiniteTables(op).mixed_monotone()
+    return conditions._sampled_check(op, lane, "mixed_monotone", samples, seed)
 
 
 def _finite_table(op: CoupledOperator) -> list:

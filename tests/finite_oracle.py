@@ -43,6 +43,16 @@ def _comparable_quadruples(n, leq):
                         yield ix, iy, iu, iv
 
 
+def oracle_pair_map_monotone(doc):
+    """F(u, v) <= F(x, y) on every comparable quadruple (u <= x, y <= v):
+    the pair map is monotone in the product order."""
+    n, dist, leq, F = _load(doc)
+    for ix, iy, iu, iv in _comparable_quadruples(n, leq):
+        if not leq[F[iu][iv]][F[ix][iy]]:
+            return FAILS
+    return HOLDS
+
+
 def oracle_banach(doc, k):
     n, dist, leq, F = _load(doc)
     k = Fraction(k)

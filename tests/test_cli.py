@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import dataclasses
 import csv
 import io
 import json
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import coupledfp as cf
 from coupledfp import cli
 from coupledfp.cli import main
 
@@ -224,6 +226,23 @@ def test_uniqueness_probe_reads_samples(capsys, monkeypatch):
                                "--samples", samples, "--max-iter", "50")
         assert code == 0 and json.loads(out)["config"]["samples"] == int(samples)
     assert calls == [3, 500]
+
+
+def _increasing_on_floats_only(x, y):
+    # decreasing in x on arrays, so the arrays find a witness the floats pass
+    import numpy as np
+
+    return -x if isinstance(x, np.ndarray) else x
+
+
+def test_verify_exits_two_on_a_broken_vectorized_declaration(capsys, monkeypatch):
+    problem = cf.builtin("samet_example")
+    op = dataclasses.replace(problem.operator, apply=_increasing_on_floats_only)
+    monkeypatch.setattr(cli, "resolve_problem",
+                        lambda name: dataclasses.replace(problem, operator=op))
+    code, out, err = run_cli(capsys, "verify", "--problem", "samet_example", "--samples", "500")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: the mixed_monotone witness") and "vectorized=True" in err
 
 
 def test_audit_space_command(capsys):

@@ -1119,6 +1119,24 @@ def test_finite_checks_match_oracle(problem, k):
         assert cf.reverify_witness(op, rep)["violated"] is True
 
 
+@given(problem=random_posets())
+@settings(max_examples=200, deadline=None)
+def test_mixed_monotone_is_the_pair_map_test_on_posets(problem):
+    # the two clauses hold exactly when F(u, v) <= F(x, y) on every
+    # comparable quadruple, the one test that the checkers run; the
+    # exhaustive check agrees, and every witness re-verifies, the sampled
+    # one of the same poset without its tables too
+    doc, op = problem
+    verdict = oracle.oracle_pair_map_monotone(doc)
+    assert oracle.oracle_mixed_monotone(doc) == verdict
+    rep = cf.check_mixed_monotone(op)
+    assert rep.verdict == verdict
+    sampled = dataclasses.replace(op, space=dataclasses.replace(op.space, finite=None))
+    for o, r in ((op, rep), (sampled, cf.check_mixed_monotone(sampled, samples=200))):
+        assert r.witness is None or cf.reverify_witness(o, r)["violated"] is True
+    assert verdict == "fails" or r.witness is None
+
+
 def _weighted_chain(n, table):
     # elements 0..n-1 at positions 1, 3, 6, ...: distinct points, unequal gaps
     pos = list(itertools.accumulate(range(1, n + 1)))

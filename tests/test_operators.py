@@ -90,6 +90,16 @@ def test_mixed_monotone_inconclusive_without_comparable_pairs():
     assert rep.comparable_pairs_used < 10
 
 
+def test_mixed_monotone_drops_a_trial_with_a_nan_w():
+    # w <= w fails for NaN, so (0, 1, NaN) is no comparable quadruple; the
+    # trial is dropped, not failed on the NaN images it would give
+    space = dataclasses.replace(cf.real_line(),
+                                sampler=lambda count, seed: [0.0, 1.0, math.nan] * (count // 3))
+    op = cf.CoupledOperator(apply=lambda x, y: (x - 3 * y) / 5, space=space)
+    rep = cf.check_mixed_monotone(op, samples=500, seed=0)
+    assert (rep.verdict, rep.samples_used, rep.comparable_pairs_used) == ("inconclusive", 500, 0)
+
+
 def _vectorized(apply, space=None):
     return cf.CoupledOperator(apply=apply, space=space or cf.real_line(), vectorized=True)
 
@@ -101,7 +111,8 @@ def _small_grid_sampler(count, seed):
 
 
 def _nan_grid_sampler(count, seed):
-    # NaN is incomparable; a pool with one is checked by the scalar loop
+    # NaN is incomparable, even to itself: the generic lane drops a trial
+    # with a NaN a, b or w
     rng = random.Random(seed)
     return [rng.choice((-1.0, 0.0, 0.5, 1.0, math.nan)) for _ in range(count)]
 
@@ -125,21 +136,23 @@ VECTORIZED_MAPS = {
 # kernels._BASES in the tag's top byte
 MONOTONE_TAG = 6 << 56
 
-# measured keys of the image at the lower and at the upper argument, per clause
-_CLAUSE_KEYS = {"first_argument": ("f_of_u_y", "f_of_x_y"),
-                "second_argument": ("f_of_x_y", "f_of_x_v")}
-
-
 def _reference_report(op, samples, seed):
     """The kernel lane's mixed-monotone report as the scalar reference in
-    tests/kernel_oracle.py computes it, on op.apply called with floats."""
+    tests/kernel_oracle.py computes it, on op.apply called with floats. The
+    reference names its images by the lower and the upper argument: F(u, v)
+    and F(x, y) in the first clause, F(x, y) and F(u, v) in the second. The
+    sweep reads them off its arrays as floats, where op.apply may give a
+    float a 0-d array (np.where does)."""
     found, trials, used, x, y, u, v, f_lo, f_hi = pure.monotone_sweep(
         op.apply, samples, seed, MONOTONE_TAG, op.space.sample_radius)
     witness = None
     if found:
-        clause = "first_argument" if (trials - 1) % 2 == 0 else "second_argument"
-        lo_key, hi_key = _CLAUSE_KEYS[clause]
-        witness = Witness(x=x, y=y, u=u, v=v, kind=clause, measured={lo_key: f_lo, hi_key: f_hi})
+        f_lo, f_hi = float(f_lo), float(f_hi)
+        if (trials - 1) % 2 == 0:
+            clause, measured = "first_argument", {"f_of_u_v": f_lo, "f_of_x_y": f_hi}
+        else:
+            clause, measured = "second_argument", {"f_of_u_v": f_hi, "f_of_x_y": f_lo}
+        witness = Witness(x=x, y=y, u=u, v=v, kind=clause, measured=measured)
     few = f"only {used} comparable argument pairs among {samples} draws" if used < 10 else ""
     return _report("mixed_monotone", "sampled", witness, trials, used, inconclusive=few)
 
@@ -201,8 +214,9 @@ def test_mixed_monotone_kernel_lane_is_the_stream_reference(abc, radius, samples
         flagged = kernels.monotone_sweep(op, seed, MONOTONE_TAG, samples)
     want = _reference_report(op, samples, seed)
     assert _json(got) == _json(want)
-    found = want.witness is not None
-    assert flagged == (want.samples_used - found, want.comparable_pairs_used - found)
+    w = want.witness
+    hit = (w.x, w.y, w.u, w.v, *w.measured.values()) if w else (0.0,) * 6
+    assert repr(flagged) == repr((int(bool(w)), want.comparable_pairs_used, *hit))  # NaN too
 
 
 def _nan_past_9_5_on_floats_only(x, y):
@@ -214,17 +228,26 @@ def _nan_past_9_5_on_floats_only(x, y):
 
 
 @pytest.mark.parametrize("chunk", [7, 64, kernels.CHUNK])
-def test_mixed_monotone_scalar_loop_reads_the_later_trials_of_the_stream(chunk, monkeypatch):
-    # from the flagged trial on, the loop reads every later trial as floats,
-    # whatever passes the stream is rebuilt in
+def test_mixed_monotone_kernel_witness_stands_only_if_the_floats_violate(chunk, monkeypatch):
+    # the arrays flag trial 0 on every seed, whatever the pass size; the
+    # floats violate there only past 9.5 (a NaN image), where the check
+    # fails, and elsewhere the broken vectorized promise is an InputError
     monkeypatch.setattr(kernels, "CHUNK", chunk)
     op = _vectorized(_nan_past_9_5_on_floats_only)
-    reached = []
-    for seed in range(8):
-        got = cf.check_mixed_monotone(op, samples=500, seed=seed)
-        assert _json(got) == _json(_reference_report(op, 500, seed))
-        reached.append(got.samples_used)
-    assert max(reached) > 7  # past the first pass of 7 trials
+    outcomes = set()
+    for seed in range(60):
+        found, checked, x, *_ = kernels.monotone_sweep(op, seed, MONOTONE_TAG, 500)
+        assert (found, checked) == (1, 1)
+        if x > 9.5:
+            got = cf.check_mixed_monotone(op, samples=500, seed=seed)
+            assert (got.verdict, got.samples_used, got.witness.x) == ("fails", 1, x)
+            assert math.isnan(cf.reverify_witness(op, got)["f_of_x_y"])
+            outcomes.add("fails")
+        else:
+            with pytest.raises(InputError, match="vectorized=True"):
+                cf.check_mixed_monotone(op, samples=500, seed=seed)
+            outcomes.add("error")
+    assert outcomes == {"fails", "error"}
 
 
 def _no_sampler(count, seed):
@@ -258,15 +281,33 @@ def _increasing_on_floats_only(x, y):
     return -x if isinstance(x, np.ndarray) else x
 
 
-def test_mixed_monotone_goes_on_past_a_trial_only_the_arrays_flag():
-    # the arrays flag trial 0 or 2, the floats pass it: the check carries on
-    # over every trial, as the generic lane does, instead of stopping there
+def test_mixed_monotone_kernel_witness_the_floats_pass_is_an_input_error():
+    # the arrays flag trial 0 or 2, the floats pass it: the operator breaks
+    # its vectorized=True declaration, which the check reports as an input
+    # error instead of a witness that does not re-verify; the generic twin
+    # holds
     op = _vectorized(_increasing_on_floats_only)
-    assert kernels.monotone_sweep(op, 0, MONOTONE_TAG, 1000)[0] < 3
+    found, checked, *_ = kernels.monotone_sweep(op, 0, MONOTONE_TAG, 1000)
+    assert found and checked < 4
+    with pytest.raises(InputError, match="vectorized=True"):
+        cf.check_mixed_monotone(op, samples=1000, seed=0)
     twin = dataclasses.replace(op, vectorized=False)
-    got, want = (cf.check_mixed_monotone(o, samples=1000, seed=0) for o in (op, twin))
-    assert got.to_jsonable() == want.to_jsonable()
-    assert got.verdict == "holds_on_samples" and got.samples_used == 1000
+    assert cf.check_mixed_monotone(twin, samples=1000, seed=0).verdict == "holds_on_samples"
+
+
+def _shrinking_on_floats_only(x, y):
+    # breaks the vectorized promise: 2x on arrays, which fails the bands,
+    # and x/4 on floats, which holds in every band
+    return 2 * x if isinstance(x, np.ndarray) else x / 4
+
+
+@pytest.mark.parametrize("check", [cf.check_samet, cf.check_symmetric_mk])
+def test_banded_kernel_witness_the_floats_pass_is_an_input_error(check):
+    op = _vectorized(_shrinking_on_floats_only)
+    with pytest.raises(InputError, match="vectorized=True"):
+        check(op, [0.5, 1.0], lambda e: e / 8, samples=500, seed=0)
+    twin = dataclasses.replace(op, vectorized=False)
+    assert check(twin, [0.5, 1.0], lambda e: e / 8, samples=500, seed=0).holds
 
 
 def _past_2_53(count):
@@ -298,6 +339,17 @@ def test_mixed_monotone_arrays_find_both_clauses():
     assert kinds["decreasing_in_x"].witness.kind == "first_argument"
     assert kinds["mixed_monotone"].verdict == "holds_on_samples"
     assert math.isnan(kinds["nan_beyond_five"].witness.measured["f_of_x_y"])
+
+
+def test_mixed_monotone_witness_off_its_orientation_does_not_reverify(samet):
+    # samet_example is mixed monotone; F(1, 0) = 0.2 > F(0, 0) = 0, but the
+    # first clause's quadruple needs u = 1 <= x = 0, so it is no witness
+    op = samet.operator
+    w = Witness(x=0.0, y=0.0, u=1.0, v=0.0, kind="first_argument")
+    rep = _report("mixed_monotone", "sampled", w, 1, 1)
+    assert cf.reverify_witness(op, rep) == {"f_of_u_v": 0.2, "f_of_x_y": 0.0, "violated": False}
+    rep.witness = dataclasses.replace(w, x=1.0, u=0.0)  # oriented, and it holds
+    assert cf.reverify_witness(op, rep) == {"f_of_u_v": 0.0, "f_of_x_y": 0.2, "violated": False}
 
 
 def test_vectorized_map_on_a_replaced_order_takes_the_generic_lane():
