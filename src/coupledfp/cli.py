@@ -3,13 +3,14 @@
 Subcommands: solve, verify, delta-curve, uniqueness, audit-space. Verdicts
 (holds/fails/refuted uniqueness/failed axioms) never affect the exit status:
 a run that completes exits 0 and puts the verdicts in its output, so
-pipelines can tell "ran and refuted" from "could not run" (exit 2, input
-error).
+pipelines can tell "ran and refuted" from "could not run" (exit 2, an input
+error or an artifact that cannot be written).
 
 The parsed argparse namespace is the run's configuration: every flag and its
 default is written once, in the parser. Each command returns its payload
 fields and a CSV writer (or None); main writes one JSON payload of
 schema_version, config (the namespace less --output) and those fields.
+Artifacts are overwritten in place (reports.overwrite), not atomically.
 
 Identical invocations (including --seed) produce byte-identical JSON. Floats
 serialize as shortest round-trip decimals; exact rationals as "p/q" strings.
@@ -18,6 +19,7 @@ serialize as shortest round-trip decimals; exact rationals as "p/q" strings.
 from __future__ import annotations
 
 import argparse
+import csv
 import functools
 import json
 import math
@@ -27,6 +29,7 @@ from . import conditions, uniqueness as uniq
 from .errors import InputError
 from .operators import check_mixed_monotone
 from .problems import resolve_problem, sample_admissible_starts
+from .reports import overwrite
 from .solver import solve
 from .spaces import audit_space
 
@@ -121,10 +124,8 @@ def _cmd_delta_curve(args, problem):
         problem.operator, args.eps_grid, samples=args.samples, seed=args.seed)
 
     def write_csv(path):
-        import csv as _csv
-
-        with open(path, "w", newline="") as fh:
-            wr = _csv.writer(fh)
+        with overwrite(path, newline="") as fh:
+            wr = csv.writer(fh)
             wr.writerow(["eps", "delta_max"])
             for eps, dmax in curve:
                 wr.writerow([repr(float(eps)), repr(float(dmax))])
@@ -176,13 +177,19 @@ def main(argv=None) -> int:
     config = {k: v for k, v in vars(args).items() if k != "output"}
     text = json.dumps({"schema_version": 1, "config": config, **fields},
                       sort_keys=True, indent=2) + "\n"
-    if args.output:
-        with open(args.output + ".json", "w") as fh:
+    if not args.output:
+        sys.stdout.write(text)
+        return 0
+    path = args.output + ".json"
+    try:
+        with overwrite(path) as fh:
             fh.write(text)
         if csv_writer is not None:
-            csv_writer(args.output + ".csv")
-    else:
-        sys.stdout.write(text)
+            path = args.output + ".csv"
+            csv_writer(path)
+    except OSError as exc:
+        sys.stderr.write(f"error: cannot write {path}: {exc.strerror or exc}\n")
+        return 2
     return 0
 
 

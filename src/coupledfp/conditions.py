@@ -581,7 +581,8 @@ def estimate_delta_curve(op: CoupledOperator, eps_grid, samples: int = 2000, see
     stream depends only on its eps index and round, and its blocks on that
     stream alone, so the entries do not depend on the grid's other values.
     Sampling can miss violations just above the true value, so the estimate
-    is upper-biased; finite spaces apply the rule exhaustively.
+    is upper-biased; finite spaces apply the rule exhaustively. A kernel-lane
+    witness must violate on floats too, as in the checks (_float_confirmed).
     """
     grid = _validate_eps_grid(eps_grid)
     if samples < 1:
@@ -596,7 +597,8 @@ def estimate_delta_curve(op: CoupledOperator, eps_grid, samples: int = 2000, see
         bands = [(grid[i], d, i, probe) for i, d in deltas.items()]
         results = _band_checks(op, lane, bands, samples, seed, _BASES["curve"], True,
                                curve=True)
-        return {i: w for i, (_, w, _) in zip(deltas, results)}
+        return {i: _float_confirmed(op, lane, "symmetric_mk", w)
+                for i, (_, w, _) in zip(deltas, results)}
 
     thin = witnesses({i: eps * 1e-9 for i, eps in enumerate(grid)}, 0)
     delta = {i: DELTA_CAP_FACTOR * eps if thin[i] is None else 0.0 for i, eps in enumerate(grid)}

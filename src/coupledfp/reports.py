@@ -1,4 +1,5 @@
-"""Shared report records for the condition checkers, and their JSON form.
+"""Shared report records for the condition checkers, their JSON form, and
+overwrite, the one writer of files: the CLI's JSON and CSV artifacts.
 
 jsonable turns report values into plain JSON types. A report dataclass whose
 JSON object is its fields by name, each through jsonable, inherits Record
@@ -8,8 +9,10 @@ audit.AxiomCheck, solver.StartVerdict and uniqueness.DiagonalCheck elsewhere.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
+import os
 import sys
 from dataclasses import dataclass, field, fields
 from typing import Any, Optional
@@ -29,9 +32,9 @@ def jsonable(value):
     Finite floats pass through untouched so the json encoder emits shortest
     round-trip decimals, and non-finite ones become "inf", "-inf" or "nan"
     (standard JSON has no such numbers; float() parses the strings back). A
-    Record becomes its to_jsonable() and a numpy scalar its Python scalar
-    (.item()); any other value its str(), so Fractions become exact "p/q"
-    strings.
+    Record becomes its to_jsonable() and a numpy scalar or 0-d array its
+    Python scalar (.item()); any other value its str(), so Fractions become
+    exact "p/q" strings.
     """
     if isinstance(value, float):
         return value if math.isfinite(value) else str(value)
@@ -43,12 +46,26 @@ def jsonable(value):
         return [jsonable(v) for v in value]
     if isinstance(value, Record):
         return value.to_jsonable()
-    np = sys.modules.get("numpy")  # a numpy scalar exists only once numpy is loaded
-    if np is not None and isinstance(value, np.generic):
+    np = sys.modules.get("numpy")  # a numpy value exists only once numpy is loaded
+    if np is not None and isinstance(value, (np.generic, np.ndarray)) and not value.ndim:
         item = value.item()  # longdouble has no Python scalar and stays itself
         if not isinstance(item, np.generic):
             return jsonable(item)
     return str(value)
+
+
+@contextlib.contextmanager
+def overwrite(path, newline=None):
+    """A text file that writes over path in place, not emptied first, and is
+    cut at what was written on exit, also when the writer raises. Encoding,
+    newlines, a new file's mode and symlinks are as open() would have them;
+    neither writes atomically."""
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
+    with open(fd, "w", newline=newline) as fh:
+        try:
+            yield fh
+        finally:
+            fh.truncate()
 
 
 @functools.cache  # fields() per object would cost more than the rest of to_jsonable

@@ -30,7 +30,7 @@ from typing import Optional
 
 from .errors import InadmissibleStartError, InputError
 from .operators import CoupledOperator, _with_slack, product_T
-from .reports import Record, jsonable
+from .reports import Record, jsonable, overwrite
 from .spaces import INCOMPARABLE, PairPoint, _half_sum, _require_members, d2
 
 TERM_CONVERGED = "converged"
@@ -107,7 +107,7 @@ class IterationTrace:
 
     def write_csv(self, path):
         """Trace table: n, x_n, y_n, eta_n (eta blank for n = 0)."""
-        with open(path, "w", newline="") as fh:
+        with overwrite(path, newline="") as fh:
             wr = csv.writer(fh)
             wr.writerow(["n", "x_n", "y_n", "eta_n"])
             for n, z in zip(self.kept_indices(), self.iterates):

@@ -2,6 +2,7 @@ import contextlib
 import copy
 import dataclasses
 import csv
+import errno
 import io
 import json
 import math
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 import coupledfp as cf
 from coupledfp import cli
 from coupledfp.cli import main
+from coupledfp.reports import overwrite
 
 from conftest import DATA, fixture_path
 
@@ -382,6 +384,87 @@ def test_cli_artifacts_match_golden_files(command, label, tmp_path, monkeypatch,
         assert got.exists() == expected.exists(), ext
         if expected.exists():
             assert got.read_bytes() == expected.read_bytes(), ext
+
+
+@pytest.mark.parametrize("label", sorted(GOLDEN_PROBLEMS))
+@pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+def test_cli_artifacts_overwrite_longer_files_with_the_golden_bytes(command, label, tmp_path,
+                                                                    monkeypatch, capsys):
+    # a rerun at the same base writes over longer stale artifacts and leaves
+    # exactly the golden bytes, no tail of the old files
+    for ext in (".json", ".csv"):
+        expected = GOLDEN / f"{command}.{label}{ext}"
+        if expected.exists():
+            (tmp_path / f"out{ext}").write_bytes(expected.read_bytes() * 2 + b"stale tail")
+    test_cli_artifacts_match_golden_files(command, label, tmp_path, monkeypatch, capsys)
+
+
+def test_symlinked_output_writes_through_the_links(tmp_path, capsys):
+    # a symlinked --output is followed: the targets get the bytes of a plain
+    # run and the links stay links
+    argv = ["solve", "--problem", "samet_example", "--output"]
+    assert run_cli(capsys, *argv, str(tmp_path / "plain"))[0] == 0
+    (tmp_path / "targets").mkdir()
+    for ext in (".json", ".csv"):
+        target = tmp_path / "targets" / f"real{ext}"
+        target.write_bytes(b"x" * 50000)
+        (tmp_path / f"link{ext}").symlink_to(target)
+    assert run_cli(capsys, *argv, str(tmp_path / "link"))[0] == 0
+    for ext in (".json", ".csv"):
+        assert (tmp_path / f"link{ext}").is_symlink()
+        assert ((tmp_path / "targets" / f"real{ext}").read_bytes()
+                == (tmp_path / f"plain{ext}").read_bytes())
+
+
+def test_overwrite_keeps_the_file_and_cuts_it_at_what_was_written(tmp_path):
+    # in place: the inode stays, a shorter text leaves no tail, also when the
+    # writer raises; a new file gets the mode open() would give it
+    path = tmp_path / "artifact.txt"
+    path.write_text("old text " * 1000)
+    inode = path.stat().st_ino
+    with pytest.raises(RuntimeError):
+        with overwrite(path) as fh:
+            fh.write("new\n")
+            raise RuntimeError
+    assert path.read_text() == "new\n" and path.stat().st_ino == inode
+    with overwrite(tmp_path / "fresh.txt") as fh:
+        fh.write("a\nb\n")
+    with open(tmp_path / "plain.txt", "w") as fh:
+        fh.write("a\nb\n")
+    assert (tmp_path / "fresh.txt").read_bytes() == (tmp_path / "plain.txt").read_bytes()
+    assert (tmp_path / "fresh.txt").stat().st_mode == (tmp_path / "plain.txt").stat().st_mode
+
+
+def _fake_eacces(monkeypatch, path):
+    real_open = os.open
+
+    def os_open(name, *args, **kwargs):
+        if os.fspath(name) == path:
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), name)
+        return real_open(name, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", os_open)
+
+
+UNWRITABLE = [("audit-space", ".json", fault) for fault in ("missing", "directory", "permission")]
+UNWRITABLE += [(command, ".csv", fault) for command in ("solve", "delta-curve")
+               for fault in ("directory", "permission")]
+
+
+@pytest.mark.parametrize("command, ext, fault", UNWRITABLE)
+def test_unwritable_output_exits_two(command, ext, fault, tmp_path, capsys, monkeypatch):
+    # a JSON or CSV artifact that cannot be written is an error naming the
+    # file and the reason, not a traceback
+    base = str(tmp_path / ("no/such/dir/out" if fault == "missing" else "out"))
+    reason = {"missing": errno.ENOENT, "directory": errno.EISDIR, "permission": errno.EACCES}
+    if fault == "directory":
+        os.mkdir(base + ext)
+    elif fault == "permission":
+        _fake_eacces(monkeypatch, base + ext)
+    code, out, err = run_cli(capsys, command, "--problem", "samet_example", "--samples", "50",
+                             "--format", "csv", "--output", base)
+    assert (code, out) == (2, "")
+    assert err == f"error: cannot write {base}{ext}: {os.strerror(reason[fault])}\n"
 
 
 def test_solve_finite_problem_serializes_exact_values(tmp_path, capsys):

@@ -310,6 +310,26 @@ def test_banded_kernel_witness_the_floats_pass_is_an_input_error(check):
     assert check(twin, [0.5, 1.0], lambda e: e / 8, samples=500, seed=0).holds
 
 
+def test_delta_curve_kernel_witness_the_floats_pass_is_an_input_error():
+    # the curve's rounds confirm their witnesses on floats as the checks do,
+    # instead of a 0.0 curve on witnesses the floats never violate
+    op = _vectorized(_shrinking_on_floats_only)
+    with pytest.raises(InputError, match="vectorized=True"):
+        cf.estimate_delta_curve(op, [0.5, 1.0], samples=500)
+    twin = dataclasses.replace(op, vectorized=False)
+    assert all(delta > 0 for _, delta in cf.estimate_delta_curve(twin, [0.5, 1.0], samples=500))
+
+
+def test_zero_d_array_measurements_serialize_as_numbers():
+    # the generic lane hands np.where's 0-d arrays through as measured values;
+    # they serialize as a numpy scalar does, and NaN stays the string "nan"
+    op = dataclasses.replace(nan_beyond_five(vectorized=True), vectorized=False)
+    monotone = cf.check_mixed_monotone(op, samples=200).to_jsonable()
+    banach = cf.check_banach_k(op, 0.5, samples=200).to_jsonable()
+    assert isinstance(monotone["witness"]["measured"]["f_of_u_v"], float)
+    assert banach["witness"]["measured"]["lhs"] == "nan"
+
+
 def _past_2_53(count):
     rng = random.Random(0)
     return [2**53 + rng.randrange(8) for _ in range(count)]

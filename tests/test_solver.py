@@ -266,6 +266,23 @@ def test_trace_csv_json_agree(samet, tmp_path):
     assert again["eta"] == payload["eta"]
 
 
+class _Unprintable:
+    def __str__(self):
+        raise ValueError("no text form")
+
+
+def test_trace_csv_that_raises_midway_leaves_no_stale_tail(tmp_path):
+    # the rows before the failing one are the whole file; nothing of the
+    # longer file it replaced is left after them
+    path = tmp_path / "trace.csv"
+    path.write_text("stale," * 10000)
+    trace = solver.IterationTrace([PairPoint(0.5, -0.5), PairPoint(_Unprintable(), 0.0)],
+                                  [1.0], "converged", 0.0, 1)
+    with pytest.raises(ValueError, match="no text form"):
+        trace.write_csv(path)
+    assert path.read_bytes() == b"n,x_n,y_n,eta_n\r\n0,0.5,-0.5,\r\n"
+
+
 # --- finite instances ------------------------------------------------------
 
 def test_finite_constant_map_converges_fast():
