@@ -111,14 +111,10 @@ class IterationTrace:
             wr = csv.writer(fh)
             wr.writerow(["n", "x_n", "y_n", "eta_n"])
             for n, z in zip(self.kept_indices(), self.iterates):
-                eta = "" if n == 0 else _num_str(self.eta[n - 1])
-                wr.writerow([n, _num_str(z.first), _num_str(z.second), eta])
-
-
-def _num_str(v):
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
+                # str, not the csv module's repr of a float, which numpy's
+                # float64 (a float subclass) writes as np.float64(...)
+                eta = "" if n == 0 else str(self.eta[n - 1])
+                wr.writerow([n, str(z.first), str(z.second), eta])
 
 
 def check_start(op: CoupledOperator, Z0: PairPoint, images=None) -> StartVerdict:

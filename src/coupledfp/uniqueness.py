@@ -4,25 +4,31 @@ Uniqueness of the coupled fixed point hinges on a comparability property of
 the product space (every two pairs admit a pair comparable to both). Sampling
 cannot prove that property, so these probes either refute uniqueness outright
 (two converged runs ending at distinct points) or report consistency: all
-endpoints within 2*tol of each other. The diagonal check covers the stronger
-conclusion that both coordinates of the fixed point coincide, which holds
-when the base space has enough upper/lower bounds or the start pair is
-comparable.
+endpoints within 2*tol of each other. On a finite space the runs are exact:
+each start's orbit under T(x, y) = (F(x, y), F(y, x)) is walked on F's index
+table, so an endpoint is a coupled fixed point, tol plays no part, and an
+orbit that returns to a pair it has visited ends in a "cycle". The diagonal
+check covers the stronger conclusion that both coordinates of the fixed point
+coincide, which holds when the base space has enough upper/lower bounds or
+the start pair is comparable.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from itertools import chain, combinations
 from typing import Callable, Optional
 
 from .errors import InputError
 from .kernels import _sampler_seed
-from .operators import CoupledOperator
+from .operators import CoupledOperator, _finite_table, evaluation_lane
 from .reports import Record, jsonable
-from .solver import TERM_CONVERGED, solve, residual
+from .solver import TERM_CONVERGED, TERM_MAX_ITERATIONS, residual, solve
 from .spaces import (INCOMPARABLE, PairPoint, SpaceModel, _half_sum, _own_real_line,
                      _product_order, _real_lattice_bound, _require_members)
+
+TERM_CYCLE = "cycle"  # a finite orbit returned to a pair it had visited
 
 
 @dataclass
@@ -140,45 +146,104 @@ def multi_start_uniqueness(op: CoupledOperator, starts, tol: float = 1e-10,
                            bound_search: Optional[Callable] = None,
                            comparability_samples: int = 500,
                            seed: int = 0) -> UniquenessReport:
-    """Solve from every start and compare the converged endpoints.
+    """Run the pair map from every start and compare the converged endpoints.
 
     max_pairwise_d2 <= 2*tol is consistent with a unique coupled fixed point;
     anything larger is a refutation certificate (two reproducible runs landed
     at distinct fixed points). It is the largest d2 over endpoint pairs, the
-    int 0 if none is positive, with no membership test: solve made one.
-    Non-converged runs are excluded and flagged.
+    int 0 if none is positive. Non-converged runs are excluded and flagged
+    with their termination.
+
+    Off the finite lane each start is a solve, which tests membership. On
+    the finite lane (operators.evaluation_lane) each start's orbit is walked
+    on operators._finite_table, which raises DomainMismatchError if F leaves
+    the space anywhere, even off the orbits walked. A run converges when its
+    orbit reaches a coupled fixed point within max_iter steps, fails with
+    "cycle" when it returns to a pair it has visited, and with
+    "max_iterations" otherwise; tol is checked but plays no part, and the
+    spread is summed exactly on FiniteData.scaled.
     """
     starts = list(starts)
     if not starts:
         raise InputError("at least one start is required")
-    endpoints = []
-    kept_starts = []
-    failed = []
-    for Z0 in starts:
-        # only the endpoint is read, so no iterate between start and end is kept
-        trace = solve(op, Z0, tol=tol, max_iter=max_iter, require_admissible=False,
-                      keep_every=max_iter)
-        if trace.termination == TERM_CONVERGED:
-            kept_starts.append(Z0)
-            endpoints.append(trace.final)
-        else:
-            failed.append((Z0, trace.termination))
     space = op.space
-    distance, worst = space.distance, 0  # the largest sum, halved once: halving is monotone
-    for Y, V in combinations(endpoints, 2):
-        total = distance(Y.first, V.first) + distance(Y.second, V.second)
-        if total > worst:
-            worst = total
-    gaps = [space.distance(z.first, z.second) for z in endpoints]
+    # a space with no tables skips evaluation_lane's kernel-lane checks
+    if space.finite is not None and evaluation_lane(op) == "finite":
+        kept_starts, endpoints, failed, spread, gaps = _finite_runs(op, starts, tol, max_iter)
+    else:
+        kept_starts, endpoints, failed = [], [], []
+        for Z0 in starts:
+            # only the endpoint is read, so no iterate between start and end is kept
+            trace = solve(op, Z0, tol=tol, max_iter=max_iter, require_admissible=False,
+                          keep_every=max_iter)
+            if trace.termination == TERM_CONVERGED:
+                kept_starts.append(Z0)
+                endpoints.append(trace.final)
+            else:
+                failed.append((Z0, trace.termination))
+        distance, worst = space.distance, 0  # the largest sum, halved once: halving is monotone
+        for Y, V in combinations(endpoints, 2):
+            total = distance(Y.first, V.first) + distance(Y.second, V.second)
+            if total > worst:
+                worst = total
+        spread = worst and _half_sum(space, worst)
+        gaps = [distance(z.first, z.second) for z in endpoints]
     rate = probe_comparability(space, comparability_samples, seed, bound_search)
     return UniquenessReport(
         starts=kept_starts,
         endpoints=endpoints,
-        max_pairwise_d2=worst and _half_sum(space, worst),
+        max_pairwise_d2=spread,
         comparability_rate=rate,
         diagonal_gaps=gaps,
         failed=failed,
     )
+
+
+def _finite_runs(op, starts, tol, max_iter):
+    """The runs of multi_start_uniqueness on the finite lane, as (kept
+    starts, endpoints, failed, spread, diagonal gaps): each start's orbit is
+    walked on index pairs of F's table, and the spread is the largest
+    integer sum on FiniteData.scaled, halved once into a Fraction."""
+    if not tol > 0:
+        raise InputError("tol must be positive")
+    if max_iter < 1:
+        raise InputError("max_iter must be >= 1")
+    space = op.space
+    F, fd = _finite_table(op), space.finite
+    els, index, (scale, S) = fd.elements, fd.index, fd.scaled
+    kept_starts, ends, failed = [], [], []
+    for Z0 in starts:
+        _require_members(space, Z0.first, Z0.second)
+        end, termination = _orbit_end(F, index[Z0.first], index[Z0.second], max_iter)
+        if end is None:
+            failed.append((Z0, termination))
+        else:
+            kept_starts.append(Z0)
+            ends.append(end)
+    # a repeated endpoint adds no distance
+    worst = max((S[a][c] + S[b][d] for (a, b), (c, d) in combinations(dict.fromkeys(ends), 2)),
+                default=0)
+    return (kept_starts, [PairPoint(els[i], els[j]) for i, j in ends], failed,
+            worst and Fraction(worst, 2 * scale), [fd.dist[i][j] for i, j in ends])
+
+
+def _orbit_end(F, i, j, max_iter):
+    """Where the orbit of the index pair (i, j) under (i, j) -> (F[i][j],
+    F[j][i]) ends within max_iter steps: (its first coupled fixed point,
+    "converged"), or None with "cycle" when it returns to a pair it has
+    visited, else None with "max_iterations"."""
+    seen = {(i, j)}
+    for _ in range(max_iter):
+        a, b = F[i][j], F[j][i]
+        if a == i and b == j:
+            return (i, j), TERM_CONVERGED
+        i, j = a, b
+        if (i, j) in seen:
+            return None, TERM_CYCLE
+        seen.add((i, j))
+    if F[i][j] == i and F[j][i] == j:
+        return (i, j), TERM_CONVERGED
+    return None, TERM_MAX_ITERATIONS
 
 
 def check_diagonal(op: CoupledOperator, endpoint: PairPoint, tol: float = 1e-10) -> DiagonalCheck:

@@ -1,8 +1,11 @@
+import itertools
 import json
 import math
 import pathlib
+from fractions import Fraction
 
 import pytest
+from hypothesis import strategies as st
 
 import coupledfp as cf
 from coupledfp.spaces import INCOMPARABLE, SpaceModel
@@ -74,3 +77,32 @@ def antichain_reals(radius=10.0):
         kind="custom",
         sample_radius=radius,
     )
+
+
+@st.composite
+def random_posets(draw):
+    """A random finite poset: the transitive closure of random edges i -> j
+    (i < j) relabelled by a random permutation, so incomparable elements are
+    common and the order is not the index order. Off-diagonal distances lie
+    in [1, 2] (any such matrix is a metric) with denominators 1 to 6, and F
+    is an arbitrary table."""
+    n = draw(st.integers(min_value=1, max_value=5), label="n")
+    below = [[i == j or (i < j and draw(st.booleans())) for j in range(n)] for i in range(n)]
+    for k, i, j in itertools.product(range(n), repeat=3):
+        below[i][j] = below[i][j] or (below[i][k] and below[k][j])
+    perm = draw(st.permutations(range(n)), label="perm")
+    frac = st.integers(min_value=1, max_value=6).flatmap(
+        lambda q: st.integers(min_value=q, max_value=2 * q).map(lambda p: Fraction(p, q)))
+    dist = [[Fraction(0)] * n for _ in range(n)]
+    for i, j in itertools.combinations(range(n), 2):
+        dist[i][j] = dist[j][i] = draw(frac)
+    table = draw(st.lists(st.lists(st.integers(min_value=0, max_value=n - 1),
+                                   min_size=n, max_size=n), min_size=n, max_size=n), label="F")
+    doc = {
+        "elements": list(range(n)),
+        "distance": dist,
+        "leq": [[int(below[perm[i]][perm[j]]) for j in range(n)] for i in range(n)],
+        "F": table,
+    }
+    space = cf.finite_space(doc["elements"], doc["distance"], doc["leq"])
+    return doc, cf.CoupledOperator(apply=lambda x, y: table[x][y], space=space)

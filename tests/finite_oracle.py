@@ -200,6 +200,24 @@ def oracle_band_first_violation(doc, eps, delta, symmetric):
     return hits, None
 
 
+def oracle_orbit_end(doc, start, max_iter):
+    """Where Picard iteration of T(x, y) = (F[x][y], F[y][x]) takes the index
+    pair start within max_iter steps: the first coupled fixed point among
+    Z_0 .. Z_max_iter, as an index pair; else "cycle" when one of them
+    repeats an earlier one; else "max_iterations"."""
+    F = doc["F"]
+    orbit = [tuple(start)]
+    while True:
+        x, y = orbit[-1]
+        if (F[x][y], F[y][x]) == (x, y):
+            return x, y
+        if len(orbit) > max_iter:
+            return "max_iterations"
+        orbit.append((F[x][y], F[y][x]))
+        if orbit[-1] in orbit[:-1]:
+            return "cycle"
+
+
 def oracle_audit(doc):
     """The audit_space report of a finite space, as JSON: every point, every
     pair i < j and every triple, in index order, with the first

@@ -22,7 +22,8 @@ from coupledfp.reports import Witness
 from coupledfp.spaces import INCOMPARABLE, FiniteData, PairPoint
 
 import finite_oracle as oracle
-from conftest import antichain_reals, fixture_path, nan_beyond_five, np_tanh_operator
+from conftest import (antichain_reals, fixture_path, nan_beyond_five, np_tanh_operator,
+                      random_posets)
 
 EIGHTH = lambda e: e / 8
 
@@ -1021,35 +1022,6 @@ def test_finite_curve_matches_oracle(data):
     grid = [0.5, 1.0, 2.0, 3.0]
     expected = [(eps, oracle.oracle_delta_curve(doc, eps, 10 * eps)) for eps in grid]
     assert cf.estimate_delta_curve(op, grid) == expected
-
-
-@st.composite
-def random_posets(draw):
-    """A random finite poset: the transitive closure of random edges i -> j
-    (i < j) relabelled by a random permutation, so incomparable elements are
-    common and the order is not the index order. Off-diagonal distances lie
-    in [1, 2] (any such matrix is a metric) with denominators 1 to 6, and F
-    is an arbitrary table."""
-    n = draw(st.integers(min_value=1, max_value=5), label="n")
-    below = [[i == j or (i < j and draw(st.booleans())) for j in range(n)] for i in range(n)]
-    for k, i, j in itertools.product(range(n), repeat=3):
-        below[i][j] = below[i][j] or (below[i][k] and below[k][j])
-    perm = draw(st.permutations(range(n)), label="perm")
-    frac = st.integers(min_value=1, max_value=6).flatmap(
-        lambda q: st.integers(min_value=q, max_value=2 * q).map(lambda p: Fraction(p, q)))
-    dist = [[Fraction(0)] * n for _ in range(n)]
-    for i, j in itertools.combinations(range(n), 2):
-        dist[i][j] = dist[j][i] = draw(frac)
-    table = draw(st.lists(st.lists(st.integers(min_value=0, max_value=n - 1),
-                                   min_size=n, max_size=n), min_size=n, max_size=n), label="F")
-    doc = {
-        "elements": list(range(n)),
-        "distance": dist,
-        "leq": [[int(below[perm[i]][perm[j]]) for j in range(n)] for i in range(n)],
-        "F": table,
-    }
-    space = cf.finite_space(doc["elements"], doc["distance"], doc["leq"])
-    return doc, cf.CoupledOperator(apply=lambda x, y: table[x][y], space=space)
 
 
 BAND_GRIDS = [[0.5], [0.6, 1.0, 1.25], [1 / 3, 0.75, 1.5, 2.0]]

@@ -266,6 +266,24 @@ def test_trace_csv_json_agree(samet, tmp_path):
     assert again["eta"] == payload["eta"]
 
 
+def test_trace_csv_of_numpy_floats_is_the_csv_of_python_floats(tmp_path):
+    # np.float64 is a float subclass, which the csv module writes with its
+    # repr, np.float64(...), under numpy 2
+    import numpy as np
+
+    def tanh_map(x, y):
+        return (np.tanh(x) - np.tanh(y)) / 2
+
+    texts = []
+    for apply in (tanh_map, lambda x, y: float(tanh_map(x, y))):
+        op = cf.CoupledOperator(apply=apply, space=cf.real_line(), vectorized=True)
+        tr = cf.solve(op, PairPoint(-3.0, 3.0), max_iter=3)
+        tr.write_csv(tmp_path / "trace.csv")
+        texts.append((tmp_path / "trace.csv").read_text())
+    assert type(tr.final.first) is float and "np." not in texts[0]
+    assert texts[0] == texts[1]
+
+
 class _Unprintable:
     def __str__(self):
         raise ValueError("no text form")

@@ -16,7 +16,8 @@ import coupledfp as cf
 from coupledfp import uniqueness
 from coupledfp.spaces import PairPoint, _real_lattice_bound, pairs_comparable
 
-from conftest import fixture_path, load_doc
+import finite_oracle as oracle
+from conftest import fixture_path, load_doc, random_posets
 
 
 def test_probe_real_lattice_rate_one(real_space):
@@ -391,15 +392,117 @@ def test_max_pairwise_d2_is_the_d2_loop_on_floats(endpoints):
 
 @pytest.mark.parametrize("name", ["one.json", "chain3_monotone.json", "twocomp4.json",
                                   "diamond5.json", "triangle_break4.json"])
-def test_max_pairwise_d2_is_the_d2_loop_on_finite_fixtures(name, monkeypatch):
-    # exact Fraction distances: every pair of elements as an endpoint
+def test_max_pairwise_d2_is_the_d2_loop_on_finite_fixtures(name):
+    # exact Fraction distances: under the projection F(x, y) = x every pair
+    # of elements is a coupled fixed point, so the endpoints are the starts
     op = cf.load_finite(fixture_path(name)).operator
+    op = dataclasses.replace(op, apply=lambda x, y: x)
     elements = op.space.finite.elements
     endpoints = [PairPoint(a, b) for a in elements for b in elements]
     for chosen in (endpoints, endpoints[::-1], endpoints[:1], endpoints[::3]):
-        got = _spread(op, chosen, monkeypatch)
-        want = reference_spread(chosen, op.space)
+        rep = cf.multi_start_uniqueness(op, chosen, comparability_samples=1)
+        assert rep.endpoints == chosen
+        got, want = rep.max_pairwise_d2, reference_spread(chosen, op.space)
         assert (type(got), repr(got)) == (type(want), repr(want))
+
+
+def _fates(op, starts, max_iter=10000):
+    """Each start's fate in one multi_start_uniqueness report: its endpoint
+    as a pair of elements, or its termination."""
+    rep = cf.multi_start_uniqueness(op, starts, max_iter=max_iter, comparability_samples=1)
+    ends, failed = dict(zip(rep.starts, rep.endpoints)), dict(rep.failed)
+    assert len(ends) + len(failed) == len(starts)
+    return [(ends[z].first, ends[z].second) if z in ends else failed[z] for z in starts]
+
+
+def _tabled(table):
+    """F read from an index table that it carries, as load_finite's F does;
+    the elements of random_posets are their own indices."""
+    def apply(x, y):
+        return table[x][y]
+
+    apply.table = table
+    return apply
+
+
+@given(problem=random_posets(), max_iter=st.sampled_from([1, 2, 3, 5, 10000]))
+@settings(max_examples=200, deadline=None)
+def test_finite_fates_are_the_oracle_orbit_walk(problem, max_iter):
+    # with F tabulated from its calls, and with the table F carries
+    doc, op = problem
+    n = len(doc["elements"])
+    starts = [PairPoint(i, j) for i in range(n) for j in range(n)]
+    want = [oracle.oracle_orbit_end(doc, (z.first, z.second), max_iter) for z in starts]
+    assert _fates(op, starts, max_iter) == want
+    assert _fates(dataclasses.replace(op, apply=_tabled(doc["F"])), starts, max_iter) == want
+
+
+@given(problem=random_posets())
+@settings(max_examples=100, deadline=None)
+def test_finite_walk_ends_where_solve_converges(problem):
+    # distances are at least 1, so solve converges exactly when its residual
+    # reaches 0, at a coupled fixed point, as the walk does
+    doc, op = problem
+    n = len(doc["elements"])
+    starts = [PairPoint(i, j) for i in range(n) for j in range(n)]
+    for z, fate in zip(starts, _fates(op, starts)):
+        trace = cf.solve(op, z, require_admissible=False)
+        if trace.termination == "converged":
+            assert fate == (trace.final.first, trace.final.second)
+        else:
+            assert fate == uniqueness.TERM_CYCLE
+
+
+def _chain_op(table):
+    """F on the chain a < b < c with unit steps, from a table of indices."""
+    els = ["a", "b", "c"][:len(table)]
+    n = len(els)
+    space = cf.finite_space(els, [[abs(i - j) for j in range(n)] for i in range(n)],
+                            [[int(i <= j) for j in range(n)] for i in range(n)])
+    return cf.CoupledOperator(apply=lambda x, y: els[table[els.index(x)][els.index(y)]],
+                              space=space)
+
+
+def test_finite_two_cycle_fails_with_cycle():
+    # F(x, y) swaps a and b whatever y is: (a, a) -> (b, b) -> (a, a), and
+    # (a, b) -> (b, a) -> (a, b); the second step returns to the start
+    op = _chain_op([[1, 1], [0, 0]])
+    starts = [PairPoint("a", "a"), PairPoint("a", "b")]
+    assert _fates(op, starts) == _fates(op, starts, max_iter=2) == ["cycle", "cycle"]
+    assert _fates(op, starts, max_iter=1) == ["max_iterations", "max_iterations"]
+    assert cf.solve(op, starts[0], require_admissible=False).termination == "stalled"
+
+
+def test_finite_max_iter_shorter_than_the_orbit():
+    # F(x, y) = the successor of x, capped at c: (a, a) -> (b, b) -> (c, c)
+    op = _chain_op([[1] * 3, [2] * 3, [2] * 3])
+    start = [PairPoint("a", "a")]
+    assert _fates(op, start, max_iter=1) == ["max_iterations"]
+    assert _fates(op, start, max_iter=2) == [("c", "c")]
+    rep = cf.multi_start_uniqueness(op, start + [PairPoint("c", "c")], max_iter=2)
+    assert rep.max_pairwise_d2 == 0 and rep.diagonal_gaps == [0, 0]
+
+
+def test_finite_start_outside_the_space_raises():
+    op = cf.load_finite(fixture_path("diamond5.json")).operator
+    for start in (PairPoint("top", "nowhere"), PairPoint(["top"], "top")):
+        with pytest.raises(cf.DomainMismatchError, match="is not in"):
+            cf.multi_start_uniqueness(op, [PairPoint("top", "top"), start])
+
+
+def test_finite_image_outside_the_space_raises_off_the_orbits():
+    # (a, a) is a coupled fixed point, and F leaves the space only at (b, b)
+    op = _chain_op([[0, 0], [0, 0]])
+    op = dataclasses.replace(op, apply=lambda x, y, F=op.apply: "z" if x == y == "b" else F(x, y))
+    with pytest.raises(cf.DomainMismatchError, match="F\\('b', 'b'\\) = 'z'"):
+        cf.multi_start_uniqueness(op, [PairPoint("a", "a")])
+
+
+@pytest.mark.parametrize("bad", [{"tol": 0.0}, {"max_iter": 0}])
+def test_finite_budget_is_checked_as_solve_checks_it(bad):
+    op = cf.load_finite(fixture_path("diamond5.json")).operator
+    with pytest.raises(cf.InputError):
+        cf.multi_start_uniqueness(op, [PairPoint("top", "top")], **bad)
 
 
 def test_multi_start_flags_nonconverged():
