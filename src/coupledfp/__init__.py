@@ -8,6 +8,7 @@ condition) with reproducible counterexample witnesses.
 
 from .conditions import (
     check_banach_k,
+    check_mixed_monotone,
     check_samet,
     check_strict_contraction,
     check_symmetric_mk,
@@ -22,7 +23,7 @@ from .errors import (
     InputError,
     SchemaError,
 )
-from .operators import CoupledOperator, audit_lipschitz, check_mixed_monotone, product_T
+from .operators import CoupledOperator, audit_lipschitz, product_T
 from .problems import (
     ProblemInstance,
     builtin,

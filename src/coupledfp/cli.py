@@ -13,7 +13,10 @@ schema_version, config (the namespace less --output) and those fields.
 Artifacts are overwritten in place (reports.overwrite), not atomically.
 
 Identical invocations (including --seed) produce byte-identical JSON. Floats
-serialize as shortest round-trip decimals; exact rationals as "p/q" strings.
+serialize as shortest round-trip decimals and exact rationals as "p/q"
+strings; config and every payload pass through reports.jsonable, which
+writes a non-finite float as "inf", "-inf" or "nan", so each artifact is
+standard JSON.
 """
 
 from __future__ import annotations
@@ -27,9 +30,8 @@ import sys
 
 from . import conditions, uniqueness as uniq
 from .errors import InputError
-from .operators import check_mixed_monotone
 from .problems import resolve_problem, sample_admissible_starts
-from .reports import overwrite
+from .reports import jsonable, overwrite
 from .solver import solve
 from .spaces import audit_space
 
@@ -98,7 +100,7 @@ def _cmd_solve(args, problem):
 
 def _cmd_verify(args, problem):
     op = problem.operator
-    reports = [check_mixed_monotone(op, samples=args.samples, seed=args.seed)]
+    reports = [conditions.check_mixed_monotone(op, samples=args.samples, seed=args.seed)]
     if op.lipschitz_data is not None:
         la, lb = op.lipschitz_data
         k_cand = 2.0 * max(la, lb)
@@ -130,7 +132,7 @@ def _cmd_delta_curve(args, problem):
             for eps, dmax in curve:
                 wr.writerow([repr(float(eps)), repr(float(dmax))])
 
-    return ({"curve": [[eps, dmax] for eps, dmax in curve]},
+    return ({"curve": jsonable(curve)},
             write_csv if args.format == "csv" else None)
 
 
@@ -174,7 +176,7 @@ def main(argv=None) -> int:
     except InputError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    config = {k: v for k, v in vars(args).items() if k != "output"}
+    config = jsonable({k: v for k, v in vars(args).items() if k != "output"})
     text = json.dumps({"schema_version": 1, "config": config, **fields},
                       sort_keys=True, indent=2) + "\n"
     if not args.output:

@@ -21,7 +21,7 @@ Evaluation lanes are sources of comparable quadruples: vectorized operators
 on the real line go through the numpy sweep kernels, finite tabulated spaces
 enumerate every quadruple with zero tolerance, and other spaces draw them by
 rejection sampling or, for bands, construct them through the space's
-interpolate hook. The conditions, and operators.check_mixed_monotone's
+interpolate hook. The conditions, and check_mixed_monotone's
 F(u, v) <= F(x, y), differ only in which quadruples they count (all of
 them, those in the band, those with a finite half-sum > 0) and in the
 conclusion that must hold, and each is written once, as its definition in
@@ -35,14 +35,18 @@ dict. The floating-point slack of 1e-12 relative to max(1, bound)
 (_with_slack) keeps rounding from minting a false witness, and the
 comparisons are written so that a NaN never passes.
 
-The finite lane compares integers instead (_FiniteTables): F as an index
-table, the distances scaled by the matrix's common denominator
-(spaces.FiniteData.scaled), so every sum and comparison is exact without a
-Fraction, and the space's pair index (spaces.PairIndex), in which the in-band
-quadruples of each comparable (x, u) pair are one bisected slice of the
-distance-sorted (y, v) pairs, visited in enumeration order, so witnesses and
-hit counts equal a full enumeration's. The first violation alone is measured
-again through the condition's definition, in exact Fractions.
+banach_k, strict_contraction and mixed_monotone share one driver, _check,
+which dispatches the lane once: to the kernel sweep or the generic draws
+named in _SAMPLED, or on a finite space to the _FiniteTables method named
+by the condition id. The finite lane compares integers rather than running
+the tests of _CONDITIONS: F as an index table, the distances scaled by the
+matrix's common denominator (spaces.FiniteData.scaled), so every sum and
+comparison is exact without a Fraction, and the space's pair index
+(spaces.PairIndex), in which the in-band quadruples of each comparable
+(x, u) pair are one bisected slice of the distance-sorted (y, v) pairs,
+visited in enumeration order, so witnesses and hit counts equal a full
+enumeration's. The first violation alone is measured again through the
+condition's definition, in exact Fractions.
 """
 
 from __future__ import annotations
@@ -67,10 +71,11 @@ from .operators import (
     _finite_table,
     _measure,
     _sampled_quadruples,
-    _too_few,
 )
 from .reports import ConditionReport, Witness, _report
 from .spaces import INCOMPARABLE, _half_sum, _require_members
+
+MIN_COMPARABLE = 10
 
 
 def _validate_eps_grid(eps_grid):
@@ -146,10 +151,13 @@ _SAMPLED = {
 }
 
 
-def _sampled_check(op, lane, cid, samples, seed, *args):
+def _check(op, cid, samples, seed, *args):
     """banach_k (args = (k,)), strict_contraction or mixed_monotone (no args)
-    on the kernel lane, by its sweep, or on the generic lane, by its draws
-    (_SAMPLED)."""
+    on op's lane: on a finite space by the _FiniteTables method named cid, on
+    the kernel lane by its sweep, on the generic lane by its draws (_SAMPLED)."""
+    lane = evaluation_lane(op)
+    if lane == "finite":
+        return getattr(_FiniteTables(op), cid)(*args)
     cond = _CONDITIONS[cid]
     what, sweep, draw, methods, kinds = _SAMPLED[cid]
     if lane == "kernel":
@@ -164,8 +172,9 @@ def _sampled_check(op, lane, cid, samples, seed, *args):
             used, hit = hit[0] + 1, hit[1:]
     # a sweep whose kinds differ counts every draw, so used - 1 is the draw
     witness = _witness(cond, kinds[(used - 1) % len(kinds)], hit, args) if found else None
+    few = f"only {checked} {what} among {draws} draws" if checked < MIN_COMPARABLE else ""
     return _report(cid, method, _float_confirmed(op, lane, cid, witness), used, checked,
-                   params=dict(zip(cond.params, args)), inconclusive=_too_few(checked, draws, what))
+                   params=dict(zip(cond.params, args)), inconclusive=few)
 
 
 # ---------------------------------------------------------------------------
@@ -250,8 +259,29 @@ class _FiniteTables:
                     _witness(cond, "exhaustive", (x, y, u, v, first, second), args))
         return walked, None
 
+    def banach_k(self, k):
+        """check_banach_k on every comparable quadruple: the conclusion
+        d(F(x,y), F(u,v)) exceeds (k/2)(d(x,u) + d(y,v)) iff 2 k.den S1 >
+        k.num s on the scaled integers."""
+        k_exact = Fraction(k)
+        a, b = 2 * k_exact.denominator, k_exact.numerator
+        checked, witness = self.first_violation(
+            "banach_k", -math.inf, math.inf, False,
+            lambda c, s: map(gt, map(a.__mul__, c), map(b.__mul__, s)), k_exact)
+        return _report("banach_k", "exhaustive", witness, checked, checked, params={"k": k},
+                       holds_note="exhaustive over all ordered quadruples")
+
+    def strict_contraction(self):
+        """check_strict_contraction on every comparable quadruple with a
+        positive scaled sum s: the symmetric conclusion must stay below s."""
+        checked, witness = self.first_violation(
+            "strict_contraction", 1, math.inf, True, lambda c, s: map(le, s, c))
+        return _report("strict_contraction", "exhaustive", witness, checked, checked,
+                       inconclusive="" if checked else "no strictly comparable distinct pairs exist",
+                       holds_note="exhaustive over all strictly comparable pairs")
+
     def mixed_monotone(self):
-        """operators.check_mixed_monotone on a finite space: both clauses for
+        """check_mixed_monotone on a finite space: both clauses for
         every comparable pair lo <= hi and every w, in (lo, hi) row-major
         order, on F, FT and the 0/1 order matrix L: L[F[lo][w]][F[hi][w]] and
         L[F[w][hi]][F[w][lo]]. Only the first violation is measured, through
@@ -307,6 +337,25 @@ class _FiniteTables:
 
 
 # ---------------------------------------------------------------------------
+# mixed monotonicity
+# ---------------------------------------------------------------------------
+
+def check_mixed_monotone(op: CoupledOperator, samples: int = 10000, seed: int = 0) -> ConditionReport:
+    """Sample the two monotonicity clauses: F nondecreasing in its first
+    argument and nonincreasing in its second, over comparable argument pairs.
+
+    Trial t tests F(u, v) <= F(x, y) on the first clause's quadruple on even
+    t, the second's on odd t (operators._argument_quadruples; on the kernel
+    lane kernels.monotone_sweep), and a witness's kind names its clause.
+    Fewer than MIN_COMPARABLE comparable trials yield an inconclusive verdict
+    rather than a vacuous pass. Finite spaces are enumerated exhaustively.
+    """
+    if samples < 2:
+        raise InputError("check_mixed_monotone requires samples >= 2")
+    return _check(op, "mixed_monotone", samples, seed)
+
+
+# ---------------------------------------------------------------------------
 # banach_k
 # ---------------------------------------------------------------------------
 
@@ -317,22 +366,7 @@ def check_banach_k(op: CoupledOperator, k, samples: int = 10000, seed: int = 0) 
         raise InputError("k must lie in [0, 1)")
     if samples < 1:
         raise InputError("samples must be positive")
-    lane = evaluation_lane(op)
-    if lane == "finite":
-        return _finite_banach(op, k)
-    return _sampled_check(op, lane, "banach_k", samples, seed, k)
-
-
-def _finite_banach(op, k):
-    """Every comparable quadruple: the conclusion d(F(x,y), F(u,v)) exceeds
-    (k/2)(d(x,u) + d(y,v)) iff 2 k.den S1 > k.num s on the scaled integers."""
-    k_exact = Fraction(k)
-    a, b = 2 * k_exact.denominator, k_exact.numerator
-    checked, witness = _FiniteTables(op).first_violation(
-        "banach_k", -math.inf, math.inf, False,
-        lambda c, s: map(gt, map(a.__mul__, c), map(b.__mul__, s)), k_exact)
-    return _report("banach_k", "exhaustive", witness, checked, checked, params={"k": k},
-                   holds_note="exhaustive over all ordered quadruples")
+    return _check(op, "banach_k", samples, seed, k)
 
 
 # ---------------------------------------------------------------------------
@@ -543,20 +577,7 @@ def check_strict_contraction(op: CoupledOperator, samples: int = 10000, seed: in
     """d2(T(Y), T(V)) < d2(Y, V) over strictly comparable distinct pairs."""
     if samples < 2:
         raise InputError("check_strict_contraction requires samples >= 2")
-    lane = evaluation_lane(op)
-    if lane == "finite":
-        return _finite_strict(op)
-    return _sampled_check(op, lane, "strict_contraction", samples, seed)
-
-
-def _finite_strict(op):
-    """Every comparable quadruple with a positive scaled sum s: the symmetric
-    conclusion must stay below s."""
-    checked, witness = _FiniteTables(op).first_violation(
-        "strict_contraction", 1, math.inf, True, lambda c, s: map(le, s, c))
-    return _report("strict_contraction", "exhaustive", witness, checked, checked,
-                   inconclusive="" if checked else "no strictly comparable distinct pairs exist",
-                   holds_note="exhaustive over all strictly comparable pairs")
+    return _check(op, "strict_contraction", samples, seed)
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,10 @@ _CONDITIONS: the parameters it binds, which comparable quadruples it counts,
 its test (_banach_holds, the band test around _banded_conclusion,
 _strict_holds, and _monotone_holds, F(u, v) <= F(x, y): T is monotone in the
 product order) and the names of its two measured values. The sweeps in
-``kernels``, the checkers in ``conditions`` and reverify_witness all read
-it. The tests work on floats, exact Fractions and numpy arrays without
+``kernels``, the checkers in ``conditions`` (check_mixed_monotone among
+them) and reverify_witness all read it; this module also holds the sampled
+quadruple sources and F's index table on a finite space, but no checker.
+The tests work on floats, exact Fractions and numpy arrays without
 importing numpy, and return the *holds* comparison (False on NaN), which
 scalar callers negate with ``not`` and the sweeps with ``~``. The exhaustive
 finite lane compares the same quantities as integers on index tables and
@@ -28,11 +30,10 @@ from typing import Any, Callable, NamedTuple, Optional
 
 from . import kernels
 from .errors import DomainMismatchError, InputError
-from .reports import ConditionReport, Witness
+from .reports import Witness
 from .spaces import (FLOAT_SLACK, INCOMPARABLE, PairPoint, SpaceModel, _half_sum, _line_leq, maps_arrays,
                      usual_real_order)
 
-MIN_COMPARABLE = 10
 DELTA_CAP_FACTOR = 10.0  # the delta curve's cap, and the drawn width of an infinite band
 
 
@@ -140,12 +141,6 @@ def _argument_quadruples(space, samples, seed):
                 yield (t, hi, w, lo, w, None, None) if t % 2 == 0 else (t, w, lo, w, hi, None, None)
 
     return draws, quadruples()
-
-
-def _too_few(count, draws, what):
-    """Inconclusive note of a sampled check with fewer than MIN_COMPARABLE
-    usable draws; empty when there are enough."""
-    return f"only {count} {what} among {draws} draws" if count < MIN_COMPARABLE else ""
 
 
 def _with_slack(space, bound, direction=1):
@@ -267,26 +262,6 @@ def _measure(op, cond, p, x, y, u, v):
     dxu, dyv = space.distance(x, u), space.distance(y, v)
     half = _half_sum(space, dxu + dyv) if cond.halves else None
     return cond.test(op, p, x, y, u, v, dxu, dyv, half, False)
-
-
-def check_mixed_monotone(op: CoupledOperator, samples: int = 10000, seed: int = 0) -> ConditionReport:
-    """Sample the two monotonicity clauses: F nondecreasing in its first
-    argument and nonincreasing in its second, over comparable argument pairs.
-
-    Trial t tests F(u, v) <= F(x, y) on the first clause's quadruple on even
-    t, the second's on odd t (_argument_quadruples; on the kernel lane
-    kernels.monotone_sweep), and a witness's kind names its clause. Fewer
-    than MIN_COMPARABLE comparable trials yield an inconclusive verdict
-    rather than a vacuous pass. Finite spaces are enumerated exhaustively.
-    """
-    if samples < 2:
-        raise InputError("check_mixed_monotone requires samples >= 2")
-    from . import conditions
-
-    lane = evaluation_lane(op)
-    if lane == "finite":
-        return conditions._FiniteTables(op).mixed_monotone()
-    return conditions._sampled_check(op, lane, "mixed_monotone", samples, seed)
 
 
 def _finite_table(op: CoupledOperator) -> list:

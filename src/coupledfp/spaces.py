@@ -403,20 +403,24 @@ def _first_bad_entry(rows, n, entry, name):
 
 def finite_space(elements, dist_matrix, leq_matrix, description="finite space") -> SpaceModel:
     """A finite space given by explicit matrices, validated and converted here
-    once, each distinct entry once (square_matrix). Both are n x n, and their
-    rows are ordered sequences (not strings, bytes, dicts or sets). Distances
-    are finite numbers or "p/q" strings, stored as exact Fractions so checks
-    on finite spaces run with zero tolerance; leq_matrix[i][j] is 0 or 1, 1
-    encoding elements[i] <= elements[j]. Booleans, Python's or numpy's, are
-    rejected in both.
-    Anything else is an InputError naming the first bad entry as
+    once, each distinct entry once (square_matrix). The elements are distinct
+    and hashable, since the space indexes them in a dict. Both matrices are
+    n x n, and their rows are ordered sequences (not strings, bytes, dicts or
+    sets). Distances are finite numbers or "p/q" strings, stored as exact
+    Fractions so checks on finite spaces run with zero tolerance;
+    leq_matrix[i][j] is 0 or 1, 1 encoding elements[i] <= elements[j].
+    Booleans, Python's or numpy's, are rejected in both. Anything else is an InputError naming the first bad entry as
     distance[i][j] or leq[i][j]. The axioms themselves are audit_space's job.
     """
     elements = tuple(elements)
     n = len(elements)
     if n == 0:
         raise InputError("finite space needs at least one element")
-    if len(set(elements)) != n:
+    try:
+        distinct = len(set(elements)) == n
+    except TypeError:
+        raise InputError("finite space elements must be hashable") from None
+    if not distinct:
         raise InputError("finite space elements must be distinct")
     index = {e: i for i, e in enumerate(elements)}
     dist = square_matrix(dist_matrix, n, _distance, "distance")

@@ -4,19 +4,20 @@ Uniqueness of the coupled fixed point hinges on a comparability property of
 the product space (every two pairs admit a pair comparable to both). Sampling
 cannot prove that property, so these probes either refute uniqueness outright
 (two converged runs ending at distinct points) or report consistency: all
-endpoints within 2*tol of each other. On a finite space the runs are exact:
-each start's orbit under T(x, y) = (F(x, y), F(y, x)) is walked on F's index
-table, so an endpoint is a coupled fixed point, tol plays no part, and an
-orbit that returns to a pair it has visited ends in a "cycle". The diagonal
-check covers the stronger conclusion that both coordinates of the fixed point
-coincide, which holds when the base space has enough upper/lower bounds or
-the start pair is comparable.
+endpoints within 2*tol of each other. The runs are one loop with one step
+per start, a solve, or on a finite space a walk of the start's orbit under
+T(x, y) = (F(x, y), F(y, x)) on F's index table: exact, so an endpoint is a
+coupled fixed point, tol plays no part, and an orbit that returns to a pair
+it has visited ends in a "cycle". One spread and one list of diagonal gaps
+follow the loop on both lanes. The diagonal check covers the stronger
+conclusion that both coordinates of the fixed point coincide, which holds
+when the base space has enough upper/lower bounds or the start pair is
+comparable.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import chain, combinations
 from typing import Callable, Optional
 
@@ -154,96 +155,80 @@ def multi_start_uniqueness(op: CoupledOperator, starts, tol: float = 1e-10,
     int 0 if none is positive. Non-converged runs are excluded and flagged
     with their termination.
 
-    Off the finite lane each start is a solve, which tests membership. On
-    the finite lane (operators.evaluation_lane) each start's orbit is walked
+    tol and max_iter are validated once; then one loop takes one step per
+    start. Off the finite lane the step is a solve, which tests membership.
+    On the finite lane (operators.evaluation_lane) it walks the start's orbit
     on operators._finite_table, which raises DomainMismatchError if F leaves
-    the space anywhere, even off the orbits walked. A run converges when its
+    the space anywhere, even off the orbits walked: a run converges when its
     orbit reaches a coupled fixed point within max_iter steps, fails with
     "cycle" when it returns to a pair it has visited, and with
-    "max_iterations" otherwise; tol is checked but plays no part, and the
-    spread is summed exactly on FiniteData.scaled.
+    "max_iterations" otherwise; tol plays no part. Both lanes then share one
+    spread, over the distinct endpoints through space.distance (exact
+    Fractions on a finite space), and one list of diagonal gaps.
     """
     starts = list(starts)
     if not starts:
         raise InputError("at least one start is required")
-    space = op.space
-    # a space with no tables skips evaluation_lane's kernel-lane checks
-    if space.finite is not None and evaluation_lane(op) == "finite":
-        kept_starts, endpoints, failed, spread, gaps = _finite_runs(op, starts, tol, max_iter)
-    else:
-        kept_starts, endpoints, failed = [], [], []
-        for Z0 in starts:
-            # only the endpoint is read, so no iterate between start and end is kept
-            trace = solve(op, Z0, tol=tol, max_iter=max_iter, require_admissible=False,
-                          keep_every=max_iter)
-            if trace.termination == TERM_CONVERGED:
-                kept_starts.append(Z0)
-                endpoints.append(trace.final)
-            else:
-                failed.append((Z0, trace.termination))
-        distance, worst = space.distance, 0  # the largest sum, halved once: halving is monotone
-        for Y, V in combinations(endpoints, 2):
-            total = distance(Y.first, V.first) + distance(Y.second, V.second)
-            if total > worst:
-                worst = total
-        spread = worst and _half_sum(space, worst)
-        gaps = [distance(z.first, z.second) for z in endpoints]
-    rate = probe_comparability(space, comparability_samples, seed, bound_search)
-    return UniquenessReport(
-        starts=kept_starts,
-        endpoints=endpoints,
-        max_pairwise_d2=spread,
-        comparability_rate=rate,
-        diagonal_gaps=gaps,
-        failed=failed,
-    )
-
-
-def _finite_runs(op, starts, tol, max_iter):
-    """The runs of multi_start_uniqueness on the finite lane, as (kept
-    starts, endpoints, failed, spread, diagonal gaps): each start's orbit is
-    walked on index pairs of F's table, and the spread is the largest
-    integer sum on FiniteData.scaled, halved once into a Fraction."""
     if not tol > 0:
         raise InputError("tol must be positive")
     if max_iter < 1:
         raise InputError("max_iter must be >= 1")
     space = op.space
-    F, fd = _finite_table(op), space.finite
-    els, index, (scale, S) = fd.elements, fd.index, fd.scaled
-    kept_starts, ends, failed = [], [], []
+    # a space with no tables skips evaluation_lane's kernel-lane checks
+    F = _finite_table(op) if space.finite is not None and evaluation_lane(op) == "finite" else None
+    kept_starts, endpoints, failed = [], [], []
     for Z0 in starts:
-        _require_members(space, Z0.first, Z0.second)
-        end, termination = _orbit_end(F, index[Z0.first], index[Z0.second], max_iter)
-        if end is None:
-            failed.append((Z0, termination))
+        if F is None:
+            # only the endpoint is read, so no iterate between start and end is kept
+            trace = solve(op, Z0, tol=tol, max_iter=max_iter, require_admissible=False,
+                          keep_every=max_iter)
+            end, termination = trace.final, trace.termination
         else:
+            _require_members(space, Z0.first, Z0.second)
+            end, termination = _orbit_end(F, space.finite, Z0, max_iter)
+        if termination == TERM_CONVERGED:
             kept_starts.append(Z0)
-            ends.append(end)
-    # a repeated endpoint adds no distance
-    worst = max((S[a][c] + S[b][d] for (a, b), (c, d) in combinations(dict.fromkeys(ends), 2)),
-                default=0)
-    return (kept_starts, [PairPoint(els[i], els[j]) for i, j in ends], failed,
-            worst and Fraction(worst, 2 * scale), [fd.dist[i][j] for i, j in ends])
+            endpoints.append(end)
+        else:
+            failed.append((Z0, termination))
+    try:  # a repeated endpoint adds no distance
+        distinct = list(dict.fromkeys(endpoints))
+    except TypeError:  # unhashable points are all kept
+        distinct = endpoints
+    distance, worst = space.distance, 0  # the largest sum, halved once: halving is monotone
+    for Y, V in combinations(distinct, 2):
+        total = distance(Y.first, V.first) + distance(Y.second, V.second)
+        if total > worst:
+            worst = total
+    rate = probe_comparability(space, comparability_samples, seed, bound_search)
+    return UniquenessReport(
+        starts=kept_starts,
+        endpoints=endpoints,
+        max_pairwise_d2=worst and _half_sum(space, worst),
+        comparability_rate=rate,
+        diagonal_gaps=[distance(z.first, z.second) for z in endpoints],
+        failed=failed,
+    )
 
 
-def _orbit_end(F, i, j, max_iter):
-    """Where the orbit of the index pair (i, j) under (i, j) -> (F[i][j],
-    F[j][i]) ends within max_iter steps: (its first coupled fixed point,
-    "converged"), or None with "cycle" when it returns to a pair it has
-    visited, else None with "max_iterations"."""
+def _orbit_end(F, fd, Z0, max_iter):
+    """Where the orbit of Z0 under the pair map, walked on index pairs (i, j)
+    -> (F[i][j], F[j][i]) of the finite space fd, ends within max_iter steps:
+    (its first coupled fixed point, "converged"), or None with "cycle" when it
+    returns to a pair it has visited, else None with "max_iterations"."""
+    i, j = fd.index[Z0.first], fd.index[Z0.second]
     seen = {(i, j)}
     for _ in range(max_iter):
         a, b = F[i][j], F[j][i]
         if a == i and b == j:
-            return (i, j), TERM_CONVERGED
+            break
         i, j = a, b
         if (i, j) in seen:
             return None, TERM_CYCLE
         seen.add((i, j))
-    if F[i][j] == i and F[j][i] == j:
-        return (i, j), TERM_CONVERGED
-    return None, TERM_MAX_ITERATIONS
+    if F[i][j] != i or F[j][i] != j:
+        return None, TERM_MAX_ITERATIONS
+    return PairPoint(fd.elements[i], fd.elements[j]), TERM_CONVERGED
 
 
 def check_diagonal(op: CoupledOperator, endpoint: PairPoint, tol: float = 1e-10) -> DiagonalCheck:

@@ -196,12 +196,33 @@ def test_delta_curve_csv(tmp_path, capsys):
 @pytest.mark.parametrize("problem", ["samet_example", fixture_path("diamond5.json")])
 def test_delta_curve_with_an_overflowing_cap(capsys, problem):
     # DELTA_CAP_FACTOR * 1e308 is inf: without a violation both lanes give an
-    # unbounded entry
+    # unbounded entry, written as jsonable writes every infinity
     code, out, err = run_cli(capsys, "delta-curve", "--problem", problem, "--eps-grid", "1e308",
                              "--samples", "200")
     assert code == 0, err
-    assert '"curve": [\n    [\n      1e+308,\n      Infinity\n    ]' in out
-    assert json.loads(out)["curve"] == [[1e308, float("inf")]]
+    assert '"curve": [\n    [\n      1e+308,\n      "inf"\n    ]' in out
+    assert json.loads(out)["curve"] == [[1e308, "inf"]]
+
+
+def _no_constants(name):
+    raise ValueError(f"{name} is not standard JSON")
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--problem", "samet_example", "--tol", "inf"],
+    ["delta-curve", "--problem", "samet_example", "--eps-grid", "1e308", "--samples", "200"],
+    ["delta-curve", "--problem", fixture_path("diamond5.json"), "--eps-grid", "1e308"],
+], ids=["solve_tol_inf", "curve_overflowing_cap", "finite_curve_overflowing_cap"])
+def test_cli_artifacts_are_standard_json(argv, tmp_path, capsys):
+    # RFC 8259 has no Infinity or NaN: an infinite config value or curve entry
+    # is the string "inf", as in every report
+    code, _, err = run_cli(capsys, *argv, "--output", str(tmp_path / "run"))
+    assert code == 0, err
+    payload = json.loads((tmp_path / "run.json").read_text(), parse_constant=_no_constants)
+    if argv[0] == "solve":
+        assert payload["config"]["tol"] == "inf"
+    else:
+        assert payload["curve"] == [[1e308, "inf"]]
 
 
 def test_uniqueness_command(capsys):

@@ -450,6 +450,13 @@ def test_finite_space_rejects_duplicates():
         cf.finite_space(["a", "a"], [[0, 1], [1, 0]], [[1, 0], [0, 1]])
 
 
+@pytest.mark.parametrize("elements", [[[1], [2]], ["a", {"b": 1}], [{1}, frozenset({2})]])
+def test_finite_space_rejects_unhashable_elements(elements):
+    # the index of a finite space is a dict of its elements
+    with pytest.raises(cf.InputError, match="finite space elements must be hashable"):
+        cf.finite_space(elements, [[0, 1], [1, 0]], [[1, 0], [0, 1]])
+
+
 def test_domain_mismatch_raises():
     doc = load_doc("chain2_const.json")
     space = cf.finite_space(doc["elements"], doc["distance"], doc["leq"])

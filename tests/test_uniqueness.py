@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 import coupledfp as cf
 from coupledfp import uniqueness
+from coupledfp.operators import evaluation_lane
 from coupledfp.spaces import PairPoint, _real_lattice_bound, pairs_comparable
 
 import finite_oracle as oracle
@@ -451,6 +452,32 @@ def test_finite_walk_ends_where_solve_converges(problem):
             assert fate == (trace.final.first, trace.final.second)
         else:
             assert fate == uniqueness.TERM_CYCLE
+
+
+def _typed(values):
+    return [(type(v), repr(v)) for v in values]
+
+
+@given(problem=random_posets(), max_iter=st.sampled_from([1, 2, 3, 5, 10000]))
+@settings(max_examples=150, deadline=None)
+def test_one_spread_serves_both_lanes(problem, max_iter):
+    # with its tables hidden the same space takes the solve path, in exact
+    # Fractions; distances are at least 1, so both lanes converge from the
+    # same starts to the same pairs, and the spread and gaps are one
+    # computation over them. Only the failed runs' terminations differ: the
+    # walk's "cycle" is solve's stalled or max_iterations
+    doc, op = problem
+    n = len(doc["elements"])
+    starts = [PairPoint(i, j) for i in range(n) for j in range(n)]
+    hidden = dataclasses.replace(op, space=dataclasses.replace(op.space, finite=None))
+    finite, solved = (cf.multi_start_uniqueness(o, starts, max_iter=max_iter,
+                                                comparability_samples=1) for o in (op, hidden))
+    assert evaluation_lane(hidden) == "generic"
+    assert _typed(finite.starts) == _typed(solved.starts)
+    assert _typed(finite.endpoints) == _typed(solved.endpoints)
+    assert _typed(finite.diagonal_gaps) == _typed(solved.diagonal_gaps)
+    assert _typed([finite.max_pairwise_d2]) == _typed([solved.max_pairwise_d2])
+    assert [z for z, _ in finite.failed] == [z for z, _ in solved.failed]
 
 
 def _chain_op(table):
